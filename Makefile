@@ -1,11 +1,15 @@
 # Developer entry points.  The repo needs only the Go toolchain; these
-# targets wrap the invocations CI runs, plus the two baseline-refresh
-# paths (run after a deliberate, reviewed performance or schema change —
-# the diff of the regenerated baseline IS the review artifact).
+# targets wrap the invocations CI runs — test, the differential gate
+# (gate), the scenario corpus (scenarios), and bench-check, which
+# compiles and tests the benchmark module against this tree (`go test
+# ./...` skips it: benchmark/ is a module of its own) — plus the two
+# baseline-refresh paths (run after a deliberate, reviewed performance or
+# schema change — the diff of the regenerated baseline IS the review
+# artifact).
 
 GO ?= go
 
-.PHONY: build test bench bench-baseline ledger-baseline gate scenarios scenario-baseline fmt vet
+.PHONY: build test bench bench-check bench-baseline ledger-baseline gate scenarios scenario-baseline fmt vet
 
 build:
 	$(GO) build ./...
@@ -15,6 +19,14 @@ test:
 
 bench:
 	$(GO) run ./cmd/plumbench -exp bench -benchout BENCH_sim.json
+
+# bench-check vets and tests the repo-level benchmark (benchmark/, a
+# nested module with `replace plum => ../`) against the program as it
+# stands: the benchmark calls exported core/msg/serve/event surface that
+# tier-1 never compiles against, so a refactor that breaks it is
+# invisible to `make test`.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
 # bench-baseline refreshes the committed host-benchmark baseline from a
 # fresh local run.  Host numbers are machine-dependent: refresh on the

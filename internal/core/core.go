@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"plum/internal/machine"
@@ -35,6 +36,22 @@ func (m Mapper) String() string {
 	default:
 		return "OptBMCM"
 	}
+}
+
+// ParseMapper resolves a mapper's request/spec name ("heu", "opt",
+// "bmcm", "topo"; empty selects the default heuristic).
+func ParseMapper(name string) (Mapper, error) {
+	switch name {
+	case "", "heu":
+		return MapHeuristic, nil
+	case "opt":
+		return MapOptMWBG, nil
+	case "bmcm":
+		return MapOptBMCM, nil
+	case "topo":
+		return MapTopo, nil
+	}
+	return 0, fmt.Errorf("unknown mapper %q (heu, opt, bmcm, topo)", name)
 }
 
 // ApplyMapper runs the chosen mapper on a similarity matrix and reports

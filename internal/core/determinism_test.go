@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"plum/internal/scenario"
 )
 
 // Regression for the event engine's deterministic reservation pass: the
@@ -62,4 +66,87 @@ func TestFatTreeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // instances agree bitwise (fresh contention state per run).
 func TestFatTreeDeterministicRepeat(t *testing.T) {
 	requireIdenticalStats(t, "repeat", fatTreeStep(t, 8), fatTreeStep(t, 8))
+}
+
+// TestEpochPlansDeterministic: every kind of epoch plan — the measured
+// feedback world (profile windows cut from a live trace, rates
+// calibrated from it), scenarios whose machine wrappers switch state
+// mid-run under both pricing modes, and served worlds with their
+// cancellation checkpoints — is a pure function of its inputs.  Each
+// runs at GOMAXPROCS 1, at GOMAXPROCS 8, and once more (fresh trace,
+// fresh machine wrappers, fresh contention state) and must agree
+// bitwise: the soundness condition of the goldens, the corpus ledgers,
+// and the serve layer's content-addressed cache.
+func TestEpochPlansDeterministic(t *testing.T) {
+	served := func(ws WorldSpec) func(*testing.T) FeedbackRun {
+		return func(t *testing.T) FeedbackRun {
+			t.Helper()
+			run, err := NewExperiments(false).RunWorldCtx(context.Background(), ws, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run
+		}
+	}
+	scenarioKind := func(sp *scenario.Spec, measured bool) func(*testing.T) FeedbackRun {
+		return func(t *testing.T) FeedbackRun { return runScenarioOnce(t, sp, measured) }
+	}
+	straggler, multijob := stragglerSpec(t), multijobSpec(t)
+	small := *straggler // a served scenario need not be a large one
+	small.Name, small.P = "det-straggler-p4", 4
+	if err := small.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	shape := WorldSpec{P: 4, Cycles: 2, Mapper: MapHeuristic, Workload: WorkloadImplicit, Seed: 7}
+	kinds := []struct {
+		name string
+		run  func(*testing.T) FeedbackRun // on a fresh harness
+	}{
+		// The smp cluster puts cheap intra-node links next to expensive
+		// inter-node ones, so both calibration classes are observed.
+		{"feedback/measured", func(t *testing.T) FeedbackRun { return runFeedback(t, 8, 3, "smp", true) }},
+		{"straggler/analytic", scenarioKind(straggler, false)},
+		{"straggler/measured", scenarioKind(straggler, true)},
+		{"multijob/analytic", scenarioKind(multijob, false)},
+		{"multijob/measured", scenarioKind(multijob, true)},
+		{"served/shape", served(shape)},
+		{"served/scenario", served(WorldSpec{Scenario: &small, Measured: true})},
+	}
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	bases := make(map[string]FeedbackRun)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			for _, mode := range []struct {
+				label string
+				procs int
+			}{{"gomaxprocs 1", 1}, {"gomaxprocs 8", 8}, {"repeat", 8}} {
+				runtime.GOMAXPROCS(mode.procs)
+				run := k.run(t)
+				base, ok := bases[k.name]
+				if !ok {
+					bases[k.name] = run
+					if len(run.Epochs) == 0 || run.SimTime <= 0 {
+						t.Errorf("run shape: epochs=%d simtime=%v", len(run.Epochs), run.SimTime)
+					}
+					continue
+				}
+				requireIdenticalRuns(t, "gomaxprocs 1 vs "+mode.label, base, run)
+			}
+		})
+	}
+
+	// The base runs double as the measured loop's handshake checks: the
+	// profile warms up after epoch 0, and — on the contended fat tree —
+	// the traced measured run's unprofiled epoch 0 is the untraced
+	// analytic run's.
+	requireWarmedUp(t, bases["feedback/measured"])
+	requireTracingObservesOnly(t, bases["multijob/analytic"], bases["multijob/measured"])
+
+	// Distinct seeds are distinct simulations: the seed is part of the
+	// served function, so it must be part of what the cache keys.
+	shape.Seed = 8
+	if other := served(shape)(t); reflect.DeepEqual(bases["served/shape"].Epochs, other.Epochs) {
+		t.Error("seed 7 and seed 8 produced identical epochs")
+	}
 }

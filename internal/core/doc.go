@@ -15,8 +15,13 @@
 // (internal/profile) and feeds it to the next epoch's decision: the
 // measured-cost feedback loop.  Experiments bundles the fixed inputs of
 // the paper's evaluation; cmd/plumbench renders its Table1/Table2/
-// Fig2..Fig8 reproductions and the implicit / machine / feedback
-// extensions.
+// Fig2..Fig8 reproductions and the implicit / machine / feedback /
+// scenario extensions.  Every experiment that drives whole epochs —
+// FeedbackComparison, Scenarios, ImplicitScaling, and RunWorldCtx (one
+// served request) — is an epochPlan run by the one epoch runner
+// (runEpochs, epochs.go), the only caller of Unsteady.Cycle; worlds
+// reach the host through the one scheduler, runWorlds, exactly once
+// each.  ParseMapper is the one table of mapper names.
 //
 // Invariants.  The gain/cost decision is computed on rank 0 and
 // broadcast, so every rank takes the same branch; its pricing tiers are

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"os"
+
 	"plum/internal/adapt"
 	"plum/internal/dual"
 	"plum/internal/machine"
@@ -84,6 +88,17 @@ func (e *Experiments) modelFor(p int) *msg.CostModel {
 		panic(err) // unreachable: UseMachine validated the name
 	}
 	return e.Model.WithTopo(topo)
+}
+
+// mustRunWorlds is the CLI sweeps' fault contract over runWorlds: a
+// world panic is a broken invariant, so the failing world's goroutine
+// stack goes to stderr and the original panic value is re-raised.
+func mustRunWorlds(n int, job func(i int)) {
+	var wp *WorldPanic
+	if errors.As(runWorlds(n, func(i int) error { job(i); return nil }), &wp) {
+		fmt.Fprintf(os.Stderr, "core: world %d of %d panicked: %v\n%s", wp.World, n, wp.Value, wp.Stack)
+		panic(wp.Value)
+	}
 }
 
 // CaseSpec names a refinement strategy: the fraction of the initial
@@ -254,7 +269,7 @@ func (e *Experiments) Table2(frac float64) []Table2Row {
 	}
 	e.prewarmPartitions(ps)
 	rows := make([]Table2Row, len(ps))
-	runWorlds(len(ps), func(i int) {
+	mustRunWorlds(len(ps), func(i int) {
 		p := ps[i]
 		initPart := e.initialPartition(p)
 		var row Table2Row
@@ -358,7 +373,7 @@ func (e *Experiments) Scaling() []ScalingRow {
 		}
 	}
 	rows := make([]ScalingRow, len(jobs))
-	runWorlds(len(jobs), func(i int) {
+	mustRunWorlds(len(jobs), func(i int) {
 		j := jobs[i]
 		st := e.RunStep(j.p, j.cs.Frac, j.before, MapHeuristic)
 		growth := 1.0

@@ -3,14 +3,8 @@ package core
 import (
 	"bytes"
 
-	"plum/internal/adapt"
 	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/msg"
 	"plum/internal/obs"
-	"plum/internal/partition"
-	"plum/internal/pmesh"
-	"plum/internal/solver"
 )
 
 // The measured-cost feedback experiment: the same unsteady implicit run
@@ -45,11 +39,11 @@ type FeedbackRun struct {
 	SimTime  float64 // end-to-end simulated makespan of the whole run
 
 	// recs are the run's ledger records (rank 0; only when e.Obs is
-	// set).  FeedbackComparison flushes them after the world barrier so
-	// ledger order is deterministic.
-	recs []obs.EpochRecord
-	// spans is the run's serialized span stream (only when e.Spans is
-	// set), flushed after the barrier like recs.
+	// set) and spans its serialized span stream (only when e.Spans is
+	// set).  The fan-out that scheduled the world flushes both after its
+	// barrier (Experiments.flush) so ledger and span-file order is
+	// deterministic.
+	recs  []obs.EpochRecord
 	spans *bytes.Buffer
 }
 
@@ -75,100 +69,22 @@ func (fp FeedbackPair) DecisionDiffs() int {
 	return diffs
 }
 
-// feedbackIndicator returns the moving-shock indicator of the feedback
-// runs: the cylinder advances across the domain so the refined region —
-// and with it the imbalance the balancer must judge — shifts every
-// epoch.
-func (e *Experiments) feedbackIndicator(cycles int) func(i int) func(mesh.Vec3) float64 {
-	den := cycles - 1
-	if den < 1 {
-		den = 1
-	}
-	return func(i int) func(mesh.Vec3) float64 {
-		x := (0.25 + 0.5*float64(i)/float64(den)) * e.LX
-		return adapt.ShockCylinderIndicator(
-			mesh.Vec3{x, e.LY / 2, 0}, mesh.Vec3{0, 0, 1},
-			0.35*e.LY, 0.17*e.LY)
-	}
-}
-
-// RunFeedback drives cycles unsteady implicit epochs on p ranks of the
-// named machine with the given pricing mode and reports every epoch's
-// decision.  The measured run executes traced (the profile source);
-// tracing never touches simulated clocks, so the two modes' timings
-// diverge only where their decisions do.
-func (e *Experiments) RunFeedback(p, cycles int, model string, measured bool) FeedbackRun {
+// feedbackPlan resolves one feedback world: cycles unsteady implicit
+// epochs on p ranks of the named machine under the given pricing mode.
+func (e *Experiments) feedbackPlan(p, cycles int, model string, measured bool) (epochPlan, error) {
 	topo, err := machine.ByName(model, p)
 	if err != nil {
-		panic(err)
+		return epochPlan{}, err
 	}
-	mod := e.Model.WithTopo(topo)
-	popt := e.Cfg.PartOpts
-	popt.TargetShares = machine.SpeedShares(topo, p)
-	initPart := partition.Partition(e.Dual, p, popt)
-	run := FeedbackRun{Model: model, Measured: measured}
-	body := func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, solver.NComp)
-		cfg := e.implicitConfig()
-		cfg.Topo = topo
-		cfg.ForceAccept = false
-		cfg.Measured = measured
-		cfg.Observe = e.Obs != nil || e.Spans != nil
-		// One solver step between adaptions puts the analytic gain —
-		// Titer, a constant calibrated for the explicit solver — in the
-		// same range as the redistribution cost, which is exactly where
-		// the decision is sensitive to pricing: the implicit workload's
-		// real per-iteration time is several times the constant, and only
-		// the measured loop can see that.
-		cfg.NAdapt = 1
-		// An implicit element migrates with its CSR matrix rows and
-		// preconditioner state on top of the Section 4.5 solver+adaptor
-		// words, so its payload is roughly three elements' worth.
-		cfg.Machine.M *= 3
-		u := NewUnsteady(d, e.Dual, cfg)
-		u.Frac = 0.12
-		u.CoarsenBelow = 0.05
-		u.Indicator = e.feedbackIndicator(cycles)
-		u.PS.InitParallel(solver.GaussianPulse(
-			mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-		for i := 0; i < cycles; i++ {
-			cs := u.Cycle()
-			if c.Rank() != 0 {
-				continue
-			}
-			run.Epochs = append(run.Epochs, FeedbackEpoch{
-				Cycle:     i,
-				Balanced:  cs.Step.Balanced,
-				Accepted:  cs.Step.Accepted,
-				Measured:  cs.Step.MeasuredDecision,
-				Gain:      cs.Step.Gain,
-				Cost:      cs.Step.Cost,
-				TotalV:    cs.Step.Moved.CTotal,
-				MaxV:      cs.Step.Moved.CMax,
-				Elems:     cs.Step.Counts.Elems,
-				SolveTime: cs.SolverTime,
-			})
-			if e.Obs != nil {
-				run.recs = append(run.recs, epochRecord(
-					"feedback", model, pricingMode(measured),
-					p, i, cs, partition.EdgeCut(e.Dual, d.RootOwner)))
-			}
-		}
+	pl := epochPlan{
+		exp: "feedback", model: model, p: p, cycles: cycles, measured: measured,
+		cfg:          e.decisionConfig(),
+		indicator:    e.movingShock(cycles, 0.25),
+		frac:         constFrac(0.12),
+		coarsenBelow: 0.05,
 	}
-	var times []float64
-	switch {
-	case e.Spans != nil:
-		run.spans = new(bytes.Buffer)
-		opts := e.Spans.options(
-			spanLabel("feedback", model, pricingMode(measured), p), run.spans)
-		times, _, _ = msg.RunTracedSpans(p, mod, opts, body)
-	case measured || e.Obs != nil:
-		times, _ = msg.RunTraced(p, mod, body)
-	default:
-		times = msg.RunModel(p, mod, body)
-	}
-	run.SimTime = msg.MaxTime(times)
-	return run
+	e.onMachine(&pl, topo)
+	return pl, nil
 }
 
 // FeedbackComparison runs the analytic and measured modes on every
@@ -177,28 +93,9 @@ func (e *Experiments) RunFeedback(p, cycles int, model string, measured bool) Fe
 // set the ledger receives every run's epochs after the barrier, in
 // (model, analytic-then-measured) order.
 func (e *Experiments) FeedbackComparison(p, cycles int, models []string) []FeedbackPair {
-	pairs := make([]FeedbackPair, len(models))
-	runWorlds(2*len(models), func(i int) {
-		run := e.RunFeedback(p, cycles, models[i/2], i%2 == 1)
-		if i%2 == 1 {
-			pairs[i/2].Measured = run
-		} else {
-			pairs[i/2].Analytic = run
-		}
+	return e.runPairs(len(models), func(i int, measured bool) (epochPlan, error) {
+		return e.feedbackPlan(p, cycles, models[i], measured)
 	})
-	if e.Obs != nil {
-		for _, pair := range pairs {
-			e.Obs.Add(pair.Analytic.recs...)
-			e.Obs.Add(pair.Measured.recs...)
-		}
-	}
-	if e.Spans != nil {
-		for i := range pairs {
-			e.Spans.flush(pairs[i].Analytic.spans)
-			e.Spans.flush(pairs[i].Measured.spans)
-		}
-	}
-	return pairs
 }
 
 // The reduced-scale feedback experiment's shape: enough epochs for the

@@ -2,23 +2,25 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
 // The measured-cost loop adds two new ingredients to the decision path —
 // profile windows cut from a live trace and rates calibrated from it —
 // and both must inherit the event engine's guarantee: bitwise
-// reproducible, whatever the host's parallelism.  CI's determinism job
-// runs these under -race (the 'Deterministic' name pattern).
+// reproducible, whatever the host's parallelism (pinned for every plan
+// kind by TestEpochPlansDeterministic).
 
-// measuredFeedback runs a short measured-mode feedback run on the smp
-// cluster (cheap intra-node links next to expensive inter-node ones:
-// both calibration classes observed).
-func measuredFeedback(t *testing.T) FeedbackRun {
+// runFeedback drives one feedback world on a fresh harness, unscheduled.
+func runFeedback(t *testing.T, p, cycles int, model string, measured bool) FeedbackRun {
 	t.Helper()
 	e := NewExperiments(false)
-	return e.RunFeedback(8, 3, "smp", true)
+	pl, err := e.feedbackPlan(p, cycles, model, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _ := e.runEpochs(pl, nil)
+	return run
 }
 
 func requireIdenticalRuns(t *testing.T, label string, a, b FeedbackRun) {
@@ -42,29 +44,11 @@ func requireIdenticalRuns(t *testing.T, label string, a, b FeedbackRun) {
 	}
 }
 
-// TestMeasuredDecisionDeterministicAcrossGOMAXPROCS: the measured
-// decision — profile boundaries, calibrated rates, gain/cost, accept
-// bit — is a pure function of the program, not of the host.
-func TestMeasuredDecisionDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	serial := measuredFeedback(t)
-	runtime.GOMAXPROCS(8)
-	parallel := measuredFeedback(t)
-	requireIdenticalRuns(t, "gomaxprocs 1 vs 8", serial, parallel)
-}
-
-// TestMeasuredDecisionDeterministicRepeat: back-to-back measured runs
-// agree bitwise (fresh trace, fresh contention state, same decisions).
-func TestMeasuredDecisionDeterministicRepeat(t *testing.T) {
-	requireIdenticalRuns(t, "repeat", measuredFeedback(t), measuredFeedback(t))
-}
-
-// TestMeasuredFeedbackWarmsUp: epoch 0 must price analytically (no
-// profile exists yet) and later epochs must price from measurement —
-// the loop's defining handshake.
-func TestMeasuredFeedbackWarmsUp(t *testing.T) {
-	run := measuredFeedback(t)
+// requireWarmedUp: in a measured-mode run epoch 0 must price
+// analytically (no profile exists yet) and later epochs must price from
+// measurement — the loop's defining handshake.
+func requireWarmedUp(t *testing.T, run FeedbackRun) {
+	t.Helper()
 	if len(run.Epochs) == 0 {
 		t.Fatal("no epochs recorded")
 	}
@@ -86,13 +70,12 @@ func TestMeasuredFeedbackWarmsUp(t *testing.T) {
 	}
 }
 
-// TestAnalyticModeUnchangedByTracing: tracing observes, never
-// perturbs.  The measured run executes traced but has no profile at
-// epoch 0, so its first epoch must match the untraced analytic run's
-// bitwise — the bridge between pre-feedback behaviour and this tree.
-func TestAnalyticModeUnchangedByTracing(t *testing.T) {
-	a := NewExperiments(false).RunFeedback(8, 2, "fattree", false)
-	m := NewExperiments(false).RunFeedback(8, 2, "fattree", true)
+// requireTracingObservesOnly: tracing observes, never perturbs.  The
+// measured run executes traced but has no profile at epoch 0, so its
+// first epoch must match the untraced analytic run's bitwise — the
+// bridge between pre-feedback behaviour and this tree.
+func requireTracingObservesOnly(t *testing.T, a, m FeedbackRun) {
+	t.Helper()
 	if len(a.Epochs) == 0 || len(m.Epochs) == 0 {
 		t.Fatal("no epochs recorded")
 	}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-
 	"plum/internal/linalg"
 	"plum/internal/mesh"
 	"plum/internal/msg"
-	"plum/internal/obs"
 	"plum/internal/partition"
 	"plum/internal/pmesh"
 	"plum/internal/solver"
@@ -56,82 +53,43 @@ func (e *Experiments) ImplicitScaling(cycles int) []ImplicitRow {
 	ind := e.Indicator()
 	e.prewarmPartitions(e.Ps)
 	rows := make([]ImplicitRow, len(e.Ps))
-	recs := make([][]obs.EpochRecord, len(e.Ps))
-	sbufs := make([]*bytes.Buffer, len(e.Ps))
-	runWorlds(len(e.Ps), func(i int) {
+	runs := make([]FeedbackRun, len(e.Ps))
+	mustRunWorlds(len(e.Ps), func(i int) {
 		p := e.Ps[i]
-		initPart := e.initialPartition(p)
-		mod := e.modelFor(p)
-		var row ImplicitRow
-		body := func(c *msg.Comm) {
-			d := pmesh.New(c, e.Global, initPart, solver.NComp)
-			cfg := e.implicitConfig()
-			cfg.Topo = mod.Topo
-			cfg.Observe = e.Obs != nil || e.Spans != nil
-			if e.Measured {
-				// Measured-cost loop: decisions gate on the previous
-				// epoch's profile instead of always remapping.
-				cfg.Measured = true
-				cfg.ForceAccept = false
-			}
-			u := NewUnsteady(d, e.Dual, cfg)
-			u.Frac = 0.10
-			u.Indicator = func(int) func(mesh.Vec3) float64 { return ind }
-			u.PS.InitParallel(solver.GaussianPulse(
-				mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-			var last CycleStats
-			total := 0
-			conv := true
-			for cyc := 0; cyc < cycles; cyc++ {
-				last = u.Cycle()
-				total += last.PCGIters
-				conv = conv && last.PCGConverged
-				if e.Obs != nil && c.Rank() == 0 {
-					recs[i] = append(recs[i], epochRecord(
-						"implicit", e.ModelName, pricingMode(e.Measured),
-						p, cyc, last, partition.EdgeCut(e.Dual, d.RootOwner)))
-				}
-			}
-			if c.Rank() != 0 {
+		pl := epochPlan{
+			exp: "implicit", model: e.ModelName, p: p, cycles: cycles, measured: e.Measured,
+			mod:       e.modelFor(p),
+			initPart:  e.initialPartition(p),
+			cfg:       e.implicitConfig(),
+			indicator: func(int) func(mesh.Vec3) float64 { return ind },
+			frac:      constFrac(0.10),
+		}
+		if e.Measured {
+			// Measured-cost loop: decisions gate on the previous epoch's
+			// profile instead of always remapping.
+			pl.cfg.ForceAccept = false
+		}
+		row := ImplicitRow{P: p, Converged: true}
+		runs[i], _ = e.runEpochs(pl, func(ep FeedbackEpoch, cs CycleStats, d *pmesh.DistMesh) {
+			row.GlobalIters += cs.PCGIters
+			row.Converged = row.Converged && cs.PCGConverged
+			if ep.Cycle < cycles-1 {
 				return
 			}
-			row = ImplicitRow{
-				P:            p,
-				PCGIters:     last.PCGIters,
-				Converged:    conv,
-				SolverTime:   last.SolverTime,
-				AdaptTime:    last.Step.MarkTime + last.Step.RefineTime,
-				RemapTime:    last.Step.RemapTime,
-				WorkBalance:  last.WorkBalance,
-				EdgeCut:      partition.EdgeCut(e.Dual, d.RootOwner),
-				CommVolume:   partition.CommVolume(e.Dual, d.RootOwner),
-				GlobalElems:  last.Step.Counts.Elems,
-				GlobalIters:  total,
-				MassDiagnost: last.Mass,
-			}
-		}
-		switch {
-		case e.Spans != nil:
-			sbufs[i] = new(bytes.Buffer)
-			opts := e.Spans.options(
-				spanLabel("implicit", e.ModelName, pricingMode(e.Measured), p), sbufs[i])
-			msg.RunTracedSpans(p, mod, opts, body)
-		case e.Measured || e.Obs != nil:
-			msg.RunTraced(p, mod, body)
-		default:
-			msg.RunModel(p, mod, body)
-		}
+			row.PCGIters = cs.PCGIters
+			row.SolverTime = cs.SolverTime
+			row.AdaptTime = cs.Step.MarkTime + cs.Step.RefineTime
+			row.RemapTime = cs.Step.RemapTime
+			row.WorkBalance = cs.WorkBalance
+			row.EdgeCut = partition.EdgeCut(e.Dual, d.RootOwner)
+			row.CommVolume = partition.CommVolume(e.Dual, d.RootOwner)
+			row.GlobalElems = cs.Step.Counts.Elems
+			row.MassDiagnost = cs.Mass
+		})
 		rows[i] = row
 	})
-	if e.Obs != nil {
-		for _, r := range recs {
-			e.Obs.Add(r...)
-		}
-	}
-	if e.Spans != nil {
-		for _, b := range sbufs {
-			e.Spans.flush(b)
-		}
+	for i := range runs {
+		e.flush(&runs[i])
 	}
 	return rows
 }
@@ -154,7 +112,7 @@ func (e *Experiments) PrecondComparison(p int) []PrecondRow {
 	rows := make([]PrecondRow, len(kinds))
 	initPart := e.initialPartition(p)
 	ind := e.Indicator()
-	runWorlds(len(kinds), func(i int) {
+	mustRunWorlds(len(kinds), func(i int) {
 		kind := kinds[i]
 		msg.RunModel(p, e.modelFor(p), func(c *msg.Comm) {
 			d := pmesh.New(c, e.Global, initPart, solver.NComp)

@@ -68,7 +68,7 @@ func (e *Experiments) MachineSweep(frac float64, models []string, mappers []Mapp
 		}
 	}
 	rows := make([]MachineRow, len(jobs))
-	runWorlds(len(jobs), func(i int) {
+	mustRunWorlds(len(jobs), func(i int) {
 		j := jobs[i]
 		topo, err := machine.ByName(j.name, j.p)
 		if err != nil {

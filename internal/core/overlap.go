@@ -110,7 +110,7 @@ func (e *Experiments) OverlapComparison(p int, models []string) []OverlapRow {
 		solve float64
 	}
 	res := make([]result, 2*len(models)) // [2i]: blocking, [2i+1]: overlapped
-	runWorlds(len(res), func(i int) {
+	mustRunWorlds(len(res), func(i int) {
 		_, tr, iters, solve := e.traceImplicit(p, models[i/2], i%2 == 1)
 		res[i] = result{tr, iters, solve}
 	})

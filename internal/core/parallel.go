@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"plum/internal/obs"
@@ -34,13 +31,11 @@ import (
 //   - results land in index-addressed slots, so presentation order is
 //     the loop order, not completion order.
 //
-// Two fault contracts share one scheduler:
-//
-//   - runWorlds (the CLI sweeps) re-raises the first world panic after
-//     in-flight worlds stop — a broken invariant kills the run loudly;
-//   - runWorldsErr / runWorldsCtx (the serving path) recover each
-//     world's panic into a *WorldPanic error with the world index and
-//     goroutine stack, so one dying request can never unwind a daemon.
+// One scheduler, two fault contracts: runWorlds recovers each world's
+// panic into a *WorldPanic error with the world index and goroutine
+// stack, which the serving path returns — one dying request can never
+// unwind a daemon — and the CLI sweeps re-raise (mustRunWorlds), so a
+// broken invariant kills the run loudly.
 
 // WorldPanic is a world job's panic recovered into an error: the world
 // index within its fan-out, the original panic value, and the goroutine
@@ -67,109 +62,27 @@ func (wp *WorldPanic) Unwrap() error {
 
 // runWorlds executes jobs 0..n-1 concurrently, bounded by GOMAXPROCS
 // host threads (each job is a full simulated world; running more worlds
-// than cores just thrashes).  A job panic skips every not-yet-started
-// job, prints the failing world's goroutine stack to stderr, and is
-// re-raised with the original panic value once in-flight jobs stop.
-func runWorlds(n int, job func(i int)) {
-	err := runWorldsErr(n, func(i int) error { job(i); return nil })
-	if err == nil {
-		return
-	}
-	wp := err.(*WorldPanic)
-	fmt.Fprintf(os.Stderr, "core: world %d of %d panicked: %v\n%s",
-		wp.World, n, wp.Value, wp.Stack)
-	panic(wp.Value)
-}
-
-// runWorldsErr is runWorlds with panics contained: each job runs under
-// a recover that converts a panic into a *WorldPanic, the first failure
-// (error return or panic) stops not-yet-started jobs, and the first
-// failure is returned once in-flight jobs stop.  Completed jobs' results
-// remain valid — index-addressed slots written by finished worlds are
-// untouched by a sibling's death.
-func runWorldsErr(n int, job func(i int) error) error {
-	return runWorldsCtx(context.Background(), n, job)
-}
-
-// runWorldsCtx is runWorldsErr bounded by a context: once ctx is done,
-// not-yet-started jobs are skipped and ctx.Err() is reported (unless a
-// job already failed — the first fault wins).  Jobs themselves are
-// responsible for observing ctx at their own cooperative checkpoints;
-// the scheduler only gates admission.
-func runWorldsCtx(ctx context.Context, n int, job func(i int) error) error {
-	job = timedJob(job)
+// than cores just thrashes).  Each job runs under a recover that
+// converts a panic into a *WorldPanic; the first failure (error return
+// or panic) stops not-yet-started jobs and is returned once in-flight
+// jobs stop.  Completed jobs' results remain valid — index-addressed
+// slots written by finished worlds are untouched by a sibling's death.
+//
+// Every job is counted on the host plane: worlds started/finished and
+// the wall-clock each took.  A world that panics or errors counts as
+// started but not finished, so the gap between the two counters is the
+// number of worlds that died — which is why a world must pass through
+// here exactly once.
+func runWorlds(n int, job func(i int) error) error {
+	started := obs.Default.Counter("plum_worlds_started_total")
+	finished := obs.Default.Counter("plum_worlds_finished_total")
+	wall := obs.Default.Histogram("plum_world_wall_seconds", obs.TimeBuckets)
 	safe := func(i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &WorldPanic{World: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
-		return job(i)
-	}
-	limit := runtime.GOMAXPROCS(0)
-	if limit > n {
-		limit = n
-	}
-	if limit <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := safe(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		fault   error
-		faulted atomic.Bool
-	)
-	sem := make(chan struct{}, limit)
-	for i := 0; i < n; i++ {
-		if faulted.Load() {
-			break // fail fast: don't start worlds after a failure
-		}
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if fault == nil {
-				fault = err
-			}
-			mu.Unlock()
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			if err := safe(i); err != nil {
-				mu.Lock()
-				if fault == nil {
-					fault = err
-				}
-				mu.Unlock()
-				faulted.Store(true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return fault
-}
-
-// timedJob wraps a world job with the host-plane scheduling counters:
-// worlds started/finished and the wall-clock each world took.  A world
-// that panics or errors counts as started but not finished, so the gap
-// between the two counters is the number of worlds that died.
-func timedJob(job func(i int) error) func(i int) error {
-	started := obs.Default.Counter("plum_worlds_started_total")
-	finished := obs.Default.Counter("plum_worlds_finished_total")
-	wall := obs.Default.Histogram("plum_world_wall_seconds", obs.TimeBuckets)
-	return func(i int) error {
 		started.Inc()
 		t0 := time.Now()
 		if err := job(i); err != nil {
@@ -179,6 +92,35 @@ func timedJob(job func(i int) error) func(i int) error {
 		finished.Inc()
 		return nil
 	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		fault error
+	)
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), n))
+	for i := 0; i < n; i++ {
+		sem <- struct{}{}
+		mu.Lock()
+		failed := fault != nil
+		mu.Unlock()
+		if failed {
+			break // fail fast: don't start worlds after a failure
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := safe(i); err != nil {
+				mu.Lock()
+				if fault == nil {
+					fault = err
+				}
+				mu.Unlock()
+			}
+			<-sem
+		}(i)
+	}
+	wg.Wait()
+	return fault
 }
 
 // WorldWallEstimate returns the mean observed world wall-clock seconds

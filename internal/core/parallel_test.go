@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"plum/internal/obs"
 )
 
 // The parallel-world harness must be invisible in the results: every
@@ -70,13 +72,23 @@ func TestScalingSpeedupBaselines(t *testing.T) {
 }
 
 // TestFeedbackComparisonParallelPairs: the pair slots are filled by the
-// right (model, mode) worlds when they run concurrently.
+// right (model, mode) worlds when they run concurrently, and each world
+// passes through the scheduler exactly once — the host-plane counters
+// move by the number of worlds, not by the number of layers that could
+// have scheduled them.
 func TestFeedbackComparisonParallelPairs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("feedback pair sweep is slow")
 	}
+	started := obs.Default.Counter("plum_worlds_started_total")
+	finished := obs.Default.Counter("plum_worlds_finished_total")
+	wall := obs.Default.Histogram("plum_world_wall_seconds", obs.TimeBuckets)
+	s0, f0, w0 := started.Value(), finished.Value(), wall.Count()
 	e := NewExperiments(false)
 	pairs := e.FeedbackComparison(4, 2, []string{"smp"})
+	if s, f, w := started.Value()-s0, finished.Value()-f0, wall.Count()-w0; s != 2 || f != 2 || w != 2 {
+		t.Errorf("2 worlds moved the scheduling counters by started=%d finished=%d wall=%d, want 2 each", s, f, w)
+	}
 	if len(pairs) != 1 {
 		t.Fatalf("got %d pairs, want 1", len(pairs))
 	}

@@ -1,17 +1,6 @@
 package core
 
-import (
-	"bytes"
-
-	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/msg"
-	"plum/internal/partition"
-	"plum/internal/pmesh"
-	"plum/internal/remap"
-	"plum/internal/scenario"
-	"plum/internal/solver"
-)
+import "plum/internal/scenario"
 
 // The scenario harness: each scenario.Spec is driven exactly like a
 // feedback run — the same unsteady implicit epochs, executed once under
@@ -28,120 +17,44 @@ type ScenarioPair struct {
 	FeedbackPair
 }
 
-// mapperByName translates a spec's mapper name to the core constant.
-// The scenario loader validated the name; unknown strings fall back to
-// the heuristic (the spec default).
-func mapperByName(name string) Mapper {
-	switch name {
-	case "opt":
-		return MapOptMWBG
-	case "bmcm":
-		return MapOptBMCM
-	case "topo":
-		return MapTopo
-	default:
-		return MapHeuristic
-	}
-}
-
 // scenarioExp is the ledger experiment key of a scenario run: the
 // prefix keeps scenario RunKeys disjoint from every other experiment's.
 func scenarioExp(sp *scenario.Spec) string { return "scenario/" + sp.Name }
 
-// RunScenario drives one scenario under one pricing mode and reports
-// every epoch's decision.  The structure mirrors RunFeedback — same
-// implicit workload, same migration-payload scaling, same one-solve
-// NAdapt regime where pricing is decision-sensitive — with the spec
-// supplying the dynamics:
+// scenarioPlan resolves one scenario under one pricing mode: the
+// feedback experiment's implicit workload and decision-sensitive regime
+// with the spec supplying the dynamics —
 //
 //   - the indicator advances per the front schedule (Spec.Indicator),
 //   - the marked fraction follows the burst schedule (Spec.FracAt),
-//   - straggler speeds switch at epoch boundaries (CycleSpeed.SetCycle
-//     after a barrier, so no rank still computes under the old cycle),
+//   - straggler speeds switch at epoch boundaries (epochPlan.dyn),
 //   - multi-job background load rides inside the machine's Acquire.
 //
-// The partitioner's speed targets are derived before the run, when a
-// straggler wrapper still reports cycle -1 (no slowdown): the balancer
-// starts blind to the transient, exactly the regime where analytic and
-// measured pricing can disagree.
-func (e *Experiments) RunScenario(sp *scenario.Spec, measured bool) FeedbackRun {
+// The partitioner's speed targets are derived here, before the run,
+// when a straggler wrapper still reports cycle -1 (no slowdown): the
+// balancer starts blind to the transient, exactly the regime where
+// analytic and measured pricing can disagree.
+func (e *Experiments) scenarioPlan(sp *scenario.Spec, measured bool) (epochPlan, error) {
 	topo, dyn, err := sp.BuildMachine()
 	if err != nil {
-		panic(err) // unreachable: the spec validated its model name
+		return epochPlan{}, err
 	}
-	mod := e.Model.WithTopo(topo)
-	popt := e.Cfg.PartOpts
-	popt.TargetShares = machine.SpeedShares(topo, sp.P)
-	initPart := partition.Partition(e.Dual, sp.P, popt)
-	ind := sp.Indicator(scenario.Domain{LX: e.LX, LY: e.LY})
-	run := FeedbackRun{Model: sp.Model, Measured: measured}
-	body := func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, solver.NComp)
-		cfg := e.implicitConfig()
-		cfg.Topo = topo
-		cfg.ForceAccept = false
-		cfg.Measured = measured
-		cfg.Observe = e.Obs != nil || e.Spans != nil
-		cfg.Mapper = mapperByName(sp.Mapper)
-		if cfg.Mapper == MapOptBMCM || cfg.Mapper == MapTopo {
-			cfg.Metric = remap.MaxV
-		}
-		// Same decision-sensitive regime as the feedback experiment: one
-		// solver step between adaptions and the implicit migration payload.
-		cfg.NAdapt = 1
-		cfg.Machine.M *= 3
-		u := NewUnsteady(d, e.Dual, cfg)
-		u.CoarsenBelow = sp.CoarsenBelow
-		u.Indicator = ind
-		u.PS.InitParallel(solver.GaussianPulse(
-			mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-		for i := 0; i < sp.Cycles; i++ {
-			// Epoch boundary: all ranks cross the barrier before the
-			// straggler wrapper switches cycles, so a speed change can
-			// never straddle a rank's previous epoch.  The writes are
-			// idempotent and single-token serialized.
-			c.Barrier()
-			if dyn != nil {
-				dyn.SetCycle(i)
-			}
-			u.Frac = sp.FracAt(i)
-			cs := u.Cycle()
-			if c.Rank() != 0 {
-				continue
-			}
-			run.Epochs = append(run.Epochs, FeedbackEpoch{
-				Cycle:     i,
-				Balanced:  cs.Step.Balanced,
-				Accepted:  cs.Step.Accepted,
-				Measured:  cs.Step.MeasuredDecision,
-				Gain:      cs.Step.Gain,
-				Cost:      cs.Step.Cost,
-				TotalV:    cs.Step.Moved.CTotal,
-				MaxV:      cs.Step.Moved.CMax,
-				Elems:     cs.Step.Counts.Elems,
-				SolveTime: cs.SolverTime,
-			})
-			if e.Obs != nil {
-				run.recs = append(run.recs, epochRecord(
-					scenarioExp(sp), sp.Model, pricingMode(measured),
-					sp.P, i, cs, partition.EdgeCut(e.Dual, d.RootOwner)))
-			}
-		}
+	mapper, err := ParseMapper(sp.Mapper)
+	if err != nil {
+		return epochPlan{}, err
 	}
-	var times []float64
-	switch {
-	case e.Spans != nil:
-		run.spans = new(bytes.Buffer)
-		opts := e.Spans.options(
-			spanLabel(scenarioExp(sp), sp.Model, pricingMode(measured), sp.P), run.spans)
-		times, _, _ = msg.RunTracedSpans(sp.P, mod, opts, body)
-	case measured || e.Obs != nil:
-		times, _ = msg.RunTraced(sp.P, mod, body)
-	default:
-		times = msg.RunModel(sp.P, mod, body)
+	pl := epochPlan{
+		exp: scenarioExp(sp), model: sp.Model, p: sp.P, cycles: sp.Cycles, measured: measured,
+		cfg:          e.decisionConfig(),
+		indicator:    sp.Indicator(scenario.Domain{LX: e.LX, LY: e.LY}),
+		frac:         sp.FracAt,
+		coarsenBelow: sp.CoarsenBelow,
+		barrier:      true,
+		dyn:          dyn,
 	}
-	run.SimTime = msg.MaxTime(times)
-	return run
+	pl.cfg.useMapper(mapper)
+	e.onMachine(&pl, topo)
+	return pl, nil
 }
 
 // Scenarios runs the analytic/measured pair for every spec.  Each
@@ -151,29 +64,12 @@ func (e *Experiments) RunScenario(sp *scenario.Spec, measured bool) FeedbackRun 
 // analytic-then-measured) order — deterministic even though the worlds
 // race.
 func (e *Experiments) Scenarios(specs []*scenario.Spec) []ScenarioPair {
+	runs := e.runPairs(len(specs), func(i int, measured bool) (epochPlan, error) {
+		return e.scenarioPlan(specs[i], measured)
+	})
 	pairs := make([]ScenarioPair, len(specs))
 	for i, sp := range specs {
-		pairs[i].Spec = sp
-	}
-	runWorlds(2*len(specs), func(i int) {
-		run := e.RunScenario(specs[i/2], i%2 == 1)
-		if i%2 == 1 {
-			pairs[i/2].Measured = run
-		} else {
-			pairs[i/2].Analytic = run
-		}
-	})
-	if e.Obs != nil {
-		for _, pair := range pairs {
-			e.Obs.Add(pair.Analytic.recs...)
-			e.Obs.Add(pair.Measured.recs...)
-		}
-	}
-	if e.Spans != nil {
-		for i := range pairs {
-			e.Spans.flush(pairs[i].Analytic.spans)
-			e.Spans.flush(pairs[i].Measured.spans)
-		}
+		pairs[i] = ScenarioPair{Spec: sp, FeedbackPair: runs[i]}
 	}
 	return pairs
 }

@@ -1,18 +1,17 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"plum/internal/scenario"
 )
 
-// The scenario runner inherits the engine's bitwise reproducibility:
+// The scenario plans inherit the engine's bitwise reproducibility:
 // a (spec, pricing mode) pair must produce identical epochs whatever
 // the host parallelism, even with the straggler and multi-job machine
-// wrappers switching state mid-run.  CI runs this package with -race
-// in the determinism job; the full-corpus byte-level check (ledgers
-// and stdout) lives in cmd/plumbench.
+// wrappers switching state mid-run (TestEpochPlansDeterministic); the
+// full-corpus byte-level check (ledgers and stdout) lives in
+// cmd/plumbench.
 
 // stragglerSpec exercises the CycleSpeed wrapper: a transient slowdown
 // window that the pre-run partitioner must not see.
@@ -45,39 +44,17 @@ func multijobSpec(t *testing.T) *scenario.Spec {
 	return sp
 }
 
-// runScenarioOnce drives one (spec, pricing-mode) run on a fresh
-// Experiments; requireIdenticalRuns (feedback_test.go) compares runs.
+// runScenarioOnce drives one (spec, pricing-mode) world on a fresh
+// Experiments, unscheduled.
 func runScenarioOnce(t *testing.T, sp *scenario.Spec, measured bool) FeedbackRun {
 	t.Helper()
 	e := NewExperiments(false)
-	return e.RunScenario(sp, measured)
-}
-
-// TestScenarioDeterministicAcrossGOMAXPROCS: both machine wrappers,
-// both pricing modes, GOMAXPROCS 1 vs 8 — identical epochs and
-// simulated makespans.
-func TestScenarioDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	for _, mk := range []func(*testing.T) *scenario.Spec{stragglerSpec, multijobSpec} {
-		sp := mk(t)
-		for _, measured := range []bool{false, true} {
-			old := runtime.GOMAXPROCS(1)
-			serial := runScenarioOnce(t, sp, measured)
-			runtime.GOMAXPROCS(8)
-			parallel := runScenarioOnce(t, sp, measured)
-			runtime.GOMAXPROCS(old)
-			requireIdenticalRuns(t,
-				sp.Name+"/"+pricingMode(measured)+" gomaxprocs 1 vs 8", serial, parallel)
-		}
+	pl, err := e.scenarioPlan(sp, measured)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestScenarioDeterministicRepeat: back-to-back runs build fresh
-// machine wrappers (fresh contention state, pre-run cycle) and agree
-// bitwise.
-func TestScenarioDeterministicRepeat(t *testing.T) {
-	sp := multijobSpec(t)
-	requireIdenticalRuns(t, "repeat",
-		runScenarioOnce(t, sp, true), runScenarioOnce(t, sp, true))
+	run, _ := e.runEpochs(pl, nil)
+	return run
 }
 
 // TestScenarioStragglerChangesTimings: the transient slowdown must
@@ -101,16 +78,20 @@ func TestScenarioStragglerChangesTimings(t *testing.T) {
 	}
 }
 
-// TestScenarioMapperByName: the spec mapper names map onto the core
-// constants, with unknown strings falling back to the heuristic.
-func TestScenarioMapperByName(t *testing.T) {
+// TestParseMapper: the one mapper-name table — the names scenario specs
+// and serve requests share map onto the core constants, and anything
+// else is an error, never a silent heuristic.
+func TestParseMapper(t *testing.T) {
 	want := map[string]Mapper{
 		"heu": MapHeuristic, "opt": MapOptMWBG, "bmcm": MapOptBMCM,
 		"topo": MapTopo, "": MapHeuristic,
 	}
 	for name, m := range want {
-		if got := mapperByName(name); got != m {
-			t.Errorf("mapperByName(%q) = %v, want %v", name, got, m)
+		if got, err := ParseMapper(name); err != nil || got != m {
+			t.Errorf("ParseMapper(%q) = %v, %v; want %v", name, got, err, m)
 		}
+	}
+	if m, err := ParseMapper("magic"); err == nil {
+		t.Errorf("ParseMapper(\"magic\") = %v, want an error", m)
 	}
 }

@@ -4,15 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"plum/internal/adapt"
 	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/msg"
-	"plum/internal/partition"
 	"plum/internal/pmesh"
-	"plum/internal/remap"
 	"plum/internal/scenario"
-	"plum/internal/solver"
 )
 
 // The serving path through the experiment harness: one request = one
@@ -67,24 +61,6 @@ func seedFrac(seed int64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// serveIndicator is the feedback experiment's moving shock with a
-// seed-dependent starting offset: the cylinder still advances half the
-// domain over the run, but where it starts (and so which ranks the
-// imbalance hits) is the seed's choice.
-func (e *Experiments) serveIndicator(cycles int, seed int64) func(i int) func(mesh.Vec3) float64 {
-	den := cycles - 1
-	if den < 1 {
-		den = 1
-	}
-	off := 0.2 * seedFrac(seed)
-	return func(i int) func(mesh.Vec3) float64 {
-		x := (0.2 + off + 0.5*float64(i)/float64(den)) * e.LX
-		return adapt.ShockCylinderIndicator(
-			mesh.Vec3{x, e.LY / 2, 0}, mesh.Vec3{0, 0, 1},
-			0.35*e.LY, 0.17*e.LY)
-	}
-}
-
 // Validate rejects specs the runner would panic on, so the serving
 // layer can turn bad requests into 400s before any world starts.
 func (ws *WorldSpec) Validate() error {
@@ -120,6 +96,50 @@ func (ws *WorldSpec) Validate() error {
 	return nil
 }
 
+// servedPlan resolves a validated WorldSpec: a corpus scenario as the
+// scenario harness runs it, or the feedback experiment's moving shock
+// with the request's shape — a seed-dependent starting offset (where
+// the cylinder starts, and so which ranks the imbalance hits, is the
+// seed's choice), the request's mapper and workload, an optional
+// machine.  Either way the world gets the served epoch boundary — a
+// barrier anchoring the epoch-level cancellation checkpoint — and no
+// ledger key.
+func (e *Experiments) servedPlan(ws WorldSpec) (epochPlan, error) {
+	if sp := ws.Scenario; sp != nil {
+		pl, err := e.scenarioPlan(sp, ws.Measured)
+		pl.exp = "" // served, not a corpus sweep: unrecorded
+		return pl, err
+	}
+	pl := epochPlan{
+		model: ws.Model, p: ws.P, cycles: ws.Cycles, measured: ws.Measured,
+		cfg:          e.Cfg,
+		indicator:    e.movingShock(ws.Cycles, 0.2+0.2*seedFrac(ws.Seed)),
+		frac:         constFrac(0.12),
+		coarsenBelow: 0.05,
+		barrier:      true,
+	}
+	if ws.Workload == WorkloadImplicit {
+		pl.cfg = e.decisionConfig()
+	}
+	pl.cfg.ForceAccept = false
+	pl.cfg.useMapper(ws.Mapper)
+	if ws.Frac > 0 {
+		pl.frac = constFrac(ws.Frac)
+	}
+	if ws.CoarsenBelow > 0 {
+		pl.coarsenBelow = ws.CoarsenBelow
+	}
+	var topo machine.Model
+	if ws.Model != "" {
+		var err error
+		if topo, err = machine.ByName(ws.Model, ws.P); err != nil {
+			return epochPlan{}, err
+		}
+	}
+	e.onMachine(&pl, topo)
+	return pl, nil
+}
+
 // RunWorldCtx drives one world per the spec, calling emit on rank 0
 // after each completed epoch (from inside the world — emit must not
 // block on the world's own output), and returns the run summary.
@@ -128,134 +148,32 @@ func (ws *WorldSpec) Validate() error {
 // Unsteady.Stop, between solver iterations; when it fires the world
 // winds down collectively (no goroutine leaks, no torn collectives) and
 // RunWorldCtx returns ctx.Err() with the rows emitted so far intact.
+// The checkpoints are installed whatever ctx is — a context that can
+// never fire still pays their collectives — because a served world and
+// its offline replay must stay bitwise identical.
 // Fault isolation: a panicking world — a rank program bug, an engine
 // deadlock abort — is recovered into a *WorldPanic error (wrapping the
 // typed *msg.RankPanic / *msg.DeadlockError) instead of unwinding the
-// caller.
+// caller; its rows reached emit, but no summary comes back.
 func (e *Experiments) RunWorldCtx(ctx context.Context, ws WorldSpec, emit func(FeedbackEpoch)) (FeedbackRun, error) {
 	if err := ws.Validate(); err != nil {
 		return FeedbackRun{}, err
 	}
+	pl, err := e.servedPlan(ws)
+	if err != nil {
+		return FeedbackRun{}, err
+	}
+	pl.stop = func() bool { return ctx.Err() != nil }
+	var each func(FeedbackEpoch, CycleStats, *pmesh.DistMesh)
+	if emit != nil {
+		each = func(ep FeedbackEpoch, _ CycleStats, _ *pmesh.DistMesh) { emit(ep) }
+	}
 	var (
-		topo machine.Model
-		dyn  *scenario.CycleSpeed
-		err  error
+		run     FeedbackRun
+		stopped bool
 	)
-	sp := ws.Scenario
-	p, cycles := ws.P, ws.Cycles
-	modelName := ws.Model
-	if sp != nil {
-		p, cycles, modelName = sp.P, sp.Cycles, sp.Model
-		if topo, dyn, err = sp.BuildMachine(); err != nil {
-			return FeedbackRun{}, err
-		}
-	} else if ws.Model != "" {
-		if topo, err = machine.ByName(ws.Model, p); err != nil {
-			return FeedbackRun{}, err
-		}
-	}
-	mod := e.Model
-	if topo != nil {
-		mod = e.Model.WithTopo(topo)
-	}
-	popt := e.Cfg.PartOpts
-	if topo != nil {
-		popt.TargetShares = machine.SpeedShares(topo, p)
-	}
-	initPart := partition.Partition(e.Dual, p, popt)
-
-	run := FeedbackRun{Model: modelName, Measured: ws.Measured}
-	stopped := false
-	body := func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, solver.NComp)
-		var cfg Config
-		if ws.Workload == WorkloadImplicit || sp != nil {
-			cfg = e.implicitConfig()
-			// The feedback experiment's decision-sensitive regime: one
-			// solver step per adaption and the implicit migration payload
-			// (matrix rows + preconditioner state ride with an element).
-			cfg.NAdapt = 1
-			cfg.Machine.M *= 3
-		} else {
-			cfg = e.Cfg
-		}
-		cfg.Topo = topo
-		cfg.ForceAccept = false
-		cfg.Measured = ws.Measured
-		if sp != nil {
-			cfg.Mapper = mapperByName(sp.Mapper)
-		} else {
-			cfg.Mapper = ws.Mapper
-		}
-		if cfg.Mapper == MapOptBMCM || cfg.Mapper == MapTopo {
-			cfg.Metric = remap.MaxV
-		}
-		u := NewUnsteady(d, e.Dual, cfg)
-		u.Stop = func() bool { return ctx.Err() != nil }
-		if sp != nil {
-			u.CoarsenBelow = sp.CoarsenBelow
-			u.Indicator = sp.Indicator(scenario.Domain{LX: e.LX, LY: e.LY})
-		} else {
-			u.Frac = 0.12
-			u.CoarsenBelow = 0.05
-			if ws.Frac > 0 {
-				u.Frac = ws.Frac
-			}
-			if ws.CoarsenBelow > 0 {
-				u.CoarsenBelow = ws.CoarsenBelow
-			}
-			u.Indicator = e.serveIndicator(cycles, ws.Seed)
-		}
-		u.PS.InitParallel(solver.GaussianPulse(
-			mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-		for i := 0; i < cycles; i++ {
-			// Epoch boundary: the barrier both keeps scenario speed
-			// switches off the previous epoch's ranks and anchors the
-			// epoch-level cancellation checkpoint.
-			c.Barrier()
-			if dyn != nil {
-				dyn.SetCycle(i)
-			}
-			if CollectiveStop(c, u.Stop) {
-				stopped = true
-				return
-			}
-			if sp != nil {
-				u.Frac = sp.FracAt(i)
-			}
-			cs := u.Cycle()
-			if !cs.Stopped && c.Rank() == 0 {
-				row := FeedbackEpoch{
-					Cycle:     i,
-					Balanced:  cs.Step.Balanced,
-					Accepted:  cs.Step.Accepted,
-					Measured:  cs.Step.MeasuredDecision,
-					Gain:      cs.Step.Gain,
-					Cost:      cs.Step.Cost,
-					TotalV:    cs.Step.Moved.CTotal,
-					MaxV:      cs.Step.Moved.CMax,
-					Elems:     cs.Step.Counts.Elems,
-					SolveTime: cs.SolverTime,
-				}
-				run.Epochs = append(run.Epochs, row)
-				if emit != nil {
-					emit(row)
-				}
-			}
-			if cs.Stopped {
-				stopped = true
-				return
-			}
-		}
-	}
-	err = runWorldsErr(1, func(int) error {
-		var times []float64
-		if ws.Measured {
-			times, _ = msg.RunTraced(p, mod, body)
-		} else {
-			times = msg.RunModel(p, mod, body)
-		}
-		run.SimTime = msg.MaxTime(times)
+	err = runWorlds(1, func(int) error {
+		run, stopped = e.runEpochs(pl, each)
 		return nil
 	})
 	if err == nil && stopped {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"plum/internal/scenario"
 )
 
 // Crash-safety of the result cache: every way an entry can be damaged
@@ -26,6 +28,23 @@ func openTestCache(t *testing.T) (*Cache, *Request) {
 		t.Fatal(err)
 	}
 	return c, &Request{P: 4, Cycles: 2, Seed: 9}
+}
+
+// scenarioRequest resolves {"scenario":"s"} against a one-spec corpus
+// whose "s" runs the given number of cycles — the corpus file as it
+// stood when the daemon loaded it.
+func scenarioRequest(t *testing.T, cycles int) *Request {
+	t.Helper()
+	sp := &scenario.Spec{
+		Name: "s", Kind: scenario.KindFront, Model: "flat",
+		P: 4, Cycles: cycles, Frac: 0.12,
+		Front: &scenario.FrontSpec{X0: 0.25, X1: 0.75, Width: 0.17, Radius: 0.35},
+	}
+	req := &Request{Scenario: "s"}
+	if _, err := req.Spec(map[string]*scenario.Spec{"s": sp}); err != nil {
+		t.Fatal(err)
+	}
+	return req
 }
 
 func mustPut(t *testing.T, c *Cache, req *Request, body []byte) {
@@ -57,24 +76,29 @@ func TestCacheRoundtrip(t *testing.T) {
 func TestCacheCorruptionQuarantined(t *testing.T) {
 	cases := []struct {
 		name   string
-		damage func(t *testing.T, c *Cache, digest string)
+		req    *Request // nil: openTestCache's shape request
+		damage func(t *testing.T, c *Cache, req *Request)
 	}{
-		{"truncated body", func(t *testing.T, c *Cache, d string) {
+		{"truncated body", nil, func(t *testing.T, c *Cache, req *Request) {
+			d := req.Digest()
 			fi, _ := os.Stat(c.bodyPath(d))
 			if err := os.Truncate(c.bodyPath(d), fi.Size()/2); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"bit-flipped body", func(t *testing.T, c *Cache, d string) {
+		{"bit-flipped body", nil, func(t *testing.T, c *Cache, req *Request) {
+			d := req.Digest()
 			b, _ := os.ReadFile(c.bodyPath(d))
 			b[len(b)/2] ^= 0x40
 			os.WriteFile(c.bodyPath(d), b, 0o644)
 		}},
-		{"torn metadata", func(t *testing.T, c *Cache, d string) {
+		{"torn metadata", nil, func(t *testing.T, c *Cache, req *Request) {
+			d := req.Digest()
 			b, _ := os.ReadFile(c.metaPath(d))
 			os.WriteFile(c.metaPath(d), b[:len(b)/2], 0o644)
 		}},
-		{"canon swapped", func(t *testing.T, c *Cache, d string) {
+		{"canon swapped", nil, func(t *testing.T, c *Cache, req *Request) {
+			d := req.Digest()
 			// Metadata of a different request copied under this digest —
 			// the preimage check must catch the alias.
 			other := &Request{P: 8, Cycles: 2}
@@ -84,15 +108,24 @@ func TestCacheCorruptionQuarantined(t *testing.T) {
 			b, _ := os.ReadFile(c.metaPath(other.Digest()))
 			os.WriteFile(c.metaPath(d), b, 0o644)
 		}},
-		{"body missing", func(t *testing.T, c *Cache, d string) {
-			os.Remove(c.bodyPath(d))
+		{"body missing", nil, func(t *testing.T, c *Cache, req *Request) {
+			os.Remove(c.bodyPath(req.Digest()))
+		}},
+		{"scenario spec changed", scenarioRequest(t, 4), func(t *testing.T, c *Cache, req *Request) {
+			// The corpus file was edited and the daemon restarted: the same
+			// name now resolves to different content, and the stored body
+			// answers a spec that no longer exists.
+			*req = *scenarioRequest(t, 5)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, req := openTestCache(t)
+			if tc.req != nil {
+				req = tc.req
+			}
 			mustPut(t, c, req, testBody())
-			tc.damage(t, c, req.Digest())
+			tc.damage(t, c, req)
 			if _, ok := c.Get(req); ok {
 				t.Fatal("damaged entry served as a hit")
 			}

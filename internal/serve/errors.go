@@ -49,7 +49,7 @@ func shortKey(k string) string {
 func (we *WorldError) Stack() []byte { return we.hasStack }
 
 // classifyWorldErr maps a runner error onto the wire taxonomy.  The
-// typed chain it unpacks: runWorldsErr recovers any world panic into
+// typed chain it unpacks: runWorlds recovers any world panic into
 // *core.WorldPanic, whose value — when the death started inside the
 // message-passing world — is a *msg.RankPanic (rank program panic,
 // engine-attributed rank and phase) or *msg.DeadlockError (every

@@ -51,7 +51,10 @@ type Request struct {
 	// Scenario runs a named workload spec from the server's corpus
 	// instead of the moving-shock dynamics; P, Cycles, Model, Mapper,
 	// Frac, and CoarsenBelow then come from the spec and must be left
-	// zero here.
+	// zero here.  Spec pins the name to the content it resolved to
+	// ("name@sha256:<hex of the spec's canonical JSON>"), so the
+	// request's canon — and with it the cache — follows the corpus
+	// file's content, not just its name.
 	Scenario string `json:"scenario,omitempty"`
 
 	// TimeoutSeconds is the per-request simulation deadline (host
@@ -101,36 +104,31 @@ func (r *Request) normalize() {
 	}
 }
 
-// mapperByName mirrors the scenario loader's mapper naming.
-func mapperByName(name string) (core.Mapper, error) {
-	switch name {
-	case "heu":
-		return core.MapHeuristic, nil
-	case "opt":
-		return core.MapOptMWBG, nil
-	case "bmcm":
-		return core.MapOptBMCM, nil
-	case "topo":
-		return core.MapTopo, nil
-	}
-	return 0, fmt.Errorf("unknown mapper %q (heu, opt, bmcm, topo)", name)
-}
-
 // Spec validates the request and resolves it to a runnable WorldSpec.
 // scenarios is the server's loaded corpus (nil when none).
 func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, error) {
 	r.normalize()
 	var ws core.WorldSpec
 	if r.Scenario != "" {
-		sp, ok := scenarios[r.Scenario]
+		name, pin, pinned := strings.Cut(r.Scenario, "@")
+		sp, ok := scenarios[name]
 		if !ok {
 			names := make([]string, 0, len(scenarios))
 			for n := range scenarios {
 				names = append(names, n)
 			}
 			return ws, fmt.Errorf("unknown scenario %q; corpus: %s",
-				r.Scenario, strings.Join(sortedNames(names), ", "))
+				name, strings.Join(sortedNames(names), ", "))
 		}
+		spec, err := json.Marshal(sp)
+		if err != nil {
+			return ws, fmt.Errorf("scenario %q: %w", name, err)
+		}
+		content := fmt.Sprintf("sha256:%x", sha256.Sum256(spec))
+		if pinned && pin != content {
+			return ws, fmt.Errorf("scenario %q is pinned to %s but the corpus holds %s", name, pin, content)
+		}
+		r.Scenario = name + "@" + content
 		if r.P != 0 || r.Cycles != 0 || r.Model != "" || r.Mapper != "" ||
 			r.Workload != "" || r.Frac != 0 || r.CoarsenBelow != 0 {
 			return ws, fmt.Errorf("a scenario request takes its world shape from the spec;" +
@@ -139,7 +137,7 @@ func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, err
 		ws = core.WorldSpec{Scenario: sp, Measured: r.Measured, Seed: r.Seed}
 		return ws, ws.Validate()
 	}
-	mapper, err := mapperByName(r.Mapper)
+	mapper, err := core.ParseMapper(r.Mapper)
 	if err != nil {
 		return ws, err
 	}
@@ -170,13 +168,19 @@ func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, err
 // rendering of every simulated-meaning field (after defaults), prefixed
 // with the ledger schema version — the same canon discipline as the
 // ledger manifest's config digest, so a schema bump invalidates cached
-// results exactly like it invalidates committed baselines.
+// results exactly like it invalidates committed baselines.  A scenario
+// request has a canon only once Spec has pinned it to the corpus
+// content; asking earlier is a programming error, never a silent
+// name-only address.
 func (r *Request) Canonical() string {
 	r.normalize()
 	canon := fmt.Sprintf("v%d|serve|p=%d|cycles=%d|model=%s|mapper=%s|workload=%s|measured=%v|frac=%g|coarsen=%g|seed=%d",
 		obs.SchemaVersion, r.P, r.Cycles, r.Model, r.Mapper, r.Workload,
 		r.Measured, r.Frac, r.CoarsenBelow, r.Seed)
 	if r.Scenario != "" {
+		if !strings.Contains(r.Scenario, "@") {
+			panic(fmt.Sprintf("serve: scenario request %q digested before Spec resolved it", r.Scenario))
+		}
 		canon += "|scenario=" + r.Scenario
 	}
 	if r.Chaos != "" {

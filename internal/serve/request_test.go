@@ -45,12 +45,22 @@ func TestRequestDigest(t *testing.T) {
 		"cycles":   {P: 4, Cycles: 3},
 		"measured": {P: 4, Cycles: 2, Measured: true},
 		"chaos":    {P: 4, Cycles: 2, Chaos: "panic@0"},
-		"scenario": {Scenario: "x"},
+		"scenario": *scenarioRequest(t, 4),
 	} {
 		if r.Digest() == base.Digest() {
 			t.Errorf("%s did not change the digest", name)
 		}
 	}
+	// A scenario request has no address until Spec has pinned the name to
+	// the corpus content.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an unresolved scenario request was digested by name alone")
+			}
+		}()
+		(&Request{Scenario: "s"}).Digest()
+	}()
 	to := Request{P: 4, Cycles: 2, TimeoutSeconds: 9}
 	if to.Digest() != base.Digest() {
 		t.Error("timeout_seconds changed the digest: a host-plane knob leaked into the canon")
