@@ -2,14 +2,16 @@
 # targets wrap the invocations CI runs — test, the differential gate
 # (gate), the scenario corpus (scenarios), and bench-check, which
 # compiles and tests the benchmark module against this tree (`go test
-# ./...` skips it: benchmark/ is a module of its own) — plus the two
-# baseline-refresh paths (run after a deliberate, reviewed performance or
-# schema change — the diff of the regenerated baseline IS the review
-# artifact).
+# ./...` skips it: benchmark/ is a module of its own) — plus bench, the
+# repository benchmark itself (host time; two result files are compared
+# with `bash benchmark/run.sh compare A.json B.json`), and the two
+# simulated-baseline refresh paths (run after a deliberate, reviewed
+# simulated-time or schema change — the diff of the regenerated baseline
+# IS the review artifact).
 
 GO ?= go
 
-.PHONY: build test bench bench-check bench-baseline ledger-baseline gate scenarios scenario-baseline fmt vet
+.PHONY: build test bench bench-check ledger-baseline gate scenarios scenario-baseline fmt vet
 
 build:
 	$(GO) build ./...
@@ -18,7 +20,7 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 bench:
-	$(GO) run ./cmd/plumbench -exp bench -benchout BENCH_sim.json
+	bash benchmark/run.sh
 
 # bench-check vets and tests the repo-level benchmark (benchmark/, a
 # nested module with `replace plum => ../`) against the program as it
@@ -27,14 +29,6 @@ bench:
 # invisible to `make test`.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
-
-# bench-baseline refreshes the committed host-benchmark baseline from a
-# fresh local run.  Host numbers are machine-dependent: refresh on the
-# machine class CI uses, or expect the loose 2x threshold to absorb the
-# difference.
-bench-baseline:
-	$(GO) run ./cmd/plumbench -exp bench -benchout ci/BENCH_baseline.json
-	@echo "refreshed ci/BENCH_baseline.json — commit it with the change that moved the numbers"
 
 # ledger-baseline refreshes the committed simulated-run baseline the CI
 # regression gate diffs against.  Simulated epochs are machine-

@@ -1,25 +1,22 @@
-// Benchmarks regenerating every table and figure of the paper (one
-// bench target per artifact; see DESIGN.md Section 4 for the index) plus
-// ablations of the design choices the paper calls out.  Benchmarks run
-// at reduced scale so `go test -bench=.` completes quickly; the paper-
-// scale numbers in EXPERIMENTS.md come from `cmd/plumbench -paper`.
+// Micro-benchmarks of what nothing else times: ablations of the design
+// choices the paper calls out, the machine-model and calendar-queue hot
+// paths, and the parallel-world harness.  The paper's tables and figures
+// are regenerated by `cmd/plumbench -exp`, and every layer's host time
+// is measured by the repository benchmark (`bash benchmark/run.sh`, see
+// benchmark/README.md) — a path either of those times has no benchmark
+// here.  Benchmarks run at reduced scale so `go test -bench=.`
+// completes quickly.
 package plum_test
 
 import (
 	"testing"
 
-	"plum/internal/adapt"
 	"plum/internal/core"
 	"plum/internal/dual"
 	"plum/internal/event"
-	"plum/internal/linalg"
 	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/msg"
 	"plum/internal/partition"
-	"plum/internal/pmesh"
 	"plum/internal/remap"
-	"plum/internal/solver"
 )
 
 // benchExperiments builds the reduced-scale harness once.
@@ -28,130 +25,8 @@ func benchExperiments(b *testing.B) *core.Experiments {
 	return core.NewExperiments(false)
 }
 
-// BenchmarkTable1Refinement regenerates Table 1: one serial refinement
-// per strategy on the benchmark mesh.
-func BenchmarkTable1Refinement(b *testing.B) {
-	e := benchExperiments(b)
-	for _, cs := range core.PaperCases() {
-		b.Run(cs.Name, func(b *testing.B) {
-			ind := e.Indicator()
-			for i := 0; i < b.N; i++ {
-				a := adapt.FromMesh(e.Global, 0)
-				a.BuildEdgeElems()
-				errv := a.EdgeErrorGeometric(ind)
-				a.MarkTopFraction(errv, cs.Frac)
-				a.Propagate()
-				st := a.Refine()
-				b.ReportMetric(float64(st.ElemsCreated), "elems-created")
-			}
-		})
-	}
-}
-
-// BenchmarkTable2Mappers regenerates Table 2: the three mappers on the
-// similarity matrices produced by the Real_2 pipeline.
-func BenchmarkTable2Mappers(b *testing.B) {
-	e := benchExperiments(b)
-	e.Ps = []int{4, 8, 16}
-	rows := e.Table2(0.33) // build matrices once via the real pipeline
-	_ = rows
-	for _, p := range e.Ps {
-		s := randomSimilarity(p)
-		for _, kind := range []core.Mapper{core.MapHeuristic, core.MapOptMWBG, core.MapOptBMCM} {
-			b.Run(kind.String()+"/P="+itoa(p), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					assign, _ := core.ApplyMapper(kind, s, nil)
-					_ = assign
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig4Speedup regenerates the Fig. 4 measurement: one adaption
-// cycle per (ordering, P).
-func BenchmarkFig4Speedup(b *testing.B) {
-	e := benchExperiments(b)
-	for _, before := range []bool{true, false} {
-		name := "after"
-		if before {
-			name = "before"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := e.RunStep(8, 0.33, before, core.MapHeuristic)
-				b.ReportMetric(st.MarkTime+st.RefineTime, "sim-adapt-s")
-			}
-		})
-	}
-}
-
-// BenchmarkFig5RemapTime regenerates the Fig. 5 measurement.
-func BenchmarkFig5RemapTime(b *testing.B) {
-	e := benchExperiments(b)
-	for _, before := range []bool{true, false} {
-		name := "after"
-		if before {
-			name = "before"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := e.RunStep(8, 0.60, before, core.MapHeuristic)
-				b.ReportMetric(st.RemapTime, "sim-remap-s")
-				b.ReportMetric(float64(st.Mig.ElemsSent), "elems-moved")
-			}
-		})
-	}
-}
-
-// BenchmarkFig6Anatomy regenerates the Fig. 6 measurement: the phase
-// anatomy across processor counts.
-func BenchmarkFig6Anatomy(b *testing.B) {
-	e := benchExperiments(b)
-	for _, p := range []int{2, 8, 16} {
-		b.Run("P="+itoa(p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := e.RunStep(p, 0.33, true, core.MapHeuristic)
-				b.ReportMetric(st.MarkTime+st.RefineTime, "sim-adapt-s")
-				b.ReportMetric(st.PartitionTime, "sim-part-s")
-				b.ReportMetric(st.RemapTime, "sim-remap-s")
-			}
-		})
-	}
-}
-
-// BenchmarkFig8Impact regenerates the Fig. 8 measurement: solver
-// improvement from load balancing.
-func BenchmarkFig8Impact(b *testing.B) {
-	e := benchExperiments(b)
-	for _, cs := range core.PaperCases() {
-		b.Run(cs.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := e.RunStep(8, cs.Frac, true, core.MapHeuristic)
-				b.ReportMetric(st.SolverImprovement(), "improvement-x")
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md Section 5).
-
-// BenchmarkMapperScaling compares mapper costs as P grows (Table 2's
-// time columns, isolated).
-func BenchmarkMapperScaling(b *testing.B) {
-	for _, p := range []int{16, 64, 128} {
-		s := randomSimilarity(p)
-		for _, kind := range []core.Mapper{core.MapHeuristic, core.MapOptMWBG, core.MapOptBMCM} {
-			b.Run(kind.String()+"/P="+itoa(p), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					assign, _ := core.ApplyMapper(kind, s, nil)
-					_ = assign
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkRepartitionSeeding measures the remapping-cost benefit of
 // seeding the repartitioner with the previous partition (the parallel
@@ -247,166 +122,6 @@ func BenchmarkAgglomeration(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverStep measures the edge-kernel throughput serially and
-// distributed.
-func BenchmarkSolverStep(b *testing.B) {
-	global := mesh.Box(12, 9, 6, 4.7, 1.8, 1.2)
-	b.Run("serial", func(b *testing.B) {
-		a := adapt.FromMesh(global, solver.NComp)
-		solver.InitField(a, solver.GaussianPulse(mesh.Vec3{2.35, 0.9, 0.6}, 0.5))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			solver.Step(a, 0.001)
-		}
-	})
-	b.Run("parallel-4", func(b *testing.B) {
-		g := dual.FromMesh(global)
-		part := partition.Partition(g, 4, partition.Default())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			msg.Run(4, func(c *msg.Comm) {
-				d := pmesh.New(c, global, part, solver.NComp)
-				ps := solver.NewParallel(d)
-				ps.InitParallel(solver.GaussianPulse(mesh.Vec3{2.35, 0.9, 0.6}, 0.5))
-				ps.Step(0.001)
-			})
-		}
-	})
-}
-
-// BenchmarkSpMV measures the CSR sparse matrix-vector kernel — the hot
-// path of the implicit workload (one call per PCG iteration per rank).
-func BenchmarkSpMV(b *testing.B) {
-	global := mesh.Box(12, 9, 6, 4.7, 1.8, 1.2)
-	a := adapt.FromMesh(global, 0)
-	a.BuildEdgeElems()
-	ind := adapt.ShockCylinderIndicator(mesh.Vec3{2.35, 0.9, 0}, mesh.Vec3{0, 0, 1}, 0.7, 0.35)
-	errv := a.EdgeErrorGeometric(ind)
-	a.MarkTopFraction(errv, 0.33)
-	a.Propagate()
-	a.Refine()
-	A := linalg.Assemble(a, 1, 0.5)
-	x := make([]float64, A.NRows)
-	y := make([]float64, A.NRows)
-	for i := range x {
-		x[i] = float64(i%17) * 0.25
-	}
-	b.SetBytes(int64(A.NNZ()) * 8)
-	b.ReportMetric(float64(A.NNZ()), "nnz")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		A.MulVec(y, x)
-	}
-}
-
-// BenchmarkPCGIteration measures the per-iteration cost of the
-// preconditioned solver (10 iterations per op, uncapped tolerance), the
-// baseline future perf work on the implicit hot path compares against.
-func BenchmarkPCGIteration(b *testing.B) {
-	global := mesh.Box(12, 9, 6, 4.7, 1.8, 1.2)
-	a := adapt.FromMesh(global, 0)
-	A := linalg.Assemble(a, 1, 0.5)
-	sys := linalg.NewSerial(A)
-	rhs := make([]float64, A.NRows)
-	for i := range rhs {
-		rhs[i] = 1 + float64(i%7)*0.5
-	}
-	for _, kind := range []linalg.PrecondKind{linalg.PrecondNone, linalg.PrecondJacobi, linalg.PrecondSPAI} {
-		pre := sys.NewPrecond(kind)
-		b.Run(kind.String(), func(b *testing.B) {
-			const itersPerOp = 10
-			for i := 0; i < b.N; i++ {
-				x := make([]float64, A.NRows)
-				res := linalg.PCG(sys, pre, rhs, x, linalg.Options{Tol: 1e-300, MaxIter: itersPerOp})
-				if res.Iterations != itersPerOp {
-					b.Fatalf("expected %d iterations, got %d", itersPerOp, res.Iterations)
-				}
-			}
-			b.ReportMetric(itersPerOp, "pcg-iters/op")
-		})
-	}
-}
-
-// BenchmarkSPAISetup measures preconditioner construction (the
-// embarrassingly parallel per-row least-squares solves).
-func BenchmarkSPAISetup(b *testing.B) {
-	global := mesh.Box(12, 9, 6, 4.7, 1.8, 1.2)
-	a := adapt.FromMesh(global, 0)
-	A := linalg.Assemble(a, 1, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.NewSerialSPAI(A)
-	}
-}
-
-// BenchmarkImplicitDistributed measures a distributed implicit step on 4
-// ranks: assembly reuse, halo exchanges, exact reductions and all.
-func BenchmarkImplicitDistributed(b *testing.B) {
-	global := mesh.Box(8, 6, 4, 4.7, 1.8, 1.2)
-	g := dual.FromMesh(global)
-	part := partition.Partition(g, 4, partition.Default())
-	for i := 0; i < b.N; i++ {
-		msg.Run(4, func(c *msg.Comm) {
-			d := pmesh.New(c, global, part, solver.NComp)
-			solver.InitField(d.M, solver.GaussianPulse(mesh.Vec3{2.35, 0.9, 0.6}, 0.5))
-			im := solver.NewImplicit(d, solver.DefaultImplicitOptions())
-			r := im.Step()
-			if c.Rank() == 0 {
-				b.ReportMetric(float64(r.Iterations), "pcg-iters")
-			}
-		})
-	}
-}
-
-// BenchmarkMigration measures raw pack/ship/unpack throughput.
-func BenchmarkMigration(b *testing.B) {
-	global := mesh.Box(8, 6, 4, 1, 1, 1)
-	g := dual.FromMesh(global)
-	part := partition.Partition(g, 4, partition.Default())
-	for i := 0; i < b.N; i++ {
-		msg.Run(4, func(c *msg.Comm) {
-			d := pmesh.New(c, global, part, 0)
-			// Rotate ownership by one rank: everything moves.
-			newOwner := make([]int32, global.NumElems())
-			for r := range newOwner {
-				newOwner[r] = (part[r] + 1) % 4
-			}
-			st := d.Migrate(newOwner)
-			if c.Rank() == 0 {
-				b.ReportMetric(float64(st.ElemsRecv), "elems-recv")
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionerSerial measures the multilevel partitioner on the
-// benchmark dual graph.
-func BenchmarkPartitionerSerial(b *testing.B) {
-	e := benchExperiments(b)
-	for _, k := range []int{8, 64} {
-		b.Run("k="+itoa(k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				part := partition.Partition(e.Dual, k, partition.Default())
-				b.ReportMetric(float64(partition.EdgeCut(e.Dual, part)), "edge-cut")
-			}
-		})
-	}
-}
-
-func randomSimilarity(p int) *remap.Similarity {
-	s := remap.NewSimilarity(p, 1)
-	x := uint64(12345)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			if x%10 < 4 {
-				s.S[i][j] = int64(x % 1000)
-			}
-		}
-	}
-	return s
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -497,10 +212,9 @@ var (
 )
 
 // ---------------------------------------------------------------------
-// Event-engine benchmarks: the calendar queue is touched on every yield,
-// block, and wake of every simulated rank, and critical-path extraction
-// runs over full traces after every traced experiment.  Future engine
-// changes must keep both flat.
+// Event-engine benchmark: the calendar queue is touched on every yield,
+// block, and wake of every simulated rank.  Future engine changes must
+// keep it flat.
 
 // BenchmarkEventQueue measures calendar push/pop at engine-realistic
 // populations (one entry per live rank).
@@ -520,146 +234,6 @@ func BenchmarkEventQueue(b *testing.B) {
 			}
 			benchSinkInt = c.Len()
 		})
-	}
-}
-
-// syntheticTrace builds a ring-shaped trace: each rank computes, sends
-// to its right neighbour, and waits on its left — every receive waits on
-// the wire, so the critical path zigzags across ranks (the worst case
-// for the walk).
-func syntheticTrace(p, rounds int) *event.Trace {
-	tr := &event.Trace{P: p}
-	clock := make([]float64, p)
-	var msgid int64
-	for round := 0; round < rounds; round++ {
-		arrivals := make([]float64, p)
-		ids := make([]int64, p)
-		for r := 0; r < p; r++ {
-			t0 := clock[r]
-			clock[r] += 1 + float64(r%3)
-			tr.Add(event.Record{Rank: r, Kind: event.KindCompute, T0: t0, T1: clock[r], Peer: -1})
-			msgid++
-			ids[r] = msgid
-			tr.Add(event.Record{Rank: r, Kind: event.KindSend, T0: clock[r], T1: clock[r] + 0.5,
-				Peer: (r + 1) % p, Bytes: 64, MsgID: msgid})
-			clock[r] += 0.5
-			arrivals[r] = clock[r] + 2
-		}
-		for r := 0; r < p; r++ {
-			left := (r + p - 1) % p
-			t0 := clock[r]
-			end := arrivals[left]
-			if end < t0 {
-				end = t0
-			}
-			end += 0.5
-			tr.Add(event.Record{Rank: r, Kind: event.KindRecv, T0: t0, T1: end,
-				Peer: left, Bytes: 64, MsgID: ids[left], Arrival: arrivals[left]})
-			clock[r] = end
-		}
-	}
-	return tr
-}
-
-// BenchmarkCriticalPath measures extraction over traces of growing size.
-func BenchmarkCriticalPath(b *testing.B) {
-	for _, rounds := range []int{10, 100} {
-		tr := syntheticTrace(8, rounds)
-		b.Run("records="+itoa(len(tr.Records)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := event.CriticalPath(tr)
-				benchSinkFloat = p.Makespan
-			}
-		})
-	}
-}
-
-// BenchmarkTracedRunOverhead measures what tracing costs on a real
-// simulated workload (an 8-rank allreduce+compute loop), against the
-// untraced engine.
-func BenchmarkTracedRunOverhead(b *testing.B) {
-	body := func(c *msg.Comm) {
-		for i := 0; i < 50; i++ {
-			c.Compute(100)
-			c.AllreduceFloat64(float64(c.Rank()), msg.SumFloat64)
-		}
-	}
-	b.Run("untraced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msg.RunModel(8, msg.SP2Model(), body)
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, tr := msg.RunTraced(8, msg.SP2Model(), body)
-			benchSinkInt = len(tr.Records)
-		}
-	})
-}
-
-// BenchmarkOverlapPCG measures the simulated-time benefit of the halo
-// overlap end to end: one two-mode implicit PCG comparison on the SMP
-// cluster per iteration, reporting both critical paths as metrics.
-func BenchmarkOverlapPCG(b *testing.B) {
-	e := core.NewExperiments(false)
-	for i := 0; i < b.N; i++ {
-		rows := e.OverlapComparison(8, []string{"smp"})
-		b.ReportMetric(rows[0].CPBlocking, "sim-cp-blocking-s")
-		b.ReportMetric(rows[0].CPOverlap, "sim-cp-overlapped-s")
-	}
-}
-
-// BenchmarkSendRecvPingPong measures the runtime's per-message host
-// cost on the steady-state exchange loop: pooled payload, engine
-// handoff, mailbox take, release.  This is the unit the halo exchange
-// and the collectives are built from; it must stay allocation-free.
-func BenchmarkSendRecvPingPong(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		msg.RunModel(2, msg.SP2Model(), func(c *msg.Comm) {
-			payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-			peer := 1 - c.Rank()
-			for k := 0; k < 100; k++ {
-				if c.Rank() == 0 {
-					c.Send(peer, 7, payload)
-					c.Release(c.Recv(peer, 7))
-				} else {
-					c.Release(c.Recv(peer, 7))
-					c.Send(peer, 7, payload)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExactDot measures the exact (superaccumulator) reduction —
-// the per-element cost every PCG dot product pays on every rank.
-func BenchmarkExactDot(b *testing.B) {
-	const n = 1 << 15
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%17)*0.25 - 1
-		y[i] = float64(i%13)*0.5 - 2
-	}
-	b.SetBytes(n * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSinkFloat = linalg.ExactDot(x, y)
-	}
-}
-
-// BenchmarkExactAccTransport measures the reduction's transport
-// boundary: serialize a rank's accumulator, reconstruct, merge — what
-// the root does P-1 times per distributed dot.
-func BenchmarkExactAccTransport(b *testing.B) {
-	a := linalg.NewAcc()
-	a.AddProducts([]float64{1e-30, 7, -2.5e20, 3.25}, []float64{3, 1, 1, 2})
-	wire := a.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := linalg.NewAcc()
-		total.Merge(linalg.AccFromBytes(wire))
-		benchSinkFloat = total.Float64()
 	}
 }
 

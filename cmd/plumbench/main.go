@@ -81,13 +81,11 @@ import (
 )
 
 // validExps lists the accepted -exp values in presentation order.
-// "bench" is the host-performance suite (BENCH_sim.json) and runs only
-// when named explicitly — it measures the machine running the
-// reproduction, not the machine being reproduced, so "all" excludes
-// it; "scenarios" drives the committed workload corpus and is likewise
-// explicit-only (its runtime scales with the corpus).
+// "scenarios" drives the committed workload corpus and runs only when
+// named explicitly (its runtime scales with the corpus), so "all"
+// excludes it.
 var validExps = []string{"all", "table1", "table2", "fig2", "fig4", "fig5",
-	"fig6", "fig7", "fig8", "implicit", "machine", "feedback", "scenarios", "bench"}
+	"fig6", "fig7", "fig8", "implicit", "machine", "feedback", "scenarios"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -107,8 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	measured := fs.Bool("measured", false, "measured-cost feedback loop: run the implicit"+
 		" experiment traced and price each epoch's gain/cost decision from the previous"+
 		" epoch's profile (off: the paper's analytic pricing, bitwise)")
-	benchout := fs.String("benchout", "BENCH_sim.json", "output path for -exp bench"+
-		" (machine-readable ns/op, allocs/op, simulated-vs-host ratio)")
 	obsPath := fs.String("obs", "", "write a run ledger (JSONL) to this file: manifest,"+
 		" one record per adaption epoch of the epoch-driving experiments (implicit,"+
 		" feedback, scenarios), host-metrics snapshot, end record with an output checksum."+
@@ -119,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		" wait-blame summary.  Bounded memory (per-rank span ring), deterministic bytes,"+
 		" and observation only, like -obs.  Render with plumviz -blame")
 	serveAddr := fs.String("serve", "", "serve /metrics (Prometheus text), /runs,"+
-		" /healthz, and /debug/pprof on this address during and after the run"+
+		" /spans, /diff, /healthz, and /debug/pprof on this address during and after the run"+
 		" (e.g. 127.0.0.1:9090); the process then stays up until interrupted")
 	scenarioSel := fs.String("scenario", "", "comma-separated scenario names to run from"+
 		" the corpus (requires -exp scenarios; default: the whole corpus)")
@@ -158,9 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// -exp feedback and -exp scenarios always run both pricing modes;
 		// only the implicit experiment consults the flag.
 		return usageError("-measured drives the implicit experiment's feedback loop; it requires -exp all or implicit, not %q", *exp)
-	}
-	if *benchout != "BENCH_sim.json" && *exp != "bench" {
-		return usageError("-benchout is the -exp bench output path; it requires -exp bench, not %q", *exp)
 	}
 	if *scenarioSel != "" && *exp != "scenarios" {
 		return usageError("-scenario selects from the workload corpus; it requires -exp scenarios, not %q", *exp)
@@ -271,10 +264,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *exp == "bench" {
-		benchExp(w, e, *benchout)
-		return finishRun()
-	}
 	if *exp == "scenarios" {
 		scenariosExp(w, e, specs)
 		return finishRun()

@@ -33,7 +33,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"trace without implicit", []string{"-exp", "table1", "-trace", "t.json"}, 2, "-trace"},
 		{"measured without implicit", []string{"-exp", "feedback", "-measured"}, 2, "-measured"},
 		{"measured with scenarios", []string{"-exp", "scenarios", "-measured"}, 2, "-measured"},
-		{"benchout without bench", []string{"-exp", "table1", "-benchout", "b.json"}, 2, "-benchout"},
+		{"removed bench exp", []string{"-exp", "bench"}, 2, "unknown -exp value"},
 		{"scenario without scenarios exp", []string{"-scenario", "front-sweep"}, 2,
 			"-scenario selects from the workload corpus"},
 		{"scenario with wrong exp", []string{"-exp", "feedback", "-scenario", "front-sweep"}, 2,

@@ -45,7 +45,7 @@ func TestServeConcurrentScrape(t *testing.T) {
 	})
 	sl.Begin(0, event.PhaseSolve, 0)
 	sl.End(0, 1)
-	sl.CutEpoch(nil, nil)
+	sl.CutEpoch(nil)
 	if err := sl.Close(); err != nil {
 		t.Fatal(err)
 	}

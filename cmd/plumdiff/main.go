@@ -14,19 +14,18 @@
 //
 // Optional inputs deepen the attribution: -spans-base/-spans-cur diff
 // the full span/blame streams (plumbench -spans) for complete lag-cell
-// and edge tables; -bench-base/-bench-cur attach the host benchmark
-// comparison (the benchcmp tables).
+// and edge tables.  Host time is not plumdiff's plane: two benchmark
+// result files are compared by `bash benchmark/run.sh compare A B`.
 //
 // -gate turns plumdiff into a CI regression gate: exit 1 when the
 // current run's simulated time regresses past -sim-threshold (tight —
-// simulated seconds are machine-independent), a verdict flips
-// (-fail-on-flip), or a host benchmark regresses past -host-threshold
-// (loose — runners are noisy).
+// simulated seconds are machine-independent) or a verdict flips
+// (-fail-on-flip).
 //
 // Usage:
 //
 //	plumdiff [flags] base.jsonl current.jsonl
-//	plumdiff -gate -bench-base ci/BENCH_baseline.json -bench-cur BENCH_sim.json base.jsonl current.jsonl
+//	plumdiff -gate -fail-on-flip ci/LEDGER_baseline.jsonl current.jsonl
 package main
 
 import (
@@ -49,8 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plumdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		benchBase = fs.String("bench-base", "", "baseline BENCH_sim.json to fold into the report")
-		benchCur  = fs.String("bench-cur", "", "current BENCH_sim.json to fold into the report")
 		spansBase = fs.String("spans-base", "", "baseline span/blame stream (plumbench -spans)")
 		spansCur  = fs.String("spans-cur", "", "current span/blame stream")
 		mdPath    = fs.String("md", "", "also write the report as markdown to this file"+
@@ -62,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			" baseline by this factor (exact plane — keep tight)")
 		simAbs = fs.Float64("sim-abs", 1e-9, "gate: ignore simulated regressions below this"+
 			" many absolute seconds")
-		hostT = fs.Float64("host-threshold", 2.0, "gate: fail when a benchmark's ns/op exceeds"+
-			" baseline by this factor (host plane — keep loose)")
 		failFlip = fs.Bool("fail-on-flip", false, "gate: fail on any verdict flip")
 		noComp   = fs.Bool("allow-incomparable", false, "gate: do not fail when config digests"+
 			" differ (default: an incomparable pair means a stale baseline)")
@@ -102,18 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(rep.Findings) > *top {
 			rep.Findings = rep.Findings[:*top]
 		}
-	}
-	if *benchBase != "" || *benchCur != "" {
-		if *benchBase == "" || *benchCur == "" {
-			fmt.Fprintln(stderr, "plumdiff: -bench-base and -bench-cur must be given together")
-			return 2
-		}
-		bd, err := diff.CompareBenchFiles(*benchBase, *benchCur, *hostT)
-		if err != nil {
-			fmt.Fprintf(stderr, "plumdiff: %v\n", err)
-			return 1
-		}
-		rep.Bench = bd
 	}
 
 	wroteStdout := false
@@ -157,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		th := diff.Thresholds{
 			SimRatio:          *simT,
 			SimAbs:            *simAbs,
-			HostRatio:         *hostT,
 			RequireComparable: !*noComp,
 			FailOnFlip:        *failFlip,
 		}

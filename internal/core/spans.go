@@ -27,9 +27,6 @@ type SpanSink struct {
 	// Ring bounds the completed spans held resident per rank
 	// (event.SpanOptions.RingCap); 0 means unbounded.
 	Ring int
-	// Sample keeps 1 in Sample off-path spans at each epoch cut (0 or 1
-	// keeps all).  Critical-path spans are never sampled out.
-	Sample int
 
 	path   string
 	f      *os.File
@@ -62,12 +59,7 @@ func (s *SpanSink) Worlds() int { return s.worlds }
 // (private to the world — worlds race), the experiment flushes buf
 // through the sink after the barrier.
 func (s *SpanSink) options(label map[string]string, buf *bytes.Buffer) event.SpanOptions {
-	return event.SpanOptions{
-		Sink:        buf,
-		RingCap:     s.Ring,
-		SampleEvery: s.Sample,
-		Label:       label,
-	}
+	return event.SpanOptions{Sink: buf, RingCap: s.Ring, Label: label}
 }
 
 // flush appends one world's serialized stream to the file.  Nil buffers

@@ -82,7 +82,7 @@ func stripSpanHeaders(data []byte) []byte {
 
 // TestSpanFileDeterministicRingOnOff: the ring bound changes resident
 // memory, never the stream — span, blame, and end-trailer lines are
-// byte-identical with the bound on or off (sampling disabled).
+// byte-identical with the bound on or off.
 func TestSpanFileDeterministicRingOnOff(t *testing.T) {
 	unbounded := stripSpanHeaders(spanFileBytes(t, 0))
 	bounded := stripSpanHeaders(spanFileBytes(t, 8))

@@ -185,14 +185,15 @@ func (u *Unsteady) Cycle() CycleStats {
 		// path, solve-phase per-iteration time, and link rates calibrated
 		// from the observed sends.  An untopologized run calibrates
 		// against the flat machine (hop class 1 for every remote pair).
-		p := profile.FromTrace(tr, cycleStart, len(tr.Records), nil)
+		win := &event.Trace{P: c.Size(), Records: tr.Records[cycleStart:]}
+		p := profile.FromTrace(win, 0, len(win.Records), nil)
 		p.SolveSeconds = cs.SolverTime
 		p.SolveSteps = n
 		topo := u.Cfg.Topo
 		if topo == nil {
 			topo = machine.NewFlat(c.Size(), machine.SP2Link())
 		}
-		p.Rates = machine.CalibrateRates(tr.Records[cycleStart:len(tr.Records)], topo)
+		p.Rates = machine.CalibrateRates(win.Records, topo)
 		// Only the measured-cost loop feeds the profile into the next
 		// decision; an Observe-only run records it (cs.Profile) and stays
 		// bitwise analytic.
@@ -200,15 +201,12 @@ func (u *Unsteady) Cycle() CycleStats {
 			u.prof = p
 		}
 		cs.Profile = p
-		// Blame the epoch's waits while the window is cut: the critical
-		// path over the same records, attributed culprit by culprit.  The
-		// span log (when this run streams spans) closes its epoch against
-		// the same path, so span sampling can never drop an on-path span.
-		sub := &event.Trace{P: c.Size(), Records: tr.Records[cycleStart:len(tr.Records):len(tr.Records)]}
-		cp := event.CriticalPath(sub)
-		cs.Blame = event.WaitBlame(sub, &cp)
+		// Blame the epoch's waits while the window is cut: the profile's
+		// critical path, attributed culprit by culprit.  The span log
+		// (when this run streams spans) closes its epoch with the summary.
+		cs.Blame = event.WaitBlame(win, &p.Path)
 		if sl := c.Spans(); sl != nil {
-			sl.CutEpoch(&cp, cs.Blame)
+			sl.CutEpoch(cs.Blame)
 		}
 	}
 	maxW := c.AllreduceInt64(int64(cs.SolverWork), msg.MaxInt64)

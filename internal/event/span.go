@@ -6,14 +6,12 @@ package event
 // opening or closing one never touches a simulated clock — and the span
 // stream is written through a bounded-memory streaming sink: per-rank
 // ring buffers spill the oldest completed spans to the sink as
-// serialized bytes, epoch cuts flush the rest in canonical rank-major
-// order, and optional sampling thins off-path spans while never
-// dropping a span that overlaps the epoch's critical path.  Because
-// every mutation happens while the owning rank holds the engine's
-// execution token, the stream is deterministic: byte-equal across
-// repeat runs and across GOMAXPROCS, and byte-equal with the ring
-// bound on or off (sampling disabled) — eviction only changes *when*
-// a span's bytes are serialized, never their order or content.
+// serialized bytes, and epoch cuts flush the rest in canonical
+// rank-major order.  Because every mutation happens while the owning
+// rank holds the engine's execution token, the stream is deterministic:
+// byte-equal across repeat runs and across GOMAXPROCS, and byte-equal
+// with the ring bound on or off — eviction only changes *when* a span's
+// bytes are serialized, never their order or content.
 
 import (
 	"bufio"
@@ -77,13 +75,6 @@ type Span struct {
 	Epoch int // adaption epoch the span was flushed in
 	T0    float64
 	T1    float64
-	// OnPath marks spans that overlap their rank's critical-path steps
-	// of the epoch they were cut in.  It exists for sampling retention
-	// (critical-path spans are never sampled out) and in-memory
-	// consumers; it is deliberately not serialized, so the stream's
-	// bytes do not depend on whether a span was ring-evicted before the
-	// cut computed the path.
-	OnPath bool
 }
 
 // SpanOptions configures a SpanLog.
@@ -96,10 +87,6 @@ type SpanOptions struct {
 	// means unbounded.  When the ring is full the oldest span is
 	// serialized into the rank's pending spill buffer immediately.
 	RingCap int
-	// SampleEvery keeps 1 in SampleEvery off-path spans at each epoch
-	// cut (0 or 1 keeps all).  Spans overlapping the epoch's critical
-	// path, and spans already ring-evicted, are always kept.
-	SampleEvery int
 	// Label annotates the stream header (experiment, model, run, P...).
 	Label map[string]string
 }
@@ -129,9 +116,7 @@ type SpanLog struct {
 	epoch        int
 	peakResident int   // max completed+open spans resident on any rank
 	written      int64 // spans serialized to the sink
-	sampledOut   int64
 	evicted      int64
-	sampleCnt    []int64 // per-rank off-path sampling counters
 	closed       bool
 	err          error
 }
@@ -143,11 +128,10 @@ func NewSpanLog(p int, opts SpanOptions) *SpanLog {
 		opts.RingCap = 0
 	}
 	s := &SpanLog{
-		P:         p,
-		opts:      opts,
-		open:      make([][]Span, p),
-		pend:      make([]bytes.Buffer, p),
-		sampleCnt: make([]int64, p),
+		P:    p,
+		opts: opts,
+		open: make([][]Span, p),
+		pend: make([]bytes.Buffer, p),
 	}
 	if opts.RingCap > 0 {
 		s.ring = make([]spanRing, p)
@@ -160,7 +144,7 @@ func NewSpanLog(p int, opts SpanOptions) *SpanLog {
 	}
 	s.writeLine(spanHdr{
 		K: "hdr", Schema: SpanSchemaVersion, P: p,
-		Ring: opts.RingCap, Sample: opts.SampleEvery, Label: opts.Label,
+		Ring: opts.RingCap, Label: opts.Label,
 	})
 	return s
 }
@@ -223,22 +207,9 @@ func (s *SpanLog) spill(rank int, sp *Span) {
 }
 
 // CutEpoch ends the current epoch: every completed span is stamped
-// with the epoch, marked on-path if it overlaps its rank's
-// critical-path steps, sampled (off-path spans only), and flushed to
-// the sink in canonical rank-major order, followed by the epoch's
-// blame summary.  cp and blame should come from the same trace window;
-// either may be zero/nil (plain flush).
-func (s *SpanLog) CutEpoch(cp *Path, blame *BlameReport) {
-	// Per-rank on-path intervals of this epoch's steps.
-	var onPath [][]Record
-	if cp != nil {
-		onPath = make([][]Record, s.P)
-		for _, st := range cp.Steps {
-			if st.Rank >= 0 && st.Rank < s.P {
-				onPath[st.Rank] = append(onPath[st.Rank], st)
-			}
-		}
-	}
+// with the epoch and flushed to the sink in canonical rank-major order,
+// followed by the epoch's blame summary (nil: plain flush).
+func (s *SpanLog) CutEpoch(blame *BlameReport) {
 	for rank := 0; rank < s.P; rank++ {
 		if s.opts.Sink != nil && s.pend[rank].Len() > 0 {
 			if _, err := s.opts.Sink.Write(s.pend[rank].Bytes()); err != nil {
@@ -246,27 +217,15 @@ func (s *SpanLog) CutEpoch(cp *Path, blame *BlameReport) {
 			}
 			s.pend[rank].Reset()
 		}
-		flush := func(sp *Span) {
-			sp.Epoch = s.epoch
-			sp.OnPath = overlapsPath(onPath, sp)
-			if !sp.OnPath && s.opts.SampleEvery > 1 {
-				s.sampleCnt[rank]++
-				if s.sampleCnt[rank]%int64(s.opts.SampleEvery) != 0 {
-					s.sampledOut++
-					return
-				}
-			}
-			s.writeSpan(sp)
-		}
 		if s.ring != nil {
 			r := &s.ring[rank]
 			for i := 0; i < r.n; i++ {
-				flush(r.at(i))
+				s.writeSpan(r.at(i))
 			}
 			r.head, r.n = 0, 0
 		} else {
 			for i := s.cut[rank]; i < len(s.done[rank]); i++ {
-				flush(&s.done[rank][i])
+				s.writeSpan(&s.done[rank][i])
 			}
 			if s.opts.Sink != nil {
 				s.done[rank] = s.done[rank][:0]
@@ -281,19 +240,9 @@ func (s *SpanLog) CutEpoch(cp *Path, blame *BlameReport) {
 	s.epoch++
 }
 
-func overlapsPath(onPath [][]Record, sp *Span) bool {
-	if onPath == nil {
-		return false
-	}
-	for _, st := range onPath[sp.Rank] {
-		if st.T0 < sp.T1 && sp.T0 < st.T1 {
-			return true
-		}
-	}
-	return false
-}
-
+// writeSpan stamps a span with the epoch being cut and writes its line.
 func (s *SpanLog) writeSpan(sp *Span) {
+	sp.Epoch = s.epoch
 	s.written++
 	s.writeLine(spanLine{
 		K: "span", E: sp.Epoch, R: sp.Rank, Ph: sp.Phase.String(),
@@ -304,18 +253,16 @@ func (s *SpanLog) writeSpan(sp *Span) {
 // Close flushes any spans completed after the last epoch cut and
 // writes the stream trailer.  The trailer deliberately carries only
 // stream-shape fields that are invariant under the ring bound
-// (epochs, spans written, spans sampled out); resident-memory facts
-// (PeakResident, Evicted) stay on the accessors.
+// (epochs, spans written); resident-memory facts (PeakResident,
+// Evicted) stay on the accessors.
 func (s *SpanLog) Close() error {
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
-	s.CutEpoch(nil, nil)
+	s.CutEpoch(nil)
 	s.epoch-- // the final flush is a trailer, not a new epoch
-	s.writeLine(spanEnd{
-		K: "end", Epochs: s.epoch, Spans: s.written, SampledOut: s.sampledOut,
-	})
+	s.writeLine(spanEnd{K: "end", Epochs: s.epoch, Spans: s.written})
 	return s.err
 }
 
@@ -344,9 +291,6 @@ func (s *SpanLog) PeakResident() int { return s.peakResident }
 
 // Written returns the number of spans serialized to the sink.
 func (s *SpanLog) Written() int64 { return s.written }
-
-// SampledOut returns the number of off-path spans dropped by sampling.
-func (s *SpanLog) SampledOut() int64 { return s.sampledOut }
 
 // Evicted returns the number of spans spilled early by the ring bound.
 func (s *SpanLog) Evicted() int64 { return s.evicted }
@@ -399,7 +343,6 @@ type spanHdr struct {
 	Schema int               `json:"schema"`
 	P      int               `json:"p"`
 	Ring   int               `json:"ring"`
-	Sample int               `json:"sample"`
 	Label  map[string]string `json:"label,omitempty"`
 }
 
@@ -414,10 +357,9 @@ type spanLine struct {
 }
 
 type spanEnd struct {
-	K          string `json:"k"`
-	Epochs     int    `json:"epochs"`
-	Spans      int64  `json:"spans"`
-	SampledOut int64  `json:"sampled_out"`
+	K      string `json:"k"`
+	Epochs int    `json:"epochs"`
+	Spans  int64  `json:"spans"`
 }
 
 // EpochBlame is the per-epoch blame summary as serialized in a span
@@ -439,15 +381,13 @@ type EpochBlame struct {
 
 // SpanWorld is one parsed world stream of a span file.
 type SpanWorld struct {
-	P          int
-	Ring       int
-	Sample     int
-	Label      map[string]string
-	Spans      []Span
-	Blame      []EpochBlame
-	Epochs     int
-	Written    int64
-	SampledOut int64
+	P       int
+	Ring    int
+	Label   map[string]string
+	Spans   []Span
+	Blame   []EpochBlame
+	Epochs  int
+	Written int64
 	// Complete reports whether the stream's end trailer was present —
 	// false means the producing run was killed mid-stream (or is still
 	// running) and the counts above reflect only what was parsed.
@@ -494,9 +434,7 @@ func ReadSpans(r io.Reader) ([]SpanWorld, error) {
 					" by this reader (supports v%d..v%d) — regenerate the stream or upgrade the tool",
 					line, h.Schema, MinSpanSchemaVersion, SpanSchemaVersion)
 			}
-			worlds = append(worlds, SpanWorld{
-				P: h.P, Ring: h.Ring, Sample: h.Sample, Label: h.Label,
-			})
+			worlds = append(worlds, SpanWorld{P: h.P, Ring: h.Ring, Label: h.Label})
 			cur = &worlds[len(worlds)-1]
 		case "span":
 			if cur == nil {
@@ -527,7 +465,7 @@ func ReadSpans(r io.Reader) ([]SpanWorld, error) {
 			if err := json.Unmarshal(raw, &e); err != nil {
 				return nil, fmt.Errorf("event: span file line %d: %v", line, err)
 			}
-			cur.Epochs, cur.Written, cur.SampledOut = e.Epochs, e.Spans, e.SampledOut
+			cur.Epochs, cur.Written = e.Epochs, e.Spans
 			cur.Complete = true
 			cur = nil
 		default:

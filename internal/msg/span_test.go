@@ -88,7 +88,7 @@ func TestSpanStreamDeterministicRepeat(t *testing.T) {
 					tr := c.Trace()
 					sub := &event.Trace{P: c.Size(), Records: tr.Records}
 					cp := event.CriticalPath(sub)
-					c.Spans().CutEpoch(&cp, event.WaitBlame(sub, &cp))
+					c.Spans().CutEpoch(event.WaitBlame(sub, &cp))
 				}
 			})
 		if err := sl.Err(); err != nil {
@@ -104,7 +104,7 @@ func TestSpanStreamDeterministicRepeat(t *testing.T) {
 
 // TestSpanStreamRingByteIdentity: the ring bound changes only resident
 // memory, never the stream — span/blame/end lines are byte-identical
-// with the bound on or off (sampling disabled), and the bound holds.
+// with the bound on or off, and the bound holds.
 func TestSpanStreamRingByteIdentity(t *testing.T) {
 	const p = 8
 	run := func(ring int) (string, *event.SpanLog) {

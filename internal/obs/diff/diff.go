@@ -1,12 +1,11 @@
 // Package diff computes exact differential analyses of simulated runs:
-// given two artifacts of the same kind — run ledgers (obs), span/blame
-// streams (event), host-benchmark reports (BENCH_sim.json) — it aligns
-// them record by record and attributes the end-to-end simulated-time
-// delta down the stack: which runs moved, which epochs flipped their
-// accept/reject verdict, which critical-path component (compute,
-// overhead, wait) carried the change, which sender-lag cell of the
-// blame table grew, and which partition-quality term (edge cut,
-// imbalance, TotalV) drifted.
+// given two artifacts of the same kind — run ledgers (obs) or
+// span/blame streams (event) — it aligns them record by record and
+// attributes the end-to-end simulated-time delta down the stack: which
+// runs moved, which epochs flipped their accept/reject verdict, which
+// critical-path component (compute, overhead, wait) carried the change,
+// which sender-lag cell of the blame table grew, and which
+// partition-quality term (edge cut, imbalance, TotalV) drifted.
 //
 // Because every simulated output is a pure function of its
 // configuration (the determinism the golden tests enforce), the diff is
@@ -248,13 +247,12 @@ type Report struct {
 	Findings []Finding     `json:"findings"`
 	Metrics  []MetricDelta `json:"metrics,omitempty"`
 
-	Bench *BenchDiff       `json:"bench,omitempty"`
 	Spans []SpanWorldDelta `json:"spans,omitempty"`
 }
 
 // Zero reports whether the simulated planes of the two ledgers are
 // identical: every run aligned, every aligned epoch byte-equivalent.
-// Host metrics and bench/host sections are excluded by design.
+// Host metrics are excluded by design.
 func (r *Report) Zero() bool {
 	if len(r.BaseOnly) != 0 || len(r.CurOnly) != 0 {
 		return false

@@ -338,52 +338,6 @@ func TestGateViolations(t *testing.T) {
 	}
 }
 
-func TestBenchCompare(t *testing.T) {
-	base := &benchReport{GitSHA: "b", Benchmarks: []benchResult{
-		{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 10},
-		{Name: "BenchmarkGone", NsPerOp: 50},
-		{Name: "BenchmarkB", NsPerOp: 200, AllocsPerOp: 4},
-	}}
-	cur := &benchReport{GitSHA: "c", Benchmarks: []benchResult{
-		{Name: "BenchmarkA", NsPerOp: 450, AllocsPerOp: 12}, // 4.5x: regressed
-		{Name: "BenchmarkB", NsPerOp: 210, AllocsPerOp: 4},  // 1.05x: ok
-		{Name: "BenchmarkNew", NsPerOp: 70},
-	}}
-	bd := compareBench(base, cur, 2.0)
-	byName := map[string]BenchEntry{}
-	for _, e := range bd.Entries {
-		byName[e.Name] = e
-	}
-	if byName["BenchmarkA"].Status != BenchRegressed {
-		t.Errorf("A status = %s, want regressed", byName["BenchmarkA"].Status)
-	}
-	if byName["BenchmarkB"].Status != BenchOK {
-		t.Errorf("B status = %s, want ok", byName["BenchmarkB"].Status)
-	}
-	if byName["BenchmarkNew"].Status != BenchNew {
-		t.Errorf("New status = %s, want new", byName["BenchmarkNew"].Status)
-	}
-	if byName["BenchmarkGone"].Status != BenchMissing {
-		t.Errorf("Gone status = %s, want missing", byName["BenchmarkGone"].Status)
-	}
-	if bd.Warnings != 2 {
-		t.Errorf("warnings = %d, want 2 (regressed + missing)", bd.Warnings)
-	}
-
-	// The gate fails on both the regression and the missing benchmark.
-	rep := Ledgers("a.jsonl", "a.jsonl", fixtureBase(), fixtureBase(), Options{})
-	rep.Bench = bd
-	benchViolations := 0
-	for _, v := range rep.Gate(DefaultThresholds()) {
-		if v.Kind == "bench" {
-			benchViolations++
-		}
-	}
-	if benchViolations != 2 {
-		t.Errorf("bench violations = %d, want 2", benchViolations)
-	}
-}
-
 func spanFixture(run string, lagShift float64) event.SpanWorld {
 	return event.SpanWorld{
 		P:     4,

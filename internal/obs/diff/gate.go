@@ -1,9 +1,9 @@
 package diff
 
 // The CI regression gate: a report plus thresholds yields a list of
-// violations.  Simulated-time thresholds can be tight (simulated
-// seconds are a pure function of the code — any drift is a real
-// change); host-time thresholds stay loose (shared runners are noisy).
+// violations.  Simulated-time thresholds can be tight: simulated
+// seconds are a pure function of the code, so any drift is a real
+// change.
 
 import (
 	"fmt"
@@ -18,9 +18,6 @@ type Thresholds struct {
 	// SimAbs is the absolute floor below which a simulated-time
 	// regression is ignored (guards tiny bases against ratio blowups).
 	SimAbs float64
-	// HostRatio fails a benchmark whose ns/op exceeds base*HostRatio;
-	// missing benchmarks also fail.  <=0 disables.
-	HostRatio float64
 	// RequireComparable fails when the two ledgers' config digests
 	// differ — a CI gate comparing against a committed baseline wants
 	// this: an incomparable pair means the baseline is stale, not that
@@ -34,14 +31,14 @@ type Thresholds struct {
 
 // DefaultThresholds: simulated time may not regress beyond 0.1% (exact
 // runs — this tolerates only genuine noise-free drift being waved
-// through deliberately), host time not beyond 2x.
+// through deliberately).
 func DefaultThresholds() Thresholds {
-	return Thresholds{SimRatio: 1.001, SimAbs: 1e-9, HostRatio: 2.0, RequireComparable: true}
+	return Thresholds{SimRatio: 1.001, SimAbs: 1e-9, RequireComparable: true}
 }
 
 // Violation is one gate failure.
 type Violation struct {
-	Kind string `json:"kind"` // sim-time | verdict-flip | bench | comparability
+	Kind string `json:"kind"` // sim-time | verdict-flip | comparability
 	Msg  string `json:"msg"`
 }
 
@@ -83,19 +80,6 @@ func (r *Report) Gate(th Thresholds) []Violation {
 		vs = append(vs, Violation{Kind: "sim-time",
 			Msg: fmt.Sprintf("total simulated time regressed %+.6fs (%.6fs -> %.6fs, limit %.4fx)",
 				r.Totals.DTime, r.Totals.BaseTime, r.Totals.CurTime, th.SimRatio)})
-	}
-	if r.Bench != nil && th.HostRatio > 0 {
-		for _, e := range r.Bench.Entries {
-			switch {
-			case e.Status == BenchMissing:
-				vs = append(vs, Violation{Kind: "bench",
-					Msg: fmt.Sprintf("benchmark %s is in the baseline but not the current run", e.Name)})
-			case e.Status != BenchNew && e.Ratio > th.HostRatio:
-				vs = append(vs, Violation{Kind: "bench",
-					Msg: fmt.Sprintf("benchmark %s: host time %.2fx baseline (%.0f -> %.0f ns/op, limit %.2fx)",
-						e.Name, e.Ratio, e.BaseNs, e.CurNs, th.HostRatio)})
-			}
-		}
 	}
 	return vs
 }

@@ -57,9 +57,6 @@ func (r *Report) WriteText(w io.Writer) {
 		}
 		t.Render(w)
 	}
-	if r.Bench != nil {
-		r.Bench.WriteText(w)
-	}
 }
 
 func (r *Report) writeRunTables(w io.Writer) {
@@ -225,87 +222,13 @@ func (r *Report) WriteMarkdown(w io.Writer) {
 			r.Totals.EpochsAligned, r.Totals.Flips)
 		fmt.Fprintln(w)
 	}
-	if r.Bench != nil {
-		r.Bench.WriteMarkdown(w)
-	}
-}
-
-// WriteText renders the benchmark comparison in benchcmp's terminal
-// format.
-func (b *BenchDiff) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "benchcmp: baseline %s (git %s) vs current %s (git %s), threshold %.2fx\n",
-		b.BaseFile, orUnknown(b.BaseGit), b.CurFile, orUnknown(b.CurGit), b.Threshold)
-	for _, e := range b.Entries {
-		switch e.Status {
-		case BenchNew:
-			fmt.Fprintf(w, "  %-28s (new — no baseline)\n", e.Name)
-		case BenchMissing:
-			fmt.Fprintf(w, "  %-28s %12.0f -> %12s ns/op  (missing)\n", e.Name, e.BaseNs, "-")
-		default:
-			fmt.Fprintf(w, "  %-28s %12.0f -> %12.0f ns/op  (%.2fx)\n",
-				e.Name, e.BaseNs, e.CurNs, e.Ratio)
-		}
-	}
-}
-
-// WriteMarkdown renders the benchmark comparison table (the former
-// benchcmp -md output).
-func (b *BenchDiff) WriteMarkdown(w io.Writer) {
-	fmt.Fprintf(w, "### Benchmark comparison\n\n")
-	fmt.Fprintf(w, "Baseline `%s` vs current `%s`, threshold %.2fx.\n\n",
-		orUnknown(b.BaseGit), orUnknown(b.CurGit), b.Threshold)
-	fmt.Fprintln(w, "| benchmark | baseline ns/op | current ns/op | ratio | Δ allocs/op |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
-	for _, e := range b.Entries {
-		switch e.Status {
-		case BenchNew:
-			fmt.Fprintf(w, "| %s | — | %.0f | new | — |\n", e.Name, e.CurNs)
-		case BenchMissing:
-			fmt.Fprintf(w, "| %s | %.0f | — | missing ⚠️ | — |\n", e.Name, e.BaseNs)
-		default:
-			mark := ""
-			if e.Status == BenchRegressed {
-				mark = " ⚠️"
-			}
-			fmt.Fprintf(w, "| %s | %.0f | %.0f | %.2fx%s | %+.0f |\n",
-				e.Name, e.BaseNs, e.CurNs, e.Ratio, mark, e.DAllocs)
-		}
-	}
-	if b.Warnings > 0 {
-		fmt.Fprintf(w, "\n%d warning(s); ⚠️ marks benchmarks past the threshold or missing.\n", b.Warnings)
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteAnnotations emits GitHub Actions ::warning lines for regressed
-// and missing benchmarks (benchcmp's CI surface).
-func (b *BenchDiff) WriteAnnotations(w io.Writer) {
-	for _, e := range b.Entries {
-		switch e.Status {
-		case BenchRegressed:
-			fmt.Fprintf(w, "::warning title=benchmark regression::%s is %.2fx slower than"+
-				" baseline (%.0f -> %.0f ns/op, threshold %.2fx)\n",
-				e.Name, e.Ratio, e.BaseNs, e.CurNs, b.Threshold)
-		case BenchMissing:
-			fmt.Fprintf(w, "::warning title=benchmark missing::%s is in the baseline but not the"+
-				" current run\n", e.Name)
-		}
-	}
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
 }
 
 // GateSummary renders violations (or the pass line) for terminals and
 // markdown alike.
 func GateSummary(w io.Writer, vs []Violation, th Thresholds) {
 	if len(vs) == 0 {
-		fmt.Fprintf(w, "gate: PASS (sim limit %.4fx, host limit %.2fx)\n",
-			th.SimRatio, th.HostRatio)
+		fmt.Fprintf(w, "gate: PASS (sim limit %.4fx)\n", th.SimRatio)
 		return
 	}
 	fmt.Fprintf(w, "gate: FAIL — %d violation(s):\n", len(vs))

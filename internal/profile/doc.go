@@ -22,8 +22,9 @@
 // the protocol-owning packages export (msg.IsCollectiveTag,
 // linalg.IsHaloTag, pmesh.IsMigrationTag); Profile.PerIteration and
 // Profile.Rates are the two quantities the decision consumes;
-// Profile.PathShare supports the per-rank profile table plumviz
-// renders.
+// Profile.Path is the window's critical-path walk, kept for the epoch's
+// blame pass (event.WaitBlame); Profile.PathShare supports the per-rank
+// profile table plumviz renders.
 //
 // Invariants.  Records are aggregated in trace order — the engine's
 // deterministic (time, rank, seq) total order — so identical runs

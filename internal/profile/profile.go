@@ -95,6 +95,10 @@ type Profile struct {
 	Ranks []RankProfile
 
 	// The critical path of the window: what actually bounded the epoch.
+	// Path is the walk itself (kept so the epoch's blame pass reuses it
+	// instead of walking the window again); the scalars below are its
+	// decomposition.
+	Path         event.Path
 	Makespan     float64 // completion time of the window's last operation
 	PathCompute  float64 // compute seconds on the path
 	PathOverhead float64 // messaging software overhead on the path
@@ -194,8 +198,8 @@ func FromTrace(tr *event.Trace, start, end int, classify func(tag int) Class) *P
 	// Critical path of the window.  The walk only follows message edges
 	// whose producing send lies inside the window (CriticalPath charges
 	// an out-of-window producer locally), so a window is self-contained.
-	sub := &event.Trace{P: tr.P, Records: window}
-	cp := event.CriticalPath(sub)
+	p.Path = event.CriticalPath(&event.Trace{P: tr.P, Records: window})
+	cp := &p.Path
 	p.Makespan = cp.Makespan
 	p.PathCompute, p.PathOverhead, p.PathWait = cp.Compute, cp.Overhead, cp.CommWait
 	for _, s := range cp.Steps {

@@ -105,15 +105,13 @@ func (o *ObsState) handleRuns(w http.ResponseWriter, r *http.Request) {
 // header plus the bounded per-epoch blame summaries — never the spans
 // themselves, which may number millions.
 type SpanWorldEntry struct {
-	Label      map[string]string  `json:"label,omitempty"`
-	P          int                `json:"p"`
-	Ring       int                `json:"ring"`
-	Sample     int                `json:"sample"`
-	Spans      int                `json:"spans"`
-	Epochs     int                `json:"epochs"`
-	SampledOut int64              `json:"sampled_out,omitempty"`
-	Complete   bool               `json:"complete"`
-	Blame      []event.EpochBlame `json:"blame,omitempty"`
+	Label    map[string]string  `json:"label,omitempty"`
+	P        int                `json:"p"`
+	Ring     int                `json:"ring"`
+	Spans    int                `json:"spans"`
+	Epochs   int                `json:"epochs"`
+	Complete bool               `json:"complete"`
+	Blame    []event.EpochBlame `json:"blame,omitempty"`
 }
 
 // handleSpans summarizes the span file.  The reader tolerates a file
@@ -132,10 +130,9 @@ func (o *ObsState) handleSpans(w http.ResponseWriter, r *http.Request) {
 	entries := make([]SpanWorldEntry, len(worlds))
 	for i, sw := range worlds {
 		entries[i] = SpanWorldEntry{
-			Label: sw.Label, P: sw.P, Ring: sw.Ring, Sample: sw.Sample,
+			Label: sw.Label, P: sw.P, Ring: sw.Ring,
 			Spans: len(sw.Spans), Epochs: sw.Epochs,
-			SampledOut: sw.SampledOut, Complete: sw.Complete,
-			Blame: sw.Blame,
+			Complete: sw.Complete, Blame: sw.Blame,
 		}
 	}
 	writeJSON(w, entries)
