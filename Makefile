@@ -31,7 +31,8 @@ bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
 # ledger-baseline refreshes the committed simulated-run baseline the CI
-# regression gate diffs against.  Simulated epochs are machine-
+# regression gate diffs against (and whose epoch records
+# TestFeedbackMatchesLedgerBaseline compares in `make test`).  Simulated epochs are machine-
 # independent, so a refresh is exact everywhere; required after any
 # deliberate simulated-time change or a ledger schema bump (the config
 # digest embeds the schema version).
@@ -51,9 +52,10 @@ gate:
 scenarios:
 	$(GO) run ./cmd/plumbench -exp scenarios
 
-# scenario-baseline regenerates every golden scenario ledger the CI
-# scenario-gate byte-verifies against.  One plumbench invocation per
-# scenario — the goldens must match the per-scenario runs CI performs
+# scenario-baseline regenerates every golden scenario ledger that
+# TestScenarioCorpusReproducible (`make test`) byte-verifies and the CI
+# scenario-gate diffs against.  One plumbench invocation per scenario —
+# the goldens must match the per-scenario runs the test performs
 # (the ledger's config digest covers the selected scenario names).
 # Scenario ledgers omit the host-metrics record, so a refresh is exact
 # on any machine; commit the regenerated goldens with the change that

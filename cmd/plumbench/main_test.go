@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,21 +111,24 @@ func TestScenarioVerdict(t *testing.T) {
 	}
 }
 
-// runScenarioCorpus drives the full committed corpus through the real
-// entrypoint with a ledger attached and returns (stdout, ledger bytes
-// past the manifest line).  The manifest line is the only part of a
-// scenario ledger allowed to vary across hosts — it records GOMAXPROCS
-// and wall-clock start time.
-func runScenarioCorpus(t *testing.T, procs int) (string, []byte) {
+// runLedger runs plumbench with args plus "-obs <tmp>" through the real
+// entrypoint and returns (stdout, ledger bytes past the manifest line).
+// The manifest line is the only part of a ledger allowed to vary across
+// hosts — it records GOMAXPROCS and wall-clock start time.
+func runLedger(t *testing.T, args ...string) (string, []byte) {
 	t.Helper()
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "scenarios", "-scenario-dir", testCorpusDir,
-		"-obs", path}, &out, &errb); code != 0 {
-		t.Fatalf("corpus run (GOMAXPROCS=%d) exit %d, stderr: %s", procs, code, errb.String())
+	if code := run(append(args, "-obs", path), &out, &errb); code != 0 {
+		t.Fatalf("plumbench %q exit %d, stderr: %s", args, code, errb.String())
 	}
+	return out.String(), pastManifest(t, path)
+}
+
+// pastManifest returns the bytes of the ledger at path after its first
+// (manifest) line.
+func pastManifest(t *testing.T, path string) []byte {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,34 +137,82 @@ func runScenarioCorpus(t *testing.T, procs int) (string, []byte) {
 	if i < 0 {
 		t.Fatalf("ledger %s has no manifest line", path)
 	}
-	return out.String(), data[i+1:]
+	return data[i+1:]
 }
 
-// TestScenarioCorpusReproducible: every committed scenario, both
-// pricing modes, GOMAXPROCS 1 vs 8 — the rendered league table and the
-// ledger past its manifest line must be byte-identical.  This is the
-// property that makes the committed goldens sound regression baselines.
-//
-// Race instrumentation multiplies the corpus runtime ~10x, so under
-// -race the test only runs when PLUM_RACE_CORPUS is set (the CI
-// determinism job); the plain test job covers it at full speed.
-func TestScenarioCorpusReproducible(t *testing.T) {
+// skipCorpusRun skips the full-corpus replays under -short, and under
+// -race unless PLUM_RACE_CORPUS is set: race instrumentation multiplies
+// the corpus runtime ~10x (the CI determinism job opts in).
+func skipCorpusRun(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("full-corpus determinism run; skipped with -short")
+		t.Skip("full-corpus golden replay; skipped with -short")
 	}
 	if raceEnabled && os.Getenv("PLUM_RACE_CORPUS") == "" {
 		t.Skip("race-instrumented corpus run takes minutes; set PLUM_RACE_CORPUS=1 to opt in")
 	}
-	outSerial, ledgerSerial := runScenarioCorpus(t, 1)
-	outParallel, ledgerParallel := runScenarioCorpus(t, 8)
-	if outSerial != outParallel {
-		t.Errorf("league-table stdout differs between GOMAXPROCS 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s",
-			outSerial, outParallel)
+}
+
+// TestScenarioCorpusReproducible: every committed scenario, run alone
+// under both pricing modes exactly as `make scenario-baseline` cut it,
+// must reproduce its golden ledger (ci/scenarios/<name>.golden.jsonl)
+// byte for byte past the manifest line.  The goldens were cut on
+// another host at another GOMAXPROCS, so this is a stronger determinism
+// statement than comparing two local runs — and any change that moves
+// a simulated bit on the corpus fails here.  Every spec must have a
+// golden and every golden a spec.
+func TestScenarioCorpusReproducible(t *testing.T) {
+	skipCorpusRun(t)
+	specs, _ := filepath.Glob(filepath.Join(testCorpusDir, "*.json"))
+	goldens, _ := filepath.Glob(filepath.Join(testCorpusDir, "*.golden.jsonl"))
+	if len(specs) == 0 {
+		t.Fatalf("no scenario specs under %s", testCorpusDir)
 	}
-	if !bytes.Equal(ledgerSerial, ledgerParallel) {
-		t.Error("ledger bytes past the manifest differ between GOMAXPROCS 1 and 8")
+	for _, g := range goldens {
+		spec := strings.TrimSuffix(g, ".golden.jsonl") + ".json"
+		if _, err := os.Stat(spec); err != nil {
+			t.Errorf("orphan golden %s has no spec %s", g, spec)
+		}
 	}
-	if !strings.Contains(outSerial, "Scenario league") {
-		t.Errorf("corpus stdout lacks the league table:\n%s", outSerial)
+	for _, spec := range specs {
+		name := strings.TrimSuffix(filepath.Base(spec), ".json")
+		golden := strings.TrimSuffix(spec, ".json") + ".golden.jsonl"
+		if _, err := os.Stat(golden); err != nil {
+			t.Errorf("%s: missing golden ledger %s (make scenario-baseline)", name, golden)
+			continue
+		}
+		out, got := runLedger(t, "-exp", "scenarios", "-scenario-dir", testCorpusDir, "-scenario", name)
+		if !strings.Contains(out, "Scenario league") {
+			t.Errorf("%s: stdout lacks the league table:\n%s", name, out)
+		}
+		if !bytes.Equal(got, pastManifest(t, golden)) {
+			t.Errorf("%s: ledger bytes past the manifest differ from %s", name, golden)
+		}
+	}
+}
+
+// TestFeedbackMatchesLedgerBaseline: a fresh `-exp feedback` run's epoch
+// records must equal those of the committed ci/LEDGER_baseline.jsonl.
+// (The baseline's manifest and host-metrics records legitimately vary
+// by host, so only the simulated epoch lines are compared.)
+func TestFeedbackMatchesLedgerBaseline(t *testing.T) {
+	skipCorpusRun(t)
+	epochs := func(ledger []byte) []string {
+		var out []string
+		for _, line := range strings.Split(string(ledger), "\n") {
+			if strings.HasPrefix(line, `{"kind":"epoch"`) {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	_, got := runLedger(t, "-exp", "feedback")
+	want := epochs(pastManifest(t, "../../ci/LEDGER_baseline.jsonl"))
+	if len(want) == 0 {
+		t.Fatal("ci/LEDGER_baseline.jsonl has no epoch records")
+	}
+	if g := epochs(got); !slices.Equal(g, want) {
+		t.Errorf("feedback epoch records differ from ci/LEDGER_baseline.jsonl (%d vs %d lines); "+
+			"run plumdiff -gate against it to see what moved", len(g), len(want))
 	}
 }

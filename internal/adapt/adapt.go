@@ -44,7 +44,9 @@ type Mesh struct {
 	BFaceAlive []bool
 	BFaceRoot  []int32 // initial-mesh element owning the initial face
 
-	// Edge -> active elements incidence; valid after BuildEdgeElems.
+	// Edge -> active elements incidence, ascending element ids per edge
+	// (nil for an edge no active element uses).  Every topology change
+	// sets it to nil; read it through EnsureEdgeElems.
 	EdgeElems [][]int32
 
 	// bfaceParentCache inverts BFaceChild; rebuilt on demand.
@@ -215,16 +217,50 @@ func (m *Mesh) ActiveCounts() Counts {
 }
 
 // BuildEdgeElems rebuilds the edge -> active elements incidence used by
-// marking propagation and coarsening.
+// marking propagation and coarsening.  The lists are capacity-capped
+// windows of one flat array (counted, prefix-summed, then filled in
+// ascending element id), so a rebuild costs three allocations whatever
+// the mesh size.
 func (m *Mesh) BuildEdgeElems() {
+	start := make([]int32, len(m.EdgeV)+1)
+	for e := range m.ElemVerts {
+		if !m.ElemActive(int32(e)) {
+			continue
+		}
+		for _, id := range m.ElemEdges[e] {
+			start[id+1]++
+		}
+	}
+	for id := range m.EdgeV {
+		start[id+1] += start[id]
+	}
+	flat := make([]int32, start[len(m.EdgeV)])
 	m.EdgeElems = make([][]int32, len(m.EdgeV))
 	for e := range m.ElemVerts {
 		if !m.ElemActive(int32(e)) {
 			continue
 		}
 		for _, id := range m.ElemEdges[e] {
-			m.EdgeElems[id] = append(m.EdgeElems[id], int32(e))
+			flat[start[id]] = int32(e)
+			start[id]++
 		}
+	}
+	// start[id] now holds the end of edge id's window, which is where
+	// edge id+1's window begins.
+	lo := int32(0)
+	for id, hi := range start[:len(m.EdgeV)] {
+		if hi > lo {
+			m.EdgeElems[id] = flat[lo:hi:hi]
+		}
+		lo = hi
+	}
+}
+
+// EnsureEdgeElems builds the edge -> active elements incidence if a
+// topology change has invalidated it since the last build.
+func (m *Mesh) EnsureEdgeElems() {
+	if m.EdgeElems == nil {
+		m.BuildEdgeElems()
 	}
 }
 
@@ -261,9 +297,11 @@ func (m *Mesh) getOrCreateEdge(a, b int32) int32 {
 			m.EdgeMid[id] = -1
 			m.EdgeParent[id] = -1
 			m.EdgeMark[id] = false
+			m.EdgeElems = nil
 		}
 		return id
 	}
+	m.EdgeElems = nil
 	id := int32(len(m.EdgeV))
 	m.EdgeV = append(m.EdgeV, k)
 	m.EdgeChild = append(m.EdgeChild, [2]int32{-1, -1})

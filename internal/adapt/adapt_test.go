@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -510,4 +511,35 @@ func TestActiveLeafEdgesSorted(t *testing.T) {
 			t.Fatal("activeLeafEdges not strictly ascending")
 		}
 	}
+}
+
+// TestBuildEdgeElemsFlat: the incidence is three allocations per build
+// on the initial and on an adapted mesh, and equals, order included, the
+// per-edge append construction it replaced.  Every list is capacity-
+// capped, so appending to one cannot overwrite the next.
+func TestBuildEdgeElemsFlat(t *testing.T) {
+	check := func(stage string, a *Mesh) {
+		t.Helper()
+		if n := testing.AllocsPerRun(5, a.BuildEdgeElems); n > 3 {
+			t.Errorf("%s: BuildEdgeElems made %.0f allocations, want at most 3", stage, n)
+		}
+		want := make([][]int32, len(a.EdgeV))
+		for e := range a.ElemVerts {
+			if a.ElemActive(int32(e)) {
+				for _, id := range a.ElemEdges[e] {
+					want[id] = append(want[id], int32(e))
+				}
+			}
+		}
+		if !reflect.DeepEqual(a.EdgeElems, want) {
+			t.Fatalf("%s: incidence differs from the per-edge append reference", stage)
+		}
+		for id, l := range a.EdgeElems {
+			if cap(l) != len(l) {
+				t.Fatalf("%s: edge %d list has cap %d > len %d", stage, id, cap(l), len(l))
+			}
+		}
+	}
+	check("initial", FromMesh(mesh.Box(3, 3, 3, 3, 3, 3), 1))
+	check("adapted", adaptedBox())
 }

@@ -167,18 +167,31 @@ func (m *Mesh) bfaceParent(f int32) int32 {
 }
 
 // RemoveFamily deletes root's entire element family (and its boundary
-// faces), purging edges and vertices that become unreferenced.  Used when
-// the family migrates to another processor.
-func (m *Mesh) RemoveFamily(root int32) {
-	if m.ElemParent[root] != -1 {
-		panic(fmt.Sprintf("adapt: RemoveFamily(%d): not a root element", root))
+// faces), purging edges and vertices that become unreferenced.
+func (m *Mesh) RemoveFamily(root int32) { m.RemoveFamilies([]int32{root}) }
+
+// RemoveFamilies deletes the element families (and boundary faces) of
+// every root in roots, then purges the edges and vertices that became
+// unreferenced in one pass.  Used when families migrate to other
+// processors.  The purge is a monotone fixpoint, so the result is
+// identical to removing the families one at a time.
+func (m *Mesh) RemoveFamilies(roots []int32) {
+	if len(roots) == 0 {
+		return
 	}
-	for _, e := range m.FamilyElems(root) {
-		m.ElemAlive[e] = false
+	leaving := make([]bool, len(m.ElemVerts))
+	for _, root := range roots {
+		if m.ElemParent[root] != -1 {
+			panic(fmt.Sprintf("adapt: RemoveFamily(%d): not a root element", root))
+		}
+		leaving[root] = true
+		for _, e := range m.FamilyElems(root) {
+			m.ElemAlive[e] = false
+		}
+		m.ElemChild[root] = nil
 	}
-	m.ElemChild[root] = nil
 	for f := range m.BFaceVerts {
-		if m.BFaceAlive[f] && m.BFaceRoot[f] == root {
+		if m.BFaceAlive[f] && leaving[m.BFaceRoot[f]] {
 			m.BFaceAlive[f] = false
 			m.BFaceChild[f] = nil
 		}

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"reflect"
 	"testing"
 
 	"plum/internal/mesh"
@@ -193,5 +194,179 @@ func TestMidpointGIDNoCollisionsAtScale(t *testing.T) {
 			t.Fatalf("gid collision between vertices %d and %d", prev, v)
 		}
 		seen[m.VertGID[v]] = int32(v)
+	}
+}
+
+// adaptedBox is a refined-then-partly-coarsened mesh: two refinement
+// levels around one corner, then coarsening around another, so it holds
+// multi-level families, dead slots, and purged-then-kept edges.
+func adaptedBox() *Mesh {
+	a := FromMesh(mesh.Box(3, 3, 3, 3, 3, 3), 1)
+	for v := range a.Coords {
+		a.Sol[v] = a.Coords[v][0] - 2*a.Coords[v][2]
+	}
+	ind := SphericalIndicator(mesh.Vec3{1, 1, 1}, 1.2, 0.5)
+	for level := 0; level < 2; level++ {
+		a.MarkTopFraction(a.EdgeErrorGeometric(ind), 0.3)
+		a.Propagate()
+		a.Refine()
+	}
+	moved := SphericalIndicator(mesh.Vec3{0, 0, 0}, 0.8, 0.4)
+	a.Coarsen(a.TargetCoarsenEdges(a.EdgeErrorGeometric(moved), 0.5))
+	return a
+}
+
+// requireSameMesh fails unless a and b hold identical state: every
+// exported field, the pair and gid lookup tables, and every root's
+// boundary-face family.
+func requireSameMesh(t *testing.T, stage string, a, b *Mesh) {
+	t.Helper()
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if f.IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			t.Errorf("%s: field %s differs", stage, f.Name)
+		}
+	}
+	if !reflect.DeepEqual(a.edgeByPair, b.edgeByPair) || !reflect.DeepEqual(a.gidVert, b.gidVert) {
+		t.Errorf("%s: edge-pair or gid lookup tables differ", stage)
+	}
+	for _, p := range a.EdgeV {
+		if x, y := a.EdgeByPair(p[0], p[1]), b.EdgeByPair(p[0], p[1]); x != y {
+			t.Errorf("%s: EdgeByPair(%d,%d) = %d vs %d", stage, p[0], p[1], x, y)
+		}
+	}
+	for _, g := range a.VertGID {
+		if x, y := a.VertByGID(g), b.VertByGID(g); x != y {
+			t.Errorf("%s: VertByGID(%d) = %d vs %d", stage, g, x, y)
+		}
+	}
+	for r := int32(0); r < int32(a.NRootElems); r++ {
+		if x, y := a.FamilyBFaces(r), b.FamilyBFaces(r); !reflect.DeepEqual(x, y) {
+			t.Errorf("%s: FamilyBFaces(%d) = %v vs %v", stage, r, x, y)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// packedFamily is what migration ships for one family, as ids of the
+// mesh it was taken from: elements in BFS order, the edges they use
+// with their bisected/marked state, and the boundary faces with their
+// parents.
+type packedFamily struct {
+	elems, verts, edges, bfaces []int32
+	bisected, marked            []bool
+	bfaceParent                 []int32
+}
+
+func packFamily(m *Mesh, root int32) packedFamily {
+	var p packedFamily
+	p.elems = m.FamilyElems(root)
+	seenV, seenE := map[int32]bool{}, map[int32]bool{}
+	for _, e := range p.elems {
+		for _, v := range m.ElemVerts[e] {
+			if !seenV[v] {
+				seenV[v] = true
+				p.verts = append(p.verts, v)
+			}
+		}
+		for _, id := range m.ElemEdges[e] {
+			if !seenE[id] {
+				seenE[id] = true
+				p.edges = append(p.edges, id)
+				p.bisected = append(p.bisected, !m.EdgeLeaf(id))
+				p.marked = append(p.marked, m.EdgeMark[id])
+			}
+		}
+	}
+	p.bfaces = m.FamilyBFaces(root)
+	for _, f := range p.bfaces {
+		p.bfaceParent = append(p.bfaceParent, m.BFaceParent(f))
+	}
+	return p
+}
+
+// unpackFamily rebuilds p (taken from src) into m with the construction
+// calls, in the order, that pmesh's migration unpacker makes.
+func unpackFamily(m, src *Mesh, p packedFamily) {
+	lv, le, lf := map[int32]int32{}, map[int32]int32{}, map[int32]int32{}
+	for _, v := range p.verts {
+		lv[v] = m.AddVertex(src.VertGID[v], src.Coords[v], src.Sol[int(v)*src.NComp:int(v+1)*src.NComp])
+	}
+	root := int32(-1)
+	for _, e := range p.elems {
+		var ev [4]int32
+		for k, v := range src.ElemVerts[e] {
+			ev[k] = lv[v]
+		}
+		if par := src.ElemParent[e]; par < 0 {
+			root = m.AddRootElem(ev)
+			le[e] = root
+		} else {
+			le[e] = m.AddChildElem(le[par], ev)
+		}
+	}
+	for i, id := range p.edges {
+		nid := m.EnsureEdge(lv[src.EdgeV[id][0]], lv[src.EdgeV[id][1]])
+		if p.bisected[i] {
+			m.EnsureBisected(nid)
+		}
+		if p.marked[i] {
+			m.MarkEdge(nid)
+		}
+	}
+	for i, f := range p.bfaces {
+		var fv [3]int32
+		for k, v := range src.BFaceVerts[f] {
+			fv[k] = lv[v]
+		}
+		if par := p.bfaceParent[i]; par < 0 {
+			lf[f] = m.AddRootBFace(fv, root)
+		} else {
+			lf[f] = m.AddChildBFace(lf[par], fv)
+		}
+	}
+}
+
+// TestRemoveFamiliesMatchesSequential: removing a set of families in one
+// purge pass leaves exactly the state that removing them one at a time
+// does, and unpacking the same families afterwards revives identical ids.
+func TestRemoveFamiliesMatchesSequential(t *testing.T) {
+	orig, seq, batch := adaptedBox(), adaptedBox(), adaptedBox()
+	requireSameMesh(t, "built", seq, batch)
+	var roots []int32
+	refined := 0
+	for r := int32(0); r < int32(orig.NRootElems); r += 5 {
+		roots = append(roots, r)
+		if orig.ElemChild[r] != nil {
+			refined++
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no refined family among the removed roots")
+	}
+	packed := make([]packedFamily, len(roots))
+	for i, r := range roots {
+		packed[i] = packFamily(orig, r)
+	}
+
+	for _, r := range roots {
+		seq.RemoveFamily(r)
+	}
+	batch.RemoveFamilies(roots)
+	requireSameMesh(t, "removed", seq, batch)
+
+	for _, p := range packed {
+		unpackFamily(seq, orig, p)
+		unpackFamily(batch, orig, p)
+	}
+	requireSameMesh(t, "revived", seq, batch)
+	if got, want := batch.ActiveCounts(), orig.ActiveCounts(); got != want {
+		t.Errorf("revived counts %+v, want the original %+v", got, want)
+	}
+	if err := batch.CheckInvariants(); err != nil {
+		t.Errorf("revived mesh: %v", err)
 	}
 }

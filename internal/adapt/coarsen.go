@@ -114,7 +114,6 @@ func (m *Mesh) CollapsePhase(coarsen []bool) CoarsenStats {
 // edges that could not coarsen, "invoking the mesh refinement
 // procedure" as the paper describes.  Call Propagate and Refine after.
 func (m *Mesh) ForceMarkBisected() {
-	m.BuildEdgeElems()
 	for e := range m.ElemVerts {
 		if !m.ElemActive(int32(e)) {
 			continue

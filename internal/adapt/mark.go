@@ -198,11 +198,8 @@ func (m *Mesh) activeLeafEdges() []int32 {
 // propagating new edge marks to neighbouring elements until a fixpoint is
 // reached.  It returns the ids of edges newly marked during the process
 // (used by the distributed implementation to exchange shared-edge marks).
-// BuildEdgeElems must have been called since the last topology change.
 func (m *Mesh) Propagate() []int32 {
-	if m.EdgeElems == nil {
-		m.BuildEdgeElems()
-	}
+	m.EnsureEdgeElems()
 	var newly []int32
 	// Worklist of elements whose pattern may be invalid.
 	var work []int32

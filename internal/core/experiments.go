@@ -220,7 +220,6 @@ func (e *Experiments) Table1() []Table1Row {
 	ind := e.Indicator()
 	for _, cs := range e.Cases {
 		a := adapt.FromMesh(e.Global, 0)
-		a.BuildEdgeElems()
 		errv := a.EdgeErrorGeometric(ind)
 		a.MarkTopFraction(errv, cs.Frac)
 		a.Propagate()

@@ -113,9 +113,7 @@ func finalizeRows(gids []uint64, rows [][]entry, colIdx func(uint64) int32, ncol
 // weight EdgeWeight(length).  shift > 0 makes A symmetric positive
 // definite.  Rows and columns are ordered by ascending vertex gid.
 func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
-	if m.EdgeElems == nil {
-		m.BuildEdgeElems()
-	}
+	m.EnsureEdgeElems()
 	var gids []uint64
 	vertOf := make(map[uint64]int32)
 	for v := range m.Coords {

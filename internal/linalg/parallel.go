@@ -150,9 +150,6 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		sendBuf[rowOwner] = append(sendBuf[rowOwner],
 			int64(rowGID), int64(colGID), int64(colOwner), int64(math.Float64bits(w)))
 	}
-	if m.EdgeElems == nil {
-		m.BuildEdgeElems()
-	}
 	for id := range m.EdgeV {
 		if !s.own.Owned[id] {
 			continue

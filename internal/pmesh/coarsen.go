@@ -38,11 +38,12 @@ func (d *DistMesh) ParallelCoarsenFlags(flags []bool) adapt.CoarsenStats {
 	// Status exchange with the neighbour ranks: announce still-bisected
 	// shared edges.
 	send := make(map[int32][]int64)
+	var spl []int32
 	for id := range d.M.EdgeV {
 		if !d.M.EdgeAlive[id] || d.M.EdgeLeaf(int32(id)) {
 			continue
 		}
-		spl := d.EdgeSPL(int32(id))
+		spl = d.appendEdgeSPL(spl[:0], int32(id))
 		if len(spl) == 0 {
 			continue
 		}

@@ -100,6 +100,7 @@ func (d *DistMesh) activeLeafEdgeErrors(errv []float64) []float64 {
 func (d *DistMesh) PropagateParallel() int {
 	rounds := 0
 	first := true
+	var spl []int32
 	for {
 		newly := d.M.Propagate()
 		d.C.Compute(workMarkPerEdge * float64(len(newly)+1))
@@ -113,7 +114,7 @@ func (d *DistMesh) PropagateParallel() int {
 		}
 		send := make(map[int32][]int64)
 		for _, id := range announce {
-			spl := d.EdgeSPL(id)
+			spl = d.appendEdgeSPL(spl[:0], id)
 			if len(spl) == 0 {
 				continue
 			}

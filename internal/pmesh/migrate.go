@@ -53,12 +53,15 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	d.C.Compute(workPackPerElem * float64(st.ElemsSent))
 
 	// Remove departing families before unpacking arrivals (so purged
-	// shared objects can be revived cleanly by the unpacker).
-	for _, g := range departing {
-		d.M.RemoveFamily(d.localRoot[g])
-		delete(d.globalRoot, d.localRoot[g])
+	// shared objects can be revived cleanly by the unpacker), all in one
+	// purge pass.
+	roots := make([]int32, len(departing))
+	for i, g := range departing {
+		roots[i] = d.localRoot[g]
+		delete(d.globalRoot, roots[i])
 		delete(d.localRoot, g)
 	}
+	d.M.RemoveFamilies(roots)
 
 	// Exchange: migration destinations are arbitrary ranks, so the
 	// incoming message count per rank is agreed via a tree-summed

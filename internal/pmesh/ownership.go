@@ -1,5 +1,7 @@
 package pmesh
 
+import "slices"
+
 // Exact shared-object resolution.  SPLs are conservative (complete but
 // possibly over-approximate), which is fine for marking propagation —
 // receivers ignore unknown objects — but the flow solver needs exact
@@ -26,18 +28,17 @@ type EdgeOwnership struct {
 // Collective.
 func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 	me := d.C.Rank()
-	if d.M.EdgeElems == nil {
-		d.M.BuildEdgeElems()
-	}
+	d.M.EnsureEdgeElems()
 
 	// Announce potentially shared edges (by endpoint gids) and vertices
 	// (by gid) to their SPL ranks.
 	send := make(map[int32][]int64)
+	var spl []int32
 	for id := range d.M.EdgeV {
 		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
 			continue
 		}
-		spl := d.EdgeSPL(int32(id))
+		spl = d.appendEdgeSPL(spl[:0], int32(id))
 		if len(spl) == 0 {
 			continue
 		}
@@ -57,11 +58,8 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 	}
 	recv := d.exchangeWithNeighbors(tagOwnership, send)
 
-	own := &EdgeOwnership{
-		Owned:       make([]bool, len(d.M.EdgeV)),
-		Sharers:     make(map[int32][]int32),
-		VertSharers: make(map[int32][]int32),
-	}
+	// (object, sharer rank) pairs, grouped per object below.
+	var edgeIDs, edgeRanks, vertIDs, vertRanks []int32
 	for _, r := range d.neighbors {
 		vals := recv[r]
 		for i := 0; i+2 < len(vals); i += 3 {
@@ -76,15 +74,20 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 				if id < 0 || !d.M.EdgeLeaf(id) {
 					continue
 				}
-				own.Sharers[id] = addRank(own.Sharers[id], int32(r))
+				edgeIDs, edgeRanks = append(edgeIDs, id), append(edgeRanks, r)
 			case 1:
 				v := d.M.VertByGID(uint64(vals[i+1]))
 				if v < 0 {
 					continue
 				}
-				own.VertSharers[v] = addRank(own.VertSharers[v], int32(r))
+				vertIDs, vertRanks = append(vertIDs, v), append(vertRanks, r)
 			}
 		}
+	}
+	own := &EdgeOwnership{
+		Owned:       make([]bool, len(d.M.EdgeV)),
+		Sharers:     groupRanks(edgeIDs, edgeRanks, len(d.M.EdgeV)),
+		VertSharers: groupRanks(vertIDs, vertRanks, len(d.M.Coords)),
 	}
 	for id := range d.M.EdgeV {
 		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
@@ -94,4 +97,21 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 		own.Owned[id] = len(sh) == 0 || int32(me) < sh[0]
 	}
 	return own
+}
+
+// groupRanks returns, per object id in [0, n), the sorted distinct ranks
+// paired with it in (ids[i], ranks[i]); every list is a capacity-capped
+// window of one arena.
+func groupRanks(ids, ranks []int32, n int) map[int32][]int32 {
+	start, arena := bucket(ids, ranks, n)
+	out := make(map[int32][]int32)
+	for id := 0; id < n; id++ {
+		if lo, hi := start[id], start[id+1]; hi > lo {
+			l := arena[lo:hi]
+			slices.Sort(l)
+			l = slices.Compact(l)
+			out[int32(id)] = l[:len(l):len(l)]
+		}
+	}
+	return out
 }

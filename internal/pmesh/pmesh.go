@@ -2,6 +2,7 @@ package pmesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"plum/internal/adapt"
@@ -44,6 +45,11 @@ type DistMesh struct {
 	// mesh it is O(1) in size regardless of P, which is what keeps the
 	// marking propagation and ownership protocols scalable.
 	neighbors []int32
+
+	// vertElems[vertElemStart[v]:vertElemStart[v+1]] are the elements of
+	// the replicated initial mesh incident to its vertex v, ascending.
+	// UpdateSPLs derives initial-vertex SPLs from it and RootOwner.
+	vertElemStart, vertElems []int32
 }
 
 // New distributes the global initial mesh according to part (global root
@@ -111,8 +117,41 @@ func New(c *msg.Comm, global *mesh.Mesh, part []int32, ncomp int) *DistMesh {
 		d.localRoot[g] = int32(li)
 		d.globalRoot[int32(li)] = g
 	}
+	d.buildVertElems()
 	d.UpdateSPLs()
 	return d
+}
+
+// buildVertElems builds the initial mesh's vertex -> element incidence.
+func (d *DistMesh) buildVertElems() {
+	verts := make([]int32, 0, 4*d.Global.NumElems())
+	elems := make([]int32, 0, 4*d.Global.NumElems())
+	for e, ev := range d.Global.Elems {
+		for _, v := range ev {
+			verts, elems = append(verts, v), append(elems, int32(e))
+		}
+	}
+	d.vertElemStart, d.vertElems = bucket(verts, elems, d.Global.NumVerts())
+}
+
+// bucket groups vals by keys (each in [0, n)) with a stable counting
+// sort: the values of key k are flat[start[k]:start[k+1]], in input
+// order.
+func bucket(keys, vals []int32, n int) (start, flat []int32) {
+	start = make([]int32, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	next := append([]int32(nil), start[:n]...)
+	flat = make([]int32, len(vals))
+	for i, k := range keys {
+		flat[next[k]] = vals[i]
+		next[k]++
+	}
+	return start, flat
 }
 
 // LocalRootIDs returns the global ids of the roots owned by this rank,
@@ -143,47 +182,56 @@ func (d *DistMesh) GlobalRootID(local int32) int32 { return d.globalRoot[local] 
 // the replicated initial mesh and RootOwner); a bisection midpoint's SPL
 // is the intersection of its parent edge endpoints' SPLs (conservative —
 // a receiver that does not actually hold a shared object simply ignores
-// messages about it).
+// messages about it).  Every list is a capacity-capped window of one
+// arena allocated per call.
 func (d *DistMesh) UpdateSPLs() {
 	me := int32(d.C.Rank())
-	// Ranks per global initial vertex.
-	ranks := make([][]int32, d.Global.NumVerts())
-	for g, ev := range d.Global.Elems {
-		o := d.RootOwner[g]
-		for _, gv := range ev {
-			ranks[gv] = addRank(ranks[gv], o)
+	m := d.M
+	arena := make([]int32, 0, 4*len(d.VertSPL)+16)
+	d.VertSPL = make(map[int32][]int32, len(d.VertSPL))
+	carve := func(v int32, start int) {
+		if len(arena) > start {
+			d.VertSPL[v] = arena[start:len(arena):len(arena)]
 		}
 	}
-	d.VertSPL = make(map[int32][]int32)
 	nInitVerts := uint64(d.Global.NumVerts())
-	// Initial vertices present locally.
-	for v := range d.M.Coords {
-		if !d.M.VertAlive[v] {
+	// Initial vertices present locally: the other owners of the initial
+	// elements incident to them.
+	for v := range m.Coords {
+		gid := m.VertGID[v]
+		if !m.VertAlive[v] || gid >= nInitVerts {
 			continue
 		}
-		gid := d.M.VertGID[v]
-		if gid < nInitVerts {
-			spl := removeRank(ranks[gid], me)
-			if len(spl) > 0 {
-				d.VertSPL[int32(v)] = spl
+		start := len(arena)
+		for _, g := range d.vertElems[d.vertElemStart[gid]:d.vertElemStart[gid+1]] {
+			if o := d.RootOwner[g]; o != me {
+				arena = append(arena, o)
 			}
 		}
+		slices.Sort(arena[start:])
+		arena = arena[:start+len(slices.Compact(arena[start:]))]
+		carve(int32(v), start)
 	}
 	// Midpoints, in edge id order (parents precede derived midpoints).
-	for id := range d.M.EdgeV {
-		if !d.M.EdgeAlive[id] || d.M.EdgeLeaf(int32(id)) {
+	for id := range m.EdgeV {
+		if !m.EdgeAlive[id] || m.EdgeLeaf(int32(id)) {
 			continue
 		}
-		a, b := d.M.EdgeV[id][0], d.M.EdgeV[id][1]
-		spl := intersectRanks(d.VertSPL[a], d.VertSPL[b])
-		if len(spl) > 0 {
-			d.VertSPL[d.M.EdgeMid[id]] = spl
-		}
+		a, b := m.EdgeV[id][0], m.EdgeV[id][1]
+		start := len(arena)
+		arena = appendIntersect(arena, d.VertSPL[a], d.VertSPL[b])
+		carve(m.EdgeMid[id], start)
+	}
+	// The arena holds exactly the SPL entries, so their union is the
+	// neighbour set.
+	isNeighbor := make([]bool, d.C.Size())
+	for _, r := range arena {
+		isNeighbor[r] = true
 	}
 	d.neighbors = nil
-	for _, spl := range d.VertSPL {
-		for _, r := range spl {
-			d.neighbors = addRank(d.neighbors, r)
+	for r, ok := range isNeighbor {
+		if ok {
+			d.neighbors = append(d.neighbors, int32(r))
 		}
 	}
 }
@@ -225,36 +273,17 @@ func IsMigrationTag(tag int) bool {
 	return tag == tagMigrationCounts || tag == tagMigrationData
 }
 
-// EdgeSPL returns the ranks that potentially share edge id (the
-// intersection of its endpoints' SPLs).
-func (d *DistMesh) EdgeSPL(id int32) []int32 {
+// appendEdgeSPL appends to dst the ranks that potentially share edge id
+// (the intersection of its endpoints' SPLs).  Loops over edges pass one
+// scratch buffer, dst[:0], so the lists cost no allocation per edge.
+func (d *DistMesh) appendEdgeSPL(dst []int32, id int32) []int32 {
 	a, b := d.M.EdgeV[id][0], d.M.EdgeV[id][1]
-	return intersectRanks(d.VertSPL[a], d.VertSPL[b])
+	return appendIntersect(dst, d.VertSPL[a], d.VertSPL[b])
 }
 
-func addRank(list []int32, r int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= r })
-	if i < len(list) && list[i] == r {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = r
-	return list
-}
-
-func removeRank(list []int32, r int32) []int32 {
-	out := make([]int32, 0, len(list))
-	for _, x := range list {
-		if x != r {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func intersectRanks(a, b []int32) []int32 {
-	var out []int32
+// appendIntersect appends the ranks common to the sorted lists a and b
+// to dst.
+func appendIntersect(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -263,12 +292,12 @@ func intersectRanks(a, b []int32) []int32 {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // GatherWeights assembles the replicated per-global-root dual-graph
@@ -351,14 +380,13 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 			sharedWords = append(sharedWords, 1, int64(d.M.VertGID[v]), 0)
 		}
 	}
+	d.M.EnsureEdgeElems()
+	var spl []int32
 	for id := range d.M.EdgeV {
-		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) {
+		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
 			continue
 		}
-		if !d.edgeUsedByActive(int32(id)) {
-			continue
-		}
-		if len(d.EdgeSPL(int32(id))) == 0 {
+		if spl = d.appendEdgeSPL(spl[:0], int32(id)); len(spl) == 0 {
 			c.Edges++
 		} else {
 			a, b := d.M.EdgeV[id][0], d.M.EdgeV[id][1]
@@ -409,13 +437,6 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 		return int(d.C.AllreduceInt64(int64(x), msg.SumInt64))
 	}
 	return adapt.Counts{Verts: sum(c.Verts), Elems: sum(c.Elems), Edges: sum(c.Edges), BFaces: sum(c.BFaces)}
-}
-
-func (d *DistMesh) edgeUsedByActive(id int32) bool {
-	if d.M.EdgeElems == nil {
-		d.M.BuildEdgeElems()
-	}
-	return len(d.M.EdgeElems[id]) > 0
 }
 
 // Refine subdivides the local mesh (marks must already be globally

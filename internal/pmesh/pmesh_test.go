@@ -1,6 +1,8 @@
 package pmesh
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"plum/internal/adapt"
@@ -308,26 +310,70 @@ func TestLocalRootBookkeeping(t *testing.T) {
 }
 
 func TestIntersectRanks(t *testing.T) {
-	got := intersectRanks([]int32{1, 3, 5, 7}, []int32{2, 3, 5, 8})
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Errorf("intersect = %v", got)
+	got := appendIntersect([]int32{4}, []int32{1, 3, 5, 7}, []int32{2, 3, 5, 8})
+	if len(got) != 3 || got[0] != 4 || got[1] != 3 || got[2] != 5 {
+		t.Errorf("appendIntersect = %v, want [4 3 5]", got)
 	}
-	if intersectRanks(nil, []int32{1}) != nil {
-		t.Error("empty intersection should be nil")
+	if got := appendIntersect(nil, nil, []int32{1}); got != nil {
+		t.Errorf("empty intersection appended %v", got)
 	}
 }
 
-func TestAddRemoveRank(t *testing.T) {
-	var l []int32
-	l = addRank(l, 5)
-	l = addRank(l, 2)
-	l = addRank(l, 5)
-	l = addRank(l, 9)
-	if len(l) != 3 || l[0] != 2 || l[1] != 5 || l[2] != 9 {
-		t.Errorf("addRank = %v", l)
+func TestGroupRanks(t *testing.T) {
+	got := groupRanks([]int32{3, 1, 3, 3, 0}, []int32{5, 2, 2, 5, 9}, 4)
+	want := map[int32][]int32{0: {9}, 1: {2}, 3: {2, 5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("groupRanks = %v, want %v", got, want)
 	}
-	l = removeRank(l, 5)
-	if len(l) != 2 || l[0] != 2 || l[1] != 9 {
-		t.Errorf("removeRank = %v", l)
+	for id, l := range got {
+		if cap(l) != len(l) {
+			t.Errorf("object %d: list cap %d > len %d", id, cap(l), len(l))
+		}
+	}
+}
+
+// TestGlobalCountsAllocsFlat: on an unchanged mesh, GlobalCounts builds
+// no incidence and no per-edge SPL slice, so its allocations do not scale
+// with the mesh.  Over a P=4 world on a refined mesh, the extra mallocs
+// of 11 calls over 1, per call, must stay below the number of
+// potentially shared edges (a per-edge allocation alone would reach it).
+func TestGlobalCountsAllocsFlat(t *testing.T) {
+	global := mesh.Box(5, 5, 4, 5, 5, 4)
+	part := testPartition(global, 4)
+	ind := adapt.SphericalIndicator(mesh.Vec3{2.5, 2.5, 2}, 1.5, 0.6)
+	var sharedEdges int64
+	mallocs := func(calls int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg.Run(4, func(c *msg.Comm) {
+			d := New(c, global, part, 0)
+			d.M.TargetEdges(d.M.EdgeErrorGeometric(ind), 0.5)
+			d.PropagateParallel()
+			d.Refine()
+			for i := 0; i < calls; i++ {
+				d.GlobalCounts()
+			}
+			n := 0
+			for id := range d.M.EdgeV {
+				if d.M.EdgeAlive[id] && d.M.EdgeLeaf(int32(id)) && len(d.appendEdgeSPL(nil, int32(id))) > 0 {
+					n++
+				}
+			}
+			total := c.AllreduceInt64(int64(n), msg.SumInt64)
+			if c.Rank() == 0 {
+				sharedEdges = total
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	perCall := (float64(mallocs(11)) - float64(mallocs(1))) / 10
+	t.Logf("%.1f mallocs per call, %d potentially shared edges", perCall, sharedEdges)
+	if sharedEdges == 0 {
+		t.Fatal("partition has no shared edges")
+	}
+	if perCall >= float64(sharedEdges) {
+		t.Errorf("%.1f mallocs per GlobalCounts call, want fewer than the %d potentially shared edges",
+			perCall, sharedEdges)
 	}
 }

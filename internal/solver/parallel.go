@@ -1,6 +1,10 @@
 package solver
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
+
 	"plum/internal/mesh"
 	"plum/internal/msg"
 	"plum/internal/pmesh"
@@ -18,6 +22,17 @@ type PSolver struct {
 	own *pmesh.EdgeOwnership
 	// sendTo[r] lists local shared vertices whose partials go to rank r.
 	sendTo map[int32][]int32
+	// shared lists the local vertices that have actual sharers.
+	shared []int32
+
+	// Step scratch, kept across steps and regrown with the mesh: the
+	// local accumulators (acc, deg), the combined shared-vertex sums
+	// (cacc, cdeg; seen marks a vertex combined this step, touched lists
+	// them), and one outgoing payload per rank.
+	acc, deg, cacc, cdeg []float64
+	seen                 []bool
+	touched              []int32
+	wire                 [][]byte
 }
 
 // NewParallel builds the solver for the current mesh topology.  Call
@@ -32,11 +47,14 @@ func NewParallel(d *pmesh.DistMesh) *PSolver {
 func (s *PSolver) Rebuild() {
 	s.own = s.D.ResolveOwnership()
 	s.sendTo = make(map[int32][]int32)
+	s.shared = s.shared[:0]
 	for v, sharers := range s.own.VertSharers {
+		s.shared = append(s.shared, v)
 		for _, r := range sharers {
 			s.sendTo[r] = append(s.sendTo[r], v)
 		}
 	}
+	slices.Sort(s.shared)
 	// Deterministic order: ascending gid per destination.
 	m := s.D.M
 	for r := range s.sendTo {
@@ -63,11 +81,10 @@ func sortByGID(vs []int32, gid []uint64) {
 func (s *PSolver) Step(dt float64) int {
 	d := s.D
 	m := d.M
-	if m.EdgeElems == nil {
-		m.BuildEdgeElems()
-	}
-	acc := make([]float64, len(m.Coords)*NComp)
-	deg := make([]float64, len(m.Coords))
+	nv := len(m.Coords)
+	s.acc = zeroed(s.acc, nv*NComp)
+	s.deg = zeroed(s.deg, nv)
+	acc, deg := s.acc, s.deg
 	work := 0
 	var ua, ub, flux [NComp]float64
 	for id := range m.EdgeV {
@@ -93,74 +110,103 @@ func (s *PSolver) Step(dt float64) int {
 	// vertices with their actual sharers; combine in rank order.
 	p := d.C.Size()
 	me := int32(d.C.Rank())
+	if len(s.wire) != p {
+		s.wire = make([][]byte, p)
+	}
 	parts := make([][]byte, p)
 	for r := 0; r < p; r++ {
 		vs := s.sendTo[int32(r)]
 		if len(vs) == 0 {
-			parts[r] = nil
 			continue
 		}
-		vals := make([]float64, 0, len(vs)*(NComp+2))
+		buf := s.wire[r][:0]
 		for _, v := range vs {
-			vals = append(vals, float64(int64(m.VertGID[v]>>32)), float64(uint32(m.VertGID[v])))
-			vals = append(vals, acc[int(v)*NComp:int(v)*NComp+NComp]...)
-			vals = append(vals, deg[v])
+			buf = appendFloat(buf, float64(int64(m.VertGID[v]>>32)))
+			buf = appendFloat(buf, float64(uint32(m.VertGID[v])))
+			for _, x := range acc[int(v)*NComp : int(v)*NComp+NComp] {
+				buf = appendFloat(buf, x)
+			}
+			buf = appendFloat(buf, deg[v])
 		}
-		parts[r] = msg.PutFloats(vals)
+		s.wire[r], parts[r] = buf, buf
 	}
 	recv := d.C.Alltoall(parts)
 
 	// Deterministic combination: process contributions rank by rank in
 	// ascending order, inserting our own partial at rank "me".  Shared
 	// accumulators start at zero and sum all partials.
-	type partial struct {
-		acc [NComp]float64
-		deg float64
+	if len(s.seen) < nv {
+		s.seen = make([]bool, nv)
+		s.cacc = make([]float64, nv*NComp)
+		s.cdeg = make([]float64, nv)
 	}
-	combined := make(map[int32]*partial)
-	addPartial := func(v int32, a []float64, dg float64) {
-		c, ok := combined[v]
-		if !ok {
-			c = &partial{}
-			combined[v] = c
-		}
-		for k := 0; k < NComp; k++ {
-			c.acc[k] += a[k]
-		}
-		c.deg += dg
-	}
-	processRank := func(r int32) {
+	s.touched = s.touched[:0]
+	const stride = 8 * (NComp + 3) // bytes per vertex: gid hi, gid lo, acc, deg
+	var a [NComp]float64
+	for r := int32(0); r < int32(p); r++ {
 		if r == me {
-			for v := range s.own.VertSharers {
-				addPartial(v, acc[int(v)*NComp:int(v)*NComp+NComp], deg[v])
+			for _, v := range s.shared {
+				s.combine(v, acc[int(v)*NComp:int(v)*NComp+NComp], deg[v])
 			}
-			return
+			continue
 		}
-		vals := msg.GetFloats(recv[r])
-		stride := NComp + 3
-		for i := 0; i+stride <= len(vals); i += stride {
-			gid := uint64(int64(vals[i]))<<32 | uint64(uint32(int64(vals[i+1])))
+		data := recv[r]
+		for i := 0; i+stride <= len(data); i += stride {
+			gid := uint64(int64(floatAt(data, i)))<<32 | uint64(uint32(int64(floatAt(data, i+8))))
 			v := m.VertByGID(gid)
 			if v < 0 {
 				continue // conservative SPL over-approximation
 			}
-			addPartial(v, vals[i+2:i+2+NComp], vals[i+2+NComp])
+			for k := range a {
+				a[k] = floatAt(data, i+16+8*k)
+			}
+			s.combine(v, a[:], floatAt(data, i+16+8*NComp))
 		}
 	}
-	for r := int32(0); r < int32(p); r++ {
-		processRank(r)
-	}
-
-	// processRank(me) iterates a map: to keep determinism, overwrite
-	// shared entries directly rather than relying on map order —
-	// addition is per-vertex independent, so map iteration order does
-	// not affect the result.
-	for v, c := range combined {
-		copy(acc[int(v)*NComp:], c.acc[:])
-		deg[v] = c.deg
+	for _, v := range s.touched {
+		copy(acc[int(v)*NComp:int(v)*NComp+NComp], s.cacc[int(v)*NComp:])
+		deg[v] = s.cdeg[v]
+		s.seen[v] = false
 	}
 	applyUpdate(m, acc, deg, dt)
 	return work
+}
+
+// combine adds one rank's partial (a, dg) for shared vertex v to the
+// step's combined sums, starting them from zero on the first partial.
+func (s *PSolver) combine(v int32, a []float64, dg float64) {
+	c := s.cacc[int(v)*NComp : int(v)*NComp+NComp]
+	if !s.seen[v] {
+		s.seen[v] = true
+		s.touched = append(s.touched, v)
+		clear(c)
+		s.cdeg[v] = 0
+	}
+	for k := range c {
+		c[k] += a[k]
+	}
+	s.cdeg[v] += dg
+}
+
+// zeroed returns buf resized to n with every entry zero, reusing its
+// storage when it is large enough.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// appendFloat appends x in the msg.PutFloats wire encoding.
+func appendFloat(b []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+}
+
+// floatAt decodes the msg.PutFloats-encoded value at byte offset i.
+func floatAt(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
 }
 
 // InitParallel sets the initial condition on the local mesh.

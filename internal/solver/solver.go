@@ -68,9 +68,7 @@ func edgeFlux(ua, ub *[NComp]float64, length float64, flux *[NComp]float64) {
 // workload measure; the paper's Titer is per element, and edges ~ 1.28x
 // elements on tetrahedral meshes).
 func Step(m *adapt.Mesh, dt float64) int {
-	if m.EdgeElems == nil {
-		m.BuildEdgeElems()
-	}
+	m.EnsureEdgeElems()
 	acc := make([]float64, len(m.Coords)*NComp)
 	deg := make([]float64, len(m.Coords))
 	work := 0

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"plum/internal/adapt"
@@ -192,5 +193,42 @@ func TestGaussianPulseShape(t *testing.T) {
 	}
 	if math.Abs(far[0]-1) > 1e-6 {
 		t.Errorf("far-field density %v, want ~1", far[0])
+	}
+}
+
+// TestParallelStepAllocsFlat: the shared-vertex combine runs on scratch
+// kept across steps, so a step's allocations do not scale with the
+// partition surface.  Over a P=4 world, the extra mallocs of 20 steps
+// over 10, per step, must stay below the number of shared-vertex copies
+// (a per-shared-vertex allocation alone would reach it).
+func TestParallelStepAllocsFlat(t *testing.T) {
+	global := mesh.Box(5, 5, 4, 5, 5, 4)
+	part := partition.Partition(dual.FromMesh(global), 4, partition.Default())
+	var shared int64
+	mallocs := func(steps int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg.Run(4, func(c *msg.Comm) {
+			d := pmesh.New(c, global, part, NComp)
+			ps := NewParallel(d)
+			ps.InitParallel(GaussianPulse(mesh.Vec3{2.5, 2.5, 2}, 0.8))
+			for it := 0; it < steps; it++ {
+				ps.Step(0.001)
+			}
+			n := c.AllreduceInt64(int64(len(ps.own.VertSharers)), msg.SumInt64)
+			if c.Rank() == 0 {
+				shared = n
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	perStep := (float64(mallocs(20)) - float64(mallocs(10))) / 10
+	t.Logf("%.1f mallocs per step, %d shared-vertex copies", perStep, shared)
+	if shared == 0 {
+		t.Fatal("partition has no shared vertices")
+	}
+	if perStep >= float64(shared) {
+		t.Errorf("%.1f mallocs per step, want fewer than the %d shared-vertex copies", perStep, shared)
 	}
 }
