@@ -56,7 +56,8 @@ scenarios:
 # TestScenarioCorpusReproducible (`make test`) byte-verifies and the CI
 # scenario-gate diffs against.  One plumbench invocation per scenario —
 # the goldens must match the per-scenario runs the test performs
-# (the ledger's config digest covers the selected scenario names).
+# (the ledger's config digest covers each selected scenario's name and
+# spec content, so editing a spec makes its golden stale).
 # Scenario ledgers omit the host-metrics record, so a refresh is exact
 # on any machine; commit the regenerated goldens with the change that
 # moved them — their diff IS the review artifact.

@@ -189,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var outSum hash.Hash
 	if *obsPath != "" {
 		m := buildManifest(*paper, *exp, e.ModelName, *measured, e.Global.NumElems(), e.Ps,
-			scenarioNames(specs))
+			scenarioIDs(specs))
 		ledger, err := obs.Create(*obsPath, m)
 		if err != nil {
 			fmt.Fprintf(stderr, "plumbench: -obs: %v\n", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"plum/internal/core"
+	"plum/internal/obs"
 )
 
 // testCorpusDir points at the committed corpus from the package
@@ -112,32 +114,36 @@ func TestScenarioVerdict(t *testing.T) {
 }
 
 // runLedger runs plumbench with args plus "-obs <tmp>" through the real
-// entrypoint and returns (stdout, ledger bytes past the manifest line).
-// The manifest line is the only part of a ledger allowed to vary across
-// hosts — it records GOMAXPROCS and wall-clock start time.
-func runLedger(t *testing.T, args ...string) (string, []byte) {
+// entrypoint and returns stdout and the ledger's parts (readLedger).
+func runLedger(t *testing.T, args ...string) (out, digest string, rest []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	var out, errb bytes.Buffer
-	if code := run(append(args, "-obs", path), &out, &errb); code != 0 {
+	var stdout, errb bytes.Buffer
+	if code := run(append(args, "-obs", path), &stdout, &errb); code != 0 {
 		t.Fatalf("plumbench %q exit %d, stderr: %s", args, code, errb.String())
 	}
-	return out.String(), pastManifest(t, path)
+	digest, rest = readLedger(t, path)
+	return stdout.String(), digest, rest
 }
 
-// pastManifest returns the bytes of the ledger at path after its first
-// (manifest) line.
-func pastManifest(t *testing.T, path string) []byte {
+// readLedger returns the config digest of the ledger at path and its
+// bytes after the manifest line.  The manifest is the only line allowed
+// to vary across hosts — it records GOMAXPROCS and wall-clock start
+// time — but its config digest names the simulated program, so a golden
+// whose digest differs from a fresh run's is stale even when the epochs
+// agree.
+func readLedger(t *testing.T, path string) (digest string, rest []byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		t.Fatalf("ledger %s has no manifest line", path)
+	line, rest, ok := bytes.Cut(data, []byte("\n"))
+	var m obs.Manifest
+	if err := json.Unmarshal(line, &m); !ok || err != nil {
+		t.Fatalf("ledger %s has no manifest line (%v)", path, err)
 	}
-	return data[i+1:]
+	return m.ConfigDigest, rest
 }
 
 // skipCorpusRun skips the full-corpus replays under -short, and under
@@ -156,7 +162,8 @@ func skipCorpusRun(t *testing.T) {
 // TestScenarioCorpusReproducible: every committed scenario, run alone
 // under both pricing modes exactly as `make scenario-baseline` cut it,
 // must reproduce its golden ledger (ci/scenarios/<name>.golden.jsonl)
-// byte for byte past the manifest line.  The goldens were cut on
+// byte for byte past the manifest line, under the manifest's config
+// digest.  The goldens were cut on
 // another host at another GOMAXPROCS, so this is a stronger determinism
 // statement than comparing two local runs — and any change that moves
 // a simulated bit on the corpus fails here.  Every spec must have a
@@ -181,20 +188,26 @@ func TestScenarioCorpusReproducible(t *testing.T) {
 			t.Errorf("%s: missing golden ledger %s (make scenario-baseline)", name, golden)
 			continue
 		}
-		out, got := runLedger(t, "-exp", "scenarios", "-scenario-dir", testCorpusDir, "-scenario", name)
+		out, digest, got := runLedger(t, "-exp", "scenarios", "-scenario-dir", testCorpusDir, "-scenario", name)
 		if !strings.Contains(out, "Scenario league") {
 			t.Errorf("%s: stdout lacks the league table:\n%s", name, out)
 		}
-		if !bytes.Equal(got, pastManifest(t, golden)) {
+		wantDigest, want := readLedger(t, golden)
+		if digest != wantDigest {
+			t.Errorf("%s: config digest %s, golden %s: the spec changed since the golden was cut"+
+				" (make scenario-baseline)", name, digest, wantDigest)
+		}
+		if !bytes.Equal(got, want) {
 			t.Errorf("%s: ledger bytes past the manifest differ from %s", name, golden)
 		}
 	}
 }
 
-// TestFeedbackMatchesLedgerBaseline: a fresh `-exp feedback` run's epoch
-// records must equal those of the committed ci/LEDGER_baseline.jsonl.
-// (The baseline's manifest and host-metrics records legitimately vary
-// by host, so only the simulated epoch lines are compared.)
+// TestFeedbackMatchesLedgerBaseline: a fresh `-exp feedback` run's config
+// digest and epoch records must equal those of the committed
+// ci/LEDGER_baseline.jsonl.  (The baseline's other manifest fields and
+// its host-metrics record legitimately vary by host, so only the digest
+// and the simulated epoch lines are compared.)
 func TestFeedbackMatchesLedgerBaseline(t *testing.T) {
 	skipCorpusRun(t)
 	epochs := func(ledger []byte) []string {
@@ -206,13 +219,38 @@ func TestFeedbackMatchesLedgerBaseline(t *testing.T) {
 		}
 		return out
 	}
-	_, got := runLedger(t, "-exp", "feedback")
-	want := epochs(pastManifest(t, "../../ci/LEDGER_baseline.jsonl"))
+	_, digest, got := runLedger(t, "-exp", "feedback")
+	wantDigest, base := readLedger(t, "../../ci/LEDGER_baseline.jsonl")
+	if digest != wantDigest {
+		t.Errorf("config digest %s, ci/LEDGER_baseline.jsonl has %s: the baseline is stale"+
+			" (make ledger-baseline)", digest, wantDigest)
+	}
+	want := epochs(base)
 	if len(want) == 0 {
 		t.Fatal("ci/LEDGER_baseline.jsonl has no epoch records")
 	}
 	if g := epochs(got); !slices.Equal(g, want) {
 		t.Errorf("feedback epoch records differ from ci/LEDGER_baseline.jsonl (%d vs %d lines); "+
 			"run plumdiff -gate against it to see what moved", len(g), len(want))
+	}
+}
+
+// TestConfigDigestCoversSpecContent: a ledger names each scenario by its
+// content, so a one-field edit of a spec that keeps its name makes the
+// ledgers incomparable — plumdiff -gate then asks for a baseline refresh
+// instead of reporting the edit's effect as a regression.
+func TestConfigDigestCoversSpecContent(t *testing.T) {
+	digest := func(frac string) string {
+		dir := t.TempDir()
+		spec := `{"name":"tiny","kind":"front","model":"flat","p":2,"cycles":1,"frac":` + frac +
+			`,"front":{"x0":0.2,"x1":0.8,"width":0.12}}`
+		if err := os.WriteFile(filepath.Join(dir, "tiny.json"), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, d, _ := runLedger(t, "-exp", "scenarios", "-scenario-dir", dir)
+		return d
+	}
+	if a, b := digest("0.12"), digest("0.2"); a == b {
+		t.Errorf("editing tiny.json's frac kept the config digest %s", a)
 	}
 }

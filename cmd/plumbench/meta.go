@@ -54,9 +54,9 @@ func gitRevision() string {
 // configDigest hashes the run configuration that determines simulated
 // output.  Host parallelism is deliberately excluded: runs with equal
 // digests must produce byte-identical epoch records regardless of
-// GOMAXPROCS.  The scenario selection extends the canon only when
-// present, so every pre-scenario digest (and with it the committed
-// baseline ledgers) stays valid.
+// GOMAXPROCS.  The scenario selection (scenarioIDs) extends the canon
+// only when present, so every pre-scenario digest (and with it the
+// committed baseline ledgers) stays valid.
 func configDigest(paper bool, exp, model string, measured bool, elems int, ps []int, scen []string) string {
 	canon := fmt.Sprintf("v%d|paper=%v|exp=%s|model=%s|measured=%v|elems=%d|ps=%v",
 		obs.SchemaVersion, paper, exp, model, measured, elems, ps)

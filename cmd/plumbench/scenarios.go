@@ -27,30 +27,25 @@ func selectScenarios(specs []*scenario.Spec, sel string) ([]*scenario.Spec, erro
 	if sel == "" {
 		return specs, nil
 	}
-	byName := make(map[string]*scenario.Spec, len(specs))
-	for _, sp := range specs {
-		byName[sp.Name] = sp
-	}
 	var out []*scenario.Spec
 	for _, name := range strings.Split(sel, ",") {
-		name = strings.TrimSpace(name)
-		sp, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q; corpus: %s",
-				name, strings.Join(scenarioNames(specs), ", "))
+		sp, err := scenario.Find(specs, strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, sp)
 	}
 	return out, nil
 }
 
-// scenarioNames lists the specs' names in corpus order.
-func scenarioNames(specs []*scenario.Spec) []string {
-	names := make([]string, len(specs))
+// scenarioIDs names the selected specs for the config digest as
+// name@Spec.Digest, so a same-name spec edit makes ledgers incomparable.
+func scenarioIDs(specs []*scenario.Spec) []string {
+	ids := make([]string, len(specs))
 	for i, sp := range specs {
-		names[i] = sp.Name
+		ids[i] = sp.Name + "@" + sp.Digest()
 	}
-	return names
+	return ids
 }
 
 // decisionString renders a run's epoch decisions compactly: one letter

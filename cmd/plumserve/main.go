@@ -153,11 +153,7 @@ func runOneshot(exp *core.Experiments, specs []*scenario.Spec, chaos bool, stdin
 		fmt.Fprintln(stderr, "plumserve: -oneshot: chaos requests need -chaos")
 		return 2
 	}
-	byName := make(map[string]*scenario.Spec, len(specs))
-	for _, sp := range specs {
-		byName[sp.Name] = sp
-	}
-	ws, err := req.Spec(byName)
+	ws, err := req.Spec(specs)
 	if err != nil {
 		fmt.Fprintf(stderr, "plumserve: -oneshot: bad request: %v\n", err)
 		return 2

@@ -38,18 +38,19 @@ func (m Mapper) String() string {
 	}
 }
 
+// mapperNames are the mappers' request/spec names, indexed by Mapper.
+var mapperNames = [...]string{MapHeuristic: "heu", MapOptMWBG: "opt", MapOptBMCM: "bmcm", MapTopo: "topo"}
+
 // ParseMapper resolves a mapper's request/spec name ("heu", "opt",
 // "bmcm", "topo"; empty selects the default heuristic).
 func ParseMapper(name string) (Mapper, error) {
-	switch name {
-	case "", "heu":
-		return MapHeuristic, nil
-	case "opt":
-		return MapOptMWBG, nil
-	case "bmcm":
-		return MapOptBMCM, nil
-	case "topo":
-		return MapTopo, nil
+	if name == "" {
+		name = mapperNames[MapHeuristic]
+	}
+	for m, n := range mapperNames {
+		if n == name {
+			return Mapper(m), nil
+		}
 	}
 	return 0, fmt.Errorf("unknown mapper %q (heu, opt, bmcm, topo)", name)
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"plum/internal/machine"
+	"plum/internal/obs"
 	"plum/internal/pmesh"
 	"plum/internal/scenario"
 )
@@ -24,8 +27,8 @@ import (
 // simulated collectives whether or not they fire.
 
 // WorldSpec names one servable world: everything that determines its
-// simulated output.  The canonical encoding of a WorldSpec is the cache
-// key of the serving layer.
+// simulated output.  Canonical/Digest are its one identity, the serving
+// layer's cache and singleflight key (plus only a chaos suffix).
 type WorldSpec struct {
 	P        int
 	Cycles   int
@@ -94,6 +97,28 @@ func (ws *WorldSpec) Validate() error {
 		return fmt.Errorf("coarsen_below must be in [0, 1), got %g", ws.CoarsenBelow)
 	}
 	return nil
+}
+
+// Canonical renders a validated spec's identity: every field that
+// determines the output, prefixed with the ledger schema version (a
+// schema bump invalidates served results exactly as it invalidates
+// committed baselines) and "serve" (a served world runs CollectiveStop
+// checkpoints an offline plumbench world does not).  A scenario world is
+// addressed by its spec's content, so a same-name edit is a new world.
+func (ws *WorldSpec) Canonical() string {
+	if sp := ws.Scenario; sp != nil {
+		return fmt.Sprintf("v%d|serve|scenario=%s|measured=%v|seed=%d",
+			obs.SchemaVersion, sp.Digest(), ws.Measured, ws.Seed)
+	}
+	return fmt.Sprintf("v%d|serve|p=%d|cycles=%d|model=%s|mapper=%s|workload=%s|measured=%v|frac=%g|coarsen=%g|seed=%d",
+		obs.SchemaVersion, ws.P, ws.Cycles, ws.Model, mapperNames[ws.Mapper], ws.Workload,
+		ws.Measured, ws.Frac, ws.CoarsenBelow, ws.Seed)
+}
+
+// Digest is the hex SHA-256 of Canonical: the world's content address.
+func (ws *WorldSpec) Digest() string {
+	sum := sha256.Sum256([]byte(ws.Canonical()))
+	return hex.EncodeToString(sum[:])
 }
 
 // servedPlan resolves a validated WorldSpec: a corpus scenario as the

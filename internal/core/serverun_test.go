@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"plum/internal/msg"
 	"plum/internal/partition"
 	"plum/internal/pmesh"
+	"plum/internal/scenario"
 	"plum/internal/solver"
 )
 
@@ -21,6 +23,56 @@ import (
 // cancellation through RunWorldCtx (no goroutine leaks, partial rows
 // intact), and the mid-epoch stop checkpoint.  The determinism the
 // result cache rests on is pinned by TestEpochPlansDeterministic.
+
+// TestWorldSpecDigest pins the served world's identity: the canon of a
+// shape spec is the literal string the result cache has always keyed
+// (so served digests never moved), every WorldSpec field moves the
+// digest, and a scenario is addressed by its content, not its name.
+func TestWorldSpecDigest(t *testing.T) {
+	shape := WorldSpec{P: 8, Cycles: 2, Workload: WorkloadImplicit, Seed: 7}
+	const want = "v2|serve|p=8|cycles=2|model=|mapper=heu|workload=implicit|measured=false|frac=0|coarsen=0|seed=7"
+	if got := shape.Canonical(); got != want {
+		t.Errorf("shape canon moved:\ngot  %s\nwant %s", got, want)
+	}
+
+	front := &scenario.Spec{Name: "s", Kind: scenario.KindFront, Model: "flat", P: 4, Cycles: 2,
+		Mapper: "heu", Frac: 0.12, Front: &scenario.FrontSpec{X0: 0.2, X1: 0.8, Width: 0.12}}
+	edited := *front
+	edited.Frac = 0.2
+	edits := map[string]func(*WorldSpec){
+		"P":            func(ws *WorldSpec) { ws.P = 4 },
+		"Cycles":       func(ws *WorldSpec) { ws.Cycles = 3 },
+		"Model":        func(ws *WorldSpec) { ws.Model = "smp" },
+		"Mapper":       func(ws *WorldSpec) { ws.Mapper = MapTopo },
+		"Workload":     func(ws *WorldSpec) { ws.Workload = WorkloadExplicit },
+		"Measured":     func(ws *WorldSpec) { ws.Measured = true },
+		"Frac":         func(ws *WorldSpec) { ws.Frac = 0.2 },
+		"CoarsenBelow": func(ws *WorldSpec) { ws.CoarsenBelow = 0.1 },
+		"Seed":         func(ws *WorldSpec) { ws.Seed = 8 },
+		"Scenario":     func(ws *WorldSpec) { *ws = WorldSpec{Scenario: front} },
+	}
+	typ := reflect.TypeOf(shape)
+	for i := 0; i < typ.NumField(); i++ {
+		if _, ok := edits[typ.Field(i).Name]; !ok {
+			t.Errorf("WorldSpec.%s has no digest test: is it part of the canon?", typ.Field(i).Name)
+		}
+	}
+	for name, edit := range edits {
+		ws := shape
+		edit(&ws)
+		if ws.Digest() == shape.Digest() {
+			t.Errorf("editing %s kept the digest", name)
+		}
+	}
+
+	scen := WorldSpec{Scenario: front}
+	if same := (WorldSpec{Scenario: &edited}); same.Digest() == scen.Digest() {
+		t.Error("a same-name scenario edit kept the digest")
+	}
+	if measured := (WorldSpec{Scenario: front, Measured: true}); measured.Digest() == scen.Digest() {
+		t.Error("measured pricing of a scenario kept the digest")
+	}
+}
 
 func TestRunWorldsErrRecoversPanic(t *testing.T) {
 	err := runWorlds(4, func(i int) error {

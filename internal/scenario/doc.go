@@ -32,10 +32,11 @@
 // balancer's regression suite (ci/scenarios, gated by plumdiff -gate).
 //
 // Entry points.  Load parses and validates one spec; LoadDir loads a
-// corpus in name order.  Spec.Indicator composes the per-cycle error
-// indicator for a Domain; Spec.FracAt/FracBounds give the marked-edge
-// fraction schedule and its declared envelope; Spec.BuildMachine
-// instantiates the topology with the straggler/multijob wrappers
-// applied; Spec.SpeedsAt exposes the per-cycle speed vector (the
-// factors round-trip through machine.Hetero unchanged).
+// corpus in name order and Find picks one by name; Spec.Digest is a
+// scenario's only content address.  Spec.Indicator composes the
+// per-cycle error indicator for a Domain; Spec.FracAt/FracBounds give
+// the marked-edge fraction schedule and its declared envelope;
+// Spec.BuildMachine instantiates the topology with the straggler and
+// multijob wrappers applied; Spec.SpeedsAt exposes the per-cycle speed
+// vector (the factors round-trip through machine.Hetero unchanged).
 package scenario

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,6 +91,32 @@ func LoadDir(dir string) ([]*Spec, error) {
 	}
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 	return specs, nil
+}
+
+// Find returns the spec named name from a loaded corpus.  An unknown
+// name is an error that lists the corpus, so the caller can correct it.
+func Find(specs []*Spec, name string) (*Spec, error) {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
+	}
+	return nil, fmt.Errorf("unknown scenario %q; corpus: %s", name, strings.Join(names, ", "))
+}
+
+// Digest is the scenario's content address, the hex SHA-256 of its
+// canonical JSON (json.Marshal, defaults applied).  A same-name edit
+// moves it, so every run identity that includes a scenario — a served
+// world's canon, a ledger's config digest — names it by this.
+func (s *Spec) Digest() string {
+	b, err := json.Marshal(s)
+	if err != nil { // only a NaN or Inf, which Validate rejects, fails to encode
+		panic(fmt.Sprintf("scenario: digest of an invalid spec %q: %v", s.Name, err))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // applyDefaults fills the optional knobs Load promises.

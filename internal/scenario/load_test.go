@@ -92,10 +92,41 @@ func TestLoadDirRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestFindAndDigest: Find resolves a corpus name or lists the corpus,
+// and Digest follows a spec's content, not its name.
+func TestFindAndDigest(t *testing.T) {
+	specs, err := LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Find(specs, "front-plane")
+	if err != nil || sp.Name != "front-plane" {
+		t.Fatalf("Find(front-plane) = %v, %v", sp, err)
+	}
+	_, err = Find(specs, "typo")
+	if err == nil || !strings.Contains(err.Error(), `unknown scenario "typo"`) ||
+		!strings.Contains(err.Error(), "front-plane") {
+		t.Errorf("unknown name: %v, want an error listing the corpus", err)
+	}
+
+	d := sp.Digest()
+	if len(d) != 64 {
+		t.Errorf("digest %q is not 64 hex chars", d)
+	}
+	if again, _ := LoadFile(filepath.Join(corpusDir, "front-plane.json")); again.Digest() != d {
+		t.Error("reloading the same file moved the digest")
+	}
+	edited := *sp
+	edited.Frac = 0.2
+	if edited.Digest() == d {
+		t.Error("a same-name frac edit kept the digest")
+	}
+}
+
 // FuzzLoad: arbitrary bytes must never panic the loader, and every
 // failure must be a *FieldError with a non-empty field name.  Inputs
 // that load successfully must re-validate (Load never returns a spec
-// that Validate rejects).
+// that Validate rejects) and have a content address.
 func FuzzLoad(f *testing.F) {
 	seeds := []string{
 		`{"name":"front-sweep","kind":"front","model":"smp","frac":0.12,"coarsen_below":0.05,
@@ -136,5 +167,6 @@ func FuzzLoad(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Load returned a spec Validate rejects: %v", err)
 		}
+		s.Digest()
 	})
 }

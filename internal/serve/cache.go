@@ -102,7 +102,7 @@ func (c *Cache) Get(req *Request) (body []byte, ok bool) {
 		c.quarantine(digest, "unparsable metadata")
 		return nil, false
 	}
-	if meta.Canon != req.Canonical() {
+	if meta.Canon != req.canon {
 		// Digest preimage mismatch: the entry is not what its name claims.
 		c.quarantine(digest, "canonical request mismatch")
 		return nil, false
@@ -147,9 +147,12 @@ func (c *Cache) Put(req *Request, body []byte, rows int, simTime float64) error 
 		return nil
 	}
 	digest := req.Digest()
+	if digest == "" {
+		return fmt.Errorf("serve: cache put of a request that Spec did not resolve")
+	}
 	sum := sha256.Sum256(body)
 	meta := cacheMeta{
-		Canon:   req.Canonical(),
+		Canon:   req.canon,
 		BodySHA: hex.EncodeToString(sum[:]),
 		Rows:    rows,
 		SimTime: simTime,

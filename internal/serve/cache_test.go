@@ -41,7 +41,7 @@ func scenarioRequest(t *testing.T, cycles int) *Request {
 		Front: &scenario.FrontSpec{X0: 0.25, X1: 0.75, Width: 0.17, Radius: 0.35},
 	}
 	req := &Request{Scenario: "s"}
-	if _, err := req.Spec(map[string]*scenario.Spec{"s": sp}); err != nil {
+	if _, err := req.Spec([]*scenario.Spec{sp}); err != nil {
 		t.Fatal(err)
 	}
 	return req

@@ -30,7 +30,8 @@
 //     writes, canonical-config and body-checksum verification on load,
 //     corrupt entries quarantined, never trusted).  Determinism makes
 //     the cache sound: a world's rows are a pure function of its
-//     canonical request, which the golden/scenario/ledger tests pin.
+//     core.WorldSpec (the golden/scenario/ledger tests pin this), and
+//     the key is that spec's own canon plus serve's chaos suffix.
 //
 //   - Graceful degradation: Drain stops admission (the /readyz probe
 //     flips first, so a fronting balancer rotates the instance out),

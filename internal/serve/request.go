@@ -1,26 +1,25 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"plum/internal/core"
-	"plum/internal/obs"
 	"plum/internal/scenario"
 )
 
 // The request schema of POST /run.  A request names one simulated
-// world; its canonical encoding is the content address of the result,
-// so two requests with equal canon are answered by one simulation ever
-// (singleflight while in flight, the result cache afterwards).  Every
-// field with simulated meaning is part of the canon; host-plane knobs
-// (timeout, chaos injection) are excluded — except chaos, which is
-// deliberately included so an injected-fault run can never answer a
-// clean request.
+// world; the world's canon (core.WorldSpec.Canonical) is the content
+// address of the result, so two requests resolving to one world are
+// answered by one simulation ever (singleflight while in flight, the
+// result cache afterwards).  Host-plane knobs (timeout, chaos
+// injection) are not part of the world — but chaos is appended to the
+// request's canon, so an injected-fault run can never answer a clean
+// request.
 
 // Request is the JSON body of POST /run.
 type Request struct {
@@ -51,10 +50,9 @@ type Request struct {
 	// Scenario runs a named workload spec from the server's corpus
 	// instead of the moving-shock dynamics; P, Cycles, Model, Mapper,
 	// Frac, and CoarsenBelow then come from the spec and must be left
-	// zero here.  Spec pins the name to the content it resolved to
-	// ("name@sha256:<hex of the spec's canonical JSON>"), so the
-	// request's canon — and with it the cache — follows the corpus
-	// file's content, not just its name.
+	// zero here.  The world is addressed by the spec's content
+	// (scenario.Spec.Digest), so editing the corpus file moves the
+	// digest even though the name stays.
 	Scenario string `json:"scenario,omitempty"`
 
 	// TimeoutSeconds is the per-request simulation deadline (host
@@ -68,6 +66,10 @@ type Request struct {
 	//	panic@N     panic inside the world when epoch N completes
 	//	stall@N:MS  sleep MS host-milliseconds at epoch N (deadline fuel)
 	Chaos string `json:"chaos,omitempty"`
+
+	// canon and digest are the resolved identity Spec keeps: the
+	// world's canon plus the chaos suffix, and its hex SHA-256.
+	canon, digest string
 }
 
 // ParseRequest decodes a strict request body: unknown fields, type
@@ -85,50 +87,33 @@ func ParseRequest(r io.Reader) (*Request, error) {
 	return req, nil
 }
 
-// normalize applies defaults in place.
-func (r *Request) normalize() {
-	if r.Scenario != "" {
-		return // the spec supplies everything
+// Spec validates the request, resolves it to a runnable WorldSpec, and
+// keeps its identity (the world's canon plus the chaos suffix, and its
+// digest).  corpus is the server's scenario corpus (nil when none).
+func (r *Request) Spec(corpus []*scenario.Spec) (core.WorldSpec, error) {
+	r.canon, r.digest = "", ""
+	ws, err := r.resolve(corpus)
+	if err != nil {
+		return ws, err
 	}
-	if r.P == 0 {
-		r.P = 8
+	r.canon = ws.Canonical()
+	if r.Chaos != "" {
+		r.canon += "|chaos=" + r.Chaos
 	}
-	if r.Cycles == 0 {
-		r.Cycles = 4
-	}
-	if r.Mapper == "" {
-		r.Mapper = "heu"
-	}
-	if r.Workload == "" {
-		r.Workload = "implicit"
-	}
+	sum := sha256.Sum256([]byte(r.canon))
+	r.digest = hex.EncodeToString(sum[:])
+	return ws, nil
 }
 
-// Spec validates the request and resolves it to a runnable WorldSpec.
-// scenarios is the server's loaded corpus (nil when none).
-func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, error) {
-	r.normalize()
+// resolve builds and validates the request's WorldSpec, filling the
+// shape defaults (p=8, cycles=4, mapper=heu, workload=implicit).
+func (r *Request) resolve(corpus []*scenario.Spec) (core.WorldSpec, error) {
 	var ws core.WorldSpec
 	if r.Scenario != "" {
-		name, pin, pinned := strings.Cut(r.Scenario, "@")
-		sp, ok := scenarios[name]
-		if !ok {
-			names := make([]string, 0, len(scenarios))
-			for n := range scenarios {
-				names = append(names, n)
-			}
-			return ws, fmt.Errorf("unknown scenario %q; corpus: %s",
-				name, strings.Join(sortedNames(names), ", "))
-		}
-		spec, err := json.Marshal(sp)
+		sp, err := scenario.Find(corpus, r.Scenario)
 		if err != nil {
-			return ws, fmt.Errorf("scenario %q: %w", name, err)
+			return ws, err
 		}
-		content := fmt.Sprintf("sha256:%x", sha256.Sum256(spec))
-		if pinned && pin != content {
-			return ws, fmt.Errorf("scenario %q is pinned to %s but the corpus holds %s", name, pin, content)
-		}
-		r.Scenario = name + "@" + content
 		if r.P != 0 || r.Cycles != 0 || r.Model != "" || r.Mapper != "" ||
 			r.Workload != "" || r.Frac != 0 || r.CoarsenBelow != 0 {
 			return ws, fmt.Errorf("a scenario request takes its world shape from the spec;" +
@@ -141,18 +126,17 @@ func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, err
 	if err != nil {
 		return ws, err
 	}
-	var workload core.Workload
+	workload := core.WorkloadImplicit
 	switch r.Workload {
+	case "", "implicit":
 	case "explicit":
 		workload = core.WorkloadExplicit
-	case "implicit":
-		workload = core.WorkloadImplicit
 	default:
 		return ws, fmt.Errorf("unknown workload %q (explicit, implicit)", r.Workload)
 	}
 	ws = core.WorldSpec{
-		P:            r.P,
-		Cycles:       r.Cycles,
+		P:            cmp.Or(r.P, 8),
+		Cycles:       cmp.Or(r.Cycles, 4),
 		Model:        r.Model,
 		Mapper:       mapper,
 		Workload:     workload,
@@ -164,46 +148,15 @@ func (r *Request) Spec(scenarios map[string]*scenario.Spec) (core.WorldSpec, err
 	return ws, ws.Validate()
 }
 
-// Canonical is the request's content address source: a stable, ordered
-// rendering of every simulated-meaning field (after defaults), prefixed
-// with the ledger schema version — the same canon discipline as the
-// ledger manifest's config digest, so a schema bump invalidates cached
-// results exactly like it invalidates committed baselines.  A scenario
-// request has a canon only once Spec has pinned it to the corpus
-// content; asking earlier is a programming error, never a silent
-// name-only address.
-func (r *Request) Canonical() string {
-	r.normalize()
-	canon := fmt.Sprintf("v%d|serve|p=%d|cycles=%d|model=%s|mapper=%s|workload=%s|measured=%v|frac=%g|coarsen=%g|seed=%d",
-		obs.SchemaVersion, r.P, r.Cycles, r.Model, r.Mapper, r.Workload,
-		r.Measured, r.Frac, r.CoarsenBelow, r.Seed)
-	if r.Scenario != "" {
-		if !strings.Contains(r.Scenario, "@") {
-			panic(fmt.Sprintf("serve: scenario request %q digested before Spec resolved it", r.Scenario))
-		}
-		canon += "|scenario=" + r.Scenario
-	}
-	if r.Chaos != "" {
-		canon += "|chaos=" + r.Chaos
-	}
-	return canon
-}
-
-// Digest is the hex content address of the request (sha256 of the
-// canonical encoding): the cache key, the singleflight key, and the
-// run key of every error the request produces.
+// Digest is the hex content address of the request: the cache key, the
+// singleflight key, and the run key of every error the request
+// produces.  It returns what Spec kept, resolving against no corpus
+// first if Spec has not run; a request Spec rejects has none ("").
 func (r *Request) Digest() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
-	return hex.EncodeToString(sum[:])
-}
-
-func sortedNames(names []string) []string {
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
+	if r.digest == "" {
+		r.Spec(nil)
 	}
-	return names
+	return r.digest
 }
 
 // ---------------------------------------------------------------------

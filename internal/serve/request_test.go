@@ -27,6 +27,8 @@ func TestParseRequestStrict(t *testing.T) {
 	}
 }
 
+// TestRequestDigest pins serve's own identity rules; what moves a
+// world's digest is core.WorldSpec's to decide (TestWorldSpecDigest).
 func TestRequestDigest(t *testing.T) {
 	// Defaults are canonical: the empty request and its spelled-out form
 	// share an address.
@@ -38,32 +40,27 @@ func TestRequestDigest(t *testing.T) {
 	if len(a) != 64 {
 		t.Errorf("digest length %d, want 64 hex chars", len(a))
 	}
-	// Every simulated-meaning field moves the address; timeout does not.
+	// Chaos moves the address; timeout does not.
 	base := Request{P: 4, Cycles: 2}
-	for name, r := range map[string]Request{
-		"seed":     {P: 4, Cycles: 2, Seed: 1},
-		"cycles":   {P: 4, Cycles: 3},
-		"measured": {P: 4, Cycles: 2, Measured: true},
-		"chaos":    {P: 4, Cycles: 2, Chaos: "panic@0"},
-		"scenario": *scenarioRequest(t, 4),
-	} {
-		if r.Digest() == base.Digest() {
-			t.Errorf("%s did not change the digest", name)
-		}
+	chaos := Request{P: 4, Cycles: 2, Chaos: "panic@0"}
+	if chaos.Digest() == base.Digest() {
+		t.Error("chaos did not change the digest: a fault run could answer a clean request")
 	}
-	// A scenario request has no address until Spec has pinned the name to
-	// the corpus content.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("an unresolved scenario request was digested by name alone")
-			}
-		}()
-		(&Request{Scenario: "s"}).Digest()
-	}()
 	to := Request{P: 4, Cycles: 2, TimeoutSeconds: 9}
 	if to.Digest() != base.Digest() {
 		t.Error("timeout_seconds changed the digest: a host-plane knob leaked into the canon")
+	}
+}
+
+// TestDigestAfterSpecAllocsNothing: Spec renders the identity once; a
+// cache hit's Digest and preimage check read it back for free.
+func TestDigestAfterSpecAllocsNothing(t *testing.T) {
+	req := &Request{P: 4, Cycles: 2, Seed: 7}
+	if _, err := req.Spec(nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { req.Digest() }); n != 0 {
+		t.Errorf("Digest after Spec allocates %v times, want 0", n)
 	}
 }
 

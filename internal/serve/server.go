@@ -63,11 +63,10 @@ type flight struct {
 // Server is the sweep-serving daemon: an http.Handler accepting
 // experiment requests on POST /run and streaming NDJSON result rows.
 type Server struct {
-	cfg       Config
-	exp       *core.Experiments
-	scenarios map[string]*scenario.Spec
-	cache     *Cache
-	mux       *http.ServeMux
+	cfg   Config
+	exp   *core.Experiments
+	cache *Cache
+	mux   *http.ServeMux
 
 	// baseCtx parents every request's run context; cancelAll fires it
 	// during drain to sweep stragglers cooperatively.
@@ -113,14 +112,13 @@ func NewServer(exp *core.Experiments, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		exp:       exp,
-		scenarios: make(map[string]*scenario.Spec, len(cfg.Scenarios)),
-		cache:     cache,
-		mux:       http.NewServeMux(),
-		workers:   make(chan struct{}, cfg.Workers),
-		waiters:   make(chan struct{}, cfg.Workers+cfg.Queue),
-		flights:   make(map[string]*flight),
+		cfg:     cfg,
+		exp:     exp,
+		cache:   cache,
+		mux:     http.NewServeMux(),
+		workers: make(chan struct{}, cfg.Workers),
+		waiters: make(chan struct{}, cfg.Workers+cfg.Queue),
+		flights: make(map[string]*flight),
 
 		reqOK:        obs.Default.Counter("plumserve_requests_total", "result", "ok"),
 		reqCached:    obs.Default.Counter("plumserve_requests_total", "result", "cached"),
@@ -133,9 +131,6 @@ func NewServer(exp *core.Experiments, cfg Config) (*Server, error) {
 		sfFollower:   obs.Default.Counter("plumserve_singleflight_total", "role", "follower"),
 		queueDepth:   obs.Default.Gauge("plumserve_queue_depth"),
 		drainSeconds: obs.Default.Gauge("plumserve_drain_millis"),
-	}
-	for _, sp := range cfg.Scenarios {
-		s.scenarios[sp.Name] = sp
 	}
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/run", s.handleRun)
@@ -221,7 +216,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ws, err := req.Spec(s.scenarios)
+	ws, err := req.Spec(s.cfg.Scenarios)
 	if err != nil {
 		s.reqBad.Inc()
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
