@@ -108,41 +108,47 @@ func (m *Mesh) AddChildBFace(parent int32, verts [3]int32) int32 {
 
 // FamilyElems returns the local ids of all alive elements in root's
 // refinement tree, in BFS order starting at the root itself.
-func (m *Mesh) FamilyElems(root int32) []int32 {
-	out := []int32{root}
-	for qi := 0; qi < len(out); qi++ {
-		for _, c := range m.ElemChild[out[qi]] {
+func (m *Mesh) FamilyElems(root int32) []int32 { return m.AppendFamilyElems(nil, root) }
+
+// AppendFamilyElems appends FamilyElems(root) to dst.
+func (m *Mesh) AppendFamilyElems(dst []int32, root int32) []int32 {
+	dst = append(dst, root)
+	for qi := len(dst) - 1; qi < len(dst); qi++ {
+		for _, c := range m.ElemChild[dst[qi]] {
 			if m.ElemAlive[c] {
-				out = append(out, c)
+				dst = append(dst, c)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // FamilyBFaces returns the local ids of all alive boundary faces rooted
 // at element root, in BFS order per face tree.
 func (m *Mesh) FamilyBFaces(root int32) []int32 {
-	var out []int32
+	var roots []int32
 	for f := range m.BFaceVerts {
-		if m.BFaceAlive[f] && m.BFaceRoot[f] == root && isBFaceTreeRoot(m, int32(f)) {
-			out = append(out, int32(f))
+		if m.BFaceAlive[f] && m.BFaceRoot[f] == root && m.bfaceParent(int32(f)) < 0 {
+			roots = append(roots, int32(f))
 		}
 	}
-	for qi := 0; qi < len(out); qi++ {
-		for _, c := range m.BFaceChild[out[qi]] {
+	return m.AppendFaceTrees(nil, roots)
+}
+
+// AppendFaceTrees appends the face-tree roots in roots, then their alive
+// descendants in BFS order, to dst.  Given one element root's tree roots
+// in ascending id order it appends exactly FamilyBFaces of that root.
+func (m *Mesh) AppendFaceTrees(dst, roots []int32) []int32 {
+	qi := len(dst)
+	dst = append(dst, roots...)
+	for ; qi < len(dst); qi++ {
+		for _, c := range m.BFaceChild[dst[qi]] {
 			if m.BFaceAlive[c] {
-				out = append(out, c)
+				dst = append(dst, c)
 			}
 		}
 	}
-	return out
-}
-
-// isBFaceTreeRoot reports whether f has no alive parent (bface parents
-// are implicit: a face is a child if some other face lists it).
-func isBFaceTreeRoot(m *Mesh, f int32) bool {
-	return m.bfaceParent(f) < 0
+	return dst
 }
 
 // BFaceParent returns the parent of boundary face f, or -1 for roots of
@@ -180,12 +186,14 @@ func (m *Mesh) RemoveFamilies(roots []int32) {
 		return
 	}
 	leaving := make([]bool, len(m.ElemVerts))
+	var fam []int32
 	for _, root := range roots {
 		if m.ElemParent[root] != -1 {
 			panic(fmt.Sprintf("adapt: RemoveFamily(%d): not a root element", root))
 		}
 		leaving[root] = true
-		for _, e := range m.FamilyElems(root) {
+		fam = m.AppendFamilyElems(fam[:0], root)
+		for _, e := range fam {
 			m.ElemAlive[e] = false
 		}
 		m.ElemChild[root] = nil

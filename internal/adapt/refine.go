@@ -179,13 +179,13 @@ func (m *Mesh) subdivideElem(e int32, pat uint8) int {
 			mid[le] = -1
 		}
 	}
-	tets := childTets(ev, pat, mid)
-	ids := make([]int32, len(tets))
-	for i, t := range tets {
+	tets, n := childTets(ev, pat, mid)
+	ids := make([]int32, n)
+	for i, t := range tets[:n] {
 		ids[i] = m.newElem(t, e)
 	}
 	m.ElemChild[e] = ids
-	return len(tets)
+	return n
 }
 
 // newElem appends a child element with parent p, deriving its six edges.
@@ -206,13 +206,13 @@ func (m *Mesh) newElem(t [4]int32, p int32) int32 {
 
 // childTets returns the child tetrahedra (as local vertex 4-tuples of the
 // adapted mesh) for the parent corners ev, pattern pat, and per-local-edge
-// midpoints mid.
+// midpoints mid: the first n entries of the array are the children.
 //
 // The templates are the classical red/green tetrahedron subdivisions the
 // paper's Section 3 describes: 1:2 bisection, 1:4 face quadrisection, and
 // 1:8 isotropic with the interior octahedron split by the fixed diagonal
 // joining the midpoints of local edges 0 (v0,v1) and 5 (v2,v3).
-func childTets(ev [4]int32, pat uint8, mid [6]int32) [][4]int32 {
+func childTets(ev [4]int32, pat uint8, mid [6]int32) (tets [8][4]int32, n int) {
 	switch SubdivisionArity(pat) {
 	case 2:
 		le := bits.TrailingZeros8(pat)
@@ -221,7 +221,7 @@ func childTets(ev [4]int32, pat uint8, mid [6]int32) [][4]int32 {
 		c0, c1 := ev, ev
 		c0[lb] = m
 		c1[la] = m
-		return [][4]int32{c0, c1}
+		return [8][4]int32{c0, c1}, 2
 	case 4:
 		var f int
 		for f = 0; f < 4; f++ {
@@ -235,16 +235,16 @@ func childTets(ev [4]int32, pat uint8, mid [6]int32) [][4]int32 {
 		mab := mid[localEdgeIdx[la][lb]]
 		mac := mid[localEdgeIdx[la][lc]]
 		mbc := mid[localEdgeIdx[lb][lc]]
-		return [][4]int32{
+		return [8][4]int32{
 			{a, mab, mac, d},
 			{mab, b, mbc, d},
 			{mac, mbc, c, d},
 			{mab, mbc, mac, d},
-		}
+		}, 4
 	case 8:
 		m01, m02, m03 := mid[0], mid[1], mid[2]
 		m12, m13, m23 := mid[3], mid[4], mid[5]
-		return [][4]int32{
+		return [8][4]int32{
 			// Four corner tetrahedra.
 			{ev[0], m01, m02, m03},
 			{m01, ev[1], m12, m13},
@@ -256,9 +256,9 @@ func childTets(ev [4]int32, pat uint8, mid [6]int32) [][4]int32 {
 			{m01, m23, m12, m13},
 			{m01, m23, m13, m03},
 			{m01, m23, m03, m02},
-		}
+		}, 8
 	default:
-		return nil
+		return tets, 0
 	}
 }
 
@@ -269,31 +269,33 @@ func childTets(ev [4]int32, pat uint8, mid [6]int32) [][4]int32 {
 func (m *Mesh) subdivideBFace(f int32, pat uint8) int {
 	bv := m.BFaceVerts[f]
 	a, b, c := bv[0], bv[1], bv[2]
-	var tris [][3]int32
+	var tris [4][3]int32
+	n := 2
 	switch pat {
 	case 1: // edge (a,b)
 		mab := m.EdgeMid[m.BFaceEdges[f][0]]
-		tris = [][3]int32{{a, mab, c}, {mab, b, c}}
+		tris = [4][3]int32{{a, mab, c}, {mab, b, c}}
 	case 2: // edge (a,c)
 		mac := m.EdgeMid[m.BFaceEdges[f][1]]
-		tris = [][3]int32{{a, b, mac}, {mac, b, c}}
+		tris = [4][3]int32{{a, b, mac}, {mac, b, c}}
 	case 4: // edge (b,c)
 		mbc := m.EdgeMid[m.BFaceEdges[f][2]]
-		tris = [][3]int32{{a, b, mbc}, {a, mbc, c}}
+		tris = [4][3]int32{{a, b, mbc}, {a, mbc, c}}
 	case 7: // all three
 		mab := m.EdgeMid[m.BFaceEdges[f][0]]
 		mac := m.EdgeMid[m.BFaceEdges[f][1]]
 		mbc := m.EdgeMid[m.BFaceEdges[f][2]]
-		tris = [][3]int32{{a, mab, mac}, {mab, b, mbc}, {mac, mbc, c}, {mab, mbc, mac}}
+		tris = [4][3]int32{{a, mab, mac}, {mab, b, mbc}, {mac, mbc, c}, {mab, mbc, mac}}
+		n = 4
 	default:
 		panic(fmt.Sprintf("adapt: boundary face %d has invalid pattern %03b", f, pat))
 	}
-	ids := make([]int32, len(tris))
-	for i, t := range tris {
+	ids := make([]int32, n)
+	for i, t := range tris[:n] {
 		ids[i] = m.newBFace(t, m.BFaceRoot[f])
 	}
 	m.BFaceChild[f] = ids
-	return len(tris)
+	return n
 }
 
 // newBFace appends a boundary face with the given vertices and root.

@@ -15,7 +15,11 @@ import (
 //
 //  1. Every rank owns a contiguous block of dual-graph vertices and
 //     coarsens it *recursively* with local heavy-edge matching (several
-//     levels, no communication) — work shrinks roughly as 1/P.
+//     levels, no communication) — work shrinks roughly as 1/P.  Each
+//     level is a CSR graph (xadj/adj/wgt); two such buffers, sized by the
+//     block's level-0 adjacency, alternate as the current and the next
+//     level, so the coarsening makes a fixed number of allocations
+//     whatever the block size or the number of levels.
 //  2. The host gathers each rank's fine-to-coarse map and the coarse
 //     subgraph sizes, assembles the global coarse graph (resolving
 //     cross-block edges), and partitions it with the serial multilevel
@@ -166,10 +170,26 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 	return ParallelRepartitionResult{Part: out, CoarseVerts: coarseVerts}
 }
 
+// csrLevel is one level of the local coarsening hierarchy: row v's
+// neighbours are adj[xadj[v]:xadj[v+1]], with edge weights at the same
+// positions of wgt.
+type csrLevel struct {
+	xadj, adj []int32
+	wgt       []int64
+}
+
 // localMultilevelCoarsen recursively applies heavy-edge matching to the
 // subgraph induced on [lo,hi) until at most target coarse vertices
 // remain or matching stalls.  Returns the block-relative fine-to-coarse
 // map and the abstract work performed (edges visited).
+//
+// Levels only shrink, so the two CSR buffers sized by the block's
+// level-0 adjacency serve every level.  Coarse vertex cv's row is built
+// from its (at most two) fine members in ascending order, merging
+// parallel edges at their first occurrence through a per-coarse-vertex
+// slot array.  Matching picks the heaviest edge, then the lowest id, so
+// cmap does not depend on the order within a row, and work counts
+// edges, so it is exact in any order.
 func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, work float64) {
 	nloc := hi - lo
 	cmap = make([]int32, nloc)
@@ -180,41 +200,45 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 		return cmap, 0
 	}
 	// Level-0 adjacency restricted to the block, in block-relative ids.
-	type adj struct {
-		nbr []int32
-		wgt []int64
-	}
-	cur := make([]adj, nloc)
+	nnz := int(g.Xadj[hi] - g.Xadj[lo])
+	cur := csrLevel{make([]int32, 1, nloc+1), make([]int32, 0, nnz), make([]int64, 0, nnz)}
 	for v := lo; v < hi; v++ {
-		nbs := g.Neighbors(int32(v))
 		wts := g.EdgeWeights(int32(v))
-		for i, u := range nbs {
+		for i, u := range g.Neighbors(int32(v)) {
 			if int(u) >= lo && int(u) < hi {
-				cur[v-lo].nbr = append(cur[v-lo].nbr, u-int32(lo))
-				cur[v-lo].wgt = append(cur[v-lo].wgt, wts[i])
+				cur.adj = append(cur.adj, u-int32(lo))
+				cur.wgt = append(cur.wgt, wts[i])
 			}
 		}
+		cur.xadj = append(cur.xadj, int32(len(cur.adj)))
 	}
+	next := csrLevel{make([]int32, 0, nloc+1), make([]int32, 0, nnz), make([]int64, 0, nnz)}
+	match := make([]int32, nloc)
+	lmap := make([]int32, nloc)
+	first := make([]int32, nloc) // first[cv]: the lower fine member of coarse vertex cv
+	slot := make([]int32, nloc)  // slot[cu]: cu's position in next.adj, if in the row being built
 	ncur := nloc
 	for ncur > target {
 		// Heavy-edge matching on the current level.
-		match := make([]int32, ncur)
+		match := match[:ncur]
 		for i := range match {
 			match[i] = -1
 		}
 		for v := 0; v < ncur; v++ {
-			work += float64(len(cur[v].nbr))
+			row := cur.xadj[v]
+			nbs := cur.adj[row:cur.xadj[v+1]]
+			work += float64(len(nbs))
 			if match[v] >= 0 {
 				continue
 			}
 			best := int32(-1)
 			var bestW int64 = -1
-			for i, u := range cur[v].nbr {
+			for i, u := range nbs {
 				if match[u] >= 0 || u == int32(v) {
 					continue
 				}
-				if cur[v].wgt[i] > bestW || (cur[v].wgt[i] == bestW && u < best) {
-					best, bestW = u, cur[v].wgt[i]
+				if w := cur.wgt[int(row)+i]; w > bestW || (w == bestW && u < best) {
+					best, bestW = u, w
 				}
 			}
 			if best >= 0 {
@@ -224,7 +248,7 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 				match[v] = int32(v)
 			}
 		}
-		lmap := make([]int32, ncur)
+		lmap := lmap[:ncur]
 		for i := range lmap {
 			lmap[i] = -1
 		}
@@ -234,6 +258,7 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 				continue
 			}
 			lmap[v] = nc
+			first[nc] = int32(v)
 			if match[v] != int32(v) {
 				lmap[match[v]] = nc
 			}
@@ -246,33 +271,45 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 		if float64(nc) > 0.85*float64(ncur) {
 			break
 		}
-		// Contract the level.
-		next := make([]adj, nc)
-		type ce struct{ a, b int32 }
-		seen := make(map[ce]int, ncur)
-		for v := 0; v < ncur; v++ {
-			cv := lmap[v]
-			for i, u := range cur[v].nbr {
-				cu := lmap[u]
-				if cu == cv {
-					continue
-				}
-				key := ce{cv, cu}
-				if idx, ok := seen[key]; ok {
-					next[cv].wgt[idx] += cur[v].wgt[i]
-				} else {
-					seen[key] = len(next[cv].nbr)
-					next[cv].nbr = append(next[cv].nbr, cu)
-					next[cv].wgt = append(next[cv].wgt, cur[v].wgt[i])
-				}
-				work += 0.5
+		// Contract the level.  Slots written for earlier rows point below
+		// the current row's start, so they need no clearing between rows.
+		slot := slot[:nc]
+		for i := range slot {
+			slot[i] = -1
+		}
+		next.xadj = append(next.xadj[:0], 0)
+		next.adj, next.wgt = next.adj[:0], next.wgt[:0]
+		for cv := int32(0); cv < nc; cv++ {
+			rowStart := int32(len(next.adj))
+			v := first[cv]
+			members := [2]int32{v, match[v]}
+			nm := 2
+			if match[v] == v {
+				nm = 1
 			}
+			for _, f := range members[:nm] {
+				for i := cur.xadj[f]; i < cur.xadj[f+1]; i++ {
+					cu := lmap[cur.adj[i]]
+					if cu == cv {
+						continue
+					}
+					if s := slot[cu]; s >= rowStart {
+						next.wgt[s] += cur.wgt[i]
+					} else {
+						slot[cu] = int32(len(next.adj))
+						next.adj = append(next.adj, cu)
+						next.wgt = append(next.wgt, cur.wgt[i])
+					}
+					work += 0.5
+				}
+			}
+			next.xadj = append(next.xadj, int32(len(next.adj)))
 		}
 		// Compose into cmap.
 		for i := range cmap {
 			cmap[i] = lmap[cmap[i]]
 		}
-		cur = next
+		cur, next = next, cur
 		ncur = int(nc)
 	}
 	return cmap, work
@@ -286,9 +323,11 @@ func refineBlock(g *dual.Graph, part []int32, k, lo, hi int, opt Options) [][2]i
 	w := PartWeights(g, part, k)
 	caps := partCaps(g.TotalWComp(), k, opt.ImbalanceTol, opt.TargetShares)
 	var moves [][2]int32
+	var parts []int32
+	var conn []int64
 	for v := int32(lo); v < int32(hi); v++ {
 		p := part[v]
-		parts, conn := connectivity(g, part, v)
+		parts, conn = connectivity(g, part, v, parts[:0], conn[:0])
 		var internal int64
 		external := false
 		for j, q := range parts {

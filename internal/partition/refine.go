@@ -92,16 +92,18 @@ func partCaps(total int64, k int, tol float64, shares []float64) []int64 {
 	return caps
 }
 
-// connectivity computes, for vertex v, the total edge weight from v to
-// each part present in its neighbourhood (returned as parallel slices).
-func connectivity(g *dual.Graph, part []int32, v int32) (parts []int32, conn []int64) {
-	nbs := g.Neighbors(v)
+// connectivity appends to the parallel slices parts and conn each part
+// present in vertex v's neighbourhood and the total edge weight from v
+// to it.  Sweeps pass the previous vertex's slices resliced to zero
+// length, so they allocate only while the scratch grows.
+func connectivity(g *dual.Graph, part []int32, v int32, parts []int32, conn []int64) ([]int32, []int64) {
+	start := len(parts)
 	wts := g.EdgeWeights(v)
-	for i, u := range nbs {
+	for i, u := range g.Neighbors(v) {
 		p := part[u]
 		found := false
-		for j, q := range parts {
-			if q == p {
+		for j := start; j < len(parts); j++ {
+			if parts[j] == p {
 				conn[j] += wts[i]
 				found = true
 				break
@@ -127,11 +129,13 @@ func refine(g *dual.Graph, part []int32, k int, opt Options) {
 	if passes <= 0 {
 		passes = 8
 	}
+	var parts []int32
+	var conn []int64
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := int32(0); v < int32(n); v++ {
 			p := part[v]
-			parts, conn := connectivity(g, part, v)
+			parts, conn = connectivity(g, part, v, parts[:0], conn[:0])
 			var internal int64
 			external := false
 			for j, q := range parts {
@@ -182,6 +186,8 @@ func rebalance(g *dual.Graph, part []int32, k int, opt Options) {
 	w := PartWeights(g, part, k)
 	total := g.TotalWComp()
 	caps := partCaps(total, k, opt.ImbalanceTol, opt.TargetShares)
+	var parts []int32
+	var conn []int64
 	for iter := 0; iter < 64; iter++ {
 		// Most overloaded part (largest excess over its own bound).
 		hp := int32(-1)
@@ -201,7 +207,7 @@ func rebalance(g *dual.Graph, part []int32, k int, opt Options) {
 			if part[v] != hp || w[hp] <= caps[hp] {
 				continue
 			}
-			parts, conn := connectivity(g, part, v)
+			parts, conn = connectivity(g, part, v, parts[:0], conn[:0])
 			var internal int64
 			for j, q := range parts {
 				if q == hp {

@@ -88,7 +88,11 @@ func TestRefineRespectsBalanceBound(t *testing.T) {
 func TestConnectivity(t *testing.T) {
 	g := pathGraph(4, nil)
 	part := []int32{0, 0, 1, 1}
-	parts, conn := connectivity(g, part, 1)
+	parts, conn := connectivity(g, part, 1, []int32{7}, []int64{9})
+	if parts[0] != 7 || conn[0] != 9 {
+		t.Fatalf("connectivity clobbered the scratch prefix: %v %v", parts, conn)
+	}
+	parts, conn = parts[1:], conn[1:]
 	// Vertex 1 neighbours: 0 (part 0), 2 (part 1).
 	sum := map[int32]int64{}
 	for i, p := range parts {

@@ -24,10 +24,11 @@ func (d *DistMesh) Finalize() *adapt.Mesh {
 	// Pack all local families (in ascending global root order for
 	// determinism), preserving the local mesh.
 	var buf []int64
-	roots := d.LocalRootIDs()
+	faceStart, faceRoots := faceTreeRoots(d.M)
 	elems := 0
-	for _, g := range roots {
-		elems += d.packFamily(&buf, g)
+	for _, g := range d.LocalRootIDs() {
+		r := d.localRoot[g]
+		elems += d.packFamily(&buf, g, faceRoots[faceStart[r]:faceStart[r+1]])
 	}
 	d.C.Compute(workPackPerElem * float64(elems))
 	parts := d.C.Gather(0, msg.PutInts(buf))
@@ -56,8 +57,9 @@ func (d *DistMesh) Finalize() *adapt.Mesh {
 	}
 	// Deterministic global order by root id.
 	sort.Slice(all, func(i, j int) bool { return all[i].g < all[j].g })
+	var sc unpackScratch
 	for _, e := range all {
-		unpackFamilyInto(out, e.words, e.pos)
+		unpackFamilyInto(out, e.words, e.pos, &sc)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package pmesh
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"plum/internal/adapt"
@@ -40,12 +41,14 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	// Pack departing families per destination.
 	bufs := make([][]int64, p)
 	var departing []int32 // global ids
+	faceStart, faceRoots := faceTreeRoots(d.M)
 	for _, g := range d.LocalRootIDs() {
 		dst := newOwner[g]
 		if dst == me {
 			continue
 		}
-		n := d.packFamily(&bufs[dst], g)
+		r := d.localRoot[g]
+		n := d.packFamily(&bufs[dst], g, faceRoots[faceStart[r]:faceStart[r+1]])
 		st.FamiliesSent++
 		st.ElemsSent += n
 		departing = append(departing, g)
@@ -109,8 +112,69 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	return st
 }
 
-// packFamily serializes global root g's family into buf.  Layout (int64
-// words; floats as IEEE bits):
+// faceTreeRoots buckets the alive boundary-face tree roots by the local
+// element root that owns them: root r's are flat[start[r]:start[r+1]],
+// in ascending face id, the order FamilyBFaces lists them.  One pass
+// serves every family packed from an unchanged mesh.
+func faceTreeRoots(m *adapt.Mesh) (start, flat []int32) {
+	var roots, faces []int32
+	for f := range m.BFaceVerts {
+		if m.BFaceAlive[f] && m.BFaceParent(int32(f)) < 0 {
+			roots = append(roots, m.BFaceRoot[f])
+			faces = append(faces, int32(f))
+		}
+	}
+	return bucket(roots, faces, len(m.ElemVerts))
+}
+
+// familyPacker is packFamily's scratch, owned by the DistMesh and reused
+// across families and calls: one index per kind of object in the family
+// being packed.
+type familyPacker struct {
+	elems, verts, edges, faces index
+}
+
+// index lists objects and numbers them by list position: pos[id] is
+// id's position in list, -1 for an object not listed.  reset restores
+// pos by visiting only the listed objects, so a warm index costs
+// O(family) per use whatever the mesh size.
+type index struct {
+	list, pos []int32
+}
+
+// grow makes pos cover ids [0, n).
+func (x *index) grow(n int) {
+	for len(x.pos) < n {
+		x.pos = append(x.pos, -1)
+	}
+}
+
+// add lists id unless it is listed already.
+func (x *index) add(id int32) {
+	if x.pos[id] < 0 {
+		x.pos[id] = int32(len(x.list))
+		x.list = append(x.list, id)
+	}
+}
+
+// set makes list, whose ids are distinct, the index's contents.
+func (x *index) set(list []int32) {
+	x.list = list
+	for i, id := range list {
+		x.pos[id] = int32(i)
+	}
+}
+
+func (x *index) reset() {
+	for _, id := range x.list {
+		x.pos[id] = -1
+	}
+	x.list = x.list[:0]
+}
+
+// packFamily serializes global root g's family into buf; faceRoots are
+// the family's boundary-face tree roots (see faceTreeRoots).  Layout
+// (int64 words; floats as IEEE bits):
 //
 //	globalRoot
 //	nverts, then per vertex: gid, x, y, z, sol[NComp]
@@ -119,44 +183,32 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 //	nbfaces, then per face (tree order): parentPos (-1 root), 3 vertex positions
 //
 // Returns the number of elements packed.
-func (d *DistMesh) packFamily(buf *[]int64, g int32) int {
+func (d *DistMesh) packFamily(buf *[]int64, g int32, faceRoots []int32) int {
 	m := d.M
-	root := d.localRoot[g]
-	elems := m.FamilyElems(root)
+	elems, verts, edges, faces := &d.pack.elems, &d.pack.verts, &d.pack.edges, &d.pack.faces
+	elems.grow(len(m.ElemVerts))
+	verts.grow(len(m.Coords))
+	edges.grow(len(m.EdgeV))
+	faces.grow(len(m.BFaceVerts))
+	elems.set(m.AppendFamilyElems(elems.list, d.localRoot[g]))
 
 	// Vertex closure: corners of every family element (midpoints of
 	// bisected family edges are corners of child elements, so they are
 	// covered).
-	vpos := make(map[int32]int32)
-	var verts []int32
-	addV := func(v int32) int32 {
-		if p, ok := vpos[v]; ok {
-			return p
-		}
-		p := int32(len(verts))
-		vpos[v] = p
-		verts = append(verts, v)
-		return p
-	}
-	epos := make(map[int32]bool)
-	var edges []int32
-	for _, e := range elems {
+	for _, e := range elems.list {
 		for _, v := range m.ElemVerts[e] {
-			addV(v)
+			verts.add(v)
 		}
 		for _, id := range m.ElemEdges[e] {
-			if !epos[id] {
-				epos[id] = true
-				edges = append(edges, id)
-			}
+			edges.add(id)
 		}
 	}
-	bfaces := m.FamilyBFaces(root)
+	faces.set(m.AppendFaceTrees(faces.list, faceRoots))
 
 	out := *buf
 	out = append(out, int64(g))
-	out = append(out, int64(len(verts)))
-	for _, v := range verts {
+	out = append(out, int64(len(verts.list)))
+	for _, v := range verts.list {
 		out = append(out, int64(m.VertGID[v]))
 		c := m.Coords[v]
 		out = append(out, int64(math.Float64bits(c[0])), int64(math.Float64bits(c[1])), int64(math.Float64bits(c[2])))
@@ -164,23 +216,19 @@ func (d *DistMesh) packFamily(buf *[]int64, g int32) int {
 			out = append(out, int64(math.Float64bits(m.Sol[int(v)*m.NComp+k])))
 		}
 	}
-	out = append(out, int64(len(elems)))
-	eIdx := make(map[int32]int32, len(elems))
-	for i, e := range elems {
-		eIdx[e] = int32(i)
-	}
-	for _, e := range elems {
+	out = append(out, int64(len(elems.list)))
+	for _, e := range elems.list {
 		pp := int64(-1)
 		if par := m.ElemParent[e]; par >= 0 {
-			pp = int64(eIdx[par])
+			pp = int64(elems.pos[par])
 		}
 		out = append(out, pp)
 		for _, v := range m.ElemVerts[e] {
-			out = append(out, int64(vpos[v]))
+			out = append(out, int64(verts.pos[v]))
 		}
 	}
-	out = append(out, int64(len(edges)))
-	for _, id := range edges {
+	out = append(out, int64(len(edges.list)))
+	for _, id := range edges.list {
 		var flags int64
 		if !m.EdgeLeaf(id) {
 			flags |= 1
@@ -189,51 +237,58 @@ func (d *DistMesh) packFamily(buf *[]int64, g int32) int {
 			flags |= 2 // refinement marks travel with the mesh, so the
 			// remap-before-subdivision ordering needs no re-marking
 		}
-		out = append(out, int64(vpos[m.EdgeV[id][0]]), int64(vpos[m.EdgeV[id][1]]), flags)
+		out = append(out, int64(verts.pos[m.EdgeV[id][0]]), int64(verts.pos[m.EdgeV[id][1]]), flags)
 	}
-	out = append(out, int64(len(bfaces)))
-	fIdx := make(map[int32]int32, len(bfaces))
-	for i, f := range bfaces {
-		fIdx[f] = int32(i)
-	}
-	for _, f := range bfaces {
+	out = append(out, int64(len(faces.list)))
+	for _, f := range faces.list {
 		pp := int64(-1)
-		if par := d.bfaceParentOf(f); par >= 0 {
-			pp = int64(fIdx[par])
+		if par := m.BFaceParent(f); par >= 0 {
+			pp = int64(faces.pos[par])
 		}
 		out = append(out, pp)
 		for _, v := range m.BFaceVerts[f] {
-			out = append(out, int64(vpos[v]))
+			out = append(out, int64(verts.pos[v]))
 		}
 	}
 	*buf = out
-	return len(elems)
+	n := len(elems.list)
+	elems.reset()
+	verts.reset()
+	edges.reset()
+	faces.reset()
+	return n
 }
-
-// bfaceParentOf returns the parent of boundary face f, or -1.
-func (d *DistMesh) bfaceParentOf(f int32) int32 { return d.M.BFaceParent(f) }
 
 // unpackFamily reconstructs one family from words starting at pos,
 // merging shared objects with the existing local mesh and updating the
 // root bookkeeping.  Returns the global root id, the element count, and
 // the next read position.
 func (d *DistMesh) unpackFamily(words []int64, pos int) (int32, int, int) {
-	g, rootLocal, n, next := unpackFamilyInto(d.M, words, pos)
+	g, rootLocal, n, next := unpackFamilyInto(d.M, words, pos, &d.unpack)
 	d.localRoot[g] = rootLocal
 	d.globalRoot[rootLocal] = g
 	return g, n, next
 }
 
+// unpackScratch holds unpackFamilyInto's per-family tables (packed
+// position -> local id, and one vertex's solution values), reused across
+// families by the caller.
+type unpackScratch struct {
+	verts, elems, faces []int32
+	sol                 []float64
+}
+
 // unpackFamilyInto reconstructs one serialized family into an arbitrary
 // adapted mesh (the migration target or the finalization host mesh).
-func unpackFamilyInto(m *adapt.Mesh, words []int64, pos int) (g, rootLocal int32, nelems, next int) {
+func unpackFamilyInto(m *adapt.Mesh, words []int64, pos int, sc *unpackScratch) (g, rootLocal int32, nelems, next int) {
 	g = int32(words[pos])
 	pos++
 
 	nverts := int(words[pos])
 	pos++
-	lverts := make([]int32, nverts)
-	sol := make([]float64, m.NComp)
+	sc.verts = slices.Grow(sc.verts[:0], nverts)[:nverts]
+	sc.sol = slices.Grow(sc.sol[:0], m.NComp)[:m.NComp]
+	lverts, sol := sc.verts, sc.sol
 	for i := 0; i < nverts; i++ {
 		gid := uint64(words[pos])
 		x := math.Float64frombits(uint64(words[pos+1]))
@@ -249,7 +304,8 @@ func unpackFamilyInto(m *adapt.Mesh, words []int64, pos int) (g, rootLocal int32
 
 	nelems = int(words[pos])
 	pos++
-	lelems := make([]int32, nelems)
+	sc.elems = slices.Grow(sc.elems[:0], nelems)[:nelems]
+	lelems := sc.elems
 	rootLocal = -1
 	for i := 0; i < nelems; i++ {
 		pp := words[pos]
@@ -284,7 +340,8 @@ func unpackFamilyInto(m *adapt.Mesh, words []int64, pos int) (g, rootLocal int32
 
 	nbf := int(words[pos])
 	pos++
-	lfaces := make([]int32, nbf)
+	sc.faces = slices.Grow(sc.faces[:0], nbf)[:nbf]
+	lfaces := sc.faces
 	for i := 0; i < nbf; i++ {
 		pp := words[pos]
 		var fv [3]int32

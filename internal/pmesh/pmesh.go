@@ -1,6 +1,8 @@
 package pmesh
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -50,6 +52,14 @@ type DistMesh struct {
 	// the replicated initial mesh incident to its vertex v, ascending.
 	// UpdateSPLs derives initial-vertex SPLs from it and RootOwner.
 	vertElemStart, vertElems []int32
+
+	// Scratch kept across calls so the balance step allocates per call,
+	// not per object: family packing and unpacking, and the sorted
+	// (kind or root, id, id) triples GlobalCounts and gatherRootValues
+	// send.
+	pack    familyPacker
+	unpack  unpackScratch
+	triples [][3]int64
 }
 
 // New distributes the global initial mesh according to part (global root
@@ -322,54 +332,92 @@ func (d *DistMesh) GatherPredictedWeights() (wcomp, wremap []int64) {
 // gatherRootValues allgathers two per-local-root maps into replicated
 // per-global-root arrays.
 func (d *DistMesh) gatherRootValues(a, b map[int32]int64) ([]int64, []int64) {
-	words := make([]int64, 0, 3*len(a))
+	words := d.triples[:0]
 	for lroot, av := range a {
-		g := d.globalRoot[lroot]
-		words = append(words, int64(g), av, b[lroot])
+		words = append(words, [3]int64{int64(d.globalRoot[lroot]), av, b[lroot]})
 	}
+	d.triples = words
 	// Deterministic order within the rank's contribution.
-	sortTriples(words)
-	parts := d.C.Allgather(msg.PutInts(words))
+	slices.SortFunc(words, cmpTriple)
+	parts := d.C.Allgather(putTriples(words))
 	wa := make([]int64, d.Global.NumElems())
 	wb := make([]int64, d.Global.NumElems())
 	for _, p := range parts {
-		vals := msg.GetInts(p)
-		for i := 0; i+2 < len(vals); i += 3 {
-			wa[vals[i]] = vals[i+1]
-			wb[vals[i]] = vals[i+2]
+		for i := range len(p) / 24 {
+			t := tripleAt(p, i)
+			wa[t[0]] = t[1]
+			wb[t[0]] = t[2]
 		}
 	}
 	return wa, wb
 }
 
-func sortTriples(words []int64) {
-	n := len(words) / 3
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// cmpTriple orders triples lexicographically.
+func cmpTriple(a, b [3]int64) int {
+	for k := range a {
+		if a[k] != b[k] {
+			return cmp.Compare(a[k], b[k])
+		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return words[3*idx[i]] < words[3*idx[j]] })
-	out := make([]int64, len(words))
-	for k, i := range idx {
-		copy(out[3*k:3*k+3], words[3*i:3*i+3])
+	return 0
+}
+
+// putTriples encodes triples exactly as msg.PutInts encodes their words
+// laid end to end.
+func putTriples(ts [][3]int64) []byte {
+	buf := make([]byte, 24*len(ts))
+	for i, t := range ts {
+		for k, w := range t {
+			binary.LittleEndian.PutUint64(buf[24*i+8*k:], uint64(w))
+		}
 	}
-	copy(words, out)
+	return buf
+}
+
+// tripleAt decodes the i-th triple of a putTriples payload, leaving the
+// rest undecoded.
+func tripleAt(p []byte, i int) [3]int64 {
+	p = p[24*i : 24*i+24]
+	return [3]int64{
+		int64(binary.LittleEndian.Uint64(p)),
+		int64(binary.LittleEndian.Uint64(p[8:])),
+		int64(binary.LittleEndian.Uint64(p[16:])),
+	}
+}
+
+// dropHeld removes from the sorted list mine, in place, every triple the
+// sorted putTriples payload theirs also holds.
+func dropHeld(mine [][3]int64, theirs []byte) [][3]int64 {
+	n := len(theirs) / 24
+	keep := mine[:0]
+	j := 0
+	for _, t := range mine {
+		for j < n && cmpTriple(tripleAt(theirs, j), t) < 0 {
+			j++
+		}
+		if j < n && tripleAt(theirs, j) == t {
+			continue
+		}
+		keep = append(keep, t)
+	}
+	return keep
 }
 
 // GlobalCounts returns the sizes of the distributed computational mesh,
 // counting each shared vertex/edge exactly once.  Because SPLs are
 // conservative (they may list ranks that do not actually hold an
-// object), ownership for counting is resolved exactly: ranks exchange
-// the ids of their potentially shared objects and the lowest rank that
-// actually holds an object counts it.  Collective.
+// object), ownership for counting is resolved exactly: ranks allgather
+// the sorted ids of their potentially shared objects and the lowest rank
+// that actually holds an object counts it, which each rank decides by
+// merging its own list against the lists of its lower neighbours.
+// Collective.
 func (d *DistMesh) GlobalCounts() adapt.Counts {
-	me := int32(d.C.Rank())
 	var c adapt.Counts
 
 	// Interior objects count locally; potentially-shared ones are
-	// resolved below.  A vertex is encoded by its gid, an edge by its
-	// two endpoint gids.
-	var sharedWords []int64
+	// resolved below.  A vertex is encoded (1, gid, 0), an edge (2, ga,
+	// gb) by its endpoint gids.
+	shared := d.triples[:0]
 	for v := range d.M.Coords {
 		if !d.M.VertAlive[v] {
 			continue
@@ -377,7 +425,7 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 		if len(d.VertSPL[int32(v)]) == 0 {
 			c.Verts++
 		} else {
-			sharedWords = append(sharedWords, 1, int64(d.M.VertGID[v]), 0)
+			shared = append(shared, [3]int64{1, int64(d.M.VertGID[v]), 0})
 		}
 	}
 	d.M.EnsureEdgeElems()
@@ -394,32 +442,25 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 			if ga > gb {
 				ga, gb = gb, ga
 			}
-			sharedWords = append(sharedWords, 2, int64(ga), int64(gb))
+			shared = append(shared, [3]int64{2, int64(ga), int64(gb)})
 		}
 	}
-	parts := d.C.Allgather(msg.PutInts(sharedWords))
-	type key struct {
-		kind   int64
-		ga, gb int64
-	}
-	minHolder := make(map[key]int32)
-	for r := 0; r < d.C.Size(); r++ {
-		vals := msg.GetInts(parts[r])
-		for i := 0; i+2 < len(vals); i += 3 {
-			k := key{vals[i], vals[i+1], vals[i+2]}
-			if _, ok := minHolder[k]; !ok {
-				minHolder[k] = int32(r)
-			}
+	d.triples = shared
+	slices.SortFunc(shared, cmpTriple)
+	parts := d.C.Allgather(putTriples(shared))
+	// A rank that holds one of these objects is in its SPL, so only
+	// lower neighbour ranks can hold them too.
+	for _, r := range d.neighbors {
+		if int(r) >= d.C.Rank() || len(shared) == 0 {
+			break
 		}
+		shared = dropHeld(shared, parts[r])
 	}
-	for i := 0; i+2 < len(sharedWords); i += 3 {
-		k := key{sharedWords[i], sharedWords[i+1], sharedWords[i+2]}
-		if minHolder[k] == me {
-			if k.kind == 1 {
-				c.Verts++
-			} else {
-				c.Edges++
-			}
+	for _, t := range shared {
+		if t[0] == 1 {
+			c.Verts++
+		} else {
+			c.Edges++
 		}
 	}
 

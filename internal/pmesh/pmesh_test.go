@@ -3,6 +3,7 @@ package pmesh
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"plum/internal/adapt"
@@ -329,6 +330,164 @@ func TestGroupRanks(t *testing.T) {
 		if cap(l) != len(l) {
 			t.Errorf("object %d: list cap %d > len %d", id, cap(l), len(l))
 		}
+	}
+}
+
+// TestTripleWire: a sorted triple list travels as the same bytes as its
+// flattened words did through msg.PutInts, decodes back per triple, and
+// dropHeld keeps exactly the triples the other payload lacks (duplicates
+// included).
+func TestTripleWire(t *testing.T) {
+	ts := [][3]int64{{2, 5, 9}, {1, -3, 0}, {2, 5, 1}, {1, 7, 0}, {1, 7, 0}}
+	slices.SortFunc(ts, cmpTriple)
+	var words []int64
+	for _, x := range ts {
+		words = append(words, x[:]...)
+	}
+	p := putTriples(ts)
+	if !slices.Equal(p, msg.PutInts(words)) {
+		t.Fatalf("putTriples bytes differ from msg.PutInts of the flattened words")
+	}
+	for i, x := range ts {
+		if got := tripleAt(p, i); got != x {
+			t.Errorf("tripleAt(%d) = %v, want %v", i, got, x)
+		}
+	}
+	theirs := putTriples([][3]int64{{1, 7, 0}, {2, 5, 2}, {2, 5, 9}})
+	got := dropHeld(slices.Clone(ts), theirs)
+	want := [][3]int64{{1, -3, 0}, {2, 5, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("dropHeld = %v, want %v", got, want)
+	}
+}
+
+// refineAndScramble refines d's mesh around a sphere, then migrates every
+// odd root to the next rank, so families arrive out of id order and
+// SPLs of the mixed ownership over-approximate.
+func refineAndScramble(d *DistMesh, ind func(mesh.Vec3) float64) {
+	d.M.TargetEdges(d.M.EdgeErrorGeometric(ind), 0.5)
+	d.PropagateParallel()
+	d.Refine()
+	newOwner := make([]int32, len(d.RootOwner))
+	for g, o := range d.RootOwner {
+		newOwner[g] = (o + int32(g%2)) % int32(d.C.Size())
+	}
+	d.Migrate(newOwner)
+}
+
+// TestGlobalCountsAfterMigrateP7: after a migration at P=7 some SPLs name
+// ranks that do not hold the edge (they hold both endpoints through other
+// elements).  Merging each rank's sorted list against lower ranks' lists
+// must still count every vertex and edge once: the serial mesh's counts.
+func TestGlobalCountsAfterMigrateP7(t *testing.T) {
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1.0}, 0.9, 0.5)
+	serial := adapt.FromMesh(global, 0)
+	serial.BuildEdgeElems()
+	serial.TargetEdges(serial.EdgeErrorGeometric(ind), 0.5)
+	serial.Propagate()
+	serial.Refine()
+	want := serial.ActiveCounts()
+
+	const p = 7
+	part := testPartition(global, p)
+	msg.Run(p, func(c *msg.Comm) {
+		d := New(c, global, part, 0)
+		refineAndScramble(d, ind)
+		if got := d.GlobalCounts(); got != want {
+			t.Errorf("rank %d: counts %+v != serial %+v", c.Rank(), got, want)
+		}
+
+		// Send every potentially shared edge to the ranks its SPL names;
+		// a receiver that does not hold it shows the over-approximation.
+		d.M.EnsureEdgeElems()
+		send := make([][]int64, p)
+		var spl []int32
+		for id := range d.M.EdgeV {
+			if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
+				continue
+			}
+			a, b := d.M.EdgeV[id][0], d.M.EdgeV[id][1]
+			for _, r := range d.appendEdgeSPL(spl[:0], int32(id)) {
+				send[r] = append(send[r], int64(d.M.VertGID[a]), int64(d.M.VertGID[b]))
+			}
+		}
+		parts := make([][]byte, p)
+		for r := range parts {
+			parts[r] = msg.PutInts(send[r])
+		}
+		phantom := 0
+		for _, words := range c.Alltoall(parts) {
+			w := msg.GetInts(words)
+			for i := 0; i+1 < len(w); i += 2 {
+				a, b := d.M.VertByGID(uint64(w[i])), d.M.VertByGID(uint64(w[i+1]))
+				if a < 0 || b < 0 || d.M.EdgeByPair(a, b) < 0 {
+					phantom++
+				}
+			}
+		}
+		if c.AllreduceInt64(int64(phantom), msg.SumInt64) == 0 && c.Rank() == 0 {
+			t.Error("no SPL names a rank that lacks the edge: the over-approximated case is not exercised")
+		}
+	})
+}
+
+// TestFaceTreeRootsMatchFamilyBFaces: packing hands each family its
+// slice of one per-call bucketing of face-tree roots.  Expanded to face
+// trees, every slice must equal FamilyBFaces' scan of the whole mesh, on
+// a mesh that was refined and then migrated.
+func TestFaceTreeRootsMatchFamilyBFaces(t *testing.T) {
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1.0}, 0.9, 0.5)
+	part := testPartition(global, 3)
+	msg.Run(3, func(c *msg.Comm) {
+		d := New(c, global, part, 0)
+		refineAndScramble(d, ind)
+		start, flat := faceTreeRoots(d.M)
+		refined := 0
+		for _, g := range d.LocalRootIDs() {
+			r := d.LocalRootElem(g)
+			roots := flat[start[r]:start[r+1]]
+			got := d.M.AppendFaceTrees(nil, roots)
+			if want := d.M.FamilyBFaces(r); !slices.Equal(got, want) {
+				t.Errorf("rank %d root %d: bucketed face trees %v, FamilyBFaces %v", c.Rank(), g, got, want)
+			}
+			refined += len(got) - len(roots)
+		}
+		if c.AllreduceInt64(int64(refined), msg.SumInt64) == 0 && c.Rank() == 0 {
+			t.Error("no boundary face was refined: the face-tree walk is not exercised")
+		}
+	})
+}
+
+// TestPackFamilyWarmAllocsNothing: packing reuses the DistMesh's index
+// scratch, so once the scratch and the output buffer have grown, packing
+// every family allocates nothing.
+func TestPackFamilyWarmAllocsNothing(t *testing.T) {
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1.0}, 0.9, 0.5)
+	part := testPartition(global, 2)
+	var d *DistMesh
+	msg.Run(2, func(c *msg.Comm) {
+		dm := New(c, global, part, 2)
+		refineAndScramble(dm, ind)
+		if c.Rank() == 0 {
+			d = dm
+		}
+	})
+	start, flat := faceTreeRoots(d.M)
+	roots := d.LocalRootIDs()
+	var buf []int64
+	pack := func() {
+		buf = buf[:0]
+		for _, g := range roots {
+			r := d.localRoot[g]
+			d.packFamily(&buf, g, flat[start[r]:start[r+1]])
+		}
+	}
+	pack()
+	if n := testing.AllocsPerRun(10, pack); n != 0 {
+		t.Errorf("warm packing of %d families made %v allocations, want 0", len(roots), n)
 	}
 }
 
