@@ -46,10 +46,8 @@
 // per-rank phase spans (solve, halo, collective, SPAI, refine,
 // repartition, migrate...) plus a per-epoch wait-blame summary that
 // attributes the critical path's wait time to lagging senders,
-// contended links, wire latency, or idleness.  The stream is
-// bounded-memory (per-rank span rings spill to the file), byte-
-// deterministic, and pure observation.  plumviz -blame renders it;
-// -serve exposes it live at /spans.
+// contended links, wire latency, or idleness.  The stream is byte-
+// deterministic and pure observation; plumviz -blame renders it.
 //
 // By default a reduced-scale mesh (~4k elements, P up to 16) reproduces
 // the qualitative shapes in seconds; -paper switches to the
@@ -112,11 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spansPath := fs.String("spans", "", "stream phase spans (JSONL) to this file: one"+
 		" stream per world of the epoch-driving experiments (implicit, feedback,"+
 		" scenarios), each rank's timeline cut into nested phase spans with a per-epoch"+
-		" wait-blame summary.  Bounded memory (per-rank span ring), deterministic bytes,"+
-		" and observation only, like -obs.  Render with plumviz -blame")
-	serveAddr := fs.String("serve", "", "serve /metrics (Prometheus text), /runs,"+
-		" /spans, /diff, /healthz, and /debug/pprof on this address during and after the run"+
-		" (e.g. 127.0.0.1:9090); the process then stays up until interrupted")
+		" wait-blame summary.  Deterministic bytes and observation only, like -obs."+
+		"  Render with plumviz -blame")
 	scenarioSel := fs.String("scenario", "", "comma-separated scenario names to run from"+
 		" the corpus (requires -exp scenarios; default: the whole corpus)")
 	scenarioDir := fs.String("scenario-dir", defaultScenarioDir, "scenario corpus directory"+
@@ -207,14 +202,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		e.Spans = sink
 	}
-	var srv *server
-	if *serveAddr != "" {
-		var err error
-		if srv, err = startServe(*serveAddr, *obsPath, *spansPath); err != nil {
-			fmt.Fprintf(stderr, "plumbench: -serve: %v\n", err)
-			return 1
-		}
-	}
 
 	scale := "reduced scale"
 	if *paper {
@@ -228,8 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale, e.Global.NumElems(), e.Ps, modelName)
 
 	// finishRun seals the span file and the ledger (metrics snapshot +
-	// output checksum) and hands off to the serve loop; it runs after ANY
-	// experiment path.  Scenario ledgers are regression baselines, so
+	// output checksum); it runs after ANY experiment path.  Scenario ledgers are regression baselines, so
 	// they omit the host-metrics record — everything after the manifest
 	// line stays byte-identical across hosts and GOMAXPROCS.
 	finishRun := func() int {
@@ -257,9 +243,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 			fmt.Fprintf(stderr, "plumbench: wrote ledger %s (%d epochs)\n", *obsPath, epochs)
-		}
-		if srv != nil {
-			srv.finish() // never returns
 		}
 		return 0
 	}

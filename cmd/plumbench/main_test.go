@@ -36,6 +36,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"measured without implicit", []string{"-exp", "feedback", "-measured"}, 2, "-measured"},
 		{"measured with scenarios", []string{"-exp", "scenarios", "-measured"}, 2, "-measured"},
 		{"removed bench exp", []string{"-exp", "bench"}, 2, "unknown -exp value"},
+		{"removed serve flag", []string{"-serve", "x"}, 2, "flag provided but not defined: -serve"},
 		{"scenario without scenarios exp", []string{"-scenario", "front-sweep"}, 2,
 			"-scenario selects from the workload corpus"},
 		{"scenario with wrong exp", []string{"-exp", "feedback", "-scenario", "front-sweep"}, 2,

@@ -13,9 +13,9 @@
 //	plumserve -addr 127.0.0.1:8080 -cache /tmp/plum-cache &
 //	curl -s -d '{"p":8,"cycles":4,"mapper":"heu"}' http://127.0.0.1:8080/run
 //
-// The observability surface of plumbench -serve (/metrics, /runs,
-// /spans, /diff, /healthz, /debug/pprof) is mounted on the same
-// listener.
+// The host plane is mounted on the same listener: /metrics (the obs
+// registry as Prometheus text), /healthz (running or draining), and the
+// Go profiler under /debug/pprof.
 //
 // -oneshot runs one request offline — no daemon, no cache — and prints
 // the exact bytes the daemon would serve for it: the byte-identity
@@ -117,7 +117,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(stderr, "plumserve: serving /run, /readyz, /metrics, /runs, /healthz on %s"+
+	fmt.Fprintf(stderr, "plumserve: serving /run, /readyz, /metrics, /healthz, /debug/pprof on %s"+
 		" (workers=%d, cache=%q, chaos=%v)\n", ln.Addr(), nw, *cacheDir, *chaos)
 
 	sigCh := make(chan os.Signal, 1)

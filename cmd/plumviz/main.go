@@ -38,7 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -58,27 +58,46 @@ import (
 )
 
 func main() {
-	p := flag.Int("p", 8, "simulated processors")
-	frac := flag.Float64("frac", 0.2, "fraction of edges to refine")
-	out := flag.String("o", "plum.vtk", "output VTK file")
-	tracePath := flag.String("trace", "", "also write the run's event timeline as Chrome-tracing JSON")
-	ledgerPath := flag.String("ledger", "", "render a plumbench -obs run ledger as a per-epoch"+
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entrypoint: exit 0 on success, 1 on I/O errors,
+// 2 on usage errors (mirroring cmd/plumbench and cmd/plumdiff).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plumviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	p := fs.Int("p", 8, "simulated processors")
+	frac := fs.Float64("frac", 0.2, "fraction of edges to refine")
+	out := fs.String("o", "plum.vtk", "output VTK file")
+	tracePath := fs.String("trace", "", "also write the run's event timeline as Chrome-tracing JSON")
+	ledgerPath := fs.String("ledger", "", "render a plumbench -obs run ledger as a per-epoch"+
 		" league table instead of running a simulation")
-	blamePath := flag.String("blame", "", "render a plumbench -spans span file: per-epoch"+
+	blamePath := fs.String("blame", "", "render a plumbench -spans span file: per-epoch"+
 		" wait-blame tables, the aggregated sender-lag league, and the span census")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "plumviz: unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "plumviz: %v\n", err)
+		return 1
+	}
 
 	if *ledgerPath != "" {
-		if err := renderLedger(os.Stdout, *ledgerPath); err != nil {
-			log.Fatal(err)
+		if err := renderLedger(stdout, *ledgerPath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *blamePath != "" {
-		if err := renderBlame(os.Stdout, *blamePath); err != nil {
-			log.Fatal(err)
+		if err := renderBlame(stdout, *blamePath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	global := mesh.Box(16, 12, 8, 4.0, 3.0, 2.0)
@@ -113,7 +132,7 @@ func main() {
 		if c.Rank() != 0 {
 			return
 		}
-		fmt.Printf("adapted to %d elements across %d processors (remap accepted: %v)\n",
+		fmt.Fprintf(stdout, "adapted to %d elements across %d processors (remap accepted: %v)\n",
 			st.Counts.Elems, *p, st.Accepted)
 		f, err := os.Create(*out)
 		if err != nil {
@@ -125,18 +144,18 @@ func main() {
 			failed = err
 			return
 		}
-		fmt.Printf("wrote %s (density component as point data, root element as cell data)\n", *out)
+		fmt.Fprintf(stdout, "wrote %s (density component as point data, root element as cell data)\n", *out)
 	})
 	if failed != nil {
-		log.Fatal(failed)
+		return fail(failed)
 	}
 	if *tracePath != "" {
 		all := spans.All()
 		if err := trace.WriteChromeFileSpans(*tracePath, all); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		cp := event.CriticalPath(trace)
-		fmt.Printf("wrote %s (%d events, %d phase spans, makespan %.4fs: %.4fs compute, %.4fs overhead, %.4fs comm wait on the critical path)\n",
+		fmt.Fprintf(stdout, "wrote %s (%d events, %d phase spans, makespan %.4fs: %.4fs compute, %.4fs overhead, %.4fs comm wait on the critical path)\n",
 			*tracePath, len(trace.Records), len(all), msg.MaxTime(times),
 			cp.Compute, cp.Overhead, cp.CommWait)
 
@@ -162,17 +181,18 @@ func main() {
 				top,
 				fmt.Sprintf("%.1f%%", 100*prof.PathShare(r)))
 		}
-		t.Render(os.Stdout)
+		t.Render(stdout)
 
 		// Who the critical path waited on, transitively attributed.
-		renderBlameReport(os.Stdout, event.WaitBlame(trace, &cp))
-		engineSummary(os.Stdout, len(trace.Records))
+		renderBlameReport(stdout, event.WaitBlame(trace, &cp))
+		engineSummary(stdout, len(trace.Records))
 	}
+	return 0
 }
 
 // renderBlameReport prints one BlameReport as the standard culprit
 // decomposition plus its top lag cells and edges.
-func renderBlameReport(w *os.File, b *event.BlameReport) {
+func renderBlameReport(w io.Writer, b *event.BlameReport) {
 	fmt.Fprintf(w, "Wait-blame: %.4fs attributed — %.4fs sender compute, %.4fs sender overhead,"+
 		" %.4fs contention, %.4fs wire, %.4fs idle\n",
 		b.Wait,
@@ -202,7 +222,7 @@ func renderBlameReport(w *os.File, b *event.BlameReport) {
 // run that just finished: the msg runtime flushed every world's
 // scheduler stats into the obs registry, so the registry's totals are
 // this process's totals.
-func engineSummary(w *os.File, events int) {
+func engineSummary(w io.Writer, events int) {
 	v := obs.Default.Value
 	fast := v("plum_engine_yields_total", "path", "fast")
 	handoff := v("plum_engine_yields_total", "path", "handoff")
@@ -222,7 +242,7 @@ func engineSummary(w *os.File, events int) {
 // killed before the end record, or is still streaming — renders what
 // was flushed, with a warning, instead of failing: the partial table is
 // exactly what a post-mortem needs.
-func renderLedger(w *os.File, path string) error {
+func renderLedger(w io.Writer, path string) error {
 	lf, truncated, err := obs.ReadLedgerFileLenient(path)
 	if err != nil {
 		return err
@@ -292,7 +312,7 @@ func renderLedger(w *os.File, path string) error {
 // divergence between the two modes, the summed solve time, and where
 // the run's critical-path waits were blamed.  Ledgers without scenario
 // epochs print nothing.
-func renderScenarioSummary(w *os.File, epochs []obs.EpochRecord) {
+func renderScenarioSummary(w io.Writer, epochs []obs.EpochRecord) {
 	type key struct{ scen, run string }
 	type agg struct {
 		decisions string
@@ -381,7 +401,7 @@ func renderScenarioSummary(w *os.File, epochs []obs.EpochRecord) {
 
 // renderLedgerBlame prints the per-epoch wait-blame decomposition for
 // ledgers whose runs recorded it (plumbench -obs on a traced run).
-func renderLedgerBlame(w *os.File, epochs []obs.EpochRecord) {
+func renderLedgerBlame(w io.Writer, epochs []obs.EpochRecord) {
 	any := false
 	for _, e := range epochs {
 		if e.Blame != nil {
@@ -421,16 +441,16 @@ func renderLedgerBlame(w *os.File, epochs []obs.EpochRecord) {
 // stream: the per-epoch wait-blame table, the sender-lag league
 // aggregated across epochs, the most-delaying causality edges, and the
 // span census by phase.
-func renderBlame(w *os.File, path string) error {
+func renderBlame(w io.Writer, path string) error {
 	worlds, err := event.ReadSpansFile(path)
 	if err != nil {
 		return err
 	}
 	for wi, sw := range worlds {
-		fmt.Fprintf(w, "world %d: %s — P=%d, ring=%d, %d spans, %d epochs",
-			wi, labelString(sw.Label), sw.P, sw.Ring, len(sw.Spans), len(sw.Blame))
+		fmt.Fprintf(w, "world %d: %s — P=%d, %d spans, %d epochs",
+			wi, labelString(sw.Label), sw.P, len(sw.Spans), len(sw.Blame))
 		if !sw.Complete {
-			fmt.Fprint(w, " (stream truncated — run killed or still streaming)")
+			fmt.Fprint(w, " (stream truncated — run killed mid-stream)")
 		}
 		fmt.Fprintln(w)
 
@@ -465,7 +485,7 @@ func renderBlame(w *os.File, path string) error {
 // one world stream across its epochs.  Because the stream serializes
 // only each epoch's top-k cells (the rest folds into lag_other), the
 // league is a lower bound per cell; the "other" row restores the total.
-func renderLagLeague(w *os.File, sw event.SpanWorld) {
+func renderLagLeague(w io.Writer, sw event.SpanWorld) {
 	type cell struct {
 		rank int
 		ph   string
@@ -548,7 +568,7 @@ func renderLagLeague(w *os.File, sw event.SpanWorld) {
 // renderSpanCensus tabulates the stream's spans by phase.  Nested spans
 // overlap their parents, so the seconds column sums span-local time,
 // not a partition of the makespan.
-func renderSpanCensus(w *os.File, sw event.SpanWorld) {
+func renderSpanCensus(w io.Writer, sw event.SpanWorld) {
 	if len(sw.Spans) == 0 {
 		return
 	}

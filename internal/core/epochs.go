@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"plum/internal/adapt"
+	"plum/internal/event"
 	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/msg"
@@ -203,8 +204,8 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	switch {
 	case spans != nil:
 		run.spans = new(bytes.Buffer)
-		opts := spans.options(
-			spanLabel(pl.exp, pl.model, pricingMode(pl.measured), pl.p), run.spans)
+		opts := event.SpanOptions{Sink: run.spans,
+			Label: spanLabel(pl.exp, pl.model, pricingMode(pl.measured), pl.p)}
 		times, _, _ = msg.RunTracedSpans(pl.p, pl.mod, opts, body)
 	case pl.measured || ledger != nil:
 		times, _ = msg.RunTraced(pl.p, pl.mod, body)

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"os"
 	"strconv"
-
-	"plum/internal/event"
 )
 
 // SpanSink owns the span-stream file of a benchmark run.  Experiment
@@ -17,18 +15,8 @@ import (
 // file is a concatenation of world streams (hdr ... end per world)
 // whose bytes are identical across repeat runs and across GOMAXPROCS.
 
-// DefaultSpanRing is the default per-rank resident-span bound: small
-// enough to cap memory on long runs, large enough that a typical epoch
-// flushes from memory without early spills.
-const DefaultSpanRing = 2048
-
 // SpanSink streams the span logs of every world of a run into one file.
 type SpanSink struct {
-	// Ring bounds the completed spans held resident per rank
-	// (event.SpanOptions.RingCap); 0 means unbounded.
-	Ring int
-
-	path   string
 	f      *os.File
 	w      *bufio.Writer
 	worlds int
@@ -41,26 +29,11 @@ func CreateSpanSink(path string) (*SpanSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SpanSink{
-		Ring: DefaultSpanRing,
-		path: path,
-		f:    f,
-		w:    bufio.NewWriterSize(f, 1<<16),
-	}, nil
+	return &SpanSink{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
 }
-
-// Path returns the span file's path.
-func (s *SpanSink) Path() string { return s.path }
 
 // Worlds returns how many world streams have been flushed.
 func (s *SpanSink) Worlds() int { return s.worlds }
-
-// options builds one world's SpanOptions: the world streams into buf
-// (private to the world — worlds race), the experiment flushes buf
-// through the sink after the barrier.
-func (s *SpanSink) options(label map[string]string, buf *bytes.Buffer) event.SpanOptions {
-	return event.SpanOptions{Sink: buf, RingCap: s.Ring, Label: label}
-}
 
 // flush appends one world's serialized stream to the file.  Nil buffers
 // (worlds that never ran) are skipped.

@@ -6,28 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"plum/internal/event"
-	"plum/internal/machine"
-	"plum/internal/msg"
-	"plum/internal/partition"
-	"plum/internal/pmesh"
-	"plum/internal/solver"
-
-	"plum/internal/mesh"
 )
 
 // The span-stream invariants, at the experiment layer: attaching a
 // SpanSink must not perturb any simulated output, and the span file
 // itself must be a deterministic artifact — byte-identical across
-// repeat runs, across GOMAXPROCS, and (modulo the header line that
-// records the setting) across ring bounds.  The test names carry
+// repeat runs and across GOMAXPROCS.  The test names carry
 // "Deterministic" so CI's determinism job runs them under -race.
 
-// spanFileBytes runs a 2-cycle implicit sweep with a span sink attached
-// (ring as given) and returns the span file's bytes.
-func spanFileBytes(t *testing.T, ring int) []byte {
+// spannedSweep runs a 2-cycle implicit sweep with a span sink attached
+// and returns its rows, rendered, and the span file's bytes.
+func spannedSweep(t *testing.T) (string, []byte) {
 	t.Helper()
 	e := smallExperiments()
 	path := filepath.Join(t.TempDir(), "spans.jsonl")
@@ -35,9 +28,8 @@ func spanFileBytes(t *testing.T, ring int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Ring = ring
 	e.Spans = sink
-	e.ImplicitScaling(2)
+	rows := implicitRowsString(e.ImplicitScaling(2))
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,69 +40,99 @@ func spanFileBytes(t *testing.T, ring int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return rows, data
+}
+
+// threeSweeps holds the three ImplicitScaling sweeps the span tests
+// share — one plain, one spanned at GOMAXPROCS 1, one spanned at 8 —
+// so the sweeps run once per test binary, not once per test.
+type threeSweeps struct {
+	plain, serialRows, parallelRows string
+	serial, parallel                []byte
+	done                            bool
+}
+
+var (
+	sweepsOnce sync.Once
+	sweeps     threeSweeps
+)
+
+func spanSweeps(t *testing.T) *threeSweeps {
+	t.Helper()
+	sweepsOnce.Do(func() {
+		s := &sweeps
+		s.plain = implicitRowsString(smallExperiments().ImplicitScaling(2))
+		old := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(old)
+		s.serialRows, s.serial = spannedSweep(t)
+		runtime.GOMAXPROCS(8)
+		s.parallelRows, s.parallel = spannedSweep(t)
+		s.done = true
+	})
+	if !sweeps.done {
+		t.Fatal("the shared span sweeps failed in an earlier test")
+	}
+	return &sweeps
 }
 
 // TestSpanFileDeterministicAcrossGOMAXPROCS: the span file is bitwise
 // identical whether the experiment worlds run serially or race on 8
-// procs — the per-world buffers flush after the barrier, in loop order.
+// procs (the per-world buffers flush after the barrier, in loop order).
 func TestSpanFileDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	serial := spanFileBytes(t, DefaultSpanRing)
-	runtime.GOMAXPROCS(8)
-	parallel := spanFileBytes(t, DefaultSpanRing)
+	s := spanSweeps(t)
+	serial, parallel := s.serial, s.parallel
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("span file differs between GOMAXPROCS 1 and 8 (%d vs %d bytes)",
 			len(serial), len(parallel))
 	}
 }
 
-// stripSpanHeaders drops the per-world header lines, which record the
-// ring setting by design; every other line must be ring-invariant.
-func stripSpanHeaders(data []byte) []byte {
-	var out []byte
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if bytes.Contains(line, []byte(`"k":"hdr"`)) {
-			continue
-		}
-		out = append(out, line...)
-		out = append(out, '\n')
-	}
-	return out
-}
-
-// TestSpanFileDeterministicRingOnOff: the ring bound changes resident
-// memory, never the stream — span, blame, and end-trailer lines are
-// byte-identical with the bound on or off.
-func TestSpanFileDeterministicRingOnOff(t *testing.T) {
-	unbounded := stripSpanHeaders(spanFileBytes(t, 0))
-	bounded := stripSpanHeaders(spanFileBytes(t, 8))
-	if !bytes.Equal(unbounded, bounded) {
-		t.Errorf("span/blame/end lines differ between unbounded and ring=8 sinks"+
-			" (%d vs %d bytes)", len(unbounded), len(bounded))
-	}
-}
-
-// TestSpansDeterministicImplicitRows: an ImplicitScaling sweep with a
-// span sink attached (which forces traced worlds and per-cycle epoch
-// cuts) reports bit-identical rows to the plain untraced sweep — the
-// tracing-must-not-perturb acceptance criterion at the harness layer.
+// TestSpansDeterministicImplicitRows: the spanned sweeps, whose sink
+// forces traced worlds and per-cycle epoch cuts, report bit-identical
+// rows to the plain one — tracing must not perturb.
 func TestSpansDeterministicImplicitRows(t *testing.T) {
-	plain := implicitRowsString(smallExperiments().ImplicitScaling(2))
+	s := spanSweeps(t)
+	for _, spanned := range []string{s.serialRows, s.parallelRows} {
+		if spanned != s.plain {
+			t.Errorf("span recording perturbed the run:\nplain:   %s\nspanned: %s", s.plain, spanned)
+		}
+	}
+}
 
-	e := smallExperiments()
-	sink, err := CreateSpanSink(filepath.Join(t.TempDir(), "spans.jsonl"))
+// TestSpanFileParsesWithBlame: the span file reads back with ReadSpans
+// as complete, labelled world streams whose epoch blame summaries
+// attribute wait.
+func TestSpanFileParsesWithBlame(t *testing.T) {
+	worlds, err := event.ReadSpans(bytes.NewReader(spanSweeps(t).serial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Spans = sink
-	spanned := implicitRowsString(e.ImplicitScaling(2))
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
+	if len(worlds) != 3 {
+		t.Fatalf("got %d world streams, want 3 (Ps 1,2,4)", len(worlds))
 	}
-	if plain != spanned {
-		t.Errorf("span recording perturbed the run:\nplain:   %s\nspanned: %s", plain, spanned)
+	var blames int
+	for _, w := range worlds {
+		if !w.Complete {
+			t.Errorf("world %v parsed as truncated", w.Label)
+		}
+		if w.Label["exp"] != "implicit" || w.Label["p"] == "" {
+			t.Errorf("world label = %v, want exp=implicit with a p key", w.Label)
+		}
+		if len(w.Spans) == 0 {
+			t.Errorf("world %v carries no spans", w.Label)
+		}
+		if w.Epochs != 2 {
+			t.Errorf("world %v has %d epochs, want 2 (one per cycle)", w.Label, w.Epochs)
+		}
+		for _, b := range w.Blame {
+			blames++
+			if b.Wait < 0 {
+				t.Errorf("world %v epoch %d: negative wait %g", w.Label, b.Epoch, b.Wait)
+			}
+		}
+	}
+	if blames == 0 {
+		t.Error("no epoch blame summary in the whole file")
 	}
 }
 
@@ -147,106 +169,5 @@ func TestSpansDeterministicFeedbackRows(t *testing.T) {
 	if plain != spanned {
 		t.Errorf("span recording perturbed the feedback comparison:\nplain:   %s\nspanned: %s",
 			plain, spanned)
-	}
-}
-
-// TestSpanFileParsesWithBlame: the file an experiment writes reads back
-// with ReadSpans — complete world streams, labels identifying each
-// world, and at least one epoch blame summary attributing wait.
-func TestSpanFileParsesWithBlame(t *testing.T) {
-	data := spanFileBytes(t, DefaultSpanRing)
-	worlds, err := event.ReadSpans(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(worlds) != 3 {
-		t.Fatalf("got %d world streams, want 3 (Ps 1,2,4)", len(worlds))
-	}
-	var blames int
-	for _, w := range worlds {
-		if !w.Complete {
-			t.Errorf("world %v parsed as truncated", w.Label)
-		}
-		if w.Label["exp"] != "implicit" || w.Label["p"] == "" {
-			t.Errorf("world label = %v, want exp=implicit with a p key", w.Label)
-		}
-		if len(w.Spans) == 0 {
-			t.Errorf("world %v carries no spans", w.Label)
-		}
-		if w.Epochs != 2 {
-			t.Errorf("world %v has %d epochs, want 2 (one per cycle)", w.Label, w.Epochs)
-		}
-		for _, b := range w.Blame {
-			blames++
-			if b.Wait < 0 {
-				t.Errorf("world %v epoch %d: negative wait %g", w.Label, b.Epoch, b.Wait)
-			}
-		}
-	}
-	if blames == 0 {
-		t.Error("no epoch blame summary in the whole file")
-	}
-}
-
-// TestSpanPeakResidentBoundedOverlapPCG: on an overlapped implicit PCG
-// step — the repository's densest span producer — the ring bound holds
-// peak resident spans per rank near the configured cap, far below what
-// the unbounded log retains, without changing the simulated clocks.
-func TestSpanPeakResidentBoundedOverlapPCG(t *testing.T) {
-	e := smallExperiments()
-	const p, ring = 4, 64
-	topo, err := machine.ByName("fattree", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := e.Model.WithTopo(topo)
-	popt := e.Cfg.PartOpts
-	popt.TargetShares = machine.SpeedShares(topo, p)
-	initPart := partition.Partition(e.Dual, p, popt)
-	ind := e.Indicator()
-	body := func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, solver.NComp)
-		d.MarkGeometricFraction(ind, 0.2)
-		d.PropagateParallel()
-		d.Refine()
-		solver.InitField(d.M, solver.GaussianPulse(
-			mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-		im := solver.NewImplicit(d, overlapOptions(true))
-		im.Step()
-	}
-	run := func(ringCap int) ([]float64, *event.SpanLog) {
-		var buf bytes.Buffer
-		times, _, sl := msg.RunTracedSpans(p, mod,
-			event.SpanOptions{Sink: &buf, RingCap: ringCap}, body)
-		if err := sl.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return times, sl
-	}
-	boundedTimes, bounded := run(ring)
-	unboundedTimes, unbounded := run(0)
-
-	if bounded.Evicted() == 0 {
-		t.Fatal("PCG run never hit the ring bound; the test proves nothing")
-	}
-	// The bound: ring completed spans plus the open phase stack (nesting
-	// in this workload is a handful deep).
-	if bounded.PeakResident() > ring+8 {
-		t.Errorf("peak resident spans = %d, want <= %d (ring %d + open stack)",
-			bounded.PeakResident(), ring+8, ring)
-	}
-	if unbounded.PeakResident() <= ring+8 {
-		t.Errorf("unbounded peak %d within the ring bound; workload too small to matter",
-			unbounded.PeakResident())
-	}
-	if bounded.Written() != unbounded.Written() {
-		t.Errorf("ring changed the spans written: %d vs %d",
-			bounded.Written(), unbounded.Written())
-	}
-	for r := range boundedTimes {
-		if boundedTimes[r] != unboundedTimes[r] {
-			t.Errorf("rank %d: ring changed a simulated clock: %v vs %v",
-				r, boundedTimes[r], unboundedTimes[r])
-		}
 	}
 }

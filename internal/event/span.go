@@ -3,15 +3,11 @@ package event
 // Causal span layer: each rank's timeline, segmented into typed, nested
 // phase spans (solver iteration, halo exchange, collective, SPAI setup,
 // refine/coarsen, repartition, migrate).  Spans are pure observation —
-// opening or closing one never touches a simulated clock — and the span
-// stream is written through a bounded-memory streaming sink: per-rank
-// ring buffers spill the oldest completed spans to the sink as
-// serialized bytes, and epoch cuts flush the rest in canonical
+// opening or closing one never touches a simulated clock — and epoch
+// cuts flush each epoch's completed spans to the sink in canonical
 // rank-major order.  Because every mutation happens while the owning
 // rank holds the engine's execution token, the stream is deterministic:
-// byte-equal across repeat runs and across GOMAXPROCS, and byte-equal
-// with the ring bound on or off — eviction only changes *when* a span's
-// bytes are serialized, never their order or content.
+// byte-equal across repeat runs and across GOMAXPROCS.
 
 import (
 	"bufio"
@@ -80,25 +76,11 @@ type Span struct {
 // SpanOptions configures a SpanLog.
 type SpanOptions struct {
 	// Sink receives the serialized span stream (JSONL).  Nil keeps all
-	// spans resident for All(); RingCap is then ignored (eviction needs
-	// somewhere to spill).
+	// spans resident for All().
 	Sink io.Writer
-	// RingCap bounds the completed spans held resident per rank; 0
-	// means unbounded.  When the ring is full the oldest span is
-	// serialized into the rank's pending spill buffer immediately.
-	RingCap int
 	// Label annotates the stream header (experiment, model, run, P...).
 	Label map[string]string
 }
-
-// spanRing is a fixed-capacity FIFO of completed spans.
-type spanRing struct {
-	buf  []Span
-	head int
-	n    int
-}
-
-func (r *spanRing) at(i int) *Span { return &r.buf[(r.head+i)%len(r.buf)] }
 
 // SpanLog collects one world's spans.  All methods must be called while
 // the acting rank holds the execution token (straight-line rank code),
@@ -107,45 +89,27 @@ type SpanLog struct {
 	P    int
 	opts SpanOptions
 
-	open [][]Span   // per-rank stack of open spans
-	ring []spanRing // per-rank completed spans (RingCap > 0)
-	done [][]Span   // per-rank completed spans (unbounded mode)
-	cut  []int      // per-rank count of done spans already stamped/flushed
-	pend []bytes.Buffer
+	open [][]Span // per-rank stack of open spans
+	done [][]Span // per-rank completed spans
+	cut  []int    // per-rank count of done spans already stamped/flushed
 
-	epoch        int
-	peakResident int   // max completed+open spans resident on any rank
-	written      int64 // spans serialized to the sink
-	evicted      int64
-	closed       bool
-	err          error
+	epoch   int
+	written int64 // spans serialized to the sink
+	closed  bool
+	err     error
 }
 
 // NewSpanLog creates a span log for a P-rank world and writes the
 // stream header.
 func NewSpanLog(p int, opts SpanOptions) *SpanLog {
-	if opts.Sink == nil {
-		opts.RingCap = 0
-	}
 	s := &SpanLog{
 		P:    p,
 		opts: opts,
 		open: make([][]Span, p),
-		pend: make([]bytes.Buffer, p),
+		done: make([][]Span, p),
+		cut:  make([]int, p),
 	}
-	if opts.RingCap > 0 {
-		s.ring = make([]spanRing, p)
-		for i := range s.ring {
-			s.ring[i].buf = make([]Span, opts.RingCap)
-		}
-	} else {
-		s.done = make([][]Span, p)
-		s.cut = make([]int, p)
-	}
-	s.writeLine(spanHdr{
-		K: "hdr", Schema: SpanSchemaVersion, P: p,
-		Ring: opts.RingCap, Label: opts.Label,
-	})
+	s.writeLine(spanHdr{K: "hdr", Schema: SpanSchemaVersion, P: p, Label: opts.Label})
 	return s
 }
 
@@ -165,45 +129,7 @@ func (s *SpanLog) End(rank int, t float64) {
 	sp := st[len(st)-1]
 	s.open[rank] = st[:len(st)-1]
 	sp.T1 = t
-	if s.ring != nil {
-		r := &s.ring[rank]
-		if r.n == len(r.buf) {
-			// Ring full: spill the oldest span's bytes now.  Its position
-			// in the stream is unchanged (pend is flushed before the ring
-			// at each cut), so the bound costs memory order, not byte
-			// determinism.
-			s.spill(rank, r.at(0))
-			r.head = (r.head + 1) % len(r.buf)
-			r.n--
-			s.evicted++
-		}
-		*r.at(r.n) = sp
-		r.n++
-		if res := r.n + len(s.open[rank]); res > s.peakResident {
-			s.peakResident = res
-		}
-	} else {
-		s.done[rank] = append(s.done[rank], sp)
-		if res := len(s.done[rank]) + len(s.open[rank]); res > s.peakResident {
-			s.peakResident = res
-		}
-	}
-}
-
-// spill serializes one span into rank's pending buffer (stamped with
-// the current epoch, exactly as the cut would stamp it).
-func (s *SpanLog) spill(rank int, sp *Span) {
-	s.written++
-	line, err := json.Marshal(spanLine{
-		K: "span", E: s.epoch, R: sp.Rank, Ph: sp.Phase.String(),
-		D: sp.Depth, T0: sp.T0, T1: sp.T1,
-	})
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	s.pend[rank].Write(line)
-	s.pend[rank].WriteByte('\n')
+	s.done[rank] = append(s.done[rank], sp)
 }
 
 // CutEpoch ends the current epoch: every completed span is stamped
@@ -211,27 +137,13 @@ func (s *SpanLog) spill(rank int, sp *Span) {
 // followed by the epoch's blame summary (nil: plain flush).
 func (s *SpanLog) CutEpoch(blame *BlameReport) {
 	for rank := 0; rank < s.P; rank++ {
-		if s.opts.Sink != nil && s.pend[rank].Len() > 0 {
-			if _, err := s.opts.Sink.Write(s.pend[rank].Bytes()); err != nil {
-				s.fail(err)
-			}
-			s.pend[rank].Reset()
+		for i := s.cut[rank]; i < len(s.done[rank]); i++ {
+			s.writeSpan(&s.done[rank][i])
 		}
-		if s.ring != nil {
-			r := &s.ring[rank]
-			for i := 0; i < r.n; i++ {
-				s.writeSpan(r.at(i))
-			}
-			r.head, r.n = 0, 0
-		} else {
-			for i := s.cut[rank]; i < len(s.done[rank]); i++ {
-				s.writeSpan(&s.done[rank][i])
-			}
-			if s.opts.Sink != nil {
-				s.done[rank] = s.done[rank][:0]
-			}
-			s.cut[rank] = len(s.done[rank])
+		if s.opts.Sink != nil {
+			s.done[rank] = s.done[rank][:0]
 		}
+		s.cut[rank] = len(s.done[rank])
 	}
 	if blame != nil {
 		eb := blame.Summary(s.epoch, blameTopK)
@@ -251,10 +163,7 @@ func (s *SpanLog) writeSpan(sp *Span) {
 }
 
 // Close flushes any spans completed after the last epoch cut and
-// writes the stream trailer.  The trailer deliberately carries only
-// stream-shape fields that are invariant under the ring bound
-// (epochs, spans written); resident-memory facts (PeakResident,
-// Evicted) stay on the accessors.
+// writes the stream trailer (epochs, spans written).
 func (s *SpanLog) Close() error {
 	if s.closed {
 		return s.err
@@ -273,30 +182,10 @@ func (s *SpanLog) Close() error {
 func (s *SpanLog) All() []Span {
 	var out []Span
 	for rank := 0; rank < s.P; rank++ {
-		if s.ring != nil {
-			r := &s.ring[rank]
-			for i := 0; i < r.n; i++ {
-				out = append(out, *r.at(i))
-			}
-		} else {
-			out = append(out, s.done[rank]...)
-		}
+		out = append(out, s.done[rank]...)
 	}
 	return out
 }
-
-// PeakResident returns the maximum number of spans (completed + open)
-// any single rank held resident at once — the quantity RingCap bounds.
-func (s *SpanLog) PeakResident() int { return s.peakResident }
-
-// Written returns the number of spans serialized to the sink.
-func (s *SpanLog) Written() int64 { return s.written }
-
-// Evicted returns the number of spans spilled early by the ring bound.
-func (s *SpanLog) Evicted() int64 { return s.evicted }
-
-// Epochs returns the number of epoch cuts so far.
-func (s *SpanLog) Epochs() int { return s.epoch }
 
 // Err returns the first sink write error, if any.
 func (s *SpanLog) Err() error { return s.err }
@@ -342,7 +231,6 @@ type spanHdr struct {
 	K      string            `json:"k"`
 	Schema int               `json:"schema"`
 	P      int               `json:"p"`
-	Ring   int               `json:"ring"`
 	Label  map[string]string `json:"label,omitempty"`
 }
 
@@ -382,7 +270,6 @@ type EpochBlame struct {
 // SpanWorld is one parsed world stream of a span file.
 type SpanWorld struct {
 	P       int
-	Ring    int
 	Label   map[string]string
 	Spans   []Span
 	Blame   []EpochBlame
@@ -397,8 +284,9 @@ type SpanWorld struct {
 // ReadSpans parses a span file: a concatenation of one or more world
 // streams.  It is deliberately tolerant of truncation — a stream cut
 // off mid-line or before its end trailer parses as Complete=false with
-// everything up to the cut intact — because live /spans scrapes read
-// the file while plumbench is still appending to it.  Structural
+// everything up to the cut intact — because a killed run leaves its
+// last stream without a trailer, and the spans before the kill are
+// still worth reading.  Structural
 // errors (a span line outside any stream, an unknown schema) fail.
 func ReadSpans(r io.Reader) ([]SpanWorld, error) {
 	sc := bufio.NewScanner(r)
@@ -434,7 +322,7 @@ func ReadSpans(r io.Reader) ([]SpanWorld, error) {
 					" by this reader (supports v%d..v%d) — regenerate the stream or upgrade the tool",
 					line, h.Schema, MinSpanSchemaVersion, SpanSchemaVersion)
 			}
-			worlds = append(worlds, SpanWorld{P: h.P, Ring: h.Ring, Label: h.Label})
+			worlds = append(worlds, SpanWorld{P: h.P, Label: h.Label})
 			cur = &worlds[len(worlds)-1]
 		case "span":
 			if cur == nil {

@@ -3,7 +3,6 @@ package msg
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"plum/internal/event"
@@ -102,40 +101,6 @@ func TestSpanStreamDeterministicRepeat(t *testing.T) {
 	}
 }
 
-// TestSpanStreamRingByteIdentity: the ring bound changes only resident
-// memory, never the stream — span/blame/end lines are byte-identical
-// with the bound on or off, and the bound holds.
-func TestSpanStreamRingByteIdentity(t *testing.T) {
-	const p = 8
-	run := func(ring int) (string, *event.SpanLog) {
-		var buf bytes.Buffer
-		_, _, sl := RunTracedSpans(p, fatTreeModel(p),
-			event.SpanOptions{Sink: &buf, RingCap: ring},
-			func(c *Comm) {
-				for i := 0; i < 6; i++ {
-					spanWorkload(c)
-				}
-			})
-		if err := sl.Err(); err != nil {
-			t.Fatal(err)
-		}
-		s := buf.String()
-		return s[strings.IndexByte(s, '\n')+1:], sl // header carries the ring setting
-	}
-	unbounded, ul := run(0)
-	bounded, bl := run(2)
-	if unbounded != bounded {
-		t.Errorf("stream bytes differ between unbounded and ring=2:\n--- unbounded\n%s--- ring\n%s",
-			unbounded, bounded)
-	}
-	if bl.Evicted() == 0 {
-		t.Error("ring bound never evicted; workload too small to prove anything")
-	}
-	if ul.PeakResident() <= bl.PeakResident() {
-		t.Errorf("ring peak %d not below unbounded peak %d", bl.PeakResident(), ul.PeakResident())
-	}
-}
-
 // TestSpansDoNotPerturb: recording spans must not move a single
 // simulated clock — rank times are bitwise identical across the plain,
 // traced, and traced+spans runs.
@@ -144,7 +109,7 @@ func TestSpansDoNotPerturb(t *testing.T) {
 	plain := RunModel(p, fatTreeModel(p), spanWorkload)
 	var buf bytes.Buffer
 	spanned, _, _ := RunTracedSpans(p, fatTreeModel(p),
-		event.SpanOptions{Sink: &buf, RingCap: 2}, spanWorkload)
+		event.SpanOptions{Sink: &buf}, spanWorkload)
 	for r := range plain {
 		if plain[r] != spanned[r] {
 			t.Errorf("rank %d: plain %v != spanned %v (must be bitwise identical)",

@@ -1,8 +1,7 @@
 package diff
 
 // Report rendering: one formatter for every surface.  WriteText renders
-// the aligned-column terminal form (plumdiff stdout, the /diff serve
-// endpoint), WriteMarkdown the GitHub-flavored table form (CI step
+// the aligned-column terminal form (plumdiff stdout), WriteMarkdown the GitHub-flavored table form (CI step
 // summaries), and the JSON form is the Report struct itself.  Both
 // renderers are deterministic: byte-identical output for equal reports.
 

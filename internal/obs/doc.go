@@ -20,7 +20,7 @@
 // (Registry) counts what the simulator's own machinery did — engine
 // fast-path vs handoff yields, calendar and mailbox high-waters, pool
 // hit rates, worlds scheduled and their wall-clock — and is exported as
-// Prometheus text (plumbench -serve) and embedded in the ledger as a
+// Prometheus text (plumserve /metrics) and embedded in the ledger as a
 // clearly host-only metrics record.
 //
 // Entry points.  Create / Ledger.Add / Ledger.Close write a ledger;

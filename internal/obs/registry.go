@@ -13,7 +13,7 @@ import (
 // Host-plane metric registry: counters, gauges, and histograms with no
 // external dependencies, cheap enough for the simulation runtime to
 // feed and exportable as Prometheus text.  Values are atomics so the
-// registry can be scraped live (plumbench -serve) while worlds run
+// registry can be scraped live (plumserve /metrics) while worlds run
 // concurrently; instruments are interned by (name, labels), so hot
 // paths should hold the returned pointer rather than re-looking it up.
 

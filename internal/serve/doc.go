@@ -38,8 +38,10 @@
 //     lets in-flight worlds finish against a drain deadline, cancels
 //     the stragglers cooperatively, and flushes the cache index.
 //
-// The package also owns the shared observability surface — /metrics,
-// /runs, /spans, /diff, /healthz, /debug/pprof — mounted by both
-// plumserve and plumbench -serve (ObsState.Register), so the two
-// servers cannot drift.
+// NewServer also mounts the host plane beside /run and /readyz:
+// /metrics (the obs registry as Prometheus text), /healthz ("running",
+// or "draining" once Drain begins), and the Go profiler under
+// /debug/pprof.  Everything there is host data, so scraping it cannot
+// perturb a world in flight.  Run ledgers and span files are read
+// offline, by plumviz and plumdiff.
 package serve

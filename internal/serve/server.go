@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -35,8 +36,6 @@ type Config struct {
 	// Chaos enables the fault-injection request field.  Off by default:
 	// a production daemon refuses chaos requests with 403.
 	Chaos bool
-	// Obs configures the shared observability surface (ledger dir etc.).
-	Obs ObsState
 }
 
 // errShed marks a flight whose leader was shed by admission control;
@@ -135,16 +134,18 @@ func NewServer(exp *core.Experiments, cfg Config) (*Server, error) {
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	o := cfg.Obs
-	if o.Health == nil {
-		o.Health = func() string {
-			if s.draining.Load() {
-				return "draining"
-			}
-			return "running"
-		}
-	}
-	o.Register(s.mux)
+	// The host plane: scraping it reads only host data (the metrics
+	// registry, the Go profiler), so it cannot perturb a world in flight.
+	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		obs.Default.WritePrometheus(w)
+	})
+	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s, nil
 }
 
@@ -163,6 +164,18 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ready")
+}
+
+// handleHealthz reports the process state: "running", or "draining"
+// from the moment Drain begins.  Unlike /readyz it answers 200 either
+// way — the process is alive — so a supervisor can watch a drain.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	status := "running"
+	if s.draining.Load() {
+		status = "draining"
+	}
+	w.Header().Set("Content-Type", "application/json")
+	fmt.Fprintf(w, "{\"status\":%q}\n", status)
 }
 
 // retryAfterSeconds estimates when a shed client should come back:

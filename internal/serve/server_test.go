@@ -72,6 +72,21 @@ func post(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
+// get fetches path and returns the status code and body.
+func get(t *testing.T, url, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
 // counter reads a labelled counter from the process-global registry.
 func counter(name string, labels ...string) float64 {
 	return obs.Default.Value(name, labels...)
@@ -357,6 +372,9 @@ func TestServeDrain(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
+	if code, body := get(t, hs.URL, "/healthz"); code != http.StatusOK || body != `{"status":"running"}`+"\n" {
+		t.Errorf("healthz before drain: status %d, body %q", code, body)
+	}
 
 	// A slow request in flight when the drain begins must complete with
 	// its full body — drain waits, it does not kill.
@@ -401,9 +419,13 @@ func TestServeDrain(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// New work is refused while draining.
+	// New work is refused while draining; the process still answers
+	// /healthz, reporting the drain.
 	if resp, _ := post(t, hs.URL, `{"p":4,"cycles":1,"seed":18}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("new request during drain: status %d, want 503", resp.StatusCode)
+	}
+	if code, body := get(t, hs.URL, "/healthz"); code != http.StatusOK || body != `{"status":"draining"}`+"\n" {
+		t.Errorf("healthz during drain: status %d, body %q", code, body)
 	}
 
 	r := <-inflight
@@ -419,6 +441,32 @@ func TestServeDrain(t *testing.T) {
 	// The cache index flushed on the way out.
 	if _, err := os.Stat(filepath.Join(srv.cache.dir, "index.json")); err != nil {
 		t.Errorf("no cache index after drain: %v", err)
+	}
+}
+
+// TestServeHostPlane: the daemon mounts the host plane — metrics and
+// the Go profiler — beside /run, and nothing else: the run-file
+// endpoints of the retired second server are gone.
+func TestServeHostPlane(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	cases := []struct {
+		path string
+		code int
+		want string // substring of the body
+	}{
+		{"/metrics", http.StatusOK, "plumserve_requests_total"},
+		{"/healthz", http.StatusOK, `"status"`},
+		{"/debug/pprof/cmdline", http.StatusOK, ""},
+		{"/runs", http.StatusNotFound, ""},
+		{"/spans", http.StatusNotFound, ""},
+		{"/diff", http.StatusNotFound, ""},
+	}
+	for _, tc := range cases {
+		code, body := get(t, hs.URL, tc.path)
+		if code != tc.code || !strings.Contains(body, tc.want) {
+			t.Errorf("GET %s: status %d (want %d), body lacks %q: %.200s",
+				tc.path, code, tc.code, tc.want, body)
+		}
 	}
 }
 
