@@ -54,8 +54,9 @@
 // 60,912-element mesh and processor counts up to 64 (several minutes).
 // Absolute times come from the simulated SP2-like machine model (see
 // internal/msg); the claims under test are shapes and ratios, not
-// absolute seconds — EXPERIMENTS.md records both paper and measured
-// values side by side.
+// absolute seconds — each table prints the paper's values or expected
+// shape beside the measured ones ("paper:" / "shape:" lines), and
+// PAPER.md summarises the paper's claims.
 package main
 
 import (
@@ -286,7 +287,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig7(w, e)
 	}
 	if runExp("fig8") {
-		fig8(w, e, needScaling())
+		fig8(w, needScaling())
 	}
 	if runExp("implicit") {
 		if code := implicitExp(w, stderr, e, *trace); code != 0 {
@@ -614,7 +615,7 @@ func fig7(w io.Writer, e *core.Experiments) {
 	fmt.Fprintln(w)
 }
 
-func fig8(w io.Writer, e *core.Experiments, rows []core.ScalingRow) {
+func fig8(w io.Writer, rows []core.ScalingRow) {
 	t := report.NewTable("Figure 8: actual impact of load balancing on solver time",
 		"Case", "P", "Improvement", "Analytic max")
 	for _, cs := range []string{"Real_1", "Real_2", "Real_3"} {
@@ -629,7 +630,6 @@ func fig8(w io.Writer, e *core.Experiments, rows []core.ScalingRow) {
 	fmt.Fprintln(w, "paper: 3.46 / 2.03 / 1.52 on 64 procs; Real_3 attains its maximum"+
 		" first, Real_1 keeps growing with P")
 	fmt.Fprintln(w)
-	_ = e
 }
 
 func seriesName(cs string, before bool) string {

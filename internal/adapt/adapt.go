@@ -269,9 +269,10 @@ func (m *Mesh) EnsureEdgeElems() {
 // elements in root r's refinement tree — only those participate in the
 // flow computation — and wremap[r] is the total number of alive elements
 // in the tree, since all descendants move with the root during remapping.
+// Both are indexed by root element id (see rootSpan).
 func (m *Mesh) RootWeights() (wcomp, wremap []int64) {
-	wcomp = make([]int64, m.NRootElems)
-	wremap = make([]int64, m.NRootElems)
+	wcomp = make([]int64, m.rootSpan())
+	wremap = make([]int64, len(wcomp))
 	for e := range m.ElemVerts {
 		if !m.ElemAlive[e] {
 			continue
@@ -283,6 +284,18 @@ func (m *Mesh) RootWeights() (wcomp, wremap []int64) {
 		}
 	}
 	return wcomp, wremap
+}
+
+// rootSpan returns the length of a table indexed by root element id:
+// NRootElems, or more once a migrated family has appended its root
+// element past them.
+func (m *Mesh) rootSpan() int {
+	for e := len(m.ElemVerts) - 1; e >= m.NRootElems; e-- {
+		if m.ElemAlive[e] && m.ElemParent[e] < 0 {
+			return e + 1
+		}
+	}
+	return m.NRootElems
 }
 
 // getOrCreateEdge returns the id of the edge (a,b), creating it (as an

@@ -217,40 +217,3 @@ func (m *Mesh) purgeAll() {
 	m.purge()
 	m.NInitEdges, m.NInitVerts = saveE, saveV
 }
-
-// FamilyWeights returns the two dual-graph weights of every root element
-// present in this mesh, keyed by local root id: the active (leaf) element
-// count Wcomp and the total alive element count Wremap.
-func (m *Mesh) FamilyWeights() (wcomp, wremap map[int32]int64) {
-	wcomp = make(map[int32]int64)
-	wremap = make(map[int32]int64)
-	for e := range m.ElemVerts {
-		if !m.ElemAlive[e] {
-			continue
-		}
-		r := m.ElemRoot[e]
-		wremap[r]++
-		if m.ElemChild[e] == nil {
-			wcomp[r]++
-		}
-	}
-	return wcomp, wremap
-}
-
-// PredictLeavesByRoot returns, per local root id, the number of leaf
-// elements the family will have after refinement with the current
-// (upgraded) marks.
-func (m *Mesh) PredictLeavesByRoot() map[int32]int64 {
-	out := make(map[int32]int64)
-	for e := range m.ElemVerts {
-		if !m.ElemActive(int32(e)) {
-			continue
-		}
-		n := SubdivisionArity(m.ElemPattern(int32(e)))
-		if n == 0 {
-			n = 1
-		}
-		out[m.ElemRoot[e]] += int64(n)
-	}
-	return out
-}

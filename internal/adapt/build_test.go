@@ -98,7 +98,7 @@ func TestFamilyElemsBFS(t *testing.T) {
 			}
 		}
 	}
-	wc, wr := m.FamilyWeights()
+	wc, wr := m.RootWeights()
 	if wc[0] != 8 || wr[0] != 9 {
 		t.Errorf("family weights (%d,%d), want (8,9)", wc[0], wr[0])
 	}

@@ -258,7 +258,8 @@ func (m *Mesh) MarkedEdges() []int32 {
 // step") to let the load balancer run on the pre-refinement mesh.
 type Prediction struct {
 	// LeavesPerRoot[r] is the number of active elements root r's tree
-	// will have after refinement (the new Wcomp).
+	// will have after refinement (the new Wcomp), indexed by root
+	// element id like RootWeights.
 	LeavesPerRoot []int64
 	// TotalActive is the predicted number of active elements.
 	TotalActive int64
@@ -270,7 +271,7 @@ type Prediction struct {
 // PredictRefine computes the post-refinement element counts from the
 // current (upgraded) edge marks.  Call after Propagate.
 func (m *Mesh) PredictRefine() Prediction {
-	pred := Prediction{LeavesPerRoot: make([]int64, m.NRootElems)}
+	pred := Prediction{LeavesPerRoot: make([]int64, m.rootSpan())}
 	var current int64
 	for e := range m.ElemVerts {
 		if !m.ElemActive(int32(e)) {

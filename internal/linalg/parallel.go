@@ -71,12 +71,12 @@ type DistSystem struct {
 	// own is the exact sharing state used for assembly and scatter.
 	own *pmesh.EdgeOwnership
 
-	// Halo exchange lists.  sendRows[r] lists owned row indices whose
-	// values rank r needs; recvGhost[r] lists ghost indices (into the
-	// ghost block) filled from rank r.  Both are gid-ascending, so the
-	// payloads pair up positionally.
-	sendRows  map[int32][]int32
-	recvGhost map[int32][]int32
+	// Halo exchange lists, indexed by rank.  sendRows[r] lists owned row
+	// indices whose values rank r needs; recvGhost[r] lists ghost indices
+	// (into the ghost block) filled from rank r.  Both are gid-ascending,
+	// so the payloads pair up positionally.
+	sendRows  [][]int32
+	recvGhost [][]int32
 	// haloRanks is the sorted set of ranks this one exchanges with.
 	haloRanks []int32
 
@@ -134,17 +134,24 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 	// Contributions of the edges this rank owns.  Each edge (a,b)
 	// contributes to rows a and b; contributions to rows owned
 	// elsewhere are forwarded to the owning rank together with the
-	// column's owner, which the receiver needs to build its halo.
-	type contrib struct {
-		col      uint64
-		colOwner int32
-		w        float64
+	// column's owner, which the receiver needs to build its halo.  A
+	// column owned elsewhere is a ghost.
+	entRows := make([][]entry, len(gids))
+	ghostOwnerOf := make(map[uint64]int32)
+	addOwned := func(rowGID, colGID uint64, colOwner int32, w float64) {
+		i, ok := rowOf[rowGID]
+		if !ok {
+			panic("linalg: contribution to a row not owned here")
+		}
+		entRows[i] = append(entRows[i], entry{colGID, w})
+		if colOwner != me {
+			ghostOwnerOf[colGID] = colOwner
+		}
 	}
-	rows := make(map[uint64][]contrib)
-	sendBuf := make(map[int32][]int64)
+	sendBuf := make([][]int64, d.C.Size())
 	add := func(rowGID, colGID uint64, rowOwner, colOwner int32, w float64) {
 		if rowOwner == me {
-			rows[rowGID] = append(rows[rowGID], contrib{colGID, colOwner, w})
+			addOwned(rowGID, colGID, colOwner, w)
 			return
 		}
 		sendBuf[rowOwner] = append(sendBuf[rowOwner],
@@ -174,23 +181,12 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 	for _, r := range neighbors {
 		vals := d.C.RecvInts(int(r), tagAssemble)
 		for i := 0; i+3 < len(vals); i += 4 {
-			rows[uint64(vals[i])] = append(rows[uint64(vals[i])], contrib{
-				col:      uint64(vals[i+1]),
-				colOwner: int32(vals[i+2]),
-				w:        math.Float64frombits(uint64(vals[i+3])),
-			})
+			addOwned(uint64(vals[i]), uint64(vals[i+1]), int32(vals[i+2]),
+				math.Float64frombits(uint64(vals[i+3])))
 		}
 	}
 
-	// Ghost discovery: any column gid not owned here.
-	ghostOwnerOf := make(map[uint64]int32)
-	for _, cs := range rows {
-		for _, c := range cs {
-			if c.colOwner != me {
-				ghostOwnerOf[c.col] = c.colOwner
-			}
-		}
-	}
+	// The ghost block, gid-ascending.
 	s.GhostGID = make([]uint64, 0, len(ghostOwnerOf))
 	for g := range ghostOwnerOf {
 		s.GhostGID = append(s.GhostGID, g)
@@ -210,13 +206,6 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 			return r
 		}
 		return int32(n) + ghostIdx[g]
-	}
-	entRows := make([][]entry, n)
-	for g, cs := range rows {
-		i := rowOf[g]
-		for _, c := range cs {
-			entRows[i] = append(entRows[i], entry{c.col, c.w})
-		}
 	}
 	s.A = finalizeRows(gids, entRows, colIdx, n+len(s.GhostGID), shift, scale)
 	s.full = make([]float64, s.A.NCols)
@@ -257,18 +246,19 @@ func (s *DistSystem) splitRows() {
 // it, so pairwise eager sends followed by receives are deadlock-free.
 func (s *DistSystem) buildHalo() {
 	me := int32(s.C.Rank())
-	s.recvGhost = make(map[int32][]int32)
+	s.recvGhost = make([][]int32, s.C.Size())
 	for i, r := range s.ghostOwner {
-		s.recvGhost[r] = append(s.recvGhost[r], int32(i)) // gid-ascending
-	}
-	s.haloRanks = s.haloRanks[:0]
-	for r := range s.recvGhost {
 		if r == me {
 			panic("linalg: ghost owned by self")
 		}
-		s.haloRanks = append(s.haloRanks, r)
+		s.recvGhost[r] = append(s.recvGhost[r], int32(i)) // gid-ascending
 	}
-	sort.Slice(s.haloRanks, func(i, j int) bool { return s.haloRanks[i] < s.haloRanks[j] })
+	s.haloRanks = s.haloRanks[:0]
+	for r, ghosts := range s.recvGhost {
+		if len(ghosts) > 0 {
+			s.haloRanks = append(s.haloRanks, int32(r))
+		}
+	}
 
 	for _, r := range s.haloRanks {
 		need := make([]int64, 0, len(s.recvGhost[r]))
@@ -277,7 +267,7 @@ func (s *DistSystem) buildHalo() {
 		}
 		s.C.SendInts(int(r), tagNeeds, need)
 	}
-	s.sendRows = make(map[int32][]int32)
+	s.sendRows = make([][]int32, s.C.Size())
 	for _, r := range s.haloRanks {
 		req := s.C.RecvInts(int(r), tagNeeds)
 		list := make([]int32, len(req))
@@ -538,7 +528,7 @@ func (s *DistSystem) GatherField(ncomp, comp int) []float64 {
 // Collective.
 func (s *DistSystem) ScatterField(ncomp, comp int, x []float64) {
 	m := s.D.M
-	send := make(map[int32][]int64)
+	send := make([][]int64, s.C.Size())
 	for i, v := range s.rowVert {
 		m.Sol[int(v)*ncomp+comp] = x[i]
 		for _, r := range s.own.VertSharers[v] {

@@ -37,7 +37,7 @@ func (d *DistMesh) ParallelCoarsenFlags(flags []bool) adapt.CoarsenStats {
 
 	// Status exchange with the neighbour ranks: announce still-bisected
 	// shared edges.
-	send := make(map[int32][]int64)
+	send := make([][]int64, d.C.Size())
 	var spl []int32
 	for id := range d.M.EdgeV {
 		if !d.M.EdgeAlive[id] || d.M.EdgeLeaf(int32(id)) {

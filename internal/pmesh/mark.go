@@ -112,7 +112,7 @@ func (d *DistMesh) PropagateParallel() int {
 			announce = d.M.MarkedEdges()
 			first = false
 		}
-		send := make(map[int32][]int64)
+		send := make([][]int64, d.C.Size())
 		for _, id := range announce {
 			spl = d.appendEdgeSPL(spl[:0], id)
 			if len(spl) == 0 {

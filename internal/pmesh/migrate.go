@@ -38,33 +38,30 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	p := d.C.Size()
 	var st MigrateStats
 
-	// Pack departing families per destination.
+	// Pack departing families per destination, in ascending global
+	// root order.
 	bufs := make([][]int64, p)
-	var departing []int32 // global ids
+	var departing []int32 // local root element ids
 	faceStart, faceRoots := faceTreeRoots(d.M)
-	for _, g := range d.LocalRootIDs() {
-		dst := newOwner[g]
-		if dst == me {
+	for g, r := range d.localRoot {
+		if r < 0 || newOwner[g] == me {
 			continue
 		}
-		r := d.localRoot[g]
-		n := d.packFamily(&bufs[dst], g, faceRoots[faceStart[r]:faceStart[r+1]])
+		n := d.packFamily(&bufs[newOwner[g]], int32(g), faceRoots[faceStart[r]:faceStart[r+1]])
 		st.FamiliesSent++
 		st.ElemsSent += n
-		departing = append(departing, g)
+		departing = append(departing, r)
 	}
 	d.C.Compute(workPackPerElem * float64(st.ElemsSent))
 
 	// Remove departing families before unpacking arrivals (so purged
 	// shared objects can be revived cleanly by the unpacker), all in one
 	// purge pass.
-	roots := make([]int32, len(departing))
-	for i, g := range departing {
-		roots[i] = d.localRoot[g]
-		delete(d.globalRoot, roots[i])
-		delete(d.localRoot, g)
+	for _, r := range departing {
+		d.localRoot[d.globalRoot[r]] = -1
+		d.globalRoot[r] = -1
 	}
-	d.M.RemoveFamilies(roots)
+	d.M.RemoveFamilies(departing)
 
 	// Exchange: migration destinations are arbitrary ranks, so the
 	// incoming message count per rank is agreed via a tree-summed
@@ -97,12 +94,10 @@ func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	for _, m := range arrivals {
 		words := msg.GetInts(m.Data)
 		for pos := 0; pos < len(words); {
-			var g int32
 			var n int
-			g, n, pos = d.unpackFamily(words, pos)
+			n, pos = d.unpackFamily(words, pos)
 			st.FamiliesRecv++
 			st.ElemsRecv += n
-			_ = g
 		}
 	}
 	d.C.Compute(workUnpackPerElem * float64(st.ElemsRecv))
@@ -261,13 +256,15 @@ func (d *DistMesh) packFamily(buf *[]int64, g int32, faceRoots []int32) int {
 
 // unpackFamily reconstructs one family from words starting at pos,
 // merging shared objects with the existing local mesh and updating the
-// root bookkeeping.  Returns the global root id, the element count, and
-// the next read position.
-func (d *DistMesh) unpackFamily(words []int64, pos int) (int32, int, int) {
+// root bookkeeping.  Returns the element count and the next read
+// position.
+func (d *DistMesh) unpackFamily(words []int64, pos int) (int, int) {
 	g, rootLocal, n, next := unpackFamilyInto(d.M, words, pos, &d.unpack)
-	d.localRoot[g] = rootLocal
-	d.globalRoot[rootLocal] = g
-	return g, n, next
+	for len(d.globalRoot) <= int(rootLocal) {
+		d.globalRoot = append(d.globalRoot, -1)
+	}
+	d.localRoot[g], d.globalRoot[rootLocal] = rootLocal, g
+	return n, next
 }
 
 // unpackScratch holds unpackFamilyInto's per-family tables (packed

@@ -18,9 +18,10 @@ type EdgeOwnership struct {
 	Owned []bool
 	// Sharers[id] lists the other ranks that actually hold edge id (nil
 	// for interior edges).
-	Sharers map[int32][]int32
-	// VertSharers[v] lists the other ranks that actually hold vertex v.
-	VertSharers map[int32][]int32
+	Sharers [][]int32
+	// VertSharers[v] lists the other ranks that actually hold vertex v
+	// (nil for interior vertices).
+	VertSharers [][]int32
 }
 
 // ResolveOwnership exchanges shared-object ids with the neighbour ranks
@@ -32,7 +33,7 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 
 	// Announce potentially shared edges (by endpoint gids) and vertices
 	// (by gid) to their SPL ranks.
-	send := make(map[int32][]int64)
+	send := make([][]int64, d.C.Size())
 	var spl []int32
 	for id := range d.M.EdgeV {
 		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
@@ -49,7 +50,7 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 		}
 	}
 	for v, spl := range d.VertSPL {
-		if !d.M.VertAlive[v] {
+		if spl == nil || !d.M.VertAlive[v] {
 			continue
 		}
 		for _, r := range spl {
@@ -93,24 +94,24 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
 			continue
 		}
-		sh := own.Sharers[int32(id)]
+		sh := own.Sharers[id]
 		own.Owned[id] = len(sh) == 0 || int32(me) < sh[0]
 	}
 	return own
 }
 
 // groupRanks returns, per object id in [0, n), the sorted distinct ranks
-// paired with it in (ids[i], ranks[i]); every list is a capacity-capped
-// window of one arena.
-func groupRanks(ids, ranks []int32, n int) map[int32][]int32 {
+// paired with it in (ids[i], ranks[i]), nil for an object paired with
+// none; every list is a capacity-capped window of one arena.
+func groupRanks(ids, ranks []int32, n int) [][]int32 {
 	start, arena := bucket(ids, ranks, n)
-	out := make(map[int32][]int32)
-	for id := 0; id < n; id++ {
+	out := make([][]int32, n)
+	for id := range out {
 		if lo, hi := start[id], start[id+1]; hi > lo {
 			l := arena[lo:hi]
 			slices.Sort(l)
 			l = slices.Compact(l)
-			out[int32(id)] = l[:len(l):len(l)]
+			out[id] = l[:len(l):len(l)]
 		}
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"plum/internal/adapt"
 	"plum/internal/mesh"
@@ -33,14 +32,16 @@ type DistMesh struct {
 	// initial element (dual-graph vertex).
 	RootOwner []int32
 
-	// localRoot maps a global root id to the local root element id;
-	// globalRoot is the inverse (local root element id -> global id).
-	localRoot  map[int32]int32
-	globalRoot map[int32]int32
+	// localRoot[g] is the local element id of global root g, -1 when
+	// another rank owns it; globalRoot is the inverse over local element
+	// ids, -1 for an element that is not a root (elements past its end
+	// are refinement children).
+	localRoot  []int32
+	globalRoot []int32
 
-	// VertSPL maps a local vertex to the sorted list of *other* ranks
-	// that (potentially) share it.  Absent means interior.
-	VertSPL map[int32][]int32
+	// VertSPL[v] is the sorted list of *other* ranks that (potentially)
+	// share local vertex v; nil means interior.
+	VertSPL [][]int32
 
 	// neighbors is the sorted union of all SPL entries: the ranks this
 	// one exchanges shared-object traffic with.  On a well-partitioned
@@ -70,19 +71,19 @@ func New(c *msg.Comm, global *mesh.Mesh, part []int32, ncomp int) *DistMesh {
 		panic(fmt.Sprintf("pmesh: partition has %d entries for %d elements", len(part), global.NumElems()))
 	}
 	d := &DistMesh{
-		C:          c,
-		Global:     global,
-		RootOwner:  append([]int32(nil), part...),
-		localRoot:  make(map[int32]int32),
-		globalRoot: make(map[int32]int32),
+		C:         c,
+		Global:    global,
+		RootOwner: append([]int32(nil), part...),
+		localRoot: make([]int32, len(part)),
 	}
 	me := int32(c.Rank())
 
-	// Collect local roots in global order.
-	var roots []int32
+	// Number the local roots in global order.
 	for g, p := range part {
+		d.localRoot[g] = -1
 		if p == me {
-			roots = append(roots, int32(g))
+			d.localRoot[g] = int32(len(d.globalRoot))
+			d.globalRoot = append(d.globalRoot, int32(g))
 		}
 	}
 
@@ -90,7 +91,7 @@ func New(c *msg.Comm, global *mesh.Mesh, part []int32, ncomp int) *DistMesh {
 	vmap := make(map[int32]int32) // global vertex -> local vertex
 	local := &mesh.Mesh{}
 	var gids []uint64
-	for _, g := range roots {
+	for _, g := range d.globalRoot {
 		var ev [4]int32
 		for i, gv := range global.Elems[g] {
 			lv, ok := vmap[gv]
@@ -109,24 +110,16 @@ func New(c *msg.Comm, global *mesh.Mesh, part []int32, ncomp int) *DistMesh {
 	// with the true external boundary faces owned by local elements.
 	local.BFaces = nil
 	local.BFaceElem = nil
-	localElemOf := make(map[int32]int32, len(roots))
-	for li, g := range roots {
-		localElemOf[g] = int32(li)
-	}
 	for i, bf := range global.BFaces {
 		owner := global.BFaceElem[i]
 		if part[owner] != me {
 			continue
 		}
 		local.BFaces = append(local.BFaces, [3]int32{vmap[bf[0]], vmap[bf[1]], vmap[bf[2]]})
-		local.BFaceElem = append(local.BFaceElem, localElemOf[owner])
+		local.BFaceElem = append(local.BFaceElem, d.localRoot[owner])
 	}
 
 	d.M = adapt.FromMeshGIDs(local, ncomp, gids)
-	for li, g := range roots {
-		d.localRoot[g] = int32(li)
-		d.globalRoot[int32(li)] = g
-	}
 	d.buildVertElems()
 	d.UpdateSPLs()
 	return d
@@ -167,25 +160,27 @@ func bucket(keys, vals []int32, n int) (start, flat []int32) {
 // LocalRootIDs returns the global ids of the roots owned by this rank,
 // sorted ascending.
 func (d *DistMesh) LocalRootIDs() []int32 {
-	out := make([]int32, 0, len(d.localRoot))
-	for g := range d.localRoot {
-		out = append(out, g)
+	var out []int32
+	for g, l := range d.localRoot {
+		if l >= 0 {
+			out = append(out, int32(g))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // LocalRootElem returns the local root element id for global root g, or
 // -1 if not owned here.
-func (d *DistMesh) LocalRootElem(g int32) int32 {
-	if l, ok := d.localRoot[g]; ok {
-		return l
+func (d *DistMesh) LocalRootElem(g int32) int32 { return d.localRoot[g] }
+
+// GlobalRootID returns the global id of a local root element, or -1 for
+// any other element.
+func (d *DistMesh) GlobalRootID(local int32) int32 {
+	if int(local) < len(d.globalRoot) {
+		return d.globalRoot[local]
 	}
 	return -1
 }
-
-// GlobalRootID returns the global id of a local root element.
-func (d *DistMesh) GlobalRootID(local int32) int32 { return d.globalRoot[local] }
 
 // UpdateSPLs recomputes the shared-processor lists: initial vertices are
 // shared by the ranks owning any element incident to them (derived from
@@ -197,8 +192,14 @@ func (d *DistMesh) GlobalRootID(local int32) int32 { return d.globalRoot[local] 
 func (d *DistMesh) UpdateSPLs() {
 	me := int32(d.C.Rank())
 	m := d.M
-	arena := make([]int32, 0, 4*len(d.VertSPL)+16)
-	d.VertSPL = make(map[int32][]int32, len(d.VertSPL))
+	shared := 0
+	for _, l := range d.VertSPL {
+		if l != nil {
+			shared++
+		}
+	}
+	arena := make([]int32, 0, 4*shared+16)
+	d.VertSPL = make([][]int32, len(m.Coords))
 	carve := func(v int32, start int) {
 		if len(arena) > start {
 			d.VertSPL[v] = arena[start:len(arena):len(arena)]
@@ -253,13 +254,13 @@ func (d *DistMesh) UpdateSPLs() {
 func (d *DistMesh) NeighborRanks() []int32 { return d.neighbors }
 
 // exchangeWithNeighbors sends words[r] to each neighbour rank r and
-// returns the vectors received from them (keyed by rank).  Non-neighbour
+// returns the vectors received from them, indexed by rank.  Non-neighbour
 // entries of words are ignored.  Collective among neighbours.
-func (d *DistMesh) exchangeWithNeighbors(tag int, words map[int32][]int64) map[int32][]int64 {
+func (d *DistMesh) exchangeWithNeighbors(tag int, words [][]int64) [][]int64 {
 	for _, r := range d.neighbors {
 		d.C.SendInts(int(r), tag, words[r])
 	}
-	out := make(map[int32][]int64, len(d.neighbors))
+	out := make([][]int64, d.C.Size())
 	for _, r := range d.neighbors {
 		out[r] = d.C.RecvInts(int(r), tag)
 	}
@@ -313,8 +314,7 @@ func appendIntersect(dst, a, b []int32) []int32 {
 // GatherWeights assembles the replicated per-global-root dual-graph
 // weights from each rank's local families (collective).
 func (d *DistMesh) GatherWeights() (wcomp, wremap []int64) {
-	lc, lr := d.M.FamilyWeights()
-	return d.gatherRootValues(lc, lr)
+	return d.gatherRootValues(d.M.RootWeights())
 }
 
 // GatherPredictedWeights assembles per-global-root (predicted Wcomp,
@@ -324,21 +324,22 @@ func (d *DistMesh) GatherWeights() (wcomp, wremap []int64) {
 // reflects the data that actually moves now (paper Section 4.6).
 // Call after marks have been propagated.
 func (d *DistMesh) GatherPredictedWeights() (wcomp, wremap []int64) {
-	pred := d.M.PredictLeavesByRoot()
-	_, lr := d.M.FamilyWeights()
-	return d.gatherRootValues(pred, lr)
+	_, lr := d.M.RootWeights()
+	return d.gatherRootValues(d.M.PredictRefine().LeavesPerRoot, lr)
 }
 
-// gatherRootValues allgathers two per-local-root maps into replicated
-// per-global-root arrays.
-func (d *DistMesh) gatherRootValues(a, b map[int32]int64) ([]int64, []int64) {
+// gatherRootValues allgathers two tables indexed by local root element
+// id into replicated per-global-root arrays.  Each rank contributes one
+// (global root, a, b) triple per local root, in ascending global root
+// order.
+func (d *DistMesh) gatherRootValues(a, b []int64) ([]int64, []int64) {
 	words := d.triples[:0]
-	for lroot, av := range a {
-		words = append(words, [3]int64{int64(d.globalRoot[lroot]), av, b[lroot]})
+	for g, l := range d.localRoot {
+		if l >= 0 {
+			words = append(words, [3]int64{int64(g), a[l], b[l]})
+		}
 	}
 	d.triples = words
-	// Deterministic order within the rank's contribution.
-	slices.SortFunc(words, cmpTriple)
 	parts := d.C.Allgather(putTriples(words))
 	wa := make([]int64, d.Global.NumElems())
 	wb := make([]int64, d.Global.NumElems())
@@ -422,7 +423,7 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 		if !d.M.VertAlive[v] {
 			continue
 		}
-		if len(d.VertSPL[int32(v)]) == 0 {
+		if len(d.VertSPL[v]) == 0 {
 			c.Verts++
 		} else {
 			shared = append(shared, [3]int64{1, int64(d.M.VertGID[v]), 0})

@@ -271,42 +271,100 @@ func TestMigrateThenRefineConforming(t *testing.T) {
 	})
 }
 
+// TestGatherWeights: the replicated weights GatherWeights assembles equal
+// the serial mesh's RootWeights on the unrefined mesh, after refinement
+// and after a migration (whose arriving roots are numbered past the
+// rank's initial ones), and GatherPredictedWeights' wcomp equals the
+// serial PredictRefine before refinement.
 func TestGatherWeights(t *testing.T) {
-	global := mesh.Box(2, 2, 2, 1, 1, 1)
-	part := testPartition(global, 2)
-	msg.Run(2, func(c *msg.Comm) {
-		d := New(c, global, part, 0)
-		wc, wr := d.GatherWeights()
-		for g := range wc {
-			if wc[g] != 1 || wr[g] != 1 {
-				t.Errorf("unrefined root %d weights (%d,%d)", g, wc[g], wr[g])
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1.0}, 0.9, 0.5)
+	serial := adapt.FromMesh(global, 0)
+	serial.BuildEdgeElems()
+	unrefined, _ := serial.RootWeights()
+	serial.TargetEdges(serial.EdgeErrorGeometric(ind), 0.5)
+	serial.Propagate()
+	predicted := serial.PredictRefine().LeavesPerRoot
+	serial.Refine()
+	wantC, wantR := serial.RootWeights()
+
+	for _, p := range []int{4, 7} {
+		part := testPartition(global, p)
+		msg.Run(p, func(c *msg.Comm) {
+			d := New(c, global, part, 0)
+			// The gathered tables are replicated: rank 0 reports.
+			check := func(stage string, got, want []int64) {
+				if c.Rank() == 0 && !slices.Equal(got, want) {
+					t.Errorf("p=%d %s:\n got %v\nwant %v", p, stage, got, want)
+				}
 			}
-		}
-	})
+			wc, wr := d.GatherWeights()
+			check("unrefined wcomp", wc, unrefined)
+			check("unrefined wremap", wr, unrefined)
+			d.M.TargetEdges(d.M.EdgeErrorGeometric(ind), 0.5)
+			d.PropagateParallel()
+			pc, _ := d.GatherPredictedWeights()
+			check("predicted wcomp", pc, predicted)
+			d.Refine()
+			wc, wr = d.GatherWeights()
+			check("refined wcomp", wc, wantC)
+			check("refined wremap", wr, wantR)
+			scramble(d)
+			wc, wr = d.GatherWeights()
+			check("migrated wcomp", wc, wantC)
+			check("migrated wremap", wr, wantR)
+		})
+	}
 }
 
+// TestLocalRootBookkeeping: before and after a migration, LocalRootIDs
+// lists exactly the roots RootOwner assigns to the rank, strictly
+// ascending; LocalRootElem and GlobalRootID are inverse on them, and
+// both answer -1 off them (a root owned elsewhere, a child element).
 func TestLocalRootBookkeeping(t *testing.T) {
-	global := mesh.Box(2, 2, 1, 1, 1, 1)
-	part := testPartition(global, 2)
-	msg.Run(2, func(c *msg.Comm) {
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1.0}, 0.9, 0.5)
+	part := testPartition(global, 3)
+	msg.Run(3, func(c *msg.Comm) {
 		d := New(c, global, part, 0)
-		ids := d.LocalRootIDs()
-		for _, g := range ids {
-			l := d.LocalRootElem(g)
-			if l < 0 {
-				t.Fatalf("rank %d: root %d not local", c.Rank(), g)
+		me := int32(c.Rank())
+		check := func(stage string) {
+			ids := d.LocalRootIDs()
+			for i := 1; i < len(ids); i++ {
+				if ids[i-1] >= ids[i] {
+					t.Fatalf("%s rank %d: LocalRootIDs not strictly ascending: %v", stage, me, ids)
+				}
 			}
-			if d.GlobalRootID(l) != g {
-				t.Fatalf("rank %d: root map not inverse", c.Rank())
+			owned := 0
+			for g, o := range d.RootOwner {
+				l := d.LocalRootElem(int32(g))
+				if o != me {
+					if l != -1 {
+						t.Fatalf("%s rank %d: root %d owned by %d has local element %d", stage, me, g, o, l)
+					}
+					continue
+				}
+				owned++
+				if l < 0 || d.GlobalRootID(l) != int32(g) {
+					t.Fatalf("%s rank %d: root %d -> element %d -> root %d", stage, me, g, l, d.GlobalRootID(l))
+				}
 			}
-			if part[g] != int32(c.Rank()) {
-				t.Fatalf("rank %d owns root %d assigned to %d", c.Rank(), g, part[g])
+			if owned != len(ids) {
+				t.Fatalf("%s rank %d: %d roots listed, %d owned", stage, me, len(ids), owned)
+			}
+			for e, par := range d.M.ElemParent {
+				if par >= 0 && d.GlobalRootID(int32(e)) != -1 {
+					t.Fatalf("%s rank %d: child element %d has root id %d", stage, me, e, d.GlobalRootID(int32(e)))
+				}
+			}
+			total := c.AllreduceInt64(int64(len(ids)), msg.SumInt64)
+			if int(total) != global.NumElems() {
+				t.Errorf("%s: roots partitioned into %d, want %d", stage, total, global.NumElems())
 			}
 		}
-		total := c.AllreduceInt64(int64(len(ids)), msg.SumInt64)
-		if int(total) != global.NumElems() {
-			t.Errorf("roots partitioned into %d, want %d", total, global.NumElems())
-		}
+		check("initial")
+		refineAndScramble(d, ind)
+		check("migrated")
 	})
 }
 
@@ -322,7 +380,7 @@ func TestIntersectRanks(t *testing.T) {
 
 func TestGroupRanks(t *testing.T) {
 	got := groupRanks([]int32{3, 1, 3, 3, 0}, []int32{5, 2, 2, 5, 9}, 4)
-	want := map[int32][]int32{0: {9}, 1: {2}, 3: {2, 5}}
+	want := [][]int32{{9}, {2}, nil, {2, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groupRanks = %v, want %v", got, want)
 	}
@@ -368,6 +426,11 @@ func refineAndScramble(d *DistMesh, ind func(mesh.Vec3) float64) {
 	d.M.TargetEdges(d.M.EdgeErrorGeometric(ind), 0.5)
 	d.PropagateParallel()
 	d.Refine()
+	scramble(d)
+}
+
+// scramble migrates every odd global root to the next rank.
+func scramble(d *DistMesh) {
 	newOwner := make([]int32, len(d.RootOwner))
 	for g, o := range d.RootOwner {
 		newOwner[g] = (o + int32(g%2)) % int32(d.C.Size())

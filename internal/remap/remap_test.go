@@ -11,8 +11,10 @@ import (
 
 // paperLikeMatrix is a 4x4, F=1 similarity matrix exercising the same
 // structure as the paper's Fig. 2 worked example (the scanned figure's
-// exact entries are illegible; EXPERIMENTS.md documents the
-// substitution).  Chosen so that the greedy heuristic is suboptimal.
+// exact entries are illegible, so these are a substitute; PAPER.md
+// summarises the mapping problem, and plumbench -exp fig2 prints the
+// three mappers' results on this matrix with the 2*Heu >= Opt theorem
+// check).  Chosen so that the greedy heuristic is suboptimal.
 func paperLikeMatrix() *Similarity {
 	s := NewSimilarity(4, 1)
 	s.S[0] = []int64{100, 90, 0, 0}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -20,9 +21,11 @@ import (
 type PSolver struct {
 	D   *pmesh.DistMesh
 	own *pmesh.EdgeOwnership
-	// sendTo[r] lists local shared vertices whose partials go to rank r.
-	sendTo map[int32][]int32
-	// shared lists the local vertices that have actual sharers.
+	// sendTo[r] lists, gid-ascending, the local shared vertices whose
+	// partials go to rank r.
+	sendTo [][]int32
+	// shared lists the local vertices that have actual sharers,
+	// ascending.
 	shared []int32
 
 	// Step scratch, kept across steps and regrown with the mesh: the
@@ -46,33 +49,21 @@ func NewParallel(d *pmesh.DistMesh) *PSolver {
 // Rebuild refreshes ownership and exchange lists.  Collective.
 func (s *PSolver) Rebuild() {
 	s.own = s.D.ResolveOwnership()
-	s.sendTo = make(map[int32][]int32)
+	s.sendTo = make([][]int32, s.D.C.Size())
 	s.shared = s.shared[:0]
 	for v, sharers := range s.own.VertSharers {
-		s.shared = append(s.shared, v)
+		if sharers == nil {
+			continue
+		}
+		s.shared = append(s.shared, int32(v))
 		for _, r := range sharers {
-			s.sendTo[r] = append(s.sendTo[r], v)
+			s.sendTo[r] = append(s.sendTo[r], int32(v))
 		}
 	}
-	slices.Sort(s.shared)
 	// Deterministic order: ascending gid per destination.
-	m := s.D.M
-	for r := range s.sendTo {
-		vs := s.sendTo[r]
-		sortByGID(vs, m.VertGID)
-	}
-}
-
-func sortByGID(vs []int32, gid []uint64) {
-	// Insertion sort: lists are short (partition surface).
-	for i := 1; i < len(vs); i++ {
-		v := vs[i]
-		j := i - 1
-		for j >= 0 && gid[vs[j]] > gid[v] {
-			vs[j+1] = vs[j]
-			j--
-		}
-		vs[j+1] = v
+	gid := s.D.M.VertGID
+	for _, vs := range s.sendTo {
+		slices.SortFunc(vs, func(a, b int32) int { return cmp.Compare(gid[a], gid[b]) })
 	}
 }
 
@@ -115,7 +106,7 @@ func (s *PSolver) Step(dt float64) int {
 	}
 	parts := make([][]byte, p)
 	for r := 0; r < p; r++ {
-		vs := s.sendTo[int32(r)]
+		vs := s.sendTo[r]
 		if len(vs) == 0 {
 			continue
 		}
@@ -224,7 +215,7 @@ func (s *PSolver) GlobalMass() float64 {
 		if !m.VertAlive[v] {
 			continue
 		}
-		if sh := s.own.VertSharers[int32(v)]; len(sh) > 0 && sh[0] < me {
+		if sh := s.own.VertSharers[v]; len(sh) > 0 && sh[0] < me {
 			continue
 		}
 		local += m.Sol[v*NComp]

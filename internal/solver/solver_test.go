@@ -215,7 +215,7 @@ func TestParallelStepAllocsFlat(t *testing.T) {
 			for it := 0; it < steps; it++ {
 				ps.Step(0.001)
 			}
-			n := c.AllreduceInt64(int64(len(ps.own.VertSharers)), msg.SumInt64)
+			n := c.AllreduceInt64(int64(len(ps.shared)), msg.SumInt64)
 			if c.Rank() == 0 {
 				shared = n
 			}
