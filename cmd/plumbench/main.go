@@ -469,10 +469,7 @@ func implicitExp(w, stderr io.Writer, e *core.Experiments, tracePath string) int
 				break
 			}
 		}
-		if tr == nil {
-			tr = e.TraceImplicitStep(p, true)
-		}
-		if err := tr.WriteChromeFile(tracePath); err != nil {
+		if err := tr.WriteChromeFile(tracePath, nil); err != nil {
 			fmt.Fprintf(stderr, "plumbench: -trace: %v\n", err)
 			return 1
 		}

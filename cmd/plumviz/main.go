@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tracePath != "" {
 		all := spans.All()
-		if err := trace.WriteChromeFileSpans(*tracePath, all); err != nil {
+		if err := trace.WriteChromeFile(*tracePath, all); err != nil {
 			return fail(err)
 		}
 		cp := event.CriticalPath(trace)
@@ -243,7 +243,7 @@ func engineSummary(w io.Writer, events int) {
 // was flushed, with a warning, instead of failing: the partial table is
 // exactly what a post-mortem needs.
 func renderLedger(w io.Writer, path string) error {
-	lf, truncated, err := obs.ReadLedgerFileLenient(path)
+	lf, truncated, err := obs.ReadLedgerFile(path, true)
 	if err != nil {
 		return err
 	}

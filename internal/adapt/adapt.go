@@ -171,17 +171,6 @@ func (m *Mesh) BFaceActive(f int32) bool {
 	return m.BFaceAlive[f] && m.BFaceChild[f] == nil
 }
 
-// ActiveElems returns the ids of all active elements in ascending order.
-func (m *Mesh) ActiveElems() []int32 {
-	var out []int32
-	for e := range m.ElemVerts {
-		if m.ElemActive(int32(e)) {
-			out = append(out, int32(e))
-		}
-	}
-	return out
-}
-
 // Counts summarizes the current computational mesh (the quantities of the
 // paper's Table 1).
 type Counts struct {

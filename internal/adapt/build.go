@@ -106,11 +106,8 @@ func (m *Mesh) AddChildBFace(parent int32, verts [3]int32) int32 {
 	return id
 }
 
-// FamilyElems returns the local ids of all alive elements in root's
-// refinement tree, in BFS order starting at the root itself.
-func (m *Mesh) FamilyElems(root int32) []int32 { return m.AppendFamilyElems(nil, root) }
-
-// AppendFamilyElems appends FamilyElems(root) to dst.
+// AppendFamilyElems appends to dst the local ids of all alive elements
+// in root's refinement tree, in BFS order starting at the root itself.
 func (m *Mesh) AppendFamilyElems(dst []int32, root int32) []int32 {
 	dst = append(dst, root)
 	for qi := len(dst) - 1; qi < len(dst); qi++ {

@@ -82,7 +82,7 @@ func TestFamilyElemsBFS(t *testing.T) {
 	}
 	m.Propagate()
 	m.Refine()
-	fam := m.FamilyElems(0)
+	fam := m.AppendFamilyElems(nil, 0)
 	if fam[0] != 0 {
 		t.Fatal("family must start at the root")
 	}
@@ -148,28 +148,6 @@ func TestRemoveFamily(t *testing.T) {
 		t.Skip("no child element to test with")
 	}
 	m.RemoveFamily(child)
-}
-
-func TestEdgeErrorFromSolution(t *testing.T) {
-	m := FromMesh(mesh.Box(1, 1, 1, 1, 1, 1), 1)
-	for v := range m.Coords {
-		m.Sol[v] = 3 * m.Coords[v][0]
-	}
-	err := m.EdgeErrorFromSolution(0)
-	for _, id := range m.activeLeafEdges() {
-		a, b := m.EdgeV[id][0], m.EdgeV[id][1]
-		want := 3 * abs(m.Coords[a][0]-m.Coords[b][0])
-		if d := err[id] - want; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("edge %d error %v, want %v", id, err[id], want)
-		}
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func TestMidpointGIDNoCollisionsAtScale(t *testing.T) {
@@ -263,7 +241,7 @@ type packedFamily struct {
 
 func packFamily(m *Mesh, root int32) packedFamily {
 	var p packedFamily
-	p.elems = m.FamilyElems(root)
+	p.elems = m.AppendFamilyElems(nil, root)
 	seenV, seenE := map[int32]bool{}, map[int32]bool{}
 	for _, e := range p.elems {
 		for _, v := range m.ElemVerts[e] {

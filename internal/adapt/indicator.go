@@ -12,18 +12,6 @@ import (
 // that mimic shock/vortex surfaces (DESIGN.md documents the
 // substitution).
 
-// EdgeErrorFromSolution returns per-edge error values |u(a) - u(b)| of
-// solution component comp, indexed by edge id.  Only alive leaf edges get
-// meaningful values; other slots are zero.
-func (m *Mesh) EdgeErrorFromSolution(comp int) []float64 {
-	err := make([]float64, len(m.EdgeV))
-	for _, id := range m.activeLeafEdges() {
-		a, b := m.EdgeV[id][0], m.EdgeV[id][1]
-		err[id] = math.Abs(m.Sol[int(a)*m.NComp+comp] - m.Sol[int(b)*m.NComp+comp])
-	}
-	return err
-}
-
 // EdgeErrorGeometric returns per-edge error values f(midpoint of edge),
 // indexed by edge id.  Larger means more in need of refinement.
 func (m *Mesh) EdgeErrorGeometric(f func(mesh.Vec3) float64) []float64 {

@@ -211,16 +211,3 @@ func TestTable2SmallScale(t *testing.T) {
 		}
 	}
 }
-
-func TestFig7Rows(t *testing.T) {
-	e := NewExperiments(false)
-	rows := e.Fig7()
-	if len(rows) != 3*len(e.Ps) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Improvement < 1 || r.Improvement > 8 {
-			t.Errorf("improvement %v out of range", r.Improvement)
-		}
-	}
-}

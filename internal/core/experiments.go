@@ -147,26 +147,15 @@ func (e *Experiments) Indicator() func(mesh.Vec3) float64 {
 		0.39*e.LY, 0.19*e.LY)
 }
 
-// initialPartition returns (and caches) the initial P-way partition of
-// the dual graph — the "Partitioning + Mapping" initialization of
-// Fig. 1.  On a heterogeneous machine the per-part targets scale with
-// rank speed (part j is rank j's initial subdomain), so slow processors
-// start with proportionally smaller subdomains.
+// initialPartition returns (and caches) partitionFor(p) on the
+// harness's selected machine (-model; the cost model modelFor builds).
 func (e *Experiments) initialPartition(p int) []int32 {
 	if part, ok := e.initParts[p]; ok {
 		obs.Default.Counter("plum_partition_cache_total", "result", "hit").Inc()
 		return part
 	}
 	obs.Default.Counter("plum_partition_cache_total", "result", "miss").Inc()
-	opt := e.Cfg.PartOpts
-	if e.ModelName != "" {
-		topo, err := machine.ByName(e.ModelName, p)
-		if err != nil {
-			panic(err) // unreachable: UseMachine validated the name
-		}
-		opt.TargetShares = machine.SpeedShares(topo, p)
-	}
-	part := partition.Partition(e.Dual, p, opt)
+	part := e.partitionFor(p, e.modelFor(p).Topo)
 	e.initParts[p] = part
 	return part
 }
@@ -397,25 +386,6 @@ func (e *Experiments) Scaling() []ScalingRow {
 		}
 		if rows[i].AdaptTime > 0 && t1 > 0 {
 			rows[i].Speedup = t1 / rows[i].AdaptTime
-		}
-	}
-	return rows
-}
-
-// Fig7Row is one curve point of the analytic load-balancing bound.
-type Fig7Row struct {
-	P           int
-	G           float64
-	Improvement float64
-}
-
-// Fig7 evaluates the analytic model for the paper's three growth
-// factors at the harness's processor counts.
-func (e *Experiments) Fig7() []Fig7Row {
-	var rows []Fig7Row
-	for _, g := range []float64{1.353, 3.310, 5.279} {
-		for _, p := range e.Ps {
-			rows = append(rows, Fig7Row{P: p, G: g, Improvement: MaxImprovement(p, g)})
 		}
 	}
 	return rows

@@ -41,29 +41,34 @@ const machineSweepF = 2
 // AdaptionStep pipeline) per (topology, P, mapper) and reports
 // hop-weighted movement, simulated remap time, and the load-balancing
 // improvement.  Every topology in models is instantiated fresh per
-// world (contention state is world-private); processor counts below 4
-// are skipped (a one-node "cluster" has no topology to see).  The
-// worlds are independent and run concurrently (runWorlds); row order —
-// and every simulated number — is identical to the serial sweep.
+// world (contention state is world-private) and starts from its own
+// machine's partition (partitionFor), built once per (topology, P)
+// before the fan-out, so the harness's -model never reaches a row;
+// processor counts below 4 are skipped (a one-node "cluster" has no
+// topology to see).  The worlds are independent and run concurrently
+// (runWorlds); row order — and every simulated number — is identical to
+// the serial sweep.
 func (e *Experiments) MachineSweep(frac float64, models []string, mappers []Mapper) []MachineRow {
 	ind := e.Indicator()
 	type job struct {
 		name   string
 		p      int
 		mapper Mapper
+		part   []int32
 	}
 	var jobs []job
-	var ps []int
-	for _, p := range e.Ps {
-		if p >= 4 {
-			ps = append(ps, p)
-		}
-	}
-	e.prewarmPartitions(ps)
 	for _, name := range models {
-		for _, p := range ps {
+		for _, p := range e.Ps {
+			if p < 4 {
+				continue
+			}
+			topo, err := machine.ByName(name, p)
+			if err != nil {
+				panic(err)
+			}
+			part := e.partitionFor(p, topo)
 			for _, mapper := range mappers {
-				jobs = append(jobs, job{name, p, mapper})
+				jobs = append(jobs, job{name, p, mapper, part})
 			}
 		}
 	}
@@ -75,10 +80,9 @@ func (e *Experiments) MachineSweep(frac float64, models []string, mappers []Mapp
 			panic(err)
 		}
 		mod := e.Model.WithTopo(topo)
-		initPart := e.initialPartition(j.p)
 		row := MachineRow{Model: j.name, P: j.p, Mapper: j.mapper}
 		msg.RunModel(j.p, mod, func(c *msg.Comm) {
-			d := pmesh.New(c, e.Global, initPart, 0)
+			d := pmesh.New(c, e.Global, j.part, 0)
 			g := e.Dual.WithWeights(e.Dual.WComp, e.Dual.WRemap)
 			cfg := e.Cfg
 			cfg.F = machineSweepF

@@ -61,3 +61,28 @@ func TestMachineSweepTopoBeatsHeuristic(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineSweepIgnoresHarnessModel: every topology row starts from
+// its own machine's partition, so the harness's -model selection moves
+// no row — the flat rows stay on equal shares and the hetero rows on
+// speed-scaled ones either way.
+func TestMachineSweepIgnoresHarnessModel(t *testing.T) {
+	sweep := func(model string) []MachineRow {
+		e := NewExperiments(false)
+		e.Ps = []int{8}
+		if err := e.UseMachine(model); err != nil {
+			t.Fatal(err)
+		}
+		return e.MachineSweep(0.33, []string{"flat", "hetero"}, MachineMappers())
+	}
+	plain, hetero := sweep(""), sweep("hetero")
+	if len(plain) != len(hetero) {
+		t.Fatalf("row counts differ: %d vs %d", len(plain), len(hetero))
+	}
+	for i := range plain {
+		if plain[i] != hetero[i] {
+			t.Errorf("row %d moved with -model hetero:\n  default: %+v\n  hetero:  %+v",
+				i, plain[i], hetero[i])
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"plum/internal/machine"
 	"plum/internal/mesh"
 	"plum/internal/msg"
-	"plum/internal/partition"
 	"plum/internal/pmesh"
 	"plum/internal/solver"
 )
@@ -63,19 +62,14 @@ func overlapOptions(overlap bool) solver.ImplicitOptions {
 // traceImplicit runs one adapted implicit PCG step on p ranks of the
 // named machine with tracing enabled and returns the per-rank times,
 // the trace, the iteration count, and the solve-phase simulated seconds
-// (max over ranks).  The initial partition is built for the named
-// machine itself — speed-scaled targets iff it is heterogeneous — so
-// every topology row of a comparison runs on its own machine's natural
-// partition, not on whatever -model the harness happens to carry.
+// (max over ranks), on the named machine's own partition (partitionFor).
 func (e *Experiments) traceImplicit(p int, model string, overlap bool) ([]float64, *event.Trace, int, float64) {
 	topo, err := machine.ByName(model, p)
 	if err != nil {
 		panic(err)
 	}
 	mod := e.Model.WithTopo(topo)
-	popt := e.Cfg.PartOpts
-	popt.TargetShares = machine.SpeedShares(topo, p)
-	initPart := partition.Partition(e.Dual, p, popt)
+	initPart := e.partitionFor(p, topo)
 	ind := e.Indicator()
 	var iters int
 	var solve float64
@@ -129,17 +123,4 @@ func (e *Experiments) OverlapComparison(p int, models []string) []OverlapRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// TraceImplicitStep runs one implicit PCG step on p ranks of the named
-// machine (empty name: flat) and returns the event trace — the artifact
-// plumviz -trace exports as Chrome-tracing JSON (plumbench reuses the
-// trace already produced by its OverlapComparison instead).
-func (e *Experiments) TraceImplicitStep(p int, overlap bool) *event.Trace {
-	model := e.ModelName
-	if model == "" {
-		model = "flat"
-	}
-	_, tr, _, _ := e.traceImplicit(p, model, overlap)
-	return tr
 }

@@ -13,7 +13,9 @@ import (
 // overlapped PCG must have a strictly shorter simulated critical path
 // than the blocking PCG — while doing bitwise-identical arithmetic.  On
 // the paper's flat SP2 the per-message software overhead dominates and
-// overlap is legitimately a no-op; the comparison reports that too.
+// overlap is legitimately a no-op; the comparison reports that too.  The
+// overlapped trace each row keeps is the artifact plumbench -trace
+// exports, so it must cover every rank.
 
 func TestOverlapShortensCriticalPath(t *testing.T) {
 	e := NewExperiments(false)
@@ -33,6 +35,17 @@ func TestOverlapShortensCriticalPath(t *testing.T) {
 		if !(r.WaitOverlap < r.WaitBlocking) {
 			t.Errorf("%s: comm wait on the path did not shrink: %.6g -> %.6g",
 				r.Model, r.WaitBlocking, r.WaitOverlap)
+		}
+		tr := r.TraceOverlapped
+		if tr.P != r.P {
+			t.Fatalf("%s: trace world size %d, want %d", r.Model, tr.P, r.P)
+		}
+		seen := make(map[int]bool)
+		for _, rec := range tr.Records {
+			seen[rec.Rank] = true
+		}
+		if len(seen) != r.P {
+			t.Errorf("%s: trace covers %d ranks, want %d", r.Model, len(seen), r.P)
 		}
 	}
 }
@@ -60,25 +73,5 @@ func TestOverlapTraceDecomposition(t *testing.T) {
 				t.Fatalf("overlap=%v: path step %d completes before its predecessor", overlap, i)
 			}
 		}
-	}
-}
-
-// TestTraceImplicitStep: the plumbench/plumviz trace artifact is
-// non-empty and covers every rank.
-func TestTraceImplicitStep(t *testing.T) {
-	e := NewExperiments(false)
-	if err := e.UseMachine("smp"); err != nil {
-		t.Fatal(err)
-	}
-	tr := e.TraceImplicitStep(4, true)
-	if tr.P != 4 {
-		t.Fatalf("trace world size %d, want 4", tr.P)
-	}
-	seen := make(map[int]bool)
-	for _, r := range tr.Records {
-		seen[r.Rank] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("trace covers %d ranks, want 4", len(seen))
 	}
 }

@@ -22,10 +22,11 @@ import (
 // The rules each caller follows to keep results byte-identical to the
 // serial sweep:
 //
-//   - shared inputs (the global mesh, the dual graph, cached initial
-//     partitions) are read-only during the fan-out; anything that
-//     mutates the harness (the initialPartition cache) is computed
-//     before it;
+//   - shared inputs (the global mesh, the dual graph, initial
+//     partitions) are read-only during the fan-out; the initialPartition
+//     cache, the one piece of the harness a sweep mutates, is filled
+//     before it, and a per-machine partition (partitionFor) is either
+//     built before it too (MachineSweep) or private to its world;
 //   - every job builds its own machine.Model instance — topologies
 //     carry contention state that a concurrent world must not touch;
 //   - results land in index-addressed slots, so presentation order is

@@ -18,9 +18,9 @@ import (
 // them concurrently against one shared, read-only Experiments.
 //
 // Concurrency contract: RunWorldCtx touches only immutable harness
-// state (the global mesh, the dual graph, Cfg by value) — it computes
-// its own initial partition instead of the initialPartition cache — so
-// any number of calls may run concurrently.  Determinism contract: the
+// state (the global mesh, the dual graph, Cfg by value) — it partitions
+// for its own machine (partitionFor) instead of reading the
+// initialPartition cache — so any number of calls may run concurrently.  Determinism contract: the
 // emitted rows and SimTime are a pure function of the WorldSpec; the
 // context only decides how far the run gets, never what any completed
 // epoch contains, because the cancellation checkpoints execute the same

@@ -66,26 +66,19 @@ func TestUnsteadyDriver(t *testing.T) {
 func TestPartitionQualityMetrics(t *testing.T) {
 	g := dual.FromMesh(mesh.Box(4, 4, 4, 1, 1, 1))
 	part := partition.Partition(g, 4, partition.Default())
-	q := partition.Evaluate(g, part, 4)
-	if q.EdgeCut <= 0 || q.CommVolume <= 0 || q.BoundaryVerts <= 0 {
-		t.Fatalf("degenerate quality %+v", q)
+	cut, vol := partition.EdgeCut(g, part), partition.CommVolume(g, part)
+	if cut <= 0 || vol <= 0 {
+		t.Fatalf("degenerate quality: edge cut %d, comm volume %d", cut, vol)
 	}
 	// Communication volume counts distinct neighbour parts per vertex;
 	// each cut edge contributes to at most its two endpoints, and at
 	// least one endpoint sees a foreign part.
-	if q.CommVolume > 2*q.EdgeCut {
-		t.Errorf("comm volume %d exceeds 2x edge cut %d", q.CommVolume, q.EdgeCut)
-	}
-	if q.CommVolume > int64(3*q.BoundaryVerts) {
-		t.Errorf("comm volume %d exceeds 3x boundary %d", q.CommVolume, q.BoundaryVerts)
-	}
-	if q.MaxNeighbors <= 0 || q.MaxNeighbors > 3 {
-		t.Errorf("max neighbours %d out of range for k=4", q.MaxNeighbors)
+	if vol > 2*cut {
+		t.Errorf("comm volume %d exceeds 2x edge cut %d", vol, cut)
 	}
 	// A single-part "partition" has zero communication.
 	one := make([]int32, g.NumVerts())
-	q1 := partition.Evaluate(g, one, 1)
-	if q1.EdgeCut != 0 || q1.CommVolume != 0 || q1.BoundaryVerts != 0 || q1.MaxNeighbors != 0 {
-		t.Errorf("one-part quality %+v not all zero", q1)
+	if c1, v1 := partition.EdgeCut(g, one), partition.CommVolume(g, one); c1 != 0 || v1 != 0 {
+		t.Errorf("one-part quality: edge cut %d, comm volume %d, want 0", c1, v1)
 	}
 }

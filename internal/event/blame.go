@@ -44,17 +44,6 @@ const (
 	NumBlameKinds
 )
 
-var blameNames = [NumBlameKinds]string{
-	"sender-compute", "sender-overhead", "contention", "wire", "idle",
-}
-
-func (k BlameKind) String() string {
-	if k < NumBlameKinds {
-		return blameNames[k]
-	}
-	return "blame(?)"
-}
-
 // EdgeBlame aggregates the post-send delay charged to one directed
 // rank pair: queueing on shared links plus wire latency.
 type EdgeBlame struct {

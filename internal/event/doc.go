@@ -22,10 +22,11 @@
 // Entry points.  NewEngine + Run execute the processes (the msg runtime
 // is the only intended caller); Yield / Block / Wake are the three
 // process-side primitives; Trace accumulates Records and exports
-// Chrome-tracing JSON (WriteChrome); CriticalPath walks a trace back
-// from its makespan and decomposes the bounding chain into compute,
-// message overhead, and comm wait — the decomposition the
-// measured-cost feedback loop (internal/profile) aggregates.
+// Chrome-tracing JSON, phase spans optionally layered on (WriteChrome,
+// WriteChromeFile); CriticalPath walks a trace back from its makespan
+// and decomposes the bounding chain into compute, message overhead, and
+// comm wait — the decomposition the measured-cost feedback loop
+// (internal/profile) aggregates.
 //
 // Invariants.  Keys processed by the scheduler are nondecreasing in
 // time (a running process only inserts keys at or after its own current

@@ -333,7 +333,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	tr.Add(Record{Rank: 0, Kind: KindSend, T0: 1, T1: 2, Peer: 1, Bytes: 16, Tag: 3, MsgID: 7})
 	tr.Add(Record{Rank: 1, Kind: KindRecv, T0: 0, T1: 3, Peer: 0, Bytes: 16, Tag: 3, MsgID: 7, Arrival: 2.5})
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -91,17 +91,6 @@ func (t *Trace) Grow(n int) {
 	t.Records = slices.Grow(t.Records, n)
 }
 
-// Makespan returns the latest completion time in the trace.
-func (t *Trace) Makespan() float64 {
-	var m float64
-	for _, r := range t.Records {
-		if r.T1 > m {
-			m = r.T1
-		}
-	}
-	return m
-}
-
 // chromeEvent is one entry of the Chrome tracing JSON array format
 // (chrome://tracing, Perfetto).  Times are microseconds.
 type chromeEvent struct {
@@ -122,17 +111,14 @@ const usec = 1e6
 // one complete ("X") event per record on the rank's timeline, plus flow
 // ("s"/"f") arrows from each send to the recv that consumed its message.
 // Load the file in chrome://tracing or https://ui.perfetto.dev.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	return t.WriteChromeSpans(w, nil)
-}
-
-// WriteChromeSpans is WriteChrome with the run's phase spans layered
-// onto the same per-rank timelines: each span becomes an enclosing
-// "X" slice (spans strictly contain the records and each other by the
-// push/pop stack discipline, so the viewer nests them), so the export
-// shows both *what* each rank did and *which phase* it was doing it
-// for, with the message flow arrows as the causality edges between.
-func (t *Trace) WriteChromeSpans(w io.Writer, spans []Span) error {
+//
+// spans (nil for none) layers the run's phase spans onto the same
+// per-rank timelines: each span becomes an enclosing "X" slice (spans
+// strictly contain the records and each other by the push/pop stack
+// discipline, so the viewer nests them), so the export shows both
+// *what* each rank did and *which phase* it was doing it for, with the
+// message flow arrows as the causality edges between.
+func (t *Trace) WriteChrome(w io.Writer, spans []Span) error {
 	var events []chromeEvent
 	for rank := 0; rank < t.P; rank++ {
 		events = append(events, chromeEvent{
@@ -197,21 +183,16 @@ func (t *Trace) WriteChromeSpans(w io.Writer, spans []Span) error {
 	return enc.Encode(events)
 }
 
-// WriteChromeFile writes the Chrome-tracing export to path, reporting
-// both write and close failures (a truncated trace file must not look
-// like success).  The single implementation both exporter commands
-// (plumbench -trace, plumviz -trace) share.
-func (t *Trace) WriteChromeFile(path string) error {
-	return t.WriteChromeFileSpans(path, nil)
-}
-
-// WriteChromeFileSpans writes the span-layered export to path.
-func (t *Trace) WriteChromeFileSpans(path string, spans []Span) error {
+// WriteChromeFile writes the Chrome-tracing export (WriteChrome) to
+// path, reporting both write and close failures (a truncated trace file
+// must not look like success).  The single implementation both exporter
+// commands (plumbench -trace, plumviz -trace) share.
+func (t *Trace) WriteChromeFile(path string, spans []Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = t.WriteChromeSpans(f, spans)
+	err = t.WriteChrome(f, spans)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -143,23 +143,3 @@ func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
 	colIdx := func(g uint64) int32 { return rowOf[g] }
 	return finalizeRows(gids, rows, colIdx, len(gids), shift, scale)
 }
-
-// GatherField extracts b[i] = sol[vert(row i)*ncomp + comp] for each row
-// of a serially assembled matrix, mapping mesh-ordered solution storage
-// into row (gid) order.
-func GatherField(A *CSR, m *adapt.Mesh, ncomp, comp int) []float64 {
-	b := make([]float64, A.NRows)
-	for i, g := range A.GID {
-		v := m.VertByGID(g)
-		b[i] = m.Sol[int(v)*ncomp+comp]
-	}
-	return b
-}
-
-// ScatterField writes x (row order) back into the mesh solution field.
-func ScatterField(A *CSR, m *adapt.Mesh, ncomp, comp int, x []float64) {
-	for i, g := range A.GID {
-		v := m.VertByGID(g)
-		m.Sol[int(v)*ncomp+comp] = x[i]
-	}
-}

@@ -122,27 +122,3 @@ func TestExactAccRoundTrip(t *testing.T) {
 		t.Fatalf("serialization round trip: %v != %v", got, a.Float64())
 	}
 }
-
-func TestGatherScatterField(t *testing.T) {
-	m := mesh.Box(2, 2, 2, 2, 2, 2)
-	a := adapt.FromMesh(m, 3)
-	for v := range a.Coords {
-		for k := 0; k < 3; k++ {
-			a.Sol[v*3+k] = float64(v*10 + k)
-		}
-	}
-	A := Assemble(a, 1, 1)
-	b := GatherField(A, a, 3, 1)
-	for i := range b {
-		b[i] += 100
-	}
-	ScatterField(A, a, 3, 1, b)
-	for v := range a.Coords {
-		if a.Sol[v*3+1] != float64(v*10+1)+100 {
-			t.Fatalf("vertex %d component 1 not round-tripped", v)
-		}
-		if a.Sol[v*3] != float64(v*10) {
-			t.Fatal("component 0 disturbed")
-		}
-	}
-}

@@ -53,7 +53,7 @@ type DistSystem struct {
 	A *CSR
 
 	// Overlap selects the split execution of every operator application:
-	// the halo exchange is posted nonblocking (Isend/Irecv), the interior
+	// the halo exchange is posted nonblocking (Send + Irecv), the interior
 	// rows — those touching no ghost column — are computed while the
 	// messages are in flight, and only the boundary rows wait for the
 	// ghost values.  The result vector is bitwise identical to the
@@ -332,7 +332,7 @@ func (s *DistSystem) finishHalo(reqs []*msg.Request) {
 
 // exchangeHalo refreshes s.full's ghost block from the owners of the
 // ghost vertices: the blocking exchange, post immediately followed by
-// finish (Isend is Send and Wait is Recv, so the message operations —
+// finish (Wait on a posted Irecv is Recv, so the message operations —
 // and the simulated clock charges — are exactly the pre-overlap ones).
 func (s *DistSystem) exchangeHalo() {
 	s.finishHalo(s.postHalo())

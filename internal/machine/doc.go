@@ -9,7 +9,7 @@
 //
 //   - Flat: the uniform SP2 of the paper; bitwise-compatible with the
 //     scalar msg.CostModel constants when built from SP2Link().
-//   - SMPCluster: nodes of NodeSize ranks; cheap intra-node links
+//   - SMPCluster: nodes of nodeSize ranks; cheap intra-node links
 //     (shared-memory copy) and expensive inter-node links.
 //   - FatTree: ranks at the leaves of a radix-R tree; latency grows with
 //     hop count and ranks in a leaf group serialize on a shared up-link

@@ -57,9 +57,6 @@ func (t *FatTree) Name() string { return "fattree" }
 // Ranks implements Model.
 func (t *FatTree) Ranks() int { return t.p }
 
-// Radix returns the tree radix (leaf-group size).
-func (t *FatTree) Radix() int { return t.radix }
-
 // Hops implements Model: twice the level of the lowest common ancestor
 // switch of the two leaves.
 func (t *FatTree) Hops(src, dst int) int {

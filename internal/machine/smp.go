@@ -1,7 +1,7 @@
 package machine
 
 // SMPCluster models a cluster of shared-memory nodes: ranks are packed
-// into nodes of NodeSize consecutive ranks; messages within a node move
+// into nodes of nodeSize consecutive ranks; messages within a node move
 // at memory-copy speed while messages between nodes cross the cluster
 // interconnect.  This is the machine class (SP nodes, Beowulf clusters)
 // that succeeded the paper's flat SP2, and the one on which a
@@ -35,9 +35,6 @@ func (m *SMPCluster) Name() string { return "smp" }
 
 // Ranks implements Model.
 func (m *SMPCluster) Ranks() int { return m.p }
-
-// NodeSize returns the configured node arity.
-func (m *SMPCluster) NodeSize() int { return m.nodeSize }
 
 // Node returns the node index of rank r.
 func (m *SMPCluster) Node(r int) int { return r / m.nodeSize }

@@ -68,19 +68,6 @@ func PaperScaleBox() *Mesh {
 	return Box(47, 18, 12, 4.7, 1.8, 1.2)
 }
 
-// Centroid returns the centroid of element e.
-func (m *Mesh) Centroid(e int) Vec3 {
-	ev := m.Elems[e]
-	c := m.Coords[ev[0]].Add(m.Coords[ev[1]]).Add(m.Coords[ev[2]]).Add(m.Coords[ev[3]])
-	return c.Scale(0.25)
-}
-
-// EdgeMid returns the midpoint of edge id (after BuildDerived).
-func (m *Mesh) EdgeMid(id int) Vec3 {
-	pair := m.Edges[id]
-	return Mid(m.Coords[pair[0]], m.Coords[pair[1]])
-}
-
 // CylinderDistance returns the distance of point p from the surface of an
 // infinite cylinder with the given axis point, axis direction (unit), and
 // radius.  Error indicators built on this mimic the paper's shock surfaces

@@ -14,10 +14,10 @@ import (
 //
 // Broadcast and reduce use binomial trees (log P rounds, as a real MPI
 // implementation would, which matters for the simulated timing model);
-// gather/scatter are rooted linear exchanges, matching the paper's
-// description of the similarity-matrix gather ("these gather and scatter
-// operations require a minuscule amount of time since only one row of the
-// matrix needs to be communicated to the host processor").
+// gather is a rooted linear exchange, matching the paper's description
+// of the similarity-matrix gather ("these gather and scatter operations
+// require a minuscule amount of time since only one row of the matrix
+// needs to be communicated to the host processor").
 
 func (c *Comm) nextCollTag() int {
 	t := collectiveTagBase + c.collSeq
@@ -113,27 +113,6 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 	return out
 }
 
-// Scatter distributes parts[i] from root to rank i and returns this rank's
-// part.  parts is only examined on root.
-func (c *Comm) Scatter(root int, parts [][]byte) []byte {
-	c.PushPhase(event.PhaseCollective)
-	defer c.PopPhase()
-	tag := c.nextCollTag()
-	if c.rank == root {
-		for dst := 0; dst < c.Size(); dst++ {
-			if dst == root {
-				continue
-			}
-			c.Send(dst, tag, parts[dst])
-		}
-		return append([]byte(nil), parts[root]...)
-	}
-	m := c.Recv(root, tag)
-	data := m.Data
-	c.world.release(m, false) // payload escapes to the caller
-	return data
-}
-
 // Allgather collects every rank's payload on every rank.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	parts := c.Gather(0, data)
@@ -190,21 +169,6 @@ func unflatten(flat []byte, lens []int64) [][]byte {
 		off += int(n)
 	}
 	return parts
-}
-
-// ReduceInt64 combines each rank's value at root with op (applied in rank
-// order, so non-commutative ops are still deterministic).  Only root's
-// return value is meaningful.
-func (c *Comm) ReduceInt64(root int, val int64, op func(a, b int64) int64) int64 {
-	parts := c.Gather(root, PutInts([]int64{val}))
-	if c.rank != root {
-		return 0
-	}
-	acc := GetInts(parts[0])[0]
-	for i := 1; i < len(parts); i++ {
-		acc = op(acc, GetInts(parts[i])[0])
-	}
-	return acc
 }
 
 // allreduceWord is the shared scalar allreduce: a rooted gather of one

@@ -4,11 +4,11 @@
 // The paper this repository reproduces (Oliker & Biswas, SPAA 1997) was
 // implemented in C/C++ with MPI on an IBM SP2.  Go has no MPI bindings, so
 // this package supplies the substrate: tagged point-to-point sends and
-// receives, nonblocking Isend/Irecv/Wait, the collectives the PLUM
-// framework needs (barrier, broadcast, gather, scatter, allgather, reduce,
-// allreduce, all-to-all), and a deterministic simulated machine-time model
-// (see clock.go) used to produce shape-faithful scaling curves for
-// processor counts far beyond the host's physical core count.
+// receives, nonblocking Irecv/Wait, the collectives the PLUM framework
+// needs (barrier, broadcast, gather, allgather, allreduce, all-to-all),
+// and a deterministic simulated machine-time model (see clock.go) used
+// to produce shape-faithful scaling curves for processor counts far
+// beyond the host's physical core count.
 //
 // Ranks execute as coroutine-style processes on the discrete-event engine
 // of internal/event: exactly one rank runs at any instant and the
@@ -44,8 +44,8 @@
 // lists (O(1) unlink, no per-key queue slices retaining popped
 // messages), and message structs plus size-classed payload buffers
 // return to per-world free lists via Comm.Release — automatic on the
-// decode-and-discard paths (RecvInts, RecvFloats, collective
-// internals), opt-in for callers that receive raw Messages.  All pool
+// decode-and-discard paths (RecvInts, collective internals), opt-in
+// for callers that receive raw Messages.  All pool
 // traffic happens under the execution token: no locks, deterministic
 // recycling order.  SendInts/SendFloats encode directly into pooled
 // buffers, keeping steady-state exchange loops allocation-free

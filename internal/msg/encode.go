@@ -79,12 +79,3 @@ func (c *Comm) SendFloats(dst, tag int, vals []float64) {
 	}
 	c.deliver(dst, tag, m)
 }
-
-// RecvFloats receives a float64 slice from src; the transport message is
-// released back to the pool.
-func (c *Comm) RecvFloats(src, tag int) []float64 {
-	m := c.Recv(src, tag)
-	vals := GetFloats(m.Data)
-	c.Release(m)
-	return vals
-}

@@ -256,9 +256,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// Clock returns the rank's simulated clock (zero-valued without a model).
-func (c *Comm) Clock() *Clock { return &c.clock }
-
 // Elapsed returns the rank's simulated elapsed time in seconds.
 func (c *Comm) Elapsed() float64 { return c.clock.Now }
 
@@ -313,8 +310,7 @@ func (c *Comm) PopPhase() {
 // caller must not touch m or m.Data afterwards.  Releasing is optional
 // (an unreleased message is ordinary garbage) but keeps hot exchange
 // loops allocation-free; the runtime's own decode-and-discard paths
-// (RecvInts, RecvFloats, the collectives' internal receives) release
-// automatically.
+// (RecvInts, the collectives' internal receives) release automatically.
 func (c *Comm) Release(m *Message) { c.world.release(m, true) }
 
 // Compute advances this rank's simulated clock by the cost of `units`

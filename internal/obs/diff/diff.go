@@ -711,18 +711,11 @@ func orDash(s string) string {
 // LedgerFiles reads both ledgers from disk (strictly, or leniently
 // tolerating truncation) and diffs them.
 func LedgerFiles(basePath, curPath string, lenient bool, opt Options) (*Report, error) {
-	read := func(path string) (*obs.LedgerFile, bool, error) {
-		if lenient {
-			return obs.ReadLedgerFileLenient(path)
-		}
-		lf, err := obs.ReadLedgerFile(path)
-		return lf, false, err
-	}
-	base, btrunc, err := read(basePath)
+	base, btrunc, err := obs.ReadLedgerFile(basePath, lenient)
 	if err != nil {
 		return nil, err
 	}
-	cur, ctrunc, err := read(curPath)
+	cur, ctrunc, err := obs.ReadLedgerFile(curPath, lenient)
 	if err != nil {
 		return nil, err
 	}

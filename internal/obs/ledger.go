@@ -164,7 +164,6 @@ type Ledger struct {
 	enc    *json.Encoder
 	epochs int
 	err    error
-	path   string
 }
 
 // Create opens path, writes the manifest, and returns the ledger.
@@ -176,16 +175,13 @@ func Create(path string, m Manifest) (*Ledger, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	l := &Ledger{f: f, w: w, enc: json.NewEncoder(w), path: path}
+	l := &Ledger{f: f, w: w, enc: json.NewEncoder(w)}
 	if err := l.enc.Encode(m); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return l, nil
 }
-
-// Path returns the file path the ledger writes to.
-func (l *Ledger) Path() string { return l.path }
 
 // Add appends epoch records.  The first write error is latched and
 // returned by Close (a truncated ledger must not look like success).
@@ -241,22 +237,15 @@ type LedgerFile struct {
 // consistent epoch stream, and an end record whose count matches.  Any
 // schema violation is an error — the CI smoke job validates ledgers by
 // reading them.
-func ReadLedger(r io.Reader) (*LedgerFile, error) {
-	lf, _, err := readLedger(r, false)
-	return lf, err
-}
-
-// ReadLedgerLenient is ReadLedger for ledgers whose producing run may
-// have been killed mid-stream: a missing end record, or a torn final
-// line, parses as truncated=true with every complete record retained.
+//
+// lenient is for ledgers whose producing run may have been killed
+// mid-stream: a missing end record, or a torn final line, parses as
+// truncated (the second result) with every complete record retained.
 // Structural violations before the cut (a mid-file parse error, an
 // epoch/end count mismatch, a missing manifest) still fail — a
-// truncated ledger is salvageable, a corrupt one is not.
-func ReadLedgerLenient(r io.Reader) (lf *LedgerFile, truncated bool, err error) {
-	return readLedger(r, true)
-}
-
-func readLedger(r io.Reader, lenient bool) (*LedgerFile, bool, error) {
+// truncated ledger is salvageable, a corrupt one is not.  A strict read
+// never reports truncated.
+func ReadLedger(r io.Reader, lenient bool) (*LedgerFile, bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	lf := &LedgerFile{}
@@ -355,29 +344,14 @@ func scannerHasMore(sc *bufio.Scanner) bool {
 	return false
 }
 
-// ReadLedgerFile reads and validates the ledger at path.
-func ReadLedgerFile(path string) (*LedgerFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	lf, err := ReadLedger(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return lf, nil
-}
-
-// ReadLedgerFileLenient reads the ledger at path, tolerating
-// truncation (see ReadLedgerLenient).
-func ReadLedgerFileLenient(path string) (*LedgerFile, bool, error) {
+// ReadLedgerFile reads and validates the ledger at path (ReadLedger).
+func ReadLedgerFile(path string, lenient bool) (*LedgerFile, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.Close()
-	lf, truncated, err := ReadLedgerLenient(f)
+	lf, truncated, err := ReadLedger(f, lenient)
 	if err != nil {
 		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}

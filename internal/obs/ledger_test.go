@@ -42,7 +42,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lf, err := ReadLedgerFile(path)
+	lf, _, err := ReadLedgerFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReadLedgerRejectsMalformed(t *testing.T) {
 			`{"kind":"end","epochs":0}` + "\n" + `{"kind":"epoch","p":2}`, "after the end record"},
 	}
 	for _, c := range cases {
-		_, err := ReadLedger(strings.NewReader(c.content))
+		_, _, err := ReadLedger(strings.NewReader(c.content), false)
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantErr)
 		}
@@ -124,7 +124,7 @@ func TestLedgerBlameRoundTrip(t *testing.T) {
 	if err := l.Close(nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	lf, err := ReadLedgerFile(path)
+	lf, _, err := ReadLedgerFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestReadLedgerLenient(t *testing.T) {
 	}
 
 	// A complete ledger is not truncated.
-	if _, trunc, err := ReadLedgerFileLenient(path); err != nil || trunc {
+	if _, trunc, err := ReadLedgerFile(path, true); err != nil || trunc {
 		t.Errorf("complete ledger: trunc=%v err=%v", trunc, err)
 	}
 
@@ -178,10 +178,10 @@ func TestReadLedgerLenient(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadLedgerFile(p); err == nil {
+		if _, _, err := ReadLedgerFile(p, false); err == nil {
 			t.Errorf("%s: strict read succeeded", name)
 		}
-		lf, trunc, err := ReadLedgerFileLenient(p)
+		lf, trunc, err := ReadLedgerFile(p, true)
 		if err != nil {
 			t.Errorf("%s: lenient read failed: %v", name, err)
 			return
@@ -211,7 +211,7 @@ func TestReadLedgerLenient(t *testing.T) {
 	if err := os.WriteFile(p, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadLedgerFileLenient(p); err == nil {
+	if _, _, err := ReadLedgerFile(p, true); err == nil {
 		t.Error("mid-file corruption parsed leniently without error")
 	}
 }

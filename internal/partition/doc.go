@@ -13,7 +13,7 @@
 // since parallel MeTiS, unlike the serial version, uses the previous
 // partition as the initial guess."  ParallelRepartition runs the
 // machinery under the message-passing runtime with per-rank simulated
-// cost accounting (parallel.go).  EdgeCut, CommVolume, and Evaluate
+// cost accounting (parallel.go).  EdgeCut, CommVolume, and Imbalance
 // score partition quality; PartWeights sums per-part loads.
 //
 // Invariants.  Options.TargetShares carries per-part target loads for

@@ -6,7 +6,7 @@ import "plum/internal/dual"
 // repartitioner (Section 4.2) is that it "minimize the total execution
 // time by balancing the computational loads and reducing the
 // interprocessor communication time"; edge cut approximates the latter,
-// and the metrics here expose the rest of the standard picture.
+// and communication volume measures it more closely.
 
 // CommVolume returns the total communication volume of a partition: for
 // each vertex, the number of *distinct* other parts its neighbourhood
@@ -44,65 +44,4 @@ func CommVolume(g *dual.Graph, part []int32) int64 {
 		}
 	}
 	return vol
-}
-
-// BoundaryVerts returns the number of vertices with at least one
-// neighbour in another part (the partition surface).
-func BoundaryVerts(g *dual.Graph, part []int32) int {
-	n := 0
-	for v := int32(0); v < int32(g.NumVerts()); v++ {
-		for _, u := range g.Neighbors(v) {
-			if part[u] != part[v] {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// NeighborParts returns, for each part, how many other parts it shares a
-// boundary with (the message fan-out of a halo exchange).
-func NeighborParts(g *dual.Graph, part []int32, k int) []int {
-	adj := make([]map[int32]bool, k)
-	for i := range adj {
-		adj[i] = make(map[int32]bool)
-	}
-	for v := int32(0); v < int32(g.NumVerts()); v++ {
-		for _, u := range g.Neighbors(v) {
-			if part[u] != part[v] {
-				adj[part[v]][part[u]] = true
-			}
-		}
-	}
-	out := make([]int, k)
-	for i := range adj {
-		out[i] = len(adj[i])
-	}
-	return out
-}
-
-// Quality bundles the standard partition metrics for reporting.
-type Quality struct {
-	EdgeCut       int64
-	CommVolume    int64
-	BoundaryVerts int
-	Imbalance     float64
-	MaxNeighbors  int
-}
-
-// Evaluate computes all metrics for a partition.
-func Evaluate(g *dual.Graph, part []int32, k int) Quality {
-	q := Quality{
-		EdgeCut:       EdgeCut(g, part),
-		CommVolume:    CommVolume(g, part),
-		BoundaryVerts: BoundaryVerts(g, part),
-		Imbalance:     Imbalance(g, part, k),
-	}
-	for _, n := range NeighborParts(g, part, k) {
-		if n > q.MaxNeighbors {
-			q.MaxNeighbors = n
-		}
-	}
-	return q
 }

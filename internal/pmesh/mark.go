@@ -17,22 +17,13 @@ import (
 // rank marks its local edges above the threshold.  Because shared edges
 // have identical geometry on all sharers, the marking is symmetric across
 // partitions, exactly as the paper observes for its flow-based indicator.
-// Returns the local number of edges marked and the threshold (which can
-// be reused by MarkGeometricThreshold to re-derive the same marks after
-// a migration without another histogram reduction).  Collective.
+// Returns the local number of edges marked and the agreed threshold.
+// Collective.
 func (d *DistMesh) MarkGeometricFraction(f func(mesh.Vec3) float64, frac float64) (int, float64) {
 	errv := d.M.EdgeErrorGeometric(f)
 	d.C.Compute(workMarkPerEdge * float64(len(errv)))
 	thresh := d.globalThreshold(errv, frac)
 	return d.M.TargetEdges(errv, thresh), thresh
-}
-
-// MarkGeometricThreshold marks local edges whose indicator value exceeds
-// a known threshold (no communication).  Returns the number marked.
-func (d *DistMesh) MarkGeometricThreshold(f func(mesh.Vec3) float64, thresh float64) int {
-	errv := d.M.EdgeErrorGeometric(f)
-	d.C.Compute(workMarkPerEdge * float64(len(errv)))
-	return d.M.TargetEdges(errv, thresh)
 }
 
 // globalThreshold computes an error threshold such that roughly frac of

@@ -24,19 +24,6 @@ const (
 	NumClasses
 )
 
-func (c Class) String() string {
-	switch c {
-	case ClassHalo:
-		return "halo"
-	case ClassCollective:
-		return "collective"
-	case ClassMigration:
-		return "migration"
-	default:
-		return "other"
-	}
-}
-
 // DefaultClass classifies a message tag using the repository's tag
 // allocation, each range owned (and exported as a predicate) by the
 // package that speaks the protocol.

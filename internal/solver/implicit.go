@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"plum/internal/adapt"
 	"plum/internal/linalg"
 	"plum/internal/pmesh"
 )
@@ -112,27 +111,4 @@ func (im *Implicit) GlobalMass() float64 {
 		ones[i] = 1
 	}
 	return im.Sys.Dot(b, ones)
-}
-
-// ImplicitStepSerial advances a serial adapted mesh one implicit
-// iteration with the same operator and solver as the distributed path
-// (the single-processor reference of the workload).
-func ImplicitStepSerial(m *adapt.Mesh, opt ImplicitOptions) ImplicitResult {
-	A := linalg.Assemble(m, 1, opt.DT)
-	sys := linalg.NewSerial(A)
-	pre := sys.NewPrecond(opt.Precond)
-	ncomp := m.NComp
-	res := ImplicitResult{Converged: true}
-	popt := linalg.Options{Tol: opt.Tol, MaxIter: opt.MaxIter}
-	for comp := 0; comp < ncomp; comp++ {
-		b := linalg.GatherField(A, m, ncomp, comp)
-		x := append([]float64(nil), b...)
-		r := linalg.PCG(sys, pre, b, x, popt)
-		linalg.ScatterField(A, m, ncomp, comp, x)
-		res.Iterations += r.Iterations
-		res.Converged = res.Converged && r.Converged
-		res.Residuals = r.Residuals
-	}
-	res.Work = res.Iterations * A.NNZ()
-	return res
 }

@@ -119,18 +119,3 @@ func applyUpdate(m *adapt.Mesh, acc, deg []float64, dt float64) {
 		}
 	}
 }
-
-// TotalMass returns the sum of the density component over alive vertices
-// weighted by nothing (a cheap conservation-style diagnostic used in
-// tests: the edge scheme's accumulator is antisymmetric, so the
-// unweighted update conserves the sum when all vertex degrees are equal;
-// tests use meshes where it is conserved to first order).
-func TotalMass(m *adapt.Mesh) float64 {
-	var t float64
-	for v := range m.Coords {
-		if m.VertAlive[v] {
-			t += m.Sol[v*NComp]
-		}
-	}
-	return t
-}
