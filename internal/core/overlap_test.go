@@ -13,9 +13,7 @@ import (
 // overlapped PCG must have a strictly shorter simulated critical path
 // than the blocking PCG — while doing bitwise-identical arithmetic.  On
 // the paper's flat SP2 the per-message software overhead dominates and
-// overlap is legitimately a no-op; the comparison reports that too.  The
-// overlapped trace each row keeps is the artifact plumbench -trace
-// exports, so it must cover every rank.
+// overlap is legitimately a no-op; the comparison reports that too.
 
 func TestOverlapShortensCriticalPath(t *testing.T) {
 	e := NewExperiments(false)
@@ -36,17 +34,28 @@ func TestOverlapShortensCriticalPath(t *testing.T) {
 			t.Errorf("%s: comm wait on the path did not shrink: %.6g -> %.6g",
 				r.Model, r.WaitBlocking, r.WaitOverlap)
 		}
-		tr := r.TraceOverlapped
-		if tr.P != r.P {
-			t.Fatalf("%s: trace world size %d, want %d", r.Model, tr.P, r.P)
-		}
-		seen := make(map[int]bool)
-		for _, rec := range tr.Records {
-			seen[rec.Rank] = true
-		}
-		if len(seen) != r.P {
-			t.Errorf("%s: trace covers %d ranks, want %d", r.Model, len(seen), r.P)
-		}
+	}
+}
+
+// TestTraceImplicitStep: the overlapped trace an OverlapComparison row
+// keeps is the artifact plumbench -trace exports, so it must be
+// non-empty and cover every rank.
+func TestTraceImplicitStep(t *testing.T) {
+	e := NewExperiments(false)
+	rows := e.OverlapComparison(4, []string{"smp"})
+	if len(rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(rows))
+	}
+	tr := rows[0].TraceOverlapped
+	if tr.P != 4 {
+		t.Fatalf("trace world size %d, want 4", tr.P)
+	}
+	seen := make(map[int]bool)
+	for _, r := range tr.Records {
+		seen[r.Rank] = true
+	}
+	if len(seen) != 4 {
+		t.Errorf("trace covers %d ranks, want 4", len(seen))
 	}
 }
 
