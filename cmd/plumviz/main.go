@@ -82,6 +82,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *p < 1 {
+		fmt.Fprintf(stderr, "plumviz: -p must be at least 1, got %d\n", *p)
+		return 2
+	}
+	if !(*frac >= 0 && *frac <= 1) {
+		fmt.Fprintf(stderr, "plumviz: -frac must be in [0, 1], got %g\n", *frac)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "plumviz: %v\n", err)
 		return 1

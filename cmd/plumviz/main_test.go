@@ -98,6 +98,10 @@ func TestRunExitCodes(t *testing.T) {
 			nil, "no such file"},
 		{"undefined flag", []string{"-frobnicate"}, 2, nil, "flag provided but not defined"},
 		{"stray args", []string{"-ledger", baselineLedger, "extra"}, 2, nil, "unexpected arguments"},
+		{"zero ranks", []string{"-p", "0"}, 2, nil, "-p must be at least 1, got 0"},
+		{"negative ranks", []string{"-p", "-2"}, 2, nil, "-p must be at least 1, got -2"},
+		{"negative frac", []string{"-frac", "-0.5"}, 2, nil, "-frac must be in [0, 1], got -0.5"},
+		{"frac above one", []string{"-frac", "1.5"}, 2, nil, "-frac must be in [0, 1], got 1.5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

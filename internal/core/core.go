@@ -58,7 +58,7 @@ func ParseMapper(name string) (Mapper, error) {
 // ApplyMapper runs the chosen mapper on a similarity matrix and reports
 // the wall-clock time it took (the paper's Table 2 reassignment times).
 // topo is the machine the assignment will run on; it only affects
-// MapTopo, which treats a nil topo as the flat SP2.
+// MapTopo.
 func ApplyMapper(kind Mapper, s *remap.Similarity, topo machine.Model) (assign []int32, wall float64) {
 	start := time.Now()
 	switch kind {
@@ -67,9 +67,6 @@ func ApplyMapper(kind Mapper, s *remap.Similarity, topo machine.Model) (assign [
 	case MapOptMWBG:
 		assign = remap.OptimalMWBG(s)
 	case MapTopo:
-		if topo == nil {
-			topo = machine.NewFlat(s.P, machine.SP2Link())
-		}
 		assign = remap.TopoAssign(s, topo)
 	default:
 		assign = remap.OptimalBMCM(s, 1, 1)
@@ -128,10 +125,12 @@ type Config struct {
 	ForceAccept bool
 	PartOpts    partition.Options
 
-	// Topo, when non-nil, is the machine topology the step runs on: the
-	// mapper sees it (MapTopo) and the gain/cost decision prices
+	// Topo is the machine topology the step runs on: the mapper sees it
+	// (MapTopo), the partitioner scales targets by its rank speeds, and
+	// on a non-uniform network the gain/cost decision prices
 	// redistribution with its per-pair link constants instead of the
-	// flat Machine scalars.  Nil keeps the paper's uniform machine.
+	// flat Machine scalars.  AdaptionStep and NewUnsteady resolve nil to
+	// the paper's uniform SP2 (machine.ByName("flat")).
 	Topo machine.Model
 
 	// Workload selects the solver driven between adaptions; Implicit

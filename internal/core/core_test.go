@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"plum/internal/machine"
 	"plum/internal/remap"
 )
 
@@ -47,8 +48,9 @@ func TestApplyMapperKinds(t *testing.T) {
 	s.S[0] = []int64{10, 0, 5}
 	s.S[1] = []int64{0, 20, 0}
 	s.S[2] = []int64{5, 0, 30}
+	flat := machine.NewFlat(s.P, machine.SP2Link())
 	for _, kind := range []Mapper{MapHeuristic, MapOptMWBG, MapOptBMCM, MapTopo} {
-		assign, wall := ApplyMapper(kind, s, nil)
+		assign, wall := ApplyMapper(kind, s, flat)
 		if err := s.CheckAssignment(assign); err != nil {
 			t.Errorf("%v: %v", kind, err)
 		}
@@ -57,7 +59,7 @@ func TestApplyMapperKinds(t *testing.T) {
 		}
 	}
 	// This diagonal-dominant matrix has the identity as its optimum.
-	assign, _ := ApplyMapper(MapOptMWBG, s, nil)
+	assign, _ := ApplyMapper(MapOptMWBG, s, flat)
 	for j, i := range assign {
 		if int(i) != j {
 			t.Errorf("optimal assignment %v not identity", assign)

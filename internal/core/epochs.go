@@ -61,30 +61,25 @@ type epochPlan struct {
 	stop func() bool
 }
 
-// onMachine places the plan on topo (nil: the harness's uniform
-// machine): the cost model the world runs under and an initial
-// partition whose per-part targets scale with the machine's rank speeds.
+// onMachine places the plan on topo: the cost model the world runs
+// under and an initial partition whose per-part targets scale with the
+// machine's rank speeds.
 func (e *Experiments) onMachine(pl *epochPlan, topo machine.Model) {
-	pl.mod = e.Model
-	if topo != nil {
-		pl.mod = e.Model.WithTopo(topo)
-	}
+	pl.mod = e.Model.WithTopo(topo)
 	pl.initPart = e.partitionFor(pl.p, topo)
 }
 
 // partitionFor builds the initial P-way partition of the dual graph for
-// a world running on topo (nil: the harness's uniform machine) — the
-// "Partitioning + Mapping" initialization of Fig. 1.  On a heterogeneous
-// machine the per-part targets scale with rank speed (part j is rank
-// j's initial subdomain), so slow processors start with proportionally
-// smaller subdomains; on a uniform one the targets are equal.  Every
+// a world running on topo — the "Partitioning + Mapping" initialization
+// of Fig. 1.  On a heterogeneous machine the per-part targets scale with
+// rank speed (part j is rank j's initial subdomain), so slow processors
+// start with proportionally smaller subdomains; on a uniform one the
+// targets are equal.  Every
 // world partitions for the machine it runs on, whatever -model the
 // harness carries.
 func (e *Experiments) partitionFor(p int, topo machine.Model) []int32 {
 	popt := e.Cfg.PartOpts
-	if topo != nil {
-		popt.TargetShares = machine.SpeedShares(topo, p)
-	}
+	popt.TargetShares = machine.SpeedShares(topo, p)
 	return partition.Partition(e.Dual, p, popt)
 }
 

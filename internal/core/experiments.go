@@ -29,7 +29,7 @@ type Experiments struct {
 	Ps     []int
 
 	// ModelName selects a machine topology (machine.ByName) for every
-	// simulated run; empty keeps the pre-machine-layer uniform SP2.
+	// simulated run; empty is "flat", the paper's uniform SP2.
 	ModelName string
 
 	// Measured turns on the measured-cost feedback loop for the
@@ -60,30 +60,35 @@ type Experiments struct {
 }
 
 // UseMachine selects the named machine topology for all subsequent
-// experiment runs.  The empty name restores the uniform (flat-scalar)
-// machine — the exact pre-machine-layer cost path.  Cached initial
-// partitions are discarded: a heterogeneous machine partitions with
-// speed-scaled target loads, so partitions are machine-specific.
+// experiment runs.  The empty name restores the default, the uniform
+// SP2 ("flat").  Cached initial partitions are discarded: a
+// heterogeneous machine partitions with speed-scaled target loads, so
+// partitions are machine-specific.
 func (e *Experiments) UseMachine(name string) error {
-	if name != "" {
-		if _, err := machine.ByName(name, 2); err != nil {
-			return err
-		}
+	if _, err := machine.ByName(machineName(name), 2); err != nil {
+		return err
 	}
 	e.ModelName = name
 	e.initParts = make(map[int][]int32)
 	return nil
 }
 
-// modelFor returns the cost model for a p-rank run: the scalar model
-// when no topology is selected, otherwise a copy carrying a fresh
-// instance of the named topology sized for p ranks (fresh contention
-// state per run).
-func (e *Experiments) modelFor(p int) *msg.CostModel {
-	if e.ModelName == "" {
-		return e.Model
+// machineName maps a harness or request model name to its
+// machine.ByName name: the empty name is the default flat SP2.  Only
+// the machine is shared; callers keep the name as given for labels
+// ("uniform SP2" in reports) and identities (ledger keys, digests).
+func machineName(name string) string {
+	if name == "" {
+		return "flat"
 	}
-	topo, err := machine.ByName(e.ModelName, p)
+	return name
+}
+
+// modelFor returns the cost model for a p-rank run: a copy of the
+// harness's model carrying a fresh instance of the selected topology
+// sized for p ranks (fresh contention state per run).
+func (e *Experiments) modelFor(p int) *msg.CostModel {
+	topo, err := machine.ByName(machineName(e.ModelName), p)
 	if err != nil {
 		panic(err) // unreachable: UseMachine validated the name
 	}

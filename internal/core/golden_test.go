@@ -120,7 +120,8 @@ func TestFlatTopologyDecisionNoOp(t *testing.T) {
 }
 
 // TestUseMachineValidates: unknown names are rejected up front and the
-// empty name restores the scalar model.
+// empty name resolves to the flat SP2 machine without renaming the
+// harness's selection or touching its shared model.
 func TestUseMachineValidates(t *testing.T) {
 	e := NewExperiments(false)
 	if err := e.UseMachine("hypercube"); err == nil {
@@ -134,7 +135,12 @@ func TestUseMachineValidates(t *testing.T) {
 	if err := e.UseMachine(""); err != nil {
 		t.Fatal(err)
 	}
-	if mod := e.modelFor(4); mod != e.Model || mod.Topo != nil {
-		t.Error("empty name did not restore the scalar model")
+	mod := e.modelFor(4)
+	flat, ok := mod.Topo.(*machine.Flat)
+	if !ok || flat.Ranks() != 4 || flat.Pair(0, 1) != machine.SP2Link() {
+		t.Errorf("empty name resolved to %#v, want a 4-rank flat SP2", mod.Topo)
+	}
+	if e.ModelName != "" || e.Model.Topo != nil {
+		t.Errorf("resolution leaked into the harness: ModelName %q, Model.Topo %v", e.ModelName, e.Model.Topo)
 	}
 }

@@ -79,10 +79,8 @@ func (ws *WorldSpec) Validate() error {
 	if ws.Cycles < 1 || ws.Cycles > 64 {
 		return fmt.Errorf("cycles must be in [1, 64], got %d", ws.Cycles)
 	}
-	if ws.Model != "" {
-		if _, err := machine.ByName(ws.Model, ws.P); err != nil {
-			return err
-		}
+	if _, err := machine.ByName(machineName(ws.Model), ws.P); err != nil {
+		return err
 	}
 	if ws.Mapper < MapHeuristic || ws.Mapper > MapTopo {
 		return fmt.Errorf("unknown mapper %d", int(ws.Mapper))
@@ -154,12 +152,9 @@ func (e *Experiments) servedPlan(ws WorldSpec) (epochPlan, error) {
 	if ws.CoarsenBelow > 0 {
 		pl.coarsenBelow = ws.CoarsenBelow
 	}
-	var topo machine.Model
-	if ws.Model != "" {
-		var err error
-		if topo, err = machine.ByName(ws.Model, ws.P); err != nil {
-			return epochPlan{}, err
-		}
+	topo, err := machine.ByName(machineName(ws.Model), ws.P)
+	if err != nil {
+		return epochPlan{}, err
 	}
 	e.onMachine(&pl, topo)
 	return pl, nil

@@ -45,7 +45,7 @@ type StepStats struct {
 
 	Moved remap.MoveCost
 	// Hop holds the hop-weighted movement metrics of the chosen
-	// assignment; only populated when cfg.Topo is set.
+	// assignment on cfg.Topo.
 	Hop    remap.HopCost
 	Mig    pmesh.MigrateStats
 	Refine adapt.RefineStats
@@ -67,6 +67,9 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 
 	if cfg.ImbalanceThreshold == 0 {
 		cfg.ImbalanceThreshold = 1.10
+	}
+	if cfg.Topo == nil {
+		cfg.Topo = machine.NewFlat(c.Size(), machine.SP2Link())
 	}
 	var st StepStats
 	timer := newPhaseTimer(c)
@@ -124,7 +127,7 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 	// the reassignment below.
 	g.SetWeights(wc, wr)
 	popt := cfg.PartOpts
-	if cfg.Topo != nil && popt.TargetShares == nil {
+	if popt.TargetShares == nil {
 		popt.TargetShares = machine.SpeedShares(cfg.Topo, c.Size()*cfg.F)
 	}
 	c.PushPhase(event.PhaseRepartition)
@@ -149,9 +152,7 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 			st.ReassignWall += wall
 			c.Compute(mapperWork(cfg.Mapper, c.Size(), cfg.F))
 			st.Moved = remap.Cost(s, a)
-			if cfg.Topo != nil {
-				st.Hop = remap.HopWeightedCost(s, a, cfg.Topo)
-			}
+			st.Hop = remap.HopWeightedCost(s, a, cfg.Topo)
 		}
 		assign = remap.BroadcastAssignment(c, a)
 	}
@@ -168,7 +169,7 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 	// reassignment phase (PartitionTime's lap is already taken).
 	// Callers that pass explicit TargetShares have opted out of the
 	// automatic keying, so their shares are honoured as given.
-	if cfg.Topo != nil && cfg.PartOpts.TargetShares == nil {
+	if cfg.PartOpts.TargetShares == nil {
 		if re := machine.SpeedSharesAssigned(cfg.Topo, assign); re != nil && !slices.Equal(re, popt.TargetShares) {
 			st.Repriced = true
 			popt.TargetShares = re
@@ -194,15 +195,15 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 	if c.Rank() == 0 {
 		gain := remap.ComputationalGain(cfg.Machine, cfg.NAdapt, st.WOldMax, st.WNewMax, 0)
 		cost := remap.RedistributionCost(cfg.Metric, st.Moved, cfg.Machine)
-		if cfg.Topo != nil && !machine.Uniform(cfg.Topo) {
+		if !machine.Uniform(cfg.Topo) {
 			// Non-uniform network: price the redistribution with per-pair
 			// link constants so the decision sees the topology the data
 			// will actually cross.  Uniform topologies (flat, a single
-			// SMP node) keep the paper's scalar pricing — the two
+			// SMP node) keep the paper's Section 4.5 pricing — the two
 			// formulas are calibrated differently, and switching on a
-			// network with no pair structure would silently change
-			// accept/reject decisions, breaking the flat-is-a-no-op
-			// guarantee the golden tests pin.
+			// network with no pair structure would silently change the
+			// paper's accept/reject decisions, which the golden tests
+			// pin.
 			cost = remap.RedistributionCostTopo(cfg.Metric, s, assign, cfg.Machine, cfg.Topo)
 		}
 		if cfg.Profile != nil {

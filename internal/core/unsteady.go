@@ -97,6 +97,9 @@ type CycleStats struct {
 // NewUnsteady wires the driver over an existing distributed mesh with
 // the configured workload's solver attached.  Collective.
 func NewUnsteady(d *pmesh.DistMesh, g *dual.Graph, cfg Config) *Unsteady {
+	if cfg.Topo == nil {
+		cfg.Topo = machine.NewFlat(d.C.Size(), machine.SP2Link())
+	}
 	u := &Unsteady{D: d, G: g, Cfg: cfg, Frac: 0.1, DT: 0.002}
 	u.PS = solver.NewParallel(d)
 	if cfg.Workload == WorkloadImplicit {
@@ -183,17 +186,12 @@ func (u *Unsteady) Cycle() CycleStats {
 		// Aggregate the epoch's records into the profile the next cycle's
 		// decision will price with: per-rank wait decomposition, critical
 		// path, solve-phase per-iteration time, and link rates calibrated
-		// from the observed sends.  An untopologized run calibrates
-		// against the flat machine (hop class 1 for every remote pair).
+		// from the observed sends, classed by the machine's hop counts.
 		win := &event.Trace{P: c.Size(), Records: tr.Records[cycleStart:]}
 		p := profile.FromTrace(win, 0, len(win.Records), nil)
 		p.SolveSeconds = cs.SolverTime
 		p.SolveSteps = n
-		topo := u.Cfg.Topo
-		if topo == nil {
-			topo = machine.NewFlat(c.Size(), machine.SP2Link())
-		}
-		p.Rates = machine.CalibrateRates(win.Records, topo)
+		p.Rates = machine.CalibrateRates(win.Records, u.Cfg.Topo)
 		// Only the measured-cost loop feeds the profile into the next
 		// decision; an Observe-only run records it (cs.Profile) and stays
 		// bitwise analytic.

@@ -7,8 +7,8 @@
 // speed, network hop distance, and shared-link contention — with four
 // concrete machines:
 //
-//   - Flat: the uniform SP2 of the paper; bitwise-compatible with the
-//     scalar msg.CostModel constants when built from SP2Link().
+//   - Flat: the uniform SP2 of the paper, and the machine every world
+//     without an explicit topology runs on.
 //   - SMPCluster: nodes of nodeSize ranks; cheap intra-node links
 //     (shared-memory copy) and expensive inter-node links.
 //   - FatTree: ranks at the leaves of a radix-R tree; latency grows with
@@ -33,7 +33,7 @@
 // mutable contention state and the msg runtime serializes it in
 // (time, rank, seq) order via the engine's reservation pass, so even
 // contended timings are bitwise reproducible.  Reset clears contention
-// state between runs; ByName returns a fresh model per call.  A Flat
-// built from SP2Link charges exactly the scalar model's costs — the
-// bitwise-pinned default path.
+// state between runs; ByName returns a fresh model per call.  The Flat
+// of SP2Link is the default machine, and its costs are the ones the
+// golden tests pin bitwise.
 package machine

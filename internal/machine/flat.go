@@ -2,9 +2,9 @@ package machine
 
 // Flat is the uniform machine of the paper: every pair of distinct ranks
 // is one hop apart with identical link constants, every rank runs at
-// baseline speed, and no link is shared.  Built from SP2Link() it charges
-// exactly what the scalar msg.CostModel charges, so installing it is a
-// behavioral no-op (the golden regression test pins this).
+// baseline speed, and no link is shared.  It is the default machine: the
+// msg runtime runs a world whose CostModel has no Topo on the Flat of
+// that model's scalars, and ByName("flat") is the Flat of SP2Link().
 type Flat struct {
 	p    int
 	link LinkParams

@@ -3,7 +3,7 @@ package machine
 import "fmt"
 
 // LinkParams are the point-to-point message cost constants of one link
-// class — the per-pair generalization of the scalar cost model.
+// class; a Model returns them per rank pair.
 type LinkParams struct {
 	Setup   float64 // per-message startup cost, seconds
 	PerByte float64 // per-byte injection/copy cost, seconds
@@ -41,8 +41,8 @@ type Model interface {
 	// shared mutable link state in Acquire (a reservation queue).  The
 	// runtime runs its engine reservation pass only for contended pairs;
 	// contention-free pairs — every pair on a flat or SMP machine, and
-	// intra-group pairs on the fat tree — skip it, keeping the exact
-	// cost path of the scalar model.
+	// intra-group pairs on the fat tree — skip it, so their delivery
+	// order follows the ranks' program order alone.
 	Contended(src, dst int) bool
 	// Reset clears contention state so a model can be reused across
 	// simulation runs.

@@ -165,27 +165,6 @@ func (m *Mesh) BuildDerived() {
 	}
 }
 
-// VertexEdges builds the vertex -> incident edges lists.
-func (m *Mesh) VertexEdges() [][]int32 {
-	ve := make([][]int32, len(m.Coords))
-	for e, pair := range m.Edges {
-		ve[pair[0]] = append(ve[pair[0]], int32(e))
-		ve[pair[1]] = append(ve[pair[1]], int32(e))
-	}
-	return ve
-}
-
-// EdgeElems builds the edge -> sharing elements lists.
-func (m *Mesh) EdgeElems() [][]int32 {
-	ee := make([][]int32, len(m.Edges))
-	for e, edges := range m.ElemEdges {
-		for _, id := range edges {
-			ee[id] = append(ee[id], int32(e))
-		}
-	}
-	return ee
-}
-
 // FaceAdjacency returns, for each element, the ids of the up-to-four
 // elements sharing a face with it (-1 where the face is on the boundary).
 // Entry [e][lf] corresponds to local face lf of element e.  This is the

@@ -208,26 +208,6 @@ func TestTetVolumeUnit(t *testing.T) {
 	}
 }
 
-func TestVertexEdgesAndEdgeElems(t *testing.T) {
-	m := Box(2, 2, 2, 1, 1, 1)
-	ve := m.VertexEdges()
-	count := 0
-	for _, edges := range ve {
-		count += len(edges)
-	}
-	if count != 2*m.NumEdges() {
-		t.Errorf("vertex-edge incidence total %d, want %d", count, 2*m.NumEdges())
-	}
-	ee := m.EdgeElems()
-	count = 0
-	for _, elems := range ee {
-		count += len(elems)
-	}
-	if count != 6*m.NumElems() {
-		t.Errorf("edge-elem incidence total %d, want %d", count, 6*m.NumElems())
-	}
-}
-
 func TestCylinderDistance(t *testing.T) {
 	// Point at radius 2 from the z-axis, cylinder radius 1 -> distance 1.
 	d := CylinderDistance(Vec3{2, 0, 5}, Vec3{0, 0, 0}, Vec3{0, 0, 1}, 1)

@@ -13,20 +13,19 @@ import "plum/internal/machine"
 // rank's clock advances by its own compute work and by communication
 // costs, and the curves recover the *shape* of the paper's figures.
 //
-// The scalar constants describe a flat machine (every pair equidistant,
-// every rank equally fast).  Installing a machine.Model in Topo replaces
-// the per-pair constants, scales compute by per-rank speed, and routes
-// transfers through the topology's contention queues; a nil Topo — or a
-// machine.Flat built from the same constants — charges bitwise-identical
-// costs (pinned by the golden regression test in internal/core).
+// Every world runs on a machine.Model: it supplies the per-pair message
+// constants, the per-rank compute speeds, and the contention queues.
+// A nil Topo is the flat machine of the three message scalars below
+// (machine.NewFlat; every pair equidistant, every rank equally fast),
+// resolved per world and never written back into the model.
 type CostModel struct {
-	TSetup   float64 // per-message startup cost, paid by the sender
-	TByte    float64 // per-byte injection/copy cost
-	TLatency float64 // wire latency between send completion and arrival
+	TSetup   float64 // flat machine's per-message startup cost, paid by the sender
+	TByte    float64 // flat machine's per-byte injection/copy cost
+	TLatency float64 // flat machine's wire latency between send completion and arrival
 	TWork    float64 // seconds per abstract compute work unit
 
-	// Topo, when non-nil, supplies per-pair costs, per-rank speeds, and
-	// link contention in place of the flat scalars above.
+	// Topo is the machine the world runs on; nil selects the flat
+	// machine of TSetup, TByte and TLatency.
 	Topo machine.Model
 }
 

@@ -26,18 +26,19 @@
 // fixed (source, destination, tag) triple is FIFO, which makes every
 // algorithm built on this package deterministic.
 //
-// Entry points.  Run executes a rank function untimed; RunModel installs
-// a CostModel (simulated clocks); RunTraced additionally records every
+// Entry points.  Run executes a rank function untimed (the zero
+// CostModel); RunModel installs a CostModel (simulated clocks) and runs
+// the world on its machine.Model, or on the flat machine of its scalars
+// when Topo is nil; RunTraced additionally records every
 // clock-advancing operation into an event.Trace, which Comm.Trace
 // exposes to running ranks — the source of the measured-cost feedback
 // loop's profiles.  IsCollectiveTag classifies this package's
 // synthesized tags for the profile aggregator.
 //
 // Invariants.  Simulated time is a pure function of the program: clocks
-// never observe goroutine scheduling, and the flat scalar model charges
-// bitwise-identically to a machine.Flat built from the same constants
-// (pinned by the golden tests in internal/core).  Tracing observes and
-// never perturbs — a traced run's clocks equal the untraced run's.
+// never observe goroutine scheduling, and every charge goes through the
+// world's machine.Model.  Tracing observes and never perturbs — a traced
+// run's clocks equal the untraced run's.
 //
 // Performance.  The runtime recycles aggressively, which is invisible
 // in simulated terms: mailboxes are intrusive doubly-linked delivery

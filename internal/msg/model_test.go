@@ -100,16 +100,3 @@ func TestComputeAccumulates(t *testing.T) {
 		t.Errorf("model-less clock = %v, want 0", times[0])
 	}
 }
-
-// TestAdvanceTime: raw clock advancement (used by phase barriers).
-func TestAdvanceTime(t *testing.T) {
-	times := RunModel(1, &CostModel{}, func(c *Comm) {
-		c.AdvanceTime(1.5)
-		if c.Elapsed() != 1.5 {
-			t.Errorf("Elapsed = %v", c.Elapsed())
-		}
-	})
-	if times[0] != 1.5 {
-		t.Errorf("final clock = %v", times[0])
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"plum/internal/event"
+	"plum/internal/machine"
 	"plum/internal/obs"
 )
 
@@ -33,7 +34,7 @@ type Message struct {
 	Data []byte // payload (owned by the receiver after Recv)
 
 	// arrival is the simulated time at which the message is available at
-	// the receiver.  Zero when no cost model is installed.
+	// the receiver.
 	arrival float64
 	// id links the message to its trace records (0 when untraced).
 	id int64
@@ -117,7 +118,8 @@ const numSizeClasses = 48
 type World struct {
 	size    int
 	boxes   []mailbox
-	model   *CostModel     // nil means no simulated timing
+	topo    machine.Model  // the run's machine, never nil
+	twork   float64        // seconds per compute work unit (0: untimed)
 	eng     *event.Engine  // the execution substrate
 	trace   *event.Trace   // nil unless the run is traced
 	spans   *event.SpanLog // nil unless the run records phase spans
@@ -314,32 +316,18 @@ func (c *Comm) PopPhase() {
 func (c *Comm) Release(m *Message) { c.world.release(m, true) }
 
 // Compute advances this rank's simulated clock by the cost of `units`
-// abstract work units under the installed cost model.  On a
+// abstract work units under the world's cost model.  On a
 // heterogeneous machine the charge is scaled by the rank's relative
 // speed (half-speed processors take twice as long).
 func (c *Comm) Compute(units float64) {
-	if m := c.world.model; m != nil {
-		t := units * m.TWork
-		if m.Topo != nil {
-			if s := m.Topo.Speed(c.rank); s != 1 {
-				t /= s
-			}
-		}
-		t0 := c.clock.Now
-		c.clock.Now += t
-		c.traceLocal(t0)
+	w := c.world
+	t := units * w.twork
+	if s := w.topo.Speed(c.rank); s != 1 {
+		t /= s
 	}
-}
-
-// AdvanceTime adds raw simulated seconds to this rank's clock.
-func (c *Comm) AdvanceTime(seconds float64) {
 	t0 := c.clock.Now
-	c.clock.Now += seconds
-	c.traceLocal(t0)
-}
-
-func (c *Comm) traceLocal(t0 float64) {
-	if tr := c.world.trace; tr != nil && c.clock.Now != t0 {
+	c.clock.Now += t
+	if tr := w.trace; tr != nil && c.clock.Now != t0 {
 		tr.Add(event.Record{
 			Rank: c.rank, Kind: event.KindCompute,
 			T0: t0, T1: c.clock.Now, Peer: -1, Phase: c.curPhase,
@@ -366,34 +354,23 @@ func (c *Comm) deliver(dst, tag int, m *Message) {
 	m.Src, m.Tag = c.rank, tag
 	w := c.world
 	t0 := c.clock.Now
+	// Sender pays the pair's per-message setup plus per-byte injection
+	// cost; the transfer may queue on shared links (fat-tree up-link
+	// contention) before injection, and arrives after the wire latency.
+	lp := w.topo.Pair(c.rank, dst)
+	c.clock.Now += lp.Setup + float64(len(m.Data))*lp.PerByte
 	depart := c.clock.Now
-	if mod := w.model; mod != nil {
-		// Sender pays the per-message setup plus per-byte injection cost;
-		// the message arrives after the wire latency.  With a topology
-		// installed the constants are per-pair and the transfer may queue
-		// on shared links (fat-tree up-link contention) before injection.
-		setup, perByte, latency := mod.TSetup, mod.TByte, mod.TLatency
-		if mod.Topo != nil {
-			lp := mod.Topo.Pair(c.rank, dst)
-			setup, perByte, latency = lp.Setup, lp.PerByte, lp.Latency
-		}
-		c.clock.Now += setup + float64(len(m.Data))*perByte
-		depart = c.clock.Now
-		if mod.Topo != nil {
-			if mod.Topo.Contended(c.rank, dst) {
-				// Deterministic reservation pass: yield until this send is
-				// the globally next event, so shared-link reservations
-				// happen in (time, rank, seq) order — bitwise reproducible
-				// — instead of goroutine-scheduling order.  Contention-free
-				// topologies skip the yield, keeping delivery order — and
-				// therefore wildcard matching — on the exact path of the
-				// scalar model.
-				w.eng.Yield(c.rank, depart)
-			}
-			depart = mod.Topo.Acquire(c.rank, dst, len(m.Data), depart)
-		}
-		m.arrival = depart + latency
+	if w.topo.Contended(c.rank, dst) {
+		// Deterministic reservation pass: yield until this send is the
+		// globally next event, so shared-link reservations happen in
+		// (time, rank, seq) order — bitwise reproducible — instead of
+		// goroutine-scheduling order.  Contention-free pairs skip the
+		// yield, so delivery order — and therefore wildcard matching —
+		// follows the ranks' program order alone.
+		w.eng.Yield(c.rank, depart)
 	}
+	depart = w.topo.Acquire(c.rank, dst, len(m.Data), depart)
+	m.arrival = depart + lp.Latency
 	if tr := w.trace; tr != nil {
 		w.msgSeq++
 		m.id = w.msgSeq
@@ -434,8 +411,8 @@ func (c *Comm) deliver(dst, tag int, m *Message) {
 // Recv blocks until a message matching (src, tag) arrives and returns it.
 // src may be AnySource and tag may be AnyTag.
 //
-// Under the cost model the receiver waits for the arrival and then pays
-// its own per-message and per-byte receive overhead (matching + copy-out),
+// The receiver waits for the arrival and then pays the pair's
+// per-message and per-byte receive overhead (matching + copy-out),
 // mirroring the sender's injection cost.  This is what makes a rooted
 // gather cost the root ~P message receipts — the host-side bottleneck the
 // paper's Section 4.2 warns about for serial partitioning.
@@ -450,17 +427,11 @@ func (c *Comm) Recv(src, tag int) *Message {
 		ws.active = false
 		m = mb.tryTake(src, tag)
 	}
-	if mod := c.world.model; mod != nil {
-		if m.arrival > c.clock.Now {
-			c.clock.Now = m.arrival
-		}
-		setup, perByte := mod.TSetup, mod.TByte
-		if mod.Topo != nil {
-			lp := mod.Topo.Pair(m.Src, c.rank)
-			setup, perByte = lp.Setup, lp.PerByte
-		}
-		c.clock.Now += setup + float64(len(m.Data))*perByte
+	if m.arrival > c.clock.Now {
+		c.clock.Now = m.arrival
 	}
+	lp := c.world.topo.Pair(m.Src, c.rank)
+	c.clock.Now += lp.Setup + float64(len(m.Data))*lp.PerByte
 	if tr := c.world.trace; tr != nil {
 		tr.Add(event.Record{
 			Rank: c.rank, Kind: event.KindRecv, T0: t0, T1: c.clock.Now,
@@ -515,8 +486,8 @@ func Run(p int, fn func(*Comm)) {
 }
 
 // RunModel is Run with a simulated machine cost model installed; it returns
-// the final simulated clock value of each rank.  A nil model disables
-// timing (all clocks remain zero).
+// the final simulated clock value of each rank.  A nil model is the zero
+// model: every charge is 0 and all clocks remain zero.
 func RunModel(p int, model *CostModel, fn func(*Comm)) []float64 {
 	times, _, _ := runWorld(p, model, false, nil, fn)
 	return times
@@ -547,14 +518,24 @@ func runWorld(p int, model *CostModel, traced bool, spanOpts *event.SpanOptions,
 	if p <= 0 {
 		panic("msg: world size must be positive")
 	}
-	if model != nil && model.Topo != nil {
-		if model.Topo.Ranks() < p {
-			panic(fmt.Sprintf("msg: topology models %d ranks, world needs %d", model.Topo.Ranks(), p))
-		}
-		// Fresh contention state per run so a model can be reused.
-		model.Topo.Reset()
+	// Every world runs on a machine.  A nil model is the zero model —
+	// untimed, every charge 0 — and a nil Topo is the flat machine of
+	// the model's own scalars.  Both resolve onto the World, never into
+	// the caller's model, which concurrent worlds may share.
+	if model == nil {
+		model = &CostModel{}
 	}
-	w := &World{size: p, boxes: make([]mailbox, p), model: model,
+	topo := model.Topo
+	if topo == nil {
+		topo = machine.NewFlat(p, machine.LinkParams{
+			Setup: model.TSetup, PerByte: model.TByte, Latency: model.TLatency})
+	}
+	if topo.Ranks() < p {
+		panic(fmt.Sprintf("msg: topology models %d ranks, world needs %d", topo.Ranks(), p))
+	}
+	// Fresh contention state per run so a model can be reused.
+	topo.Reset()
+	w := &World{size: p, boxes: make([]mailbox, p), topo: topo, twork: model.TWork,
 		eng: event.NewEngine(p), waiting: make([]waitState, p)}
 	if traced {
 		w.trace = &event.Trace{P: p}

@@ -1,6 +1,8 @@
 package msg
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"plum/internal/machine"
@@ -58,31 +60,63 @@ func TestAllreduceCostDependsOnTopology(t *testing.T) {
 	}
 }
 
-// TestFlatTopoBitwiseNoOp: a machine.Flat built from the scalar
-// constants charges exactly what the scalars charge — the machine layer
-// is a behavioral no-op until a real topology is selected.
+// TestFlatTopoBitwiseNoOp: a model with a nil Topo runs on the flat
+// machine of its own scalars, so it charges exactly what an explicit
+// machine.Flat built from those scalars charges.  The non-SP2 row
+// catches a resolver that ignores the model's constants.
 func TestFlatTopoBitwiseNoOp(t *testing.T) {
 	const p = 8
-	scalar := SP2Model()
-	flat := scalar.WithTopo(machine.NewFlat(p, machine.SP2Link()))
-	run := func(m *CostModel) []float64 {
-		return RunModel(p, m, func(c *Comm) {
-			c.Compute(137)
-			parts := make([][]byte, p)
-			for i := range parts {
-				parts[i] = make([]byte, 64+8*i)
-			}
-			c.Alltoall(parts)
-			c.AllreduceInt64(int64(c.Rank()), SumInt64)
-			c.Bcast(0, make([]byte, 1000))
-			c.Barrier()
-		})
-	}
-	a, b := run(scalar), run(flat)
-	for r := range a {
-		if a[r] != b[r] {
-			t.Fatalf("rank %d: scalar %v != flat-topo %v (must be bitwise identical)", r, a[r], b[r])
+	for _, scalar := range []*CostModel{
+		SP2Model(),
+		{TSetup: 3e-6, TByte: 1.0 / 900e6, TLatency: 7e-6, TWork: 2.5e-7},
+	} {
+		flat := scalar.WithTopo(machine.NewFlat(p, machine.LinkParams{
+			Setup: scalar.TSetup, PerByte: scalar.TByte, Latency: scalar.TLatency}))
+		run := func(m *CostModel) []float64 {
+			return RunModel(p, m, func(c *Comm) {
+				c.Compute(137)
+				parts := make([][]byte, p)
+				for i := range parts {
+					parts[i] = make([]byte, 64+8*i)
+				}
+				c.Alltoall(parts)
+				c.AllreduceInt64(int64(c.Rank()), SumInt64)
+				c.Bcast(0, make([]byte, 1000))
+				c.Barrier()
+			})
 		}
+		a, b := run(scalar), run(flat)
+		for r := range a {
+			if a[r] != b[r] {
+				t.Fatalf("%+v rank %d: nil topo %v != flat topo %v (must be bitwise identical)",
+					*scalar, r, a[r], b[r])
+			}
+		}
+	}
+}
+
+// TestSharedModelStaysUnresolved: concurrent worlds sharing one
+// nil-Topo model each resolve their own flat machine; none writes it
+// into the shared model (go test -race checks the no-write half).
+func TestSharedModelStaysUnresolved(t *testing.T) {
+	model := SP2Model()
+	var wg sync.WaitGroup
+	times := make([][]float64, 2)
+	for i := range times {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			times[i] = RunModel(4, model, func(c *Comm) {
+				c.AllreduceInt64(int64(c.Rank()), SumInt64)
+			})
+		}()
+	}
+	wg.Wait()
+	if model.Topo != nil {
+		t.Fatalf("runWorld installed %v into the caller's model", model.Topo.Name())
+	}
+	if !slices.Equal(times[0], times[1]) || MaxTime(times[0]) == 0 {
+		t.Errorf("concurrent worlds disagree or ran untimed: %v vs %v", times[0], times[1])
 	}
 }
 

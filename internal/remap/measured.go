@@ -39,15 +39,14 @@ func MeasuredGain(perIter float64, nadapt int, woldMax, wnewMax int64) float64 {
 // with (Setup_h, PerByte_h, Latency_h) the measured rates of hop class
 // h — contention queueing included, because the calibration reads
 // arrival delays from the trace.  Hop classes never observed fall back
-// to the machine model's own Pair constants (topo nil: the flat scalar
-// constants), so a quiet epoch cannot zero-price a remapping.  TotalV
+// to the machine model's own Pair constants, so a quiet epoch cannot
+// zero-price a remapping.  TotalV
 // sums every transfer; MaxV takes the bottleneck processor's
 // serialized send+receive time — the same aggregation as the analytic
 // RedistributionCostTopo.
 func RedistributionCostMeasured(metric Metric, s *Similarity, assign []int32,
 	mach Machine, topo machine.Model, rates machine.RateTable) float64 {
 
-	flat := LinkFromMachine(mach)
 	perRank := make([]float64, s.P)
 	var total float64
 	for i := 0; i < s.P; i++ {
@@ -60,12 +59,7 @@ func RedistributionCostMeasured(metric Metric, s *Similarity, assign []int32,
 			if q == i {
 				continue
 			}
-			hops, fallback := 1, flat
-			if topo != nil {
-				hops = topo.Hops(i, q)
-				fallback = topo.Pair(i, q)
-			}
-			lp := rates.For(hops, fallback)
+			lp := rates.For(topo.Hops(i, q), topo.Pair(i, q))
 			t := lp.Setup + float64(mach.M)*float64(w)*wordBytes*lp.PerByte + lp.Latency
 			total += t
 			perRank[i] += t
@@ -82,12 +76,4 @@ func RedistributionCostMeasured(metric Metric, s *Similarity, assign []int32,
 		}
 	}
 	return max
-}
-
-// LinkFromMachine converts the scalar Section 4.5 constants into
-// LinkParams: the flat-machine fallback for measured pricing when no
-// topology is installed.  Tlat is per word, LinkParams.PerByte per
-// byte.
-func LinkFromMachine(m Machine) machine.LinkParams {
-	return machine.LinkParams{Setup: m.TSetup, PerByte: m.TLat / wordBytes}
 }

@@ -51,6 +51,10 @@ func TestLoadErrorContract(t *testing.T) {
 			"front":{"x0":0.2,"x1":0.8,"width":0.2}} {"second":true}`, "(document)"},
 		{"constraint", `{"name":"a","kind":"front","model":"flat","frac":2,
 			"front":{"x0":0.2,"x1":0.8,"width":0.2}}`, "frac"},
+		// The harness and serve layers default "" to the flat machine;
+		// a scenario must still name its machine.
+		{"empty model", `{"name":"a","kind":"front","model":"","frac":0.1,
+			"front":{"x0":0.2,"x1":0.8,"width":0.2}}`, "model"},
 	}
 	for _, tc := range cases {
 		_, err := LoadBytes([]byte(tc.in))
