@@ -4,14 +4,15 @@
 # compiles and tests the benchmark module against this tree (`go test
 # ./...` skips it: benchmark/ is a module of its own) — plus bench, the
 # repository benchmark itself (host time; two result files are compared
-# with `bash benchmark/run.sh compare A.json B.json`), and the two
-# simulated-baseline refresh paths (run after a deliberate, reviewed
-# simulated-time or schema change — the diff of the regenerated baseline
-# IS the review artifact).
+# with `bash benchmark/run.sh compare A.json B.json`), exp-snapshot
+# (every experiment's stdout, for a `diff -r` against a parent commit's),
+# and the two simulated-baseline refresh paths (run after a deliberate,
+# reviewed simulated-time or schema change — the diff of the regenerated
+# baseline IS the review artifact).
 
 GO ?= go
 
-.PHONY: build test bench bench-check ledger-baseline gate scenarios scenario-baseline fmt vet
+.PHONY: build test bench bench-check ledger-baseline gate scenarios scenario-baseline exp-snapshot fmt vet
 
 build:
 	$(GO) build ./...
@@ -70,6 +71,19 @@ scenario-baseline:
 			-obs ci/scenarios/$$name.golden.jsonl > /dev/null || exit 1; \
 	done
 	@echo "refreshed ci/scenarios/*.golden.jsonl — commit them with the change that moved the numbers"
+
+# exp-snapshot writes the stdout of `plumbench -exp all` under the
+# default, smp, fattree and hetero models, of `-exp implicit -measured`,
+# of `-exp implicit -model fattree` with its span and trace files, and of
+# `-exp scenarios` under OUT (~1 min on 2 cores).  Whether a change moved
+# any printed number is then one `diff -r` between the snapshot of its
+# parent and its own.  Table 2's three time columns (Opt, Heu and BMCM
+# time) are host wall-clock: they always differ, even between two runs
+# of one commit.  Every other byte, spans and traces included, is
+# simulated and must match.
+exp-snapshot:
+	@test -n "$(OUT)" || { echo "usage: make exp-snapshot OUT=dir" >&2; exit 2; }
+	bash ci/exp-snapshot.sh $(OUT)
 
 fmt:
 	gofmt -l -w .

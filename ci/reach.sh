@@ -2,7 +2,7 @@
 # reach.sh — list the functions declared under internal/ that no program
 # links, and fail unless ci/reach_allow.txt names exactly those.
 #
-# Every program (cmd/*, examples/* and the benchmark module) is built
+# Every program (cmd/* and the benchmark module) is built
 # with inlining off (-gcflags=all=-l), so each function the linker keeps
 # keeps its symbol; `go tool nm` then lists what is reached (a closure
 # or method symbol also marks its prefix, which is harmless: no function
@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for d in cmd/* examples/*; do go build -gcflags=all=-l -o "$tmp/bin_${d//\//_}" "./$d"; done
+for d in cmd/*; do go build -gcflags=all=-l -o "$tmp/bin_${d//\//_}" "./$d"; done
 (cd benchmark && go build -gcflags=all=-l -o "$tmp/bin_benchmark" .)
 
 for b in "$tmp"/bin_*; do go tool nm "$b"; done |

@@ -1,11 +1,4 @@
-// Quickstart: the smallest end-to-end use of the PLUM reproduction.
-//
-// It builds a tetrahedral box mesh, runs one full load-balanced adaption
-// cycle on four simulated processors (mark -> evaluate -> repartition ->
-// reassign -> remap -> refine), and prints what happened at each stage.
-//
-// Run with: go run ./examples/quickstart
-package main
+package examples_test
 
 import (
 	"fmt"
@@ -19,7 +12,14 @@ import (
 	"plum/internal/pmesh"
 )
 
-func main() {
+// Quickstart: the smallest end-to-end use of the PLUM reproduction.
+//
+// It builds a tetrahedral box mesh, runs one full load-balanced adaption
+// cycle on four simulated processors (mark -> evaluate -> repartition ->
+// reassign -> remap -> refine), and prints what happened at each stage.
+//
+// Run with: go test ./examples -run Example_quickstart -v
+func Example_quickstart() {
 	const p = 4 // simulated processors
 
 	// 1. An initial mesh: a box split into tetrahedra, standing in for
@@ -60,4 +60,17 @@ func main() {
 		fmt.Printf("  simulated phase times: mark %.4fs, partition %.4fs, reassign %.4fs, remap %.4fs, refine %.4fs\n",
 			st.MarkTime, st.PartitionTime, st.ReassignTime, st.RemapTime, st.RefineTime)
 	})
+
+	// Output:
+	// initial mesh: 693 vertices, 2880 elements, 3948 edges, 752 boundary faces
+	// dual graph: 2880 vertices, 5384 edges; initial edge cut 309, imbalance 1.046
+	//
+	// adaption cycle on 4 processors:
+	//   marking propagation rounds: 2
+	//   predicted imbalance before balancing: 2.22
+	//   new partitioning accepted: true
+	//   elements migrated: 596 (in 6 messages)
+	//   refined mesh: 6659 elements (1682 created)
+	//   heaviest-rank load: 3690 -> 1739 (2.12x solver improvement)
+	//   simulated phase times: mark 0.0120s, partition 0.0410s, reassign 0.0017s, remap 0.0105s, refine 0.0037s
 }

@@ -1,11 +1,4 @@
-// Unsteady: the high-level driver API (core.Unsteady) on a moving-shock
-// problem — the most compact way to adopt the full framework: construct
-// a distributed mesh, describe the moving feature, and call Cycle().
-// Coarsening releases the resolution the shock leaves behind, so the
-// mesh tracks the feature instead of accumulating refinement.
-//
-// Run with: go run ./examples/unsteady
-package main
+package examples_test
 
 import (
 	"fmt"
@@ -20,7 +13,14 @@ import (
 	"plum/internal/solver"
 )
 
-func main() {
+// Unsteady: the high-level driver API (core.Unsteady) on a moving-shock
+// problem — the most compact way to adopt the full framework: construct
+// a distributed mesh, describe the moving feature, and call Cycle().
+// Coarsening releases the resolution the shock leaves behind, so the
+// mesh tracks the feature instead of accumulating refinement.
+//
+// Run with: go test ./examples -run Example_unsteady -v
+func Example_unsteady() {
 	const (
 		p      = 6
 		cycles = 5
@@ -53,11 +53,20 @@ func main() {
 		for i := 0; i < cycles; i++ {
 			cs := u.Cycle()
 			if c.Rank() == 0 {
-				fmt.Printf("%-6d %-9d %-9d %-9.2f %-10.2f %-8v %-9d\n",
+				fmt.Printf("%-6d %-9d %-9d %-9.2f %-10.2f %-8v %d\n",
 					i, cs.Step.Counts.Elems, cs.Step.Mig.ElemsSent,
 					cs.WorkBalance, cs.Step.Imbalance, cs.Step.Accepted,
 					cs.Coarsen.ElemsRemoved)
 			}
 		}
 	})
+
+	// Output:
+	// unsteady driver: 4800 elements, 6 processors, 5 cycles
+	// cycle  elems     migrated  balance   imbalance  accept   coarsened
+	// 0      9395      1836      0.87      1.72       true     0
+	// 1      13747     1542      0.85      2.93       true     400
+	// 2      14166     3466      0.82      1.56       true     1056
+	// 3      14919     2038      0.89      3.09       true     1726
+	// 4      14203     1380      0.93      1.44       true     1304
 }

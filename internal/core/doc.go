@@ -16,12 +16,18 @@
 // measured-cost feedback loop.  Experiments bundles the fixed inputs of
 // the paper's evaluation; cmd/plumbench renders its Table1/Table2/
 // Fig2..Fig8 reproductions and the implicit / machine / feedback /
-// scenario extensions.  Every experiment that drives whole epochs —
-// FeedbackComparison, Scenarios, ImplicitScaling, and RunWorldCtx (one
-// served request) — is an epochPlan run by the one epoch runner
-// (runEpochs, epochs.go), the only caller of Unsteady.Cycle; worlds
-// reach the host through the one scheduler, runWorlds, exactly once
-// each.  ParseMapper is the one table of mapper names.
+// scenario extensions.  Every experiment row comes from one of three
+// world runners (worlds.go): a step world (runStep: one AdaptionStep —
+// RunStep, Scaling, MachineSweep, Table2), an implicit-step world
+// (runImplicit: one PCG step — PrecondComparison, OverlapComparison),
+// or an epoch world (runEpochs, epochs.go, the only caller of
+// Unsteady.Cycle — FeedbackComparison, Scenarios, ImplicitScaling and
+// RunWorldCtx, one served request).  An experiment is a job list, one
+// fan-out through the one scheduler (runWorlds, exactly once per world;
+// mustRunWorlds for the CLI sweeps) and a reducer to its rows.  Every
+// world starts from its machine's initial partition, memoized by P and
+// speed shares (partitionFor).  ParseMapper is the one table of mapper
+// names.
 //
 // Invariants.  The gain/cost decision is computed on rank 0 and
 // broadcast, so every rank takes the same branch; its pricing tiers are

@@ -33,10 +33,11 @@ type epochPlan struct {
 	p, cycles  int
 	measured   bool // price decisions from the previous epoch's profile
 
-	mod      *msg.CostModel
-	initPart []int32
+	// topo is the machine the world runs on, a private instance;
+	// runEpochs places the world on it (onMachine).
+	topo machine.Model
 	// cfg is the driver configuration, complete except for Topo,
-	// Measured and Observe, which runEpochs derives from mod, measured
+	// Measured and Observe, which runEpochs derives from topo, measured
 	// and the sinks: the decision always prices with the topology the
 	// world runs on.
 	cfg Config
@@ -59,28 +60,6 @@ type epochPlan struct {
 	// or not the hook fires, so — like barrier — stop != nil is part of
 	// what the simulated clocks are a function of.
 	stop func() bool
-}
-
-// onMachine places the plan on topo: the cost model the world runs
-// under and an initial partition whose per-part targets scale with the
-// machine's rank speeds.
-func (e *Experiments) onMachine(pl *epochPlan, topo machine.Model) {
-	pl.mod = e.Model.WithTopo(topo)
-	pl.initPart = e.partitionFor(pl.p, topo)
-}
-
-// partitionFor builds the initial P-way partition of the dual graph for
-// a world running on topo — the "Partitioning + Mapping" initialization
-// of Fig. 1.  On a heterogeneous machine the per-part targets scale with
-// rank speed (part j is rank j's initial subdomain), so slow processors
-// start with proportionally smaller subdomains; on a uniform one the
-// targets are equal.  Every
-// world partitions for the machine it runs on, whatever -model the
-// harness carries.
-func (e *Experiments) partitionFor(p int, topo machine.Model) []int32 {
-	popt := e.Cfg.PartOpts
-	popt.TargetShares = machine.SpeedShares(topo, p)
-	return partition.Partition(e.Dual, p, popt)
 }
 
 // decisionConfig is the implicit workload in the regime where the
@@ -152,13 +131,14 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	if pl.exp == "" {
 		ledger, spans = nil, nil
 	}
+	mod, initPart := e.onMachine(pl.p, pl.topo)
 	cfg := pl.cfg
-	cfg.Topo = pl.mod.Topo
+	cfg.Topo = pl.topo
 	cfg.Measured = pl.measured
 	cfg.Observe = ledger != nil || spans != nil
 	run = FeedbackRun{Model: pl.model, Measured: pl.measured}
 	body := func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, pl.initPart, solver.NComp)
+		d := pmesh.New(c, e.Global, initPart, solver.NComp)
 		u := NewUnsteady(d, e.Dual, cfg)
 		u.Stop = pl.stop
 		u.CoarsenBelow = pl.coarsenBelow
@@ -215,11 +195,11 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 		run.spans = new(bytes.Buffer)
 		opts := event.SpanOptions{Sink: run.spans,
 			Label: spanLabel(pl.exp, pl.model, pricingMode(pl.measured), pl.p)}
-		times, _, _ = msg.RunTracedSpans(pl.p, pl.mod, opts, body)
+		times, _, _ = msg.RunTracedSpans(pl.p, mod, opts, body)
 	case pl.measured || ledger != nil:
-		times, _ = msg.RunTraced(pl.p, pl.mod, body)
+		times, _ = msg.RunTraced(pl.p, mod, body)
 	default:
-		times = msg.RunModel(pl.p, pl.mod, body)
+		times = msg.RunModel(pl.p, mod, body)
 	}
 	run.SimTime = msg.MaxTime(times)
 	return run, stopped
@@ -236,24 +216,25 @@ func (e *Experiments) flush(run *FeedbackRun) {
 }
 
 // runPairs runs n analytic/measured world pairs — plan(i, measured)
-// resolves pair i's world, inside the world's job so every world builds
-// its own machine instance — all 2n concurrently, and flushes their
-// sinks in (pair, analytic-then-measured) order.
+// resolves pair i's world, each with its own machine instance — all 2n
+// concurrently, and flushes their sinks in (pair,
+// analytic-then-measured) order.
 func (e *Experiments) runPairs(n int, plan func(i int, measured bool) (epochPlan, error)) []FeedbackPair {
-	pairs := make([]FeedbackPair, n)
-	mustRunWorlds(2*n, func(i int) {
+	plans := make([]epochPlan, 2*n)
+	for i := range plans {
 		pl, err := plan(i/2, i%2 == 1)
 		if err != nil {
 			panic(err) // unreachable: callers pass validated names and specs
 		}
+		plans[i] = pl
+	}
+	runs := mustRunWorlds(plans, func(pl epochPlan) FeedbackRun {
 		run, _ := e.runEpochs(pl, nil)
-		if i%2 == 1 {
-			pairs[i/2].Measured = run
-		} else {
-			pairs[i/2].Analytic = run
-		}
+		return run
 	})
+	pairs := make([]FeedbackPair, n)
 	for i := range pairs {
+		pairs[i] = FeedbackPair{Analytic: runs[2*i], Measured: runs[2*i+1]}
 		e.flush(&pairs[i].Analytic)
 		e.flush(&pairs[i].Measured)
 	}

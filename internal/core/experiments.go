@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"os"
+	"sync"
 
 	"plum/internal/adapt"
 	"plum/internal/dual"
@@ -11,8 +9,6 @@ import (
 	"plum/internal/mesh"
 	"plum/internal/msg"
 	"plum/internal/obs"
-	"plum/internal/partition"
-	"plum/internal/pmesh"
 	"plum/internal/remap"
 )
 
@@ -56,20 +52,18 @@ type Experiments struct {
 	// buffers that flush after the barrier, in loop order.
 	Spans *SpanSink
 
-	initParts map[int][]int32 // cached initial partition per P
+	partMu sync.Mutex
+	parts  map[string]*partEntry // initial partitions (partitionFor)
 }
 
 // UseMachine selects the named machine topology for all subsequent
 // experiment runs.  The empty name restores the default, the uniform
-// SP2 ("flat").  Cached initial partitions are discarded: a
-// heterogeneous machine partitions with speed-scaled target loads, so
-// partitions are machine-specific.
+// SP2 ("flat").
 func (e *Experiments) UseMachine(name string) error {
 	if _, err := machine.ByName(machineName(name), 2); err != nil {
 		return err
 	}
 	e.ModelName = name
-	e.initParts = make(map[int][]int32)
 	return nil
 }
 
@@ -82,28 +76,6 @@ func machineName(name string) string {
 		return "flat"
 	}
 	return name
-}
-
-// modelFor returns the cost model for a p-rank run: a copy of the
-// harness's model carrying a fresh instance of the selected topology
-// sized for p ranks (fresh contention state per run).
-func (e *Experiments) modelFor(p int) *msg.CostModel {
-	topo, err := machine.ByName(machineName(e.ModelName), p)
-	if err != nil {
-		panic(err) // unreachable: UseMachine validated the name
-	}
-	return e.Model.WithTopo(topo)
-}
-
-// mustRunWorlds is the CLI sweeps' fault contract over runWorlds: a
-// world panic is a broken invariant, so the failing world's goroutine
-// stack goes to stderr and the original panic value is re-raised.
-func mustRunWorlds(n int, job func(i int)) {
-	var wp *WorldPanic
-	if errors.As(runWorlds(n, func(i int) error { job(i); return nil }), &wp) {
-		fmt.Fprintf(os.Stderr, "core: world %d of %d panicked: %v\n%s", wp.World, n, wp.Value, wp.Stack)
-		panic(wp.Value)
-	}
 }
 
 // CaseSpec names a refinement strategy: the fraction of the initial
@@ -125,10 +97,10 @@ func PaperCases() []CaseSpec {
 // reproduces the same shapes quickly.
 func NewExperiments(paperScale bool) *Experiments {
 	e := &Experiments{
-		Model:     msg.SP2Model(),
-		Cfg:       DefaultConfig(),
-		Cases:     PaperCases(),
-		initParts: make(map[int][]int32),
+		Model: msg.SP2Model(),
+		Cfg:   DefaultConfig(),
+		Cases: PaperCases(),
+		parts: make(map[string]*partEntry),
 	}
 	if paperScale {
 		e.Global = mesh.PaperScaleBox()
@@ -152,42 +124,11 @@ func (e *Experiments) Indicator() func(mesh.Vec3) float64 {
 		0.39*e.LY, 0.19*e.LY)
 }
 
-// initialPartition returns (and caches) partitionFor(p) on the
-// harness's selected machine (-model; the cost model modelFor builds).
-func (e *Experiments) initialPartition(p int) []int32 {
-	if part, ok := e.initParts[p]; ok {
-		obs.Default.Counter("plum_partition_cache_total", "result", "hit").Inc()
-		return part
-	}
-	obs.Default.Counter("plum_partition_cache_total", "result", "miss").Inc()
-	part := e.partitionFor(p, e.modelFor(p).Topo)
-	e.initParts[p] = part
-	return part
-}
-
-// RunStep runs one full adaption cycle on p simulated processors and
-// returns the rank-0 statistics.
+// RunStep runs one full adaption cycle on p simulated processors of
+// the harness's machine — one step world — and returns the rank-0
+// statistics.
 func (e *Experiments) RunStep(p int, frac float64, before bool, mapper Mapper) StepStats {
-	initPart := e.initialPartition(p)
-	ind := e.Indicator()
-	mod := e.modelFor(p)
-	var out StepStats
-	msg.RunModel(p, mod, func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, 0)
-		g := e.Dual.WithWeights(e.Dual.WComp, e.Dual.WRemap)
-		cfg := e.Cfg
-		cfg.RemapBefore = before
-		cfg.Mapper = mapper
-		cfg.Topo = mod.Topo
-		if mapper == MapOptBMCM {
-			cfg.Metric = remap.MaxV
-		}
-		st := AdaptionStep(c, d, g, ind, frac, cfg)
-		if c.Rank() == 0 {
-			out = st
-		}
-	})
-	return out
+	return mustRunWorlds([]stepWorld{e.stepWorld(p, frac, before, mapper)}, e.runStep)[0]
 }
 
 // ---------------------------------------------------------------------
@@ -248,48 +189,31 @@ type MapperOutcome struct {
 	Wall       float64 // reassignment wall-clock seconds
 }
 
-// Table2 runs the remap-before pipeline once per processor count on the
-// Real_2 strategy and applies all three mappers to the same similarity
-// matrix, exactly as the paper's comparison does.  One world per
-// processor count, run concurrently.
+// Table2 runs one remap-before step world per processor count on the
+// Real_2 strategy and applies all three mappers to the similarity
+// matrix its step built, exactly as the paper's comparison does.  The
+// reassignment times are host wall-clock, measured after the fan-out.
 func (e *Experiments) Table2(frac float64) []Table2Row {
-	ind := e.Indicator()
-	var ps []int
+	var worlds []stepWorld
 	for _, p := range e.Ps {
 		if p >= 2 {
-			ps = append(ps, p)
+			w := e.stepWorld(p, frac, true, MapHeuristic)
+			w.cfg.ForceAccept = true
+			worlds = append(worlds, w)
 		}
 	}
-	e.prewarmPartitions(ps)
-	rows := make([]Table2Row, len(ps))
-	mustRunWorlds(len(ps), func(i int) {
-		p := ps[i]
-		initPart := e.initialPartition(p)
-		var row Table2Row
-		msg.RunModel(p, e.modelFor(p), func(c *msg.Comm) {
-			d := pmesh.New(c, e.Global, initPart, 0)
-			_, _ = d.MarkGeometricFraction(ind, frac)
-			d.PropagateParallel()
-			wc, wr := d.GatherPredictedWeights()
-			g := e.Dual.WithWeights(wc, wr)
-			pr := partition.ParallelRepartition(c, g, p, d.RootOwner, e.Cfg.PartOpts)
-			s := remap.BuildSimilarityDistributed(c, d.LocalRootIDs(), wr, pr.Part, 1)
-			if c.Rank() != 0 {
-				return
-			}
-			row.P = p
-			evalMapper := func(kind Mapper) MapperOutcome {
-				assign, wall := ApplyMapper(kind, s, nil)
-				mc := remap.Cost(s, assign)
-				return MapperOutcome{TotalElems: mc.CTotal, MaxSent: mc.MaxSent, Wall: wall}
-			}
-			row.Opt = evalMapper(MapOptMWBG)
-			row.Heu = evalMapper(MapHeuristic)
-			row.Bmcm = evalMapper(MapOptBMCM)
-			row.MaxSent = row.Opt.MaxSent
-		})
+	rows := make([]Table2Row, len(worlds))
+	for i, st := range mustRunWorlds(worlds, e.runStep) {
+		evalMapper := func(kind Mapper) MapperOutcome {
+			assign, wall := ApplyMapper(kind, st.S, nil)
+			mc := remap.Cost(st.S, assign)
+			return MapperOutcome{TotalElems: mc.CTotal, MaxSent: mc.MaxSent, Wall: wall}
+		}
+		row := Table2Row{P: worlds[i].p, Opt: evalMapper(MapOptMWBG),
+			Heu: evalMapper(MapHeuristic), Bmcm: evalMapper(MapOptBMCM)}
+		row.MaxSent = row.Opt.MaxSent
 		rows[i] = row
-	})
+	}
 	return rows
 }
 
@@ -346,47 +270,38 @@ type ScalingRow struct {
 
 // Scaling runs the full sweep: every case, every processor count, both
 // remap orderings.  This single sweep supplies Figs. 4, 5, 6 and 8.
-// Every (case, ordering, P) combination is an independent world, so the
-// sweep fans out over runWorlds; the speedup column needs the P=1
-// baseline of each (case, ordering) series, so it is derived after the
-// barrier, preserving the serial sweep's numbers exactly.
+// Every (case, ordering, P) combination is an independent step world;
+// the speedup column needs the P=1 baseline of each (case, ordering)
+// series, so it is derived after the fan-out, preserving the serial
+// sweep's numbers exactly.
 func (e *Experiments) Scaling() []ScalingRow {
-	e.prewarmPartitions(e.Ps)
-	type job struct {
-		cs     CaseSpec
-		before bool
-		p      int
-	}
-	var jobs []job
+	var worlds []stepWorld
 	for _, cs := range e.Cases {
 		for _, before := range []bool{false, true} {
 			for _, p := range e.Ps {
-				jobs = append(jobs, job{cs, before, p})
+				worlds = append(worlds, e.stepWorld(p, cs.Frac, before, MapHeuristic))
 			}
 		}
 	}
-	rows := make([]ScalingRow, len(jobs))
-	mustRunWorlds(len(jobs), func(i int) {
-		j := jobs[i]
-		st := e.RunStep(j.p, j.cs.Frac, j.before, MapHeuristic)
+	rows := make([]ScalingRow, len(worlds))
+	var t1 float64
+	for i, st := range mustRunWorlds(worlds, e.runStep) {
+		w := worlds[i]
 		growth := 1.0
 		if n := e.Global.NumElems(); n > 0 {
 			growth = float64(st.Counts.Elems) / float64(n)
 		}
 		rows[i] = ScalingRow{
-			Case: j.cs.Name, P: j.p, RemapBefore: j.before,
+			Case: e.Cases[i/(2*len(e.Ps))].Name, P: w.p, RemapBefore: w.cfg.RemapBefore,
 			AdaptTime: st.MarkTime + st.RefineTime, PartTime: st.PartitionTime,
 			RemapTime: st.RemapTime, Speedup: 1,
 			Improvement: st.SolverImprovement(), Growth: growth,
 		}
-	})
-	// Speedup: T_adapt(1) / T_adapt(P) within each (case, ordering).
-	var t1 float64
-	for i, j := range jobs {
+		// Speedup: T_adapt(1) / T_adapt(P) within each (case, ordering).
 		if i%len(e.Ps) == 0 {
 			t1 = 0 // new (case, ordering) series
 		}
-		if j.p == 1 {
+		if w.p == 1 {
 			t1 = rows[i].AdaptTime
 		}
 		if rows[i].AdaptTime > 0 && t1 > 0 {

@@ -83,7 +83,7 @@ func (e *Experiments) feedbackPlan(p, cycles int, model string, measured bool) (
 		frac:         constFrac(0.12),
 		coarsenBelow: 0.05,
 	}
-	e.onMachine(&pl, topo)
+	pl.topo = topo
 	return pl, nil
 }
 

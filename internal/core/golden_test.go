@@ -135,7 +135,7 @@ func TestUseMachineValidates(t *testing.T) {
 	if err := e.UseMachine(""); err != nil {
 		t.Fatal(err)
 	}
-	mod := e.modelFor(4)
+	mod, _ := e.onMachine(4, mustMachine(e.ModelName, 4))
 	flat, ok := mod.Topo.(*machine.Flat)
 	if !ok || flat.Ranks() != 4 || flat.Pair(0, 1) != machine.SP2Link() {
 		t.Errorf("empty name resolved to %#v, want a 4-rank flat SP2", mod.Topo)

@@ -19,7 +19,7 @@ func heteroTimeImbalance(t *testing.T, e *Experiments, p int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := e.initialPartition(p)
+	part := e.partitionFor(p, mustMachine(e.ModelName, p))
 	w := partition.PartWeights(e.Dual, part, p)
 	var maxT, sumT float64
 	for r := 0; r < p; r++ {
@@ -53,7 +53,7 @@ func TestHeteroBalancingScalesTargets(t *testing.T) {
 	}
 
 	// The slow ranks' subdomains must be genuinely smaller.
-	part := hetero.initialPartition(p)
+	part := hetero.partitionFor(p, mustMachine(hetero.ModelName, p))
 	w := partition.PartWeights(hetero.Dual, part, p)
 	for fast := 0; fast < p/2; fast++ {
 		for slow := p / 2; slow < p; slow++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"plum/internal/linalg"
 	"plum/internal/mesh"
-	"plum/internal/msg"
 	"plum/internal/partition"
 	"plum/internal/pmesh"
 	"plum/internal/solver"
@@ -51,26 +50,27 @@ func (e *Experiments) implicitConfig() Config {
 // worlds race.
 func (e *Experiments) ImplicitScaling(cycles int) []ImplicitRow {
 	ind := e.Indicator()
-	e.prewarmPartitions(e.Ps)
-	rows := make([]ImplicitRow, len(e.Ps))
-	runs := make([]FeedbackRun, len(e.Ps))
-	mustRunWorlds(len(e.Ps), func(i int) {
-		p := e.Ps[i]
+	cfg := e.implicitConfig()
+	if e.Measured {
+		// Measured-cost loop: decisions gate on the previous epoch's
+		// profile instead of always remapping.
+		cfg.ForceAccept = false
+	}
+	type world struct {
+		row ImplicitRow
+		run FeedbackRun
+	}
+	res := mustRunWorlds(e.Ps, func(p int) world {
 		pl := epochPlan{
 			exp: "implicit", model: e.ModelName, p: p, cycles: cycles, measured: e.Measured,
-			mod:       e.modelFor(p),
-			initPart:  e.initialPartition(p),
-			cfg:       e.implicitConfig(),
+			topo:      mustMachine(e.ModelName, p),
+			cfg:       cfg,
 			indicator: func(int) func(mesh.Vec3) float64 { return ind },
 			frac:      constFrac(0.10),
 		}
-		if e.Measured {
-			// Measured-cost loop: decisions gate on the previous epoch's
-			// profile instead of always remapping.
-			pl.cfg.ForceAccept = false
-		}
-		row := ImplicitRow{P: p, Converged: true}
-		runs[i], _ = e.runEpochs(pl, func(ep FeedbackEpoch, cs CycleStats, d *pmesh.DistMesh) {
+		w := world{row: ImplicitRow{P: p, Converged: true}}
+		w.run, _ = e.runEpochs(pl, func(ep FeedbackEpoch, cs CycleStats, d *pmesh.DistMesh) {
+			row := &w.row
 			row.GlobalIters += cs.PCGIters
 			row.Converged = row.Converged && cs.PCGConverged
 			if ep.Cycle < cycles-1 {
@@ -86,10 +86,12 @@ func (e *Experiments) ImplicitScaling(cycles int) []ImplicitRow {
 			row.GlobalElems = cs.Step.Counts.Elems
 			row.MassDiagnost = cs.Mass
 		})
-		rows[i] = row
+		return w
 	})
-	for i := range runs {
-		e.flush(&runs[i])
+	rows := make([]ImplicitRow, len(res))
+	for i := range res {
+		e.flush(&res[i].run)
+		rows[i] = res[i].row
 	}
 	return rows
 }
@@ -109,36 +111,21 @@ type PrecondRow struct {
 // literature studies: more setup, fewer and cheaper iterations).
 func (e *Experiments) PrecondComparison(p int) []PrecondRow {
 	kinds := []linalg.PrecondKind{linalg.PrecondNone, linalg.PrecondJacobi, linalg.PrecondSPAI}
+	worlds := make([]implicitWorld, len(kinds))
+	for i, kind := range kinds {
+		worlds[i] = implicitWorld{model: e.ModelName, p: p, opt: solver.DefaultImplicitOptions()}
+		worlds[i].opt.Precond = kind
+	}
 	rows := make([]PrecondRow, len(kinds))
-	initPart := e.initialPartition(p)
-	ind := e.Indicator()
-	mustRunWorlds(len(kinds), func(i int) {
-		kind := kinds[i]
-		msg.RunModel(p, e.modelFor(p), func(c *msg.Comm) {
-			d := pmesh.New(c, e.Global, initPart, solver.NComp)
-			d.MarkGeometricFraction(ind, 0.2)
-			d.PropagateParallel()
-			d.Refine()
-			solver.InitField(d.M, solver.GaussianPulse(
-				mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-			opt := solver.DefaultImplicitOptions()
-			opt.Precond = kind
-			im := solver.NewImplicit(d, opt)
-			before := c.Elapsed()
-			r := im.Step()
-			elapsed := c.AllreduceFloat64(c.Elapsed()-before, msg.MaxFloat64)
-			if c.Rank() != 0 {
-				return
-			}
-			rows[i] = PrecondRow{
-				Precond:    kind.String(),
-				Iterations: r.Iterations,
-				Converged:  r.Converged,
-				RelResid:   r.RelResidual(),
-				SolveTime:  elapsed,
-				Residuals:  r.Residuals,
-			}
-		})
-	})
+	for i, st := range mustRunWorlds(worlds, e.runImplicit) {
+		rows[i] = PrecondRow{
+			Precond:    kinds[i].String(),
+			Iterations: st.res.Iterations,
+			Converged:  st.res.Converged,
+			RelResid:   st.res.RelResidual(),
+			SolveTime:  st.solve,
+			Residuals:  st.res.Residuals,
+		}
+	}
 	return rows
 }

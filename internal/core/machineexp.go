@@ -1,12 +1,5 @@
 package core
 
-import (
-	"plum/internal/machine"
-	"plum/internal/msg"
-	"plum/internal/pmesh"
-	"plum/internal/remap"
-)
-
 // The machine experiment: the paper's Fig. 7/8 story — how much does
 // intelligent balancing buy — re-asked per machine topology.  On a flat
 // SP2 every mapper sees the same network; on an SMP cluster or a fat
@@ -37,70 +30,39 @@ func MachineMappers() []Mapper { return []Mapper{MapHeuristic, MapTopo} }
 // F > 1 partitions give the mapper room to trade movement for balance).
 const machineSweepF = 2
 
-// MachineSweep runs one Real_2-style adaption cycle (the full
-// AdaptionStep pipeline) per (topology, P, mapper) and reports
-// hop-weighted movement, simulated remap time, and the load-balancing
-// improvement.  Every topology in models is instantiated fresh per
-// world (contention state is world-private) and starts from its own
-// machine's partition (partitionFor), built once per (topology, P)
-// before the fan-out, so the harness's -model never reaches a row;
-// processor counts below 4 are skipped (a one-node "cluster" has no
-// topology to see).  The worlds are independent and run concurrently
-// (runWorlds); row order — and every simulated number — is identical to
-// the serial sweep.
+// MachineSweep runs one Real_2-style step world (the full AdaptionStep
+// pipeline) per (topology, P, mapper) and reports hop-weighted
+// movement, simulated remap time, and the load-balancing improvement.
+// Every world runs on a fresh instance of its topology and starts from
+// that machine's partition (partitionFor), so the harness's -model
+// never reaches a row; processor counts below 4 are skipped (a
+// one-node "cluster" has no topology to see).
 func (e *Experiments) MachineSweep(frac float64, models []string, mappers []Mapper) []MachineRow {
-	ind := e.Indicator()
-	type job struct {
-		name   string
-		p      int
-		mapper Mapper
-		part   []int32
-	}
-	var jobs []job
+	var worlds []stepWorld
 	for _, name := range models {
 		for _, p := range e.Ps {
 			if p < 4 {
 				continue
 			}
-			topo, err := machine.ByName(name, p)
-			if err != nil {
-				panic(err)
-			}
-			part := e.partitionFor(p, topo)
 			for _, mapper := range mappers {
-				jobs = append(jobs, job{name, p, mapper, part})
+				w := e.stepWorld(p, frac, e.Cfg.RemapBefore, mapper)
+				w.model = name
+				w.cfg.F = machineSweepF
+				w.cfg.ForceAccept = true
+				worlds = append(worlds, w)
 			}
 		}
 	}
-	rows := make([]MachineRow, len(jobs))
-	mustRunWorlds(len(jobs), func(i int) {
-		j := jobs[i]
-		topo, err := machine.ByName(j.name, j.p)
-		if err != nil {
-			panic(err)
+	rows := make([]MachineRow, len(worlds))
+	for i, st := range mustRunWorlds(worlds, e.runStep) {
+		w := worlds[i]
+		rows[i] = MachineRow{
+			Model: w.model, P: w.p, Mapper: w.cfg.Mapper,
+			HopMaxV: st.Hop.MaxHV, HopTotalV: st.Hop.TotalHV,
+			Moved:       st.Moved.CTotal,
+			RemapTime:   st.RemapTime,
+			Improvement: st.SolverImprovement(),
 		}
-		mod := e.Model.WithTopo(topo)
-		row := MachineRow{Model: j.name, P: j.p, Mapper: j.mapper}
-		msg.RunModel(j.p, mod, func(c *msg.Comm) {
-			d := pmesh.New(c, e.Global, j.part, 0)
-			g := e.Dual.WithWeights(e.Dual.WComp, e.Dual.WRemap)
-			cfg := e.Cfg
-			cfg.F = machineSweepF
-			cfg.Mapper = j.mapper
-			cfg.Topo = topo
-			cfg.ForceAccept = true
-			if j.mapper == MapTopo {
-				cfg.Metric = remap.MaxV
-			}
-			st := AdaptionStep(c, d, g, ind, frac, cfg)
-			if c.Rank() == 0 {
-				row.HopMaxV, row.HopTotalV = st.Hop.MaxHV, st.Hop.TotalHV
-				row.Moved = st.Moved.CTotal
-				row.RemapTime = st.RemapTime
-				row.Improvement = st.SolverImprovement()
-			}
-		})
-		rows[i] = row
-	})
+	}
 	return rows
 }

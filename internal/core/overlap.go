@@ -3,10 +3,6 @@ package core
 import (
 	"plum/internal/event"
 	"plum/internal/linalg"
-	"plum/internal/machine"
-	"plum/internal/mesh"
-	"plum/internal/msg"
-	"plum/internal/pmesh"
 	"plum/internal/solver"
 )
 
@@ -59,67 +55,30 @@ func overlapOptions(overlap bool) solver.ImplicitOptions {
 	return opt
 }
 
-// traceImplicit runs one adapted implicit PCG step on p ranks of the
-// named machine with tracing enabled and returns the per-rank times,
-// the trace, the iteration count, and the solve-phase simulated seconds
-// (max over ranks), on the named machine's own partition (partitionFor).
-func (e *Experiments) traceImplicit(p int, model string, overlap bool) ([]float64, *event.Trace, int, float64) {
-	topo, err := machine.ByName(model, p)
-	if err != nil {
-		panic(err)
-	}
-	mod := e.Model.WithTopo(topo)
-	initPart := e.partitionFor(p, topo)
-	ind := e.Indicator()
-	var iters int
-	var solve float64
-	times, tr := msg.RunTraced(p, mod, func(c *msg.Comm) {
-		d := pmesh.New(c, e.Global, initPart, solver.NComp)
-		d.MarkGeometricFraction(ind, 0.2)
-		d.PropagateParallel()
-		d.Refine()
-		solver.InitField(d.M, solver.GaussianPulse(
-			mesh.Vec3{e.LX / 2, e.LY / 2, 0.6}, 0.5))
-		im := solver.NewImplicit(d, overlapOptions(overlap))
-		before := c.Elapsed()
-		r := im.Step()
-		elapsed := c.AllreduceFloat64(c.Elapsed()-before, msg.MaxFloat64)
-		if c.Rank() == 0 {
-			iters = r.Iterations
-			solve = elapsed
-		}
-	})
-	return times, tr, iters, solve
-}
-
 // OverlapComparison runs the blocking-vs-overlapped implicit step on
 // every named topology and reports solve times and the traced critical
-// path of each mode.  The 2*len(models) worlds are independent
-// (traceImplicit builds a private partition and topology per call) and
-// run concurrently.
+// path of each mode.  The 2*len(models) traced implicit-step worlds are
+// independent and run concurrently.
 func (e *Experiments) OverlapComparison(p int, models []string) []OverlapRow {
-	type result struct {
-		tr    *event.Trace
-		iters int
-		solve float64
+	var worlds []implicitWorld // [2i]: blocking, [2i+1]: overlapped
+	for _, name := range models {
+		for _, overlap := range []bool{false, true} {
+			worlds = append(worlds, implicitWorld{model: name, p: p, opt: overlapOptions(overlap), traced: true})
+		}
 	}
-	res := make([]result, 2*len(models)) // [2i]: blocking, [2i+1]: overlapped
-	mustRunWorlds(len(res), func(i int) {
-		_, tr, iters, solve := e.traceImplicit(p, models[i/2], i%2 == 1)
-		res[i] = result{tr, iters, solve}
-	})
+	res := mustRunWorlds(worlds, e.runImplicit)
 	rows := make([]OverlapRow, 0, len(models))
 	for i, name := range models {
 		b, o := res[2*i], res[2*i+1]
-		if b.iters != o.iters {
+		if b.res.Iterations != o.res.Iterations {
 			panic("core: overlap changed the PCG iteration sequence")
 		}
-		row := OverlapRow{Model: name, P: p, Iters: b.iters}
+		row := OverlapRow{Model: name, P: p, Iters: b.res.Iterations}
 		row.SolveBlocking, row.SolveOverlap = b.solve, o.solve
-		cpB, cpO := event.CriticalPath(b.tr), event.CriticalPath(o.tr)
+		cpB, cpO := event.CriticalPath(b.trace), event.CriticalPath(o.trace)
 		row.CPBlocking, row.CPOverlap = cpB.Makespan, cpO.Makespan
 		row.WaitBlocking, row.WaitOverlap = cpB.CommWait, cpO.CommWait
-		row.TraceOverlapped = o.tr
+		row.TraceOverlapped = o.trace
 		rows = append(rows, row)
 	}
 	return rows

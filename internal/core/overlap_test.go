@@ -65,8 +65,8 @@ func TestTraceImplicitStep(t *testing.T) {
 func TestOverlapTraceDecomposition(t *testing.T) {
 	e := NewExperiments(false)
 	for _, overlap := range []bool{false, true} {
-		_, tr, _, _ := e.traceImplicit(4, "fattree", overlap)
-		p := event.CriticalPath(tr)
+		w := implicitWorld{model: "fattree", p: 4, opt: overlapOptions(overlap), traced: true}
+		p := event.CriticalPath(e.runImplicit(w).trace)
 		if p.Makespan <= 0 || len(p.Steps) == 0 {
 			t.Fatalf("overlap=%v: empty critical path", overlap)
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -23,14 +25,14 @@ import (
 // serial sweep:
 //
 //   - shared inputs (the global mesh, the dual graph, initial
-//     partitions) are read-only during the fan-out; the initialPartition
-//     cache, the one piece of the harness a sweep mutates, is filled
-//     before it, and a per-machine partition (partitionFor) is either
-//     built before it too (MachineSweep) or private to its world;
-//   - every job builds its own machine.Model instance — topologies
+//     partitions) are read-only during the fan-out; the partition memo
+//     (partitionFor), the one piece of the harness a world mutates, is
+//     locked, computes each key once and hands every world the same
+//     read-only slice, so it is filled by whichever world asks first;
+//   - every world builds its own machine.Model instance — topologies
 //     carry contention state that a concurrent world must not touch;
-//   - results land in index-addressed slots, so presentation order is
-//     the loop order, not completion order.
+//   - results land in index-addressed slots (mustRunWorlds), so
+//     presentation order is the job order, not completion order.
 //
 // One scheduler, two fault contracts: runWorlds recovers each world's
 // panic into a *WorldPanic error with the world index and goroutine
@@ -59,6 +61,21 @@ func (wp *WorldPanic) Unwrap() error {
 		return err
 	}
 	return nil
+}
+
+// mustRunWorlds is the experiments' fan-out: one world per job, run
+// concurrently through runWorlds, with each world's result in its job's
+// slot.  Its fault contract is the CLI's: a world panic is a broken
+// invariant, so the failing world's goroutine stack goes to stderr and
+// the original panic value is re-raised.
+func mustRunWorlds[J, R any](jobs []J, run func(J) R) []R {
+	out := make([]R, len(jobs))
+	var wp *WorldPanic
+	if errors.As(runWorlds(len(jobs), func(i int) error { out[i] = run(jobs[i]); return nil }), &wp) {
+		fmt.Fprintf(os.Stderr, "core: world %d of %d panicked: %v\n%s", wp.World, len(jobs), wp.Value, wp.Stack)
+		panic(wp.Value)
+	}
+	return out
 }
 
 // runWorlds executes jobs 0..n-1 concurrently, bounded by GOMAXPROCS
@@ -134,13 +151,4 @@ func WorldWallEstimate(fallback float64) float64 {
 		return h.Sum() / float64(n)
 	}
 	return fallback
-}
-
-// prewarmPartitions fills the initial-partition cache for every listed
-// processor count.  The cache is the one mutable piece of the harness a
-// sweep touches, so it must be complete before worlds fan out.
-func (e *Experiments) prewarmPartitions(ps []int) {
-	for _, p := range ps {
-		e.initialPartition(p)
-	}
 }

@@ -32,9 +32,8 @@ func heteroStep(t *testing.T, legacyShares bool) (StepStats, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initPart := e.initialPartition(p)
+	mod, initPart := e.onMachine(p, topo)
 	ind := e.Indicator()
-	mod := e.modelFor(p)
 	var st StepStats
 	var imb float64
 	msg.RunModel(p, mod, func(c *msg.Comm) {

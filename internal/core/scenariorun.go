@@ -53,7 +53,7 @@ func (e *Experiments) scenarioPlan(sp *scenario.Spec, measured bool) (epochPlan,
 		dyn:          dyn,
 	}
 	pl.cfg.useMapper(mapper)
-	e.onMachine(&pl, topo)
+	pl.topo = topo
 	return pl, nil
 }
 

@@ -17,14 +17,15 @@ import (
 // isolation so a long-running daemon (cmd/plumserve) can run many of
 // them concurrently against one shared, read-only Experiments.
 //
-// Concurrency contract: RunWorldCtx touches only immutable harness
-// state (the global mesh, the dual graph, Cfg by value) — it partitions
-// for its own machine (partitionFor) instead of reading the
-// initialPartition cache — so any number of calls may run concurrently.  Determinism contract: the
-// emitted rows and SimTime are a pure function of the WorldSpec; the
-// context only decides how far the run gets, never what any completed
-// epoch contains, because the cancellation checkpoints execute the same
-// simulated collectives whether or not they fire.
+// Concurrency contract: RunWorldCtx reads only immutable harness state
+// (the global mesh, the dual graph, Cfg by value) and the partition
+// memo, which is locked and hands every world the same read-only slice
+// (partitionFor) — so any number of calls may run concurrently, and a
+// request whose P is not in e.Ps leaves nothing behind.  Determinism
+// contract: the emitted rows and SimTime are a pure function of the
+// WorldSpec; the context only decides how far the run gets, never what
+// any completed epoch contains, because the cancellation checkpoints
+// execute the same simulated collectives whether or not they fire.
 
 // WorldSpec names one servable world: everything that determines its
 // simulated output.  Canonical/Digest are its one identity, the serving
@@ -152,11 +153,7 @@ func (e *Experiments) servedPlan(ws WorldSpec) (epochPlan, error) {
 	if ws.CoarsenBelow > 0 {
 		pl.coarsenBelow = ws.CoarsenBelow
 	}
-	topo, err := machine.ByName(machineName(ws.Model), ws.P)
-	if err != nil {
-		return epochPlan{}, err
-	}
-	e.onMachine(&pl, topo)
+	pl.topo = mustMachine(ws.Model, ws.P) // Validate checked the name
 	return pl, nil
 }
 

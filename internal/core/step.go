@@ -44,6 +44,10 @@ type StepStats struct {
 	WOldMax, WNewMax int64 // heaviest-rank post-refinement loads, old/new owners
 
 	Moved remap.MoveCost
+	// S is the similarity matrix the mapper ran on (the re-priced one
+	// when Repriced); rank 0 only, nil when the evaluation step found
+	// the mesh balanced.
+	S *remap.Similarity
 	// Hop holds the hop-weighted movement metrics of the chosen
 	// assignment on cfg.Topo.
 	Hop    remap.HopCost
@@ -152,6 +156,7 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 			st.ReassignWall += wall
 			c.Compute(mapperWork(cfg.Mapper, c.Size(), cfg.F))
 			st.Moved = remap.Cost(s, a)
+			st.S = s
 			st.Hop = remap.HopWeightedCost(s, a, cfg.Topo)
 		}
 		assign = remap.BroadcastAssignment(c, a)
