@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # exp-snapshot.sh — write the stdout of every experiment, plus the
-# implicit experiment's span and trace files, under one directory, so a
-# change's effect on the printed tables is one `diff -r` between the
-# snapshot of the parent and the snapshot of the change.
+# implicit experiment's span and trace files and plumviz's -trace
+# report (the per-rank cost profile and wait-blame tables) with its
+# trace file, under one directory, so a change's effect on the printed
+# tables is one `diff -r` between the snapshot of the parent and the
+# snapshot of the change.
 #
 #   bash ci/exp-snapshot.sh OUT     # from the repository root; or make exp-snapshot OUT=dir
 #
@@ -18,6 +20,7 @@ out=$(cd "$out" && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/plumbench" ./cmd/plumbench
+go build -o "$tmp/plumviz" ./cmd/plumviz
 bench=$tmp/plumbench
 
 "$bench" -exp all >"$out/all.txt"
@@ -29,4 +32,8 @@ done
 (cd "$out" && "$bench" -exp implicit -model fattree -spans implicit-fattree.spans.jsonl \
 	-trace implicit-fattree.trace.json >implicit-fattree.txt)
 "$bench" -exp scenarios >"$out/scenarios.txt"
+# The VTK mesh stays in the temporary directory; the Chrome trace and
+# the profile report are kept.
+(cd "$tmp" && ./plumviz -p 4 -o plumviz.vtk -trace plumviz.trace.json >"$out/plumviz-trace.txt")
+mv "$tmp/plumviz.trace.json" "$out/"
 echo "exp-snapshot: wrote $(ls "$out" | wc -l) files under $out"

@@ -162,15 +162,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := trace.WriteChromeFile(*tracePath, all); err != nil {
 			return fail(err)
 		}
-		cp := event.CriticalPath(trace)
+		// The numeric counterpart of the timeline: each rank's cost
+		// decomposition and critical path — the same aggregation the
+		// measured-cost feedback loop prices rebalancing decisions with
+		// (internal/profile).
+		prof := profile.FromTrace(trace, 0, len(trace.Records), nil)
 		fmt.Fprintf(stdout, "wrote %s (%d events, %d phase spans, makespan %.4fs: %.4fs compute, %.4fs overhead, %.4fs comm wait on the critical path)\n",
 			*tracePath, len(trace.Records), len(all), msg.MaxTime(times),
-			cp.Compute, cp.Overhead, cp.CommWait)
-
-		// The numeric counterpart of the timeline: each rank's cost
-		// decomposition — the same aggregation the measured-cost feedback
-		// loop prices rebalancing decisions with (internal/profile).
-		prof := profile.FromTrace(trace, 0, len(trace.Records), nil)
+			prof.PathCompute, prof.PathOverhead, prof.PathWait)
 		t := report.NewTable("Per-rank cost profile (simulated seconds)",
 			"Rank", "compute", "overhead", "halo wait", "coll wait",
 			"mig wait", "other wait", "top phase", "CP share")
@@ -182,17 +181,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			t.AddRow(r,
 				fmt.Sprintf("%.4f", rp.Compute), fmt.Sprintf("%.4f", rp.Overhead),
-				fmt.Sprintf("%.4f", rp.Wait[profile.ClassHalo]),
-				fmt.Sprintf("%.4f", rp.Wait[profile.ClassCollective]),
-				fmt.Sprintf("%.4f", rp.Wait[profile.ClassMigration]),
-				fmt.Sprintf("%.4f", rp.Wait[profile.ClassOther]),
+				fmt.Sprintf("%.4f", rp.WaitHalo), fmt.Sprintf("%.4f", rp.WaitColl),
+				fmt.Sprintf("%.4f", rp.WaitMig), fmt.Sprintf("%.4f", rp.WaitOther),
 				top,
 				fmt.Sprintf("%.1f%%", 100*prof.PathShare(r)))
 		}
 		t.Render(stdout)
 
 		// Who the critical path waited on, transitively attributed.
-		renderBlameReport(stdout, event.WaitBlame(trace, &cp))
+		renderBlameReport(stdout, event.WaitBlame(trace, &prof.Path))
 		engineSummary(stdout, len(trace.Records))
 	}
 	return 0

@@ -63,8 +63,10 @@ func tornCopy(t *testing.T, dir, name string, data []byte) string {
 }
 
 // TestRunExitCodes: the render modes read a file and print, a file cut
-// off by a killed run still renders (with a warning) and exits 0, an
-// unreadable file exits 1, and a malformed invocation exits 2.
+// off by a killed run still renders (with a warning) and exits 0, a
+// traced simulation writes its Chrome trace and prints the cost
+// profile and wait-blame tables, an unreadable file exits 1, and a
+// malformed invocation exits 2.
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	ledger, err := os.ReadFile(baselineLedger)
@@ -76,6 +78,7 @@ func TestRunExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vtk, chrome := filepath.Join(dir, "viz.vtk"), filepath.Join(dir, "viz.trace.json")
 	cases := []struct {
 		name string
 		args []string
@@ -92,6 +95,8 @@ func TestRunExitCodes(t *testing.T) {
 				"Sender-lag league", "Span census by phase"}, ""},
 		{"torn blame", []string{"-blame", tornCopy(t, dir, "torn_spans.jsonl", spanData)}, 0,
 			[]string{"(stream truncated", "Span census by phase"}, ""},
+		{"trace", []string{"-p", "2", "-o", vtk, "-trace", chrome}, 0,
+			[]string{"Per-rank cost profile", "Wait-blame"}, ""},
 		{"missing ledger", []string{"-ledger", filepath.Join(dir, "nope.jsonl")}, 1,
 			nil, "no such file"},
 		{"missing span file", []string{"-blame", filepath.Join(dir, "nope.jsonl")}, 1,
@@ -118,5 +123,11 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.err, errb.String())
 			}
 		})
+	}
+	// The trace case wrote its mesh and its Chrome trace.
+	for _, f := range []string{vtk, chrome} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("trace run left %s missing or empty (%v)", f, err)
+		}
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"plum/internal/event"
 	"plum/internal/machine"
+	"plum/internal/msg"
+	"plum/internal/pmesh"
 	"plum/internal/remap"
 )
 
@@ -123,6 +126,48 @@ func TestAdaptionStepSmall(t *testing.T) {
 		if p > 1 && !st.Accepted {
 			t.Errorf("p=%d: forced accept did not remap", p)
 		}
+	}
+}
+
+// TestMigrationRecordsCarryMigratePhase: pmesh.Migrate stamps no phase
+// of its own; the adaption step runs it under PhaseMigrate, which is
+// how the profile tells migration waits apart.  Every payload send and
+// receive of an accepted step must carry that phase (the step's other
+// messages under it are collectives, which stamp their own), or the
+// remap's waits drift into wait_other.
+func TestMigrationRecordsCarryMigratePhase(t *testing.T) {
+	e := NewExperiments(false)
+	w := e.stepWorld(4, 0.33, true, MapHeuristic)
+	topo := mustMachine(w.model, w.p)
+	mod, part := e.onMachine(w.p, topo)
+	w.cfg.Topo = topo
+	var st StepStats
+	_, tr := msg.RunTraced(w.p, mod, func(c *msg.Comm) {
+		d := pmesh.New(c, e.Global, part, 0)
+		g := e.Dual.WithWeights(e.Dual.WComp, e.Dual.WRemap)
+		s := AdaptionStep(c, d, g, e.Indicator(), w.frac, w.cfg)
+		if c.Rank() == 0 {
+			st = s
+		}
+	})
+	if !st.Accepted || st.Mig.MsgsSent == 0 {
+		t.Fatalf("step moved no data (accepted %v, %d msgs)", st.Accepted, st.Mig.MsgsSent)
+	}
+	var sends, recvs int
+	for _, r := range tr.Records {
+		if r.Phase != event.PhaseMigrate {
+			continue
+		}
+		switch r.Kind {
+		case event.KindSend:
+			sends++
+		case event.KindRecv:
+			recvs++
+		}
+	}
+	if sends != st.Mig.MsgsSent || recvs != st.Mig.MsgsSent {
+		t.Errorf("PhaseMigrate records: %d sends, %d receives; Migrate sent %d messages",
+			sends, recvs, st.Mig.MsgsSent)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"plum/internal/event"
 	"plum/internal/obs"
-	"plum/internal/profile"
 )
 
 // The simulated-plane ledger hookup: experiments that drive full
@@ -61,10 +60,10 @@ func epochRecord(exp, model, run string, p, cycle int, cs CycleStats, edgeCut in
 			r.Ranks[i] = obs.RankShare{
 				Compute:   rp.Compute,
 				Overhead:  rp.Overhead,
-				WaitHalo:  rp.Wait[profile.ClassHalo],
-				WaitColl:  rp.Wait[profile.ClassCollective],
-				WaitMig:   rp.Wait[profile.ClassMigration],
-				WaitOther: rp.Wait[profile.ClassOther],
+				WaitHalo:  rp.WaitHalo,
+				WaitColl:  rp.WaitColl,
+				WaitMig:   rp.WaitMig,
+				WaitOther: rp.WaitOther,
 				PathShare: pr.PathShare(i),
 			}
 		}

@@ -188,10 +188,9 @@ func (u *Unsteady) Cycle() CycleStats {
 		// path, solve-phase per-iteration time, and link rates calibrated
 		// from the observed sends, classed by the machine's hop counts.
 		win := &event.Trace{P: c.Size(), Records: tr.Records[cycleStart:]}
-		p := profile.FromTrace(win, 0, len(win.Records), nil)
+		p := profile.FromTrace(win, 0, len(win.Records), u.Cfg.Topo)
 		p.SolveSeconds = cs.SolverTime
 		p.SolveSteps = n
-		p.Rates = machine.CalibrateRates(win.Records, u.Cfg.Topo)
 		// Only the measured-cost loop feeds the profile into the next
 		// decision; an Observe-only run records it (cs.Profile) and stays
 		// bitwise analytic.

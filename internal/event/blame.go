@@ -27,6 +27,7 @@ package event
 // queue / wire split of a wait interval is computed by residual.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -87,7 +88,9 @@ type BlameReport struct {
 const maxBlameDepth = 256
 
 // WaitBlame attributes the critical path's wait intervals.  cp must
-// come from CriticalPath(t) on the same trace (or trace window).
+// come from CriticalPath(t) on the same trace (or trace window): the
+// attribution reads the record index that walk built, and panics when
+// that index does not fit t.
 func WaitBlame(t *Trace, cp *Path) *BlameReport {
 	rep := &BlameReport{P: t.P, Lag: make([][]float64, t.P)}
 	for i := range rep.Lag {
@@ -96,18 +99,20 @@ func WaitBlame(t *Trace, cp *Path) *BlameReport {
 	if len(cp.Steps) == 0 {
 		return rep
 	}
+	n := 0
+	for _, idx := range cp.perRank {
+		n += len(idx)
+	}
+	if len(cp.perRank) != t.P || n != len(t.Records) {
+		panic(fmt.Sprintf("event: WaitBlame path indexes %d ranks / %d records, trace has %d / %d",
+			len(cp.perRank), n, t.P, len(t.Records)))
+	}
 	bl := &blamer{
 		t:       t,
-		perRank: make([][]int, t.P),
-		sendIdx: make(map[int64]int),
+		perRank: cp.perRank,
+		sendIdx: cp.sendIdx,
 		edges:   make(map[[2]int]*EdgeBlame),
 		rep:     rep,
-	}
-	for i, r := range t.Records {
-		bl.perRank[r.Rank] = append(bl.perRank[r.Rank], i)
-		if r.Kind == KindSend && r.MsgID != 0 {
-			bl.sendIdx[r.MsgID] = i
-		}
 	}
 	// The forward mirror of CriticalPath's backward walk: a step that
 	// is a waiting receive contributes its wait interval; any other
@@ -171,6 +176,9 @@ func (bl *blamer) recvWait(dst int, lo, hi float64, msgID int64, depth int) {
 		return
 	}
 	send := &bl.t.Records[si]
+	if send.MsgID != msgID {
+		panic(fmt.Sprintf("event: WaitBlame path indexes msg %d at record %d, which holds msg %d", msgID, si, send.MsgID))
+	}
 	var lag float64
 	if lagHi := math.Min(send.T1, hi); lagHi > lo {
 		lag = lagHi - lo

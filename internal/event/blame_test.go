@@ -129,6 +129,24 @@ func TestBlameTransitive(t *testing.T) {
 	}
 }
 
+// TestBlameRejectsForeignPath: a path walked over a window indexes the
+// window's records, so handing WaitBlame the whole trace with it must
+// fail loudly instead of reading the wrong send records.
+func TestBlameRejectsForeignPath(t *testing.T) {
+	tr := &Trace{P: 2, Records: []Record{
+		{Rank: 1, Kind: KindCompute, T0: 0, T1: 1, Peer: -1},
+		{Rank: 1, Kind: KindSend, T0: 5, T1: 6, Peer: 0, MsgID: 1, Depart: 6},
+		{Rank: 0, Kind: KindRecv, T0: 0, T1: 7.5, Peer: 1, MsgID: 1, Arrival: 7},
+	}}
+	cp := CriticalPath(&Trace{P: 2, Records: tr.Records[1:]})
+	defer func() {
+		if recover() == nil {
+			t.Error("WaitBlame accepted a path indexed over a different record slice")
+		}
+	}()
+	WaitBlame(tr, &cp)
+}
+
 // TestBlameUntracedProducer: a receive whose message has no send record
 // charges the whole wait as idle (and the path walk stays consistent).
 func TestBlameUntracedProducer(t *testing.T) {

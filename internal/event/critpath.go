@@ -21,6 +21,11 @@ type Path struct {
 	Compute  float64 // local work on the path
 	Overhead float64 // send injection + receive matching/copy overhead
 	CommWait float64 // wire latency, contention queueing, and idle gaps
+
+	// The trace's record index the walk built, kept so WaitBlame reads
+	// the same trace without indexing it again.
+	perRank [][]int       // each rank's record indices, in trace order
+	sendIdx map[int64]int // MsgID -> index of the producing send record
 }
 
 // CriticalPath extracts the critical path of a trace.  From the record
@@ -47,6 +52,7 @@ func CriticalPath(t *Trace) Path {
 			sendIdx[r.MsgID] = i
 		}
 	}
+	p.perRank, p.sendIdx = perRank, sendIdx
 
 	end := -1
 	for i, r := range t.Records {

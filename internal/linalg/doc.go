@@ -17,8 +17,9 @@
 // a pmesh.DistMesh; PCG drives the solve; DistSystem.Overlap selects
 // the split-SpMV mode that hides the halo exchange behind interior
 // rows (bitwise-identical iterates, shorter critical path on contended
-// topologies).  IsHaloTag classifies the per-iteration halo tag for the
-// profile aggregator.
+// topologies).  The halo exchange, blocking or overlapped, runs under
+// event.PhaseHalo, so its trace records carry the phase the profile
+// aggregator buckets their waits by.
 //
 // Invariants (determinism discipline).  Every row is stored with its
 // columns in ascending global-id order and every reduction uses an

@@ -6,6 +6,7 @@ import (
 
 	"plum/internal/adapt"
 	"plum/internal/dual"
+	"plum/internal/event"
 	"plum/internal/mesh"
 	"plum/internal/msg"
 	"plum/internal/partition"
@@ -18,14 +19,16 @@ import (
 // the same as the blocking path, while the simulated clock may only
 // improve.
 
-func overlapSolve(t *testing.T, p int, overlap bool) (Result, []float64) {
+// overlapSolve runs one traced PCG solve on p ranks and returns rank 0's
+// result with the world's trace.
+func overlapSolve(t *testing.T, p int, overlap bool) (Result, *event.Trace) {
 	t.Helper()
 	global := mesh.Box(3, 3, 2, 3, 3, 2)
 	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1}, 0.8, 0.5)
 	g := dual.FromMesh(global)
 	part := partition.Partition(g, p, partition.Default())
 	var res Result
-	times := msg.RunModel(p, msg.SP2Model(), func(c *msg.Comm) {
+	_, tr := msg.RunTraced(p, msg.SP2Model(), func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, 0)
 		le := d.M.EdgeErrorGeometric(ind)
 		d.M.TargetEdges(le, 0.5)
@@ -44,7 +47,7 @@ func overlapSolve(t *testing.T, p int, overlap bool) (Result, []float64) {
 			res = r
 		}
 	})
-	return res, times
+	return res, tr
 }
 
 // TestOverlapBitwiseIdenticalIterates: residual histories agree bit for
@@ -62,6 +65,33 @@ func TestOverlapBitwiseIdenticalIterates(t *testing.T) {
 				t.Fatalf("P=%d: residual %d diverged: %x vs %x",
 					p, i, blocking.Residuals[i], overlapped.Residuals[i])
 			}
+		}
+	}
+}
+
+// TestHaloRecordsCarryHaloPhase: every halo message, blocking or
+// overlapped, is sent and received under event.PhaseHalo.  The profile
+// aggregator buckets receive waits by phase alone, so a halo exchange
+// that forgot its PushPhase would drift its waits into "other".
+func TestHaloRecordsCarryHaloPhase(t *testing.T) {
+	for _, overlap := range []bool{false, true} {
+		_, tr := overlapSolve(t, 3, overlap)
+		var sends, recvs int
+		for _, r := range tr.Records {
+			if r.Tag != tagHalo {
+				continue
+			}
+			if r.Phase != event.PhaseHalo {
+				t.Fatalf("overlap=%v: halo %+v carries phase %v", overlap, r, r.Phase)
+			}
+			if r.Kind == event.KindSend {
+				sends++
+			} else {
+				recvs++
+			}
+		}
+		if sends == 0 || sends != recvs {
+			t.Fatalf("overlap=%v: %d halo sends, %d receives", overlap, sends, recvs)
 		}
 	}
 }

@@ -29,12 +29,6 @@ const (
 	tagScatter  = 3005
 )
 
-// IsHaloTag reports whether tag belongs to the per-iteration halo
-// exchange (ghost-value refresh before every SpMV) as opposed to the
-// one-time setup protocols.  The profile aggregator uses it to
-// attribute traced receive waits to the halo bucket.
-func IsHaloTag(tag int) bool { return tag == tagHalo }
-
 // Simulated-machine work charges (abstract units per entry; the explicit
 // solver charges 1.0 per ~40-flop edge flux, so per-nonzero SpMV work is
 // proportionally smaller).

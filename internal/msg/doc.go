@@ -32,8 +32,9 @@
 // when Topo is nil; RunTraced additionally records every
 // clock-advancing operation into an event.Trace, which Comm.Trace
 // exposes to running ranks — the source of the measured-cost feedback
-// loop's profiles.  IsCollectiveTag classifies this package's
-// synthesized tags for the profile aggregator.
+// loop's profiles.  Every collective runs under event.PhaseCollective,
+// so its trace records carry the phase the profile aggregator buckets
+// their waits by.
 //
 // Invariants.  Simulated time is a pure function of the program: clocks
 // never observe goroutine scheduling, and every charge goes through the

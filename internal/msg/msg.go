@@ -21,11 +21,10 @@ const AnyTag = -1
 // synthesize their own tags above it from a per-rank sequence number.
 const collectiveTagBase = 1 << 24
 
-// IsCollectiveTag reports whether tag was synthesized by this package's
+// isCollectiveTag reports whether tag was synthesized by this package's
 // collectives (barrier, broadcast, reductions, all-to-all) rather than
-// chosen by user code.  The profile aggregator uses it to attribute
-// traced receive waits to the collective bucket.
-func IsCollectiveTag(tag int) bool { return tag >= collectiveTagBase }
+// chosen by user code; the world's message statistics split on it.
+func isCollectiveTag(tag int) bool { return tag >= collectiveTagBase }
 
 // Message is a received message together with its envelope.
 type Message struct {
@@ -380,7 +379,7 @@ func (c *Comm) deliver(dst, tag int, m *Message) {
 			Depart: depart, Phase: c.curPhase,
 		})
 	}
-	if IsCollectiveTag(tag) {
+	if isCollectiveTag(tag) {
 		w.stats.collMsgs++
 		w.stats.collBytes += int64(len(m.Data))
 	} else {

@@ -13,8 +13,9 @@
 // GatherWeights supply the balancer's inputs; Migrate executes an
 // adopted reassignment; Finalize reassembles the global mesh for
 // output; ResolveOwnership computes exact edge/vertex ownership for the
-// solvers.  IsMigrationTag classifies this package's message tags for
-// the profile aggregator.
+// solvers.  Migrate stamps no trace phase itself: every caller must run
+// it under event.PhaseMigrate (the adaption step does), which is how the
+// profile aggregator tells migration waits apart.
 //
 // Invariants.  Identity across processors follows the global-id
 // discipline of package adapt: initial vertices keep their global

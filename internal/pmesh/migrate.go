@@ -29,7 +29,8 @@ type MigrateStats struct {
 
 // Migrate moves local families to their new owners according to newOwner
 // (global root id -> rank) and installs newOwner as the replicated
-// ownership.  Collective.
+// ownership.  Collective.  Migrate stamps no trace phase of its own:
+// callers run it under event.PhaseMigrate, or its waits count as other.
 func (d *DistMesh) Migrate(newOwner []int32) MigrateStats {
 	if len(newOwner) != d.Global.NumElems() {
 		panic(fmt.Sprintf("pmesh: newOwner has %d entries for %d roots", len(newOwner), d.Global.NumElems()))

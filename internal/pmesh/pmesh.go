@@ -269,20 +269,11 @@ func (d *DistMesh) exchangeWithNeighbors(tag int, words [][]int64) [][]int64 {
 
 // Dedicated point-to-point tags for the neighbour protocols.
 const (
-	tagMarkExchange    = 1001
-	tagOwnership       = 1002
-	tagCoarsenStatus   = 1003
-	tagMigrationCounts = 1004
-	tagMigrationData   = 1005
+	tagMarkExchange  = 1001
+	tagOwnership     = 1002
+	tagCoarsenStatus = 1003
+	tagMigrationData = 1005
 )
-
-// IsMigrationTag reports whether tag belongs to the data-remapping
-// protocol (Migrate's count and payload messages).  The profile
-// aggregator uses it to attribute traced receive waits to the migration
-// bucket.
-func IsMigrationTag(tag int) bool {
-	return tag == tagMigrationCounts || tag == tagMigrationData
-}
 
 // appendEdgeSPL appends to dst the ranks that potentially share edge id
 // (the intersection of its endpoints' SPLs).  Loops over edges pass one

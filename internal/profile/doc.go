@@ -18,13 +18,22 @@
 // remap.RedistributionCostMeasured).
 //
 // Entry points.  FromTrace aggregates a half-open record window of an
-// event.Trace; DefaultClass classifies message tags by the predicates
-// the protocol-owning packages export (msg.IsCollectiveTag,
-// linalg.IsHaloTag, pmesh.IsMigrationTag); Profile.PerIteration and
-// Profile.Rates are the two quantities the decision consumes;
-// Profile.Path is the window's critical-path walk, kept for the epoch's
-// blame pass (event.WaitBlame); Profile.PathShare supports the per-rank
+// event.Trace, and calibrates Profile.Rates when given the window's
+// machine model; Profile.PerIteration and Profile.Rates are the two
+// quantities the decision consumes; Profile.Path is the window's
+// critical-path walk, kept with its record index for the epoch's blame
+// pass (event.WaitBlame); Profile.PathShare supports the per-rank
 // profile table plumviz renders.
+//
+// Wait classification.  A receive wait is bucketed by the phase its
+// record carries, which the owning package stamps with msg.Comm.PushPhase:
+// msg's collectives run under event.PhaseCollective, linalg's halo
+// exchange under event.PhaseHalo, and the adaption step runs pmesh's
+// Migrate under event.PhaseMigrate.  Waits under any other phase are
+// "other".  The package therefore depends only on event and machine,
+// never on the protocols it classifies.  It stays a package of its own
+// for now: the benchmark module imports profile.FromTrace, so folding
+// it into internal/event waits until that caller can move too.
 //
 // Invariants.  Records are aggregated in trace order — the engine's
 // deterministic (time, rank, seq) total order — so identical runs

@@ -2,51 +2,21 @@ package profile
 
 import (
 	"plum/internal/event"
-	"plum/internal/linalg"
 	"plum/internal/machine"
-	"plum/internal/msg"
-	"plum/internal/pmesh"
 )
-
-// Class buckets a traced communication record by the protocol that
-// produced it, so comm-wait seconds can be attributed to the phase the
-// balancer can actually do something about: halo waits respond to a
-// better partition, migration waits to a cheaper remapping, collective
-// waits to neither.
-type Class int
-
-// The wait classes, in presentation order.
-const (
-	ClassHalo       Class = iota // linalg's per-iteration ghost refresh
-	ClassCollective              // barrier/broadcast/reduction/all-to-all internals
-	ClassMigration               // pmesh data remapping payloads
-	ClassOther                   // setup protocols (marking, ownership, assembly, ...)
-	NumClasses
-)
-
-// DefaultClass classifies a message tag using the repository's tag
-// allocation, each range owned (and exported as a predicate) by the
-// package that speaks the protocol.
-func DefaultClass(tag int) Class {
-	switch {
-	case msg.IsCollectiveTag(tag):
-		return ClassCollective
-	case linalg.IsHaloTag(tag):
-		return ClassHalo
-	case pmesh.IsMigrationTag(tag):
-		return ClassMigration
-	default:
-		return ClassOther
-	}
-}
 
 // RankProfile is one rank's cost decomposition over a trace window.
 type RankProfile struct {
-	Compute   float64             // local work (Compute charges, raw advances)
-	Overhead  float64             // send injection + receive matching/copy-out
-	Wait      [NumClasses]float64 // idle time before arrivals, by protocol class
-	SendMsgs  int                 // messages injected
-	SendBytes int64               // payload bytes injected
+	Compute  float64 // local work (Compute charges, raw advances)
+	Overhead float64 // send injection + receive matching/copy-out
+	// Idle time before arrivals, by the phase the waiting receive ran
+	// under: halo waits respond to a better partition, migration waits
+	// to a cheaper remapping, collective waits to neither, and other
+	// waits belong to the setup protocols (marking, ownership, assembly).
+	WaitHalo  float64 // event.PhaseHalo: linalg's per-iteration ghost refresh
+	WaitColl  float64 // event.PhaseCollective: msg's collectives
+	WaitMig   float64 // event.PhaseMigrate: the data remapping
+	WaitOther float64 // every other phase
 	// PhaseCompute splits Compute by the phase span the work ran under
 	// (event.Phase as stamped on the records; index PhaseNone collects
 	// unphased work).  This is the per-rank face of the blame pass's
@@ -63,15 +33,6 @@ type RankProfile struct {
 	PathSeconds float64
 }
 
-// TotalWait sums the rank's wait buckets.
-func (r RankProfile) TotalWait() float64 {
-	var t float64
-	for _, w := range r.Wait {
-		t += w
-	}
-	return t
-}
-
 // Profile is the measured per-rank, per-phase cost profile of one
 // adaption epoch, extracted from the event trace the epoch executed
 // under.  It is the quantity the paper's Section 4.5 machine constants
@@ -83,8 +44,10 @@ type Profile struct {
 
 	// The critical path of the window: what actually bounded the epoch.
 	// Path is the walk itself (kept so the epoch's blame pass reuses it
-	// instead of walking the window again); the scalars below are its
-	// decomposition.
+	// and its record index instead of walking the window again); the
+	// scalars below are its decomposition.  Its index is relative to the
+	// window [start, end): event.WaitBlame must be given the window's
+	// records, tr.Records[start:end], not the whole trace.
 	Path         event.Path
 	Makespan     float64 // completion time of the window's last operation
 	PathCompute  float64 // compute seconds on the path
@@ -99,7 +62,8 @@ type Profile struct {
 
 	// Rates are the link constants calibrated from the window's observed
 	// sends (machine.CalibrateRates): the cost term's measured
-	// per-message/per-byte/latency pricing, keyed by hop class.
+	// per-message/per-byte/latency pricing, keyed by hop class.  Empty
+	// when FromTrace was given no machine model.
 	Rates machine.RateTable
 }
 
@@ -138,14 +102,13 @@ func (p *Profile) PathShare(r int) float64 {
 
 // FromTrace aggregates the half-open record window [start, end) of tr
 // into a profile: per-rank compute/overhead/wait decomposition with
-// waits classified by classify (nil means DefaultClass), plus the
-// window's critical path.  Records are visited in trace order — the
-// engine's deterministic total order — so identical runs produce
-// bitwise-identical profiles regardless of GOMAXPROCS.
-func FromTrace(tr *event.Trace, start, end int, classify func(tag int) Class) *Profile {
-	if classify == nil {
-		classify = DefaultClass
-	}
+// waits classified by the phase each receive ran under, plus the
+// window's critical path.  A non-nil model also calibrates Rates from
+// the window's sends, classed by the model's hop counts.  Records are
+// visited in trace order — the engine's deterministic total order — so
+// identical runs produce bitwise-identical profiles regardless of
+// GOMAXPROCS.
+func FromTrace(tr *event.Trace, start, end int, model machine.Model) *Profile {
 	if start < 0 {
 		start = 0
 	}
@@ -168,13 +131,11 @@ func FromTrace(tr *event.Trace, start, end int, classify func(tag int) Class) *P
 			rp.PhaseCompute[r.Phase] += r.T1 - r.T0
 		case event.KindSend:
 			rp.Overhead += r.T1 - r.T0
-			rp.SendMsgs++
-			rp.SendBytes += int64(r.Bytes)
 		case event.KindRecv:
 			if r.Arrival > r.T0 {
 				// The rank idled until the wire delivered; the span after
 				// the arrival is matching/copy-out overhead.
-				rp.Wait[classify(r.Tag)] += r.Arrival - r.T0
+				*rp.wait(r.Phase) += r.Arrival - r.T0
 				rp.Overhead += r.T1 - r.Arrival
 			} else {
 				rp.Overhead += r.T1 - r.T0
@@ -196,5 +157,22 @@ func FromTrace(tr *event.Trace, start, end int, classify func(tag int) Class) *P
 		}
 		p.Ranks[s.Rank].PathSeconds += span
 	}
+	if model != nil {
+		p.Rates = machine.CalibrateRates(window, model)
+	}
 	return p
+}
+
+// wait returns the bucket a receive wait under phase ph accrues to.
+func (r *RankProfile) wait(ph event.Phase) *float64 {
+	switch ph {
+	case event.PhaseHalo:
+		return &r.WaitHalo
+	case event.PhaseCollective:
+		return &r.WaitColl
+	case event.PhaseMigrate:
+		return &r.WaitMig
+	default:
+		return &r.WaitOther
+	}
 }
