@@ -323,13 +323,14 @@ func feedbackExp(w io.Writer, e *core.Experiments) {
 	for _, pr := range pairs {
 		for i := range pr.Analytic.Epochs {
 			a, m := pr.Analytic.Epochs[i], pr.Measured.Epochs[i]
+			va, vm := obs.Verdict(a.Balanced, a.Accepted), obs.Verdict(m.Balanced, m.Accepted)
 			mark := " "
-			if decision(a) != decision(m) {
+			if va != vm {
 				mark = "*"
 			}
 			t.AddRow(pr.Analytic.Model, fmt.Sprintf("%d%s", i, mark),
-				decision(a), fmt.Sprintf("%.4f", a.Gain), fmt.Sprintf("%.4f", a.Cost),
-				decision(m), fmt.Sprintf("%.4f", m.Gain), fmt.Sprintf("%.4f", m.Cost),
+				va, fmt.Sprintf("%.4f", a.Gain), fmt.Sprintf("%.4f", a.Cost),
+				vm, fmt.Sprintf("%.4f", m.Gain), fmt.Sprintf("%.4f", m.Cost),
 				fmt.Sprintf("%d/%d", a.TotalV, m.TotalV),
 				fmt.Sprintf("%d/%d", a.MaxV, m.MaxV))
 		}
@@ -352,18 +353,6 @@ func feedbackExp(w io.Writer, e *core.Experiments) {
 		" phase's real per-iteration time (waits and contention included), the cost side"+
 		" prices the move with per-message/per-byte rates calibrated from observed sends")
 	fmt.Fprintln(w)
-}
-
-// decision renders one epoch's rebalancing outcome.
-func decision(ep core.FeedbackEpoch) string {
-	switch {
-	case ep.Balanced:
-		return "balanced"
-	case ep.Accepted:
-		return "accept"
-	default:
-		return "reject"
-	}
 }
 
 func machineExp(w io.Writer, e *core.Experiments) {

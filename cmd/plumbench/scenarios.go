@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"plum/internal/core"
+	"plum/internal/obs"
 	"plum/internal/report"
 	"plum/internal/scenario"
 )
@@ -49,18 +50,11 @@ func scenarioIDs(specs []*scenario.Spec) []string {
 }
 
 // decisionString renders a run's epoch decisions compactly: one letter
-// per epoch — B(alanced), A(ccept), R(eject).
+// per epoch, its obs.Verdict's initial — B(alanced), A(ccept), R(eject).
 func decisionString(run core.FeedbackRun) string {
 	var b strings.Builder
 	for _, ep := range run.Epochs {
-		switch {
-		case ep.Balanced:
-			b.WriteByte('B')
-		case ep.Accepted:
-			b.WriteByte('A')
-		default:
-			b.WriteByte('R')
-		}
+		b.WriteString(strings.ToUpper(obs.Verdict(ep.Balanced, ep.Accepted)[:1]))
 	}
 	return b.String()
 }

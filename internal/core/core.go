@@ -7,7 +7,6 @@ import (
 	"plum/internal/machine"
 	"plum/internal/msg"
 	"plum/internal/partition"
-	"plum/internal/profile"
 	"plum/internal/remap"
 	"plum/internal/solver"
 )
@@ -152,12 +151,13 @@ type Config struct {
 	// unobserved run.  Like Measured it needs a traced world; on an
 	// untraced one it is inert.
 	Observe bool
-	// Profile is the previous epoch's measured cost profile, set by the
-	// Unsteady driver on rank 0 (the rank that makes the gain/cost
-	// decision); every other rank leaves it nil and learns the decision
-	// from the broadcast.  Nil prices the decision analytically — the
-	// exact paper path, bitwise.
-	Profile *profile.Profile
+	// Pricer prices the gain/cost decision on rank 0, the rank that
+	// makes it; every other rank learns the verdict from the broadcast.
+	// Nil means remap.Analytic{Machine, Topo} — the exact paper path,
+	// bitwise.  Under Measured the Unsteady driver replaces it, from
+	// the second epoch on, with the pricer built from the previous
+	// epoch's profile.
+	Pricer remap.Pricer
 }
 
 // DefaultConfig returns the configuration used by the experiment

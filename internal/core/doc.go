@@ -12,8 +12,8 @@
 // subdivision.  Unsteady drives the outer loop — a moving feature
 // re-adapted every NAdapt solver iterations — and, under
 // Config.Measured on a traced run, records each epoch's cost profile
-// (internal/profile) and feeds it to the next epoch's decision: the
-// measured-cost feedback loop.  Experiments bundles the fixed inputs of
+// (internal/profile) and prices the next epoch's decision with it
+// (remap.Measured): the measured-cost feedback loop.  Experiments bundles the fixed inputs of
 // the paper's evaluation; cmd/plumbench renders its Table1/Table2/
 // Fig2..Fig8 reproductions and the implicit / machine / feedback /
 // scenario extensions.  Every experiment row comes from one of three
@@ -30,9 +30,12 @@
 // names.
 //
 // Invariants.  The gain/cost decision is computed on rank 0 and
-// broadcast, so every rank takes the same branch; its pricing tiers are
-// strict fallbacks (measured when a profile exists, per-pair on a
-// non-uniform topology, the paper's scalar formulas otherwise).  The
+// broadcast, so every rank takes the same branch.  Rank 0 asks one
+// remap.Pricer — Config.Pricer, nil meaning remap.Analytic over
+// Config.Machine and Config.Topo — and records its Name in
+// StepStats.Pricing; AdaptionStep holds no pricing formula.  Unsteady
+// sets the pricer to the previous epoch's remap.Measured under
+// Config.Measured, from the second epoch on.  The
 // default flat path is bitwise-pinned by the golden tests here:
 // selecting machine "flat" — or nothing — must reproduce the recorded
 // phase times exactly, and contended (fat tree) and measured-mode runs

@@ -31,15 +31,13 @@ type epochPlan struct {
 	// no experiment key in the process-wide ledger's namespace.
 	exp, model string
 	p, cycles  int
-	measured   bool // price decisions from the previous epoch's profile
 
 	// topo is the machine the world runs on, a private instance;
 	// runEpochs places the world on it (onMachine).
 	topo machine.Model
-	// cfg is the driver configuration, complete except for Topo,
-	// Measured and Observe, which runEpochs derives from topo, measured
-	// and the sinks: the decision always prices with the topology the
-	// world runs on.
+	// cfg is the driver configuration, complete except for Topo and
+	// Observe, which runEpochs derives from topo and the sinks: the
+	// decision always prices with the topology the world runs on.
 	cfg Config
 
 	indicator    func(i int) func(mesh.Vec3) float64
@@ -134,9 +132,12 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	mod, initPart := e.onMachine(pl.p, pl.topo)
 	cfg := pl.cfg
 	cfg.Topo = pl.topo
-	cfg.Measured = pl.measured
 	cfg.Observe = ledger != nil || spans != nil
-	run = FeedbackRun{Model: pl.model, Measured: pl.measured}
+	run = FeedbackRun{Model: pl.model, Measured: cfg.Measured}
+	mode := remap.Analytic{}.Name() // the run's pricing, once a profile exists
+	if cfg.Measured {
+		mode = remap.Measured{}.Name()
+	}
 	body := func(c *msg.Comm) {
 		d := pmesh.New(c, e.Global, initPart, solver.NComp)
 		u := NewUnsteady(d, e.Dual, cfg)
@@ -170,7 +171,7 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 				Cycle:     i,
 				Balanced:  cs.Step.Balanced,
 				Accepted:  cs.Step.Accepted,
-				Measured:  cs.Step.MeasuredDecision,
+				Measured:  cs.Step.Pricing == remap.Measured{}.Name(),
 				Gain:      cs.Step.Gain,
 				Cost:      cs.Step.Cost,
 				TotalV:    cs.Step.Moved.CTotal,
@@ -181,7 +182,7 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 			run.Epochs = append(run.Epochs, row)
 			if ledger != nil {
 				run.recs = append(run.recs, epochRecord(
-					pl.exp, pl.model, pricingMode(pl.measured),
+					pl.exp, pl.model, mode,
 					pl.p, i, cs, partition.EdgeCut(e.Dual, d.RootOwner)))
 			}
 			if each != nil {
@@ -194,9 +195,9 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	case spans != nil:
 		run.spans = new(bytes.Buffer)
 		opts := event.SpanOptions{Sink: run.spans,
-			Label: spanLabel(pl.exp, pl.model, pricingMode(pl.measured), pl.p)}
+			Label: spanLabel(pl.exp, pl.model, mode, pl.p)}
 		times, _, _ = msg.RunTracedSpans(pl.p, mod, opts, body)
-	case pl.measured || ledger != nil:
+	case cfg.Measured || ledger != nil:
 		times, _ = msg.RunTraced(pl.p, mod, body)
 	default:
 		times = msg.RunModel(pl.p, mod, body)

@@ -77,12 +77,13 @@ func (e *Experiments) feedbackPlan(p, cycles int, model string, measured bool) (
 		return epochPlan{}, err
 	}
 	pl := epochPlan{
-		exp: "feedback", model: model, p: p, cycles: cycles, measured: measured,
+		exp: "feedback", model: model, p: p, cycles: cycles,
 		cfg:          e.decisionConfig(),
 		indicator:    e.movingShock(cycles, 0.25),
 		frac:         constFrac(0.12),
 		coarsenBelow: 0.05,
 	}
+	pl.cfg.Measured = measured
 	pl.topo = topo
 	return pl, nil
 }

@@ -51,6 +51,7 @@ func (e *Experiments) implicitConfig() Config {
 func (e *Experiments) ImplicitScaling(cycles int) []ImplicitRow {
 	ind := e.Indicator()
 	cfg := e.implicitConfig()
+	cfg.Measured = e.Measured
 	if e.Measured {
 		// Measured-cost loop: decisions gate on the previous epoch's
 		// profile instead of always remapping.
@@ -62,7 +63,7 @@ func (e *Experiments) ImplicitScaling(cycles int) []ImplicitRow {
 	}
 	res := mustRunWorlds(e.Ps, func(p int) world {
 		pl := epochPlan{
-			exp: "implicit", model: e.ModelName, p: p, cycles: cycles, measured: e.Measured,
+			exp: "implicit", model: e.ModelName, p: p, cycles: cycles,
 			topo:      mustMachine(e.ModelName, p),
 			cfg:       cfg,
 			indicator: func(int) func(mesh.Vec3) float64 { return ind },

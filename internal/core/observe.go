@@ -3,6 +3,7 @@ package core
 import (
 	"plum/internal/event"
 	"plum/internal/obs"
+	"plum/internal/remap"
 )
 
 // The simulated-plane ledger hookup: experiments that drive full
@@ -13,26 +14,23 @@ import (
 // (or is a pure host computation over replicated state, like the
 // edge cut), so recording never touches a simulated clock.
 
-// pricingMode names how a decision or run was priced.
-func pricingMode(measured bool) string {
-	if measured {
-		return "measured"
-	}
-	return "analytic"
-}
-
 // epochRecord flattens one cycle's statistics into a ledger record.
 // edgeCut is partition.EdgeCut over the post-epoch ownership —
 // a host-side evaluation of replicated state, computed by the caller on
 // rank 0 only.  The profile fields stay zero on untraced runs.
 func epochRecord(exp, model, run string, p, cycle int, cs CycleStats, edgeCut int64) obs.EpochRecord {
+	pricing := cs.Step.Pricing
+	if pricing == "" {
+		// A balanced step priced no decision; the ledger names it analytic.
+		pricing = remap.Analytic{}.Name()
+	}
 	r := obs.EpochRecord{
 		Exp:     exp,
 		Model:   model,
 		Run:     run,
 		P:       p,
 		Cycle:   cycle,
-		Pricing: pricingMode(cs.Step.MeasuredDecision),
+		Pricing: pricing,
 
 		Balanced: cs.Step.Balanced,
 		Accepted: cs.Step.Accepted,

@@ -44,7 +44,7 @@ func (e *Experiments) scenarioPlan(sp *scenario.Spec, measured bool) (epochPlan,
 		return epochPlan{}, err
 	}
 	pl := epochPlan{
-		exp: scenarioExp(sp), model: sp.Model, p: sp.P, cycles: sp.Cycles, measured: measured,
+		exp: scenarioExp(sp), model: sp.Model, p: sp.P, cycles: sp.Cycles,
 		cfg:          e.decisionConfig(),
 		indicator:    sp.Indicator(scenario.Domain{LX: e.LX, LY: e.LY}),
 		frac:         sp.FracAt,
@@ -53,6 +53,7 @@ func (e *Experiments) scenarioPlan(sp *scenario.Spec, measured bool) (epochPlan,
 		dyn:          dyn,
 	}
 	pl.cfg.useMapper(mapper)
+	pl.cfg.Measured = measured
 	pl.topo = topo
 	return pl, nil
 }

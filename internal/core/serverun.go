@@ -135,7 +135,7 @@ func (e *Experiments) servedPlan(ws WorldSpec) (epochPlan, error) {
 		return pl, err
 	}
 	pl := epochPlan{
-		model: ws.Model, p: ws.P, cycles: ws.Cycles, measured: ws.Measured,
+		model: ws.Model, p: ws.P, cycles: ws.Cycles,
 		cfg:          e.Cfg,
 		indicator:    e.movingShock(ws.Cycles, 0.2+0.2*seedFrac(ws.Seed)),
 		frac:         constFrac(0.12),
@@ -146,6 +146,7 @@ func (e *Experiments) servedPlan(ws WorldSpec) (epochPlan, error) {
 		pl.cfg = e.decisionConfig()
 	}
 	pl.cfg.ForceAccept = false
+	pl.cfg.Measured = ws.Measured
 	pl.cfg.useMapper(ws.Mapper)
 	if ws.Frac > 0 {
 		pl.frac = constFrac(ws.Frac)

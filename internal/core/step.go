@@ -30,11 +30,11 @@ type StepStats struct {
 	Imbalance float64
 
 	// Gain and Cost are the two sides of the acceptance test as the
-	// decision actually priced them — analytic by default, measured when
-	// a profile was supplied.  Rank 0 only (the deciding rank); other
-	// ranks report zero.  MeasuredDecision records which pricing ran.
-	Gain, Cost       float64
-	MeasuredDecision bool
+	// decision actually priced them, and Pricing is the Name of the
+	// pricer that did.  Rank 0 only (the deciding rank); other ranks,
+	// and a step that found the mesh balanced, report zero values.
+	Gain, Cost float64
+	Pricing    string
 	// Repriced reports that the heterogeneous-shares re-price ran: the
 	// mapper's assignment disagreed with the provisional part j -> rank
 	// j mod P share keying, so the repartition and reassignment were
@@ -198,34 +198,17 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 	// broadcast, so every rank takes the same branch.
 	var acceptFlag int64
 	if c.Rank() == 0 {
-		gain := remap.ComputationalGain(cfg.Machine, cfg.NAdapt, st.WOldMax, st.WNewMax, 0)
-		cost := remap.RedistributionCost(cfg.Metric, st.Moved, cfg.Machine)
-		if !machine.Uniform(cfg.Topo) {
-			// Non-uniform network: price the redistribution with per-pair
-			// link constants so the decision sees the topology the data
-			// will actually cross.  Uniform topologies (flat, a single
-			// SMP node) keep the paper's Section 4.5 pricing — the two
-			// formulas are calibrated differently, and switching on a
-			// network with no pair structure would silently change the
-			// paper's accept/reject decisions, which the golden tests
-			// pin.
-			cost = remap.RedistributionCostTopo(cfg.Metric, s, assign, cfg.Machine, cfg.Topo)
+		pr := cfg.Pricer
+		if pr == nil {
+			pr = remap.Analytic{Machine: cfg.Machine, Topo: cfg.Topo}
 		}
-		if cfg.Profile != nil {
-			// Measured-cost feedback: the previous epoch's profile prices
-			// both sides of the decision.  The gain term uses the solve
-			// phase's measured per-iteration time under the current
-			// mapping (halo waits and contention included); the cost term
-			// uses per-message/per-byte/latency rates calibrated from the
-			// sends the epoch actually executed.  A nil profile — every
-			// first epoch, and every untraced or unmeasured run — takes
-			// the analytic branch above, bitwise unchanged.
-			gain = remap.MeasuredGain(cfg.Profile.PerIteration(), cfg.NAdapt, st.WOldMax, st.WNewMax)
-			cost = remap.RedistributionCostMeasured(cfg.Metric, s, assign, cfg.Machine, cfg.Topo, cfg.Profile.Rates)
-			st.MeasuredDecision = true
-		}
-		st.Gain, st.Cost = gain, cost
-		if cfg.ForceAccept || remap.Accept(gain, cost) {
+		st.Gain, st.Cost = pr.Price(remap.Decision{
+			Metric: cfg.Metric, NAdapt: cfg.NAdapt,
+			WOldMax: st.WOldMax, WNewMax: st.WNewMax,
+			S: s, Assign: assign, Moved: st.Moved,
+		})
+		st.Pricing = pr.Name()
+		if cfg.ForceAccept || remap.Accept(st.Gain, st.Cost) {
 			acceptFlag = 1
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"plum/internal/msg"
 	"plum/internal/pmesh"
 	"plum/internal/profile"
+	"plum/internal/remap"
 	"plum/internal/solver"
 )
 
@@ -54,12 +55,12 @@ type Unsteady struct {
 	StopEvery int
 
 	cycle int
-	// prof is the previous cycle's measured cost profile (rank 0 only;
-	// nil on other ranks, on untraced runs, and before the first solve
-	// phase completes).  Each cycle hands it to AdaptionStep's gain/cost
-	// decision and replaces it after the solve phase — the measured-cost
-	// feedback loop.
-	prof *profile.Profile
+	// pricer is the next cycle's measured pricer, built from this
+	// cycle's profile (rank 0 of a traced run with Cfg.Measured set;
+	// nil otherwise, and before the first solve phase completes).  Each
+	// cycle hands it to AdaptionStep's gain/cost decision and replaces
+	// it after the solve phase — the measured-cost feedback loop.
+	pricer remap.Pricer
 }
 
 // CycleStats extends the adaption statistics with solver accounting.
@@ -89,8 +90,9 @@ type CycleStats struct {
 	Blame *event.BlameReport
 
 	// Profile is the cost profile measured over this cycle (rank 0 of a
-	// traced run with Cfg.Measured set; nil otherwise).  The *next*
-	// cycle's gain/cost decision consumes it.
+	// traced run with Cfg.Measured or Cfg.Observe set; nil otherwise).
+	// Under Cfg.Measured the *next* cycle's gain/cost decision prices
+	// with it.
 	Profile *profile.Profile
 }
 
@@ -138,8 +140,8 @@ func (u *Unsteady) Cycle() CycleStats {
 	}
 	gv := u.G.WithWeights(u.G.WComp, u.G.WRemap)
 	cfg := u.Cfg
-	if c.Rank() == 0 {
-		cfg.Profile = u.prof
+	if u.pricer != nil {
+		cfg.Pricer = u.pricer
 	}
 	cs.Step = AdaptionStep(c, u.D, gv, ind, u.Frac, cfg)
 	// Rebuild only the active workload's solver: each rebuild performs
@@ -195,7 +197,8 @@ func (u *Unsteady) Cycle() CycleStats {
 		// decision; an Observe-only run records it (cs.Profile) and stays
 		// bitwise analytic.
 		if u.Cfg.Measured {
-			u.prof = p
+			u.pricer = remap.Measured{Machine: u.Cfg.Machine, Topo: u.Cfg.Topo,
+				PerIter: p.PerIteration(), Rates: p.Rates}
 		}
 		cs.Profile = p
 		// Blame the epoch's waits while the window is cut: the profile's

@@ -61,18 +61,6 @@ func (k RunKey) String() string {
 // alignment.
 func (k RunKey) modeless() RunKey { k.Run = ""; return k }
 
-// Verdict names an epoch's rebalancing outcome.
-func Verdict(e *obs.EpochRecord) string {
-	switch {
-	case e.Balanced:
-		return "balanced"
-	case e.Accepted:
-		return "accept"
-	default:
-		return "reject"
-	}
-}
-
 // EpochDelta is the exact difference of one aligned epoch pair
 // (current minus base).  DMakespan == DCompute + DOverhead + DWait +
 // DResidual exactly (DResidual is defined as the remainder).
@@ -454,8 +442,8 @@ func diffEpoch(b, c *obs.EpochRecord) EpochDelta {
 	tb, tc, approx := epochTime(b, c)
 	ed := EpochDelta{
 		Cycle:       b.Cycle,
-		VerdictBase: Verdict(b),
-		VerdictCur:  Verdict(c),
+		VerdictBase: obs.Verdict(b.Balanced, b.Accepted),
+		VerdictCur:  obs.Verdict(c.Balanced, c.Accepted),
 		PricingBase: b.Pricing,
 		PricingCur:  c.Pricing,
 		DTime:       tc - tb,

@@ -105,6 +105,19 @@ type EpochRecord struct {
 	Blame *BlameRecord `json:"blame,omitempty"`
 }
 
+// Verdict names an epoch's rebalancing outcome: "balanced" (the
+// evaluation step skipped the repartition), "accept" or "reject".
+func Verdict(balanced, accepted bool) string {
+	switch {
+	case balanced:
+		return "balanced"
+	case accepted:
+		return "accept"
+	default:
+		return "reject"
+	}
+}
+
 // BlameRecord attributes an epoch's critical-path wait time by culprit:
 // whose compute the path waited on, how much of the wait was queueing
 // on contended links vs irreducible wire latency, and the heaviest

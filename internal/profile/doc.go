@@ -13,9 +13,8 @@
 // protocol that caused them (halo exchange, collectives, migration),
 // the window's critical path and each rank's share of it, the solve
 // phase's per-iteration time, and link rates calibrated from the
-// observed sends (machine.CalibrateRates) — which the next epoch's
-// decision prices with (remap.MeasuredGain,
-// remap.RedistributionCostMeasured).
+// observed sends (machine.CalibrateRates) — from which the core driver
+// builds the next epoch's pricer (remap.Measured).
 //
 // Entry points.  FromTrace aggregates a half-open record window of an
 // event.Trace, and calibrates Profile.Rates when given the window's
@@ -39,7 +38,7 @@
 // deterministic (time, rank, seq) total order — so identical runs
 // produce bitwise-identical profiles regardless of GOMAXPROCS or
 // repetition (pinned by the golden test here and the measured-decision
-// determinism tests in internal/core).  A nil profile means "price
-// analytically": consumers fall back to the paper's formulas bitwise,
+// determinism tests in internal/core).  Without a profile the decision
+// prices analytically (remap.Analytic), bitwise the paper's formulas,
 // so untraced and unmeasured runs are unchanged.
 package profile

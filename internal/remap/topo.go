@@ -126,40 +126,12 @@ const wordBytes = 8
 
 // RedistributionCostTopo is the Section 4.5 redistribution estimate
 // priced with per-pair link constants instead of the flat Tlat/Tsetup
-// scalars: each transfer (processor i -> assign[j], weight w) costs
+// scalars: each transfer (processor i -> q = assign[j], weight w) costs
 //
 //	Setup(i,q) + M * w * wordBytes * PerByte(i,q) + Latency(i,q).
 //
 // TotalV sums every transfer (network-wide traffic); MaxV takes the
 // bottleneck processor's serialized send+receive time.
 func RedistributionCostTopo(metric Metric, s *Similarity, assign []int32, mach Machine, m machine.Model) float64 {
-	perRank := make([]float64, s.P)
-	var total float64
-	for i := 0; i < s.P; i++ {
-		for j := 0; j < s.NParts(); j++ {
-			w := s.S[i][j]
-			if w == 0 {
-				continue
-			}
-			q := int(assign[j])
-			if q == i {
-				continue
-			}
-			lp := m.Pair(i, q)
-			t := lp.Setup + float64(mach.M)*float64(w)*wordBytes*lp.PerByte + lp.Latency
-			total += t
-			perRank[i] += t
-			perRank[q] += t
-		}
-	}
-	if metric == TotalV {
-		return total
-	}
-	var max float64
-	for _, t := range perRank {
-		if t > max {
-			max = t
-		}
-	}
-	return max
+	return pairCost(metric, s, assign, mach, m.Pair)
 }
