@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +81,7 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	vtk, chrome := filepath.Join(dir, "viz.vtk"), filepath.Join(dir, "viz.trace.json")
+	chrome4 := filepath.Join(dir, "viz4.trace.json")
 	cases := []struct {
 		name string
 		args []string
@@ -96,6 +99,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"torn blame", []string{"-blame", tornCopy(t, dir, "torn_spans.jsonl", spanData)}, 0,
 			[]string{"(stream truncated", "Span census by phase"}, ""},
 		{"trace", []string{"-p", "2", "-o", vtk, "-trace", chrome}, 0,
+			[]string{"Per-rank cost profile", "Wait-blame"}, ""},
+		{"trace p4", []string{"-p", "4", "-o", vtk, "-trace", chrome4}, 0,
 			[]string{"Per-rank cost profile", "Wait-blame"}, ""},
 		{"missing ledger", []string{"-ledger", filepath.Join(dir, "nope.jsonl")}, 1,
 			nil, "no such file"},
@@ -130,4 +135,17 @@ func TestRunExitCodes(t *testing.T) {
 			t.Errorf("trace run left %s missing or empty (%v)", f, err)
 		}
 	}
+	// The P=4 Chrome trace — records, flow arrows and the phase spans
+	// nested over them — is pinned byte for byte.
+	data, err := os.ReadFile(chrome4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != chromeP4SHA256 {
+		t.Errorf("-p 4 -trace Chrome file SHA-256 = %x, want %s", sum, chromeP4SHA256)
+	}
 }
+
+// chromeP4SHA256 is the SHA-256 of the Chrome file `plumviz -p 4
+// -trace` writes.
+const chromeP4SHA256 = "d5cffd1449382565e2fe29a29d603d79fdc2ac08412245ad3fdd80f14df618d4"

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,6 +86,21 @@ func TestSpanFileDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("span file differs between GOMAXPROCS 1 and 8 (%d vs %d bytes)",
 			len(serial), len(parallel))
+	}
+}
+
+// spanFileSHA256 is the SHA-256 of the shared serial sweep's span file
+// (Ps 1, 2 and 4, two implicit cycles each).  It pins every byte the
+// span layer writes — which spans each epoch cut carries, their order,
+// depths and times, and the blame lines — so a change to how spans are
+// recorded or written must reproduce the stream exactly.
+const spanFileSHA256 = "543591b35387a0c618bf5f68acfcca94347c93007b1389e5d07c964e6d838aa4"
+
+// TestSpanFileGolden: the span file's bytes equal the pinned stream.
+func TestSpanFileGolden(t *testing.T) {
+	sum := sha256.Sum256(spanSweeps(t).serial)
+	if got := hex.EncodeToString(sum[:]); got != spanFileSHA256 {
+		t.Errorf("span file SHA-256 = %s, want %s", got, spanFileSHA256)
 	}
 }
 
