@@ -115,18 +115,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := core.DefaultConfig()
 
 	// Event recording costs memory proportional to the run; only pay it
-	// when the timeline was actually requested.  The traced run also
-	// collects the phase spans in memory (nil sink), so the Chrome
-	// export can nest each rank's records under its phases.
-	run := func(fn func(*msg.Comm)) ([]float64, *event.Trace, *event.SpanLog) {
+	// when the timeline was actually requested.  The trace also keeps
+	// the phase spans, so the Chrome export can nest each rank's records
+	// under its phases.
+	run := func(fn func(*msg.Comm)) ([]float64, *event.Trace) {
 		if *tracePath == "" {
-			return msg.RunModel(*p, msg.SP2Model(), fn), nil, nil
+			return msg.RunModel(*p, msg.SP2Model(), fn), nil
 		}
-		return msg.RunTracedSpans(*p, msg.SP2Model(), event.SpanOptions{}, fn)
+		return msg.RunTraced(*p, msg.SP2Model(), fn)
 	}
 
 	var failed error
-	times, trace, spans := run(func(c *msg.Comm) {
+	times, trace := run(func(c *msg.Comm) {
 		d := pmesh.New(c, global, initPart, solver.NComp)
 		ps := solver.NewParallel(d)
 		ps.InitParallel(solver.GaussianPulse(mesh.Vec3{2, 1.5, 1}, 0.6))
@@ -158,8 +158,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(failed)
 	}
 	if *tracePath != "" {
-		all := spans.All()
-		if err := trace.WriteChromeFile(*tracePath, all); err != nil {
+		spans := event.RankMajor(trace.P, trace.Spans)
+		if err := trace.WriteChromeFile(*tracePath, spans); err != nil {
 			return fail(err)
 		}
 		// The numeric counterpart of the timeline: each rank's cost
@@ -168,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// (internal/profile).
 		prof := profile.FromTrace(trace, 0, len(trace.Records), nil)
 		fmt.Fprintf(stdout, "wrote %s (%d events, %d phase spans, makespan %.4fs: %.4fs compute, %.4fs overhead, %.4fs comm wait on the critical path)\n",
-			*tracePath, len(trace.Records), len(all), msg.MaxTime(times),
+			*tracePath, len(trace.Records), len(spans), msg.MaxTime(times),
 			prof.PathCompute, prof.PathOverhead, prof.PathWait)
 		t := report.NewTable("Per-rank cost profile (simulated seconds)",
 			"Rank", "compute", "overhead", "halo wait", "coll wait",

@@ -19,16 +19,7 @@ const baselineLedger = "../../ci/LEDGER_baseline.jsonl"
 func writeSpanFile(t *testing.T, dir string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	s := event.NewSpanLog(2, event.SpanOptions{
-		Sink:  &buf,
-		Label: map[string]string{"exp": "viz_test", "p": "2"},
-	})
-	s.Begin(0, event.PhaseSolve, 0)
-	s.Begin(0, event.PhaseHalo, 0.5)
-	s.End(0, 1)
-	s.End(0, 2)
-	s.Begin(1, event.PhaseMigrate, 0)
-	s.End(1, 3)
+	s := event.NewSpanLog(&buf, 2, map[string]string{"exp": "viz_test", "p": "2"})
 	blame := &event.BlameReport{P: 2, Wait: 0.75}
 	blame.ByKind[event.BlameContention] = 0.75
 	blame.Lag = make([][]float64, 2)
@@ -36,11 +27,13 @@ func writeSpanFile(t *testing.T, dir string) string {
 		blame.Lag[i] = make([]float64, event.NumPhases)
 	}
 	blame.Lag[1][event.PhaseMigrate] = 0.5
-	s.CutEpoch(blame)
-	s.Begin(1, event.PhaseSolve, 3)
-	s.End(1, 4)
-	s.CutEpoch(nil)
-	if err := s.Close(); err != nil {
+	s.Cut([]event.Span{
+		{Rank: 1, Phase: event.PhaseMigrate, T0: 0, T1: 3},
+		{Rank: 0, Phase: event.PhaseHalo, Depth: 1, T0: 0.5, T1: 1},
+		{Rank: 0, Phase: event.PhaseSolve, T0: 0, T1: 2},
+	}, blame)
+	s.Cut([]event.Span{{Rank: 1, Phase: event.PhaseSolve, T0: 3, T1: 4}}, nil)
+	if err := s.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "spans.jsonl")

@@ -138,6 +138,14 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	if cfg.Measured {
 		mode = remap.Measured{}.Name()
 	}
+	// The span stream: rank 0 writes each cycle's window of the trace's
+	// spans, and the spans after the last cut close the stream.
+	var sl *event.SpanLog
+	cut := 0
+	if spans != nil {
+		run.spans = new(bytes.Buffer)
+		sl = event.NewSpanLog(run.spans, pl.p, spanLabel(pl.exp, pl.model, mode, pl.p))
+	}
 	body := func(c *msg.Comm) {
 		d := pmesh.New(c, e.Global, initPart, solver.NComp)
 		u := NewUnsteady(d, e.Dual, cfg)
@@ -160,6 +168,10 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 			}
 			u.Frac = pl.frac(i)
 			cs := u.Cycle()
+			if sl != nil && c.Rank() == 0 {
+				sl.Cut(cs.Spans, cs.Blame)
+				cut += len(cs.Spans)
+			}
 			if cs.Stopped {
 				stopped = true
 				return
@@ -191,15 +203,14 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 		}
 	}
 	var times []float64
-	switch {
-	case spans != nil:
-		run.spans = new(bytes.Buffer)
-		opts := event.SpanOptions{Sink: run.spans,
-			Label: spanLabel(pl.exp, pl.model, mode, pl.p)}
-		times, _, _ = msg.RunTracedSpans(pl.p, mod, opts, body)
-	case cfg.Measured || ledger != nil:
-		times, _ = msg.RunTraced(pl.p, mod, body)
-	default:
+	if cfg.Measured || cfg.Observe {
+		var tr *event.Trace
+		times, tr = msg.RunTraced(pl.p, mod, body)
+		if sl != nil {
+			// A bytes.Buffer sink cannot fail.
+			_ = sl.Close(tr.Spans[cut:])
+		}
+	} else {
 		times = msg.RunModel(pl.p, mod, body)
 	}
 	run.SimTime = msg.MaxTime(times)

@@ -61,6 +61,9 @@ type Unsteady struct {
 	// cycle hands it to AdaptionStep's gain/cost decision and replaces
 	// it after the solve phase — the measured-cost feedback loop.
 	pricer remap.Pricer
+	// spanCut is how many of the trace's spans earlier cycles' windows
+	// (CycleStats.Spans) covered (rank 0 of a traced run).
+	spanCut int
 }
 
 // CycleStats extends the adaption statistics with solver accounting.
@@ -88,6 +91,12 @@ type CycleStats struct {
 	// waited, charged to a lagging sender's compute, a contended link,
 	// wire latency, or idleness (event.WaitBlame).
 	Blame *event.BlameReport
+	// Spans are the phase spans every rank completed since the previous
+	// cycle's cut, in the trace's order (rank 0 of a traced run; nil
+	// otherwise).  The cut falls after the solve loop, so a span another
+	// rank opened before it and closes after it lands in the next
+	// cycle's window.
+	Spans []event.Span
 
 	// Profile is the cost profile measured over this cycle (rank 0 of a
 	// traced run with Cfg.Measured or Cfg.Observe set; nil otherwise).
@@ -202,12 +211,10 @@ func (u *Unsteady) Cycle() CycleStats {
 		}
 		cs.Profile = p
 		// Blame the epoch's waits while the window is cut: the profile's
-		// critical path, attributed culprit by culprit.  The span log
-		// (when this run streams spans) closes its epoch with the summary.
+		// critical path, attributed culprit by culprit.
 		cs.Blame = event.WaitBlame(win, &p.Path)
-		if sl := c.Spans(); sl != nil {
-			sl.CutEpoch(cs.Blame)
-		}
+		cs.Spans = tr.Spans[u.spanCut:]
+		u.spanCut = len(tr.Spans)
 	}
 	maxW := c.AllreduceInt64(int64(cs.SolverWork), msg.MaxInt64)
 	sumW := c.AllreduceInt64(int64(cs.SolverWork), msg.SumInt64)

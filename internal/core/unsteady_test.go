@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"plum/internal/adapt"
 	"plum/internal/dual"
+	"plum/internal/event"
 	"plum/internal/mesh"
 	"plum/internal/msg"
 	"plum/internal/partition"
@@ -61,6 +63,57 @@ func TestUnsteadyDriver(t *testing.T) {
 			t.Errorf("cycle counter = %d", u.CycleNumber())
 		}
 	})
+}
+
+// TestCycleSpanWindows: on a traced, observed world rank 0's cycle
+// windows (CycleStats.Spans) tile the trace's spans from the start,
+// each picking up where the previous cut left off, and the spans the
+// closing collectives complete after the last cut are left over.
+// Other ranks, and every rank of an untraced world, get no window.
+func TestCycleSpanWindows(t *testing.T) {
+	const p = 2
+	global := mesh.Box(6, 4, 2, 1.8, 1.2, 0.6)
+	g := dual.FromMesh(global)
+	initPart := partition.Partition(g, p, partition.Default())
+	cfg := DefaultConfig()
+	cfg.Observe = true
+	var windows [][]event.Span
+	body := func(c *msg.Comm) {
+		d := pmesh.New(c, global, initPart, solver.NComp)
+		u := NewUnsteady(d, g, cfg)
+		u.Indicator = func(int) func(mesh.Vec3) float64 {
+			return adapt.ShockCylinderIndicator(
+				mesh.Vec3{0.9, 0.6, 0}, mesh.Vec3{0, 0, 1}, 0.3, 0.15)
+		}
+		u.PS.InitParallel(solver.GaussianPulse(mesh.Vec3{0.9, 0.6, 0.3}, 0.4))
+		for i := 0; i < 2; i++ {
+			cs := u.Cycle()
+			if c.Rank() == 0 {
+				windows = append(windows, cs.Spans)
+			} else if cs.Spans != nil {
+				t.Errorf("rank %d cycle %d: got a span window", c.Rank(), i)
+			}
+		}
+	}
+	_, tr := msg.RunTraced(p, msg.SP2Model(), body)
+	var tiled []event.Span
+	for i, w := range windows {
+		if len(w) == 0 {
+			t.Errorf("cycle %d: empty span window", i)
+		}
+		tiled = append(tiled, w...)
+	}
+	if n := len(tiled); n >= len(tr.Spans) || !reflect.DeepEqual(tiled, tr.Spans[:n]) {
+		t.Errorf("windows hold %d spans, not a proper prefix of the trace's %d", n, len(tr.Spans))
+	}
+
+	windows = nil
+	msg.RunModel(p, msg.SP2Model(), body)
+	for i, w := range windows {
+		if w != nil {
+			t.Errorf("untraced cycle %d: got %d spans", i, len(w))
+		}
+	}
 }
 
 func TestPartitionQualityMetrics(t *testing.T) {

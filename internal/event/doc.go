@@ -21,12 +21,14 @@
 //
 // Entry points.  NewEngine + Run execute the processes (the msg runtime
 // is the only intended caller); Yield / Block / Wake are the three
-// process-side primitives; Trace accumulates Records and exports
-// Chrome-tracing JSON, phase spans optionally layered on (WriteChrome,
-// WriteChromeFile); CriticalPath walks a trace back from its makespan
-// and decomposes the bounding chain into compute, message overhead, and
-// comm wait — the decomposition the measured-cost feedback loop
-// (internal/profile) aggregates.
+// process-side primitives; Trace accumulates Records and the completed
+// phase Spans and exports Chrome-tracing JSON, phase spans optionally
+// layered on (WriteChrome, WriteChromeFile); SpanLog writes a window of
+// spans per epoch as a JSONL stream and ReadSpans reads it back;
+// CriticalPath walks a trace back from its makespan and decomposes the
+// bounding chain into compute, message overhead, and comm wait — the
+// decomposition the measured-cost feedback loop (internal/profile)
+// aggregates.
 //
 // Invariants.  Keys processed by the scheduler are nondecreasing in
 // time (a running process only inserts keys at or after its own current

@@ -2,11 +2,13 @@ package event
 
 // Causal span layer: each rank's timeline, segmented into typed, nested
 // phase spans (solver iteration, halo exchange, collective, SPAI setup,
-// refine/coarsen, repartition, migrate).  Spans are pure observation —
-// opening or closing one never touches a simulated clock — and epoch
-// cuts flush each epoch's completed spans to the sink in canonical
-// rank-major order.  Because every mutation happens while the owning
-// rank holds the engine's execution token, the stream is deterministic:
+// refine/coarsen, repartition, migrate).  The runtime's per-rank phase
+// stack (msg.Comm.PushPhase/PopPhase) is the only recorder: on a traced
+// world each closed phase is appended to Trace.Spans in the engine's
+// total order, like Records.  Spans are pure observation — opening or
+// closing one never touches a simulated clock.  SpanLog only writes: a
+// caller cuts a window of Trace.Spans per epoch and the log serializes
+// it in canonical rank-major order, so the stream is deterministic,
 // byte-equal across repeat runs and across GOMAXPROCS.
 
 import (
@@ -68,83 +70,36 @@ type Span struct {
 	Rank  int
 	Phase Phase
 	Depth int // nesting depth: 0 = outermost
-	Epoch int // adaption epoch the span was flushed in
+	Epoch int // epoch the span was written in (span files; 0 in a trace)
 	T0    float64
 	T1    float64
 }
 
-// SpanOptions configures a SpanLog.
-type SpanOptions struct {
-	// Sink receives the serialized span stream (JSONL).  Nil keeps all
-	// spans resident for All().
-	Sink io.Writer
-	// Label annotates the stream header (experiment, model, run, P...).
-	Label map[string]string
-}
-
-// SpanLog collects one world's spans.  All methods must be called while
-// the acting rank holds the execution token (straight-line rank code),
-// which serializes every mutation in the engine's deterministic order.
+// SpanLog writes one world's span stream: a header, one cut per epoch
+// (its spans, then its blame summary) and a trailer.  It holds no
+// spans; the world's trace records them (Trace.Spans), and the caller
+// hands each epoch's window to Cut.
 type SpanLog struct {
-	P    int
-	opts SpanOptions
-
-	open [][]Span // per-rank stack of open spans
-	done [][]Span // per-rank completed spans
-	cut  []int    // per-rank count of done spans already stamped/flushed
-
+	sink    io.Writer
+	p       int
 	epoch   int
 	written int64 // spans serialized to the sink
-	closed  bool
 	err     error
 }
 
-// NewSpanLog creates a span log for a P-rank world and writes the
-// stream header.
-func NewSpanLog(p int, opts SpanOptions) *SpanLog {
-	s := &SpanLog{
-		P:    p,
-		opts: opts,
-		open: make([][]Span, p),
-		done: make([][]Span, p),
-		cut:  make([]int, p),
-	}
-	s.writeLine(spanHdr{K: "hdr", Schema: SpanSchemaVersion, P: p, Label: opts.Label})
+// NewSpanLog starts a P-rank world's stream on sink by writing its
+// header; label annotates the header (experiment, model, run, P...).
+func NewSpanLog(sink io.Writer, p int, label map[string]string) *SpanLog {
+	s := &SpanLog{sink: sink, p: p}
+	s.writeLine(spanHdr{K: "hdr", Schema: SpanSchemaVersion, P: p, Label: label})
 	return s
 }
 
-// Begin opens a span of the given phase on rank at simulated time t.
-func (s *SpanLog) Begin(rank int, ph Phase, t float64) {
-	st := s.open[rank]
-	s.open[rank] = append(st, Span{Rank: rank, Phase: ph, Depth: len(st), T0: t})
-}
-
-// End closes rank's innermost open span at simulated time t and files
-// it as completed.
-func (s *SpanLog) End(rank int, t float64) {
-	st := s.open[rank]
-	if len(st) == 0 {
-		panic("event: SpanLog.End without matching Begin")
-	}
-	sp := st[len(st)-1]
-	s.open[rank] = st[:len(st)-1]
-	sp.T1 = t
-	s.done[rank] = append(s.done[rank], sp)
-}
-
-// CutEpoch ends the current epoch: every completed span is stamped
-// with the epoch and flushed to the sink in canonical rank-major order,
-// followed by the epoch's blame summary (nil: plain flush).
-func (s *SpanLog) CutEpoch(blame *BlameReport) {
-	for rank := 0; rank < s.P; rank++ {
-		for i := s.cut[rank]; i < len(s.done[rank]); i++ {
-			s.writeSpan(&s.done[rank][i])
-		}
-		if s.opts.Sink != nil {
-			s.done[rank] = s.done[rank][:0]
-		}
-		s.cut[rank] = len(s.done[rank])
-	}
+// Cut ends the current epoch: spans are written in canonical rank-major
+// order stamped with the epoch, followed by the epoch's blame summary
+// (nil: none).
+func (s *SpanLog) Cut(spans []Span, blame *BlameReport) {
+	s.writeSpans(spans)
 	if blame != nil {
 		eb := blame.Summary(s.epoch, blameTopK)
 		s.writeLine(&eb)
@@ -152,62 +107,55 @@ func (s *SpanLog) CutEpoch(blame *BlameReport) {
 	s.epoch++
 }
 
-// writeSpan stamps a span with the epoch being cut and writes its line.
-func (s *SpanLog) writeSpan(sp *Span) {
-	sp.Epoch = s.epoch
-	s.written++
-	s.writeLine(spanLine{
-		K: "span", E: sp.Epoch, R: sp.Rank, Ph: sp.Phase.String(),
-		D: sp.Depth, T0: sp.T0, T1: sp.T1,
-	})
-}
-
-// Close flushes any spans completed after the last epoch cut and
-// writes the stream trailer (epochs, spans written).
-func (s *SpanLog) Close() error {
-	if s.closed {
-		return s.err
-	}
-	s.closed = true
-	s.CutEpoch(nil)
-	s.epoch-- // the final flush is a trailer, not a new epoch
+// Close writes tail — the spans completed after the last cut — and the
+// stream trailer (epochs, spans written).  The tail is a trailer, not
+// a new epoch: its spans carry the number of the epoch after the last
+// cut.
+func (s *SpanLog) Close(tail []Span) error {
+	s.writeSpans(tail)
 	s.writeLine(spanEnd{K: "end", Epochs: s.epoch, Spans: s.written})
 	return s.err
 }
 
-// All returns the resident completed spans in canonical rank-major
-// order.  With a nil sink (the in-memory mode plumviz -trace uses)
-// this is every span of the run; with a sink it is only the spans not
-// yet flushed.
-func (s *SpanLog) All() []Span {
-	var out []Span
-	for rank := 0; rank < s.P; rank++ {
-		out = append(out, s.done[rank]...)
+func (s *SpanLog) writeSpans(spans []Span) {
+	for _, sp := range RankMajor(s.p, spans) {
+		s.written++
+		s.writeLine(spanLine{
+			K: "span", E: s.epoch, R: sp.Rank, Ph: sp.Phase.String(),
+			D: sp.Depth, T0: sp.T0, T1: sp.T1,
+		})
+	}
+}
+
+// RankMajor returns a copy of a P-rank world's spans ordered by rank,
+// each rank's spans in their given order: the canonical order span
+// streams and Chrome exports list them in.
+func RankMajor(p int, spans []Span) []Span {
+	next := make([]int, p+1)
+	for _, sp := range spans {
+		next[sp.Rank+1]++
+	}
+	for r := 1; r <= p; r++ {
+		next[r] += next[r-1]
+	}
+	out := make([]Span, len(spans))
+	for _, sp := range spans {
+		out[next[sp.Rank]] = sp
+		next[sp.Rank]++
 	}
 	return out
 }
 
-// Err returns the first sink write error, if any.
-func (s *SpanLog) Err() error { return s.err }
-
-func (s *SpanLog) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-}
-
+// writeLine writes one JSONL line, keeping the first error for Close.
 func (s *SpanLog) writeLine(v any) {
-	if s.opts.Sink == nil {
+	if s.err != nil {
 		return
 	}
 	line, err := json.Marshal(v)
-	if err != nil {
-		s.fail(err)
-		return
+	if err == nil {
+		_, err = s.sink.Write(append(line, '\n'))
 	}
-	if _, err := s.opts.Sink.Write(append(line, '\n')); err != nil {
-		s.fail(err)
-	}
+	s.err = err
 }
 
 // blameTopK bounds the per-epoch blame summary serialized into span

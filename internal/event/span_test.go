@@ -9,61 +9,23 @@ import (
 	"unicode"
 )
 
-// TestSpanLogNesting: Begin/End maintain a per-rank stack; completed
-// spans carry their nesting depth and flush rank-major.
-func TestSpanLogNesting(t *testing.T) {
-	s := NewSpanLog(2, SpanOptions{})
-	s.Begin(0, PhaseRefine, 0)
-	s.Begin(0, PhaseHalo, 1)
-	s.End(0, 2) // halo, depth 1
-	s.End(0, 3) // refine, depth 0
-	s.Begin(1, PhaseSolve, 0)
-	s.End(1, 5)
-	all := s.All()
-	if len(all) != 3 {
-		t.Fatalf("got %d spans, want 3", len(all))
-	}
-	want := []Span{
-		{Rank: 0, Phase: PhaseHalo, Depth: 1, T0: 1, T1: 2},
-		{Rank: 0, Phase: PhaseRefine, Depth: 0, T0: 0, T1: 3},
-		{Rank: 1, Phase: PhaseSolve, Depth: 0, T0: 0, T1: 5},
-	}
-	for i, w := range want {
-		if all[i] != w {
-			t.Errorf("span %d = %+v, want %+v", i, all[i], w)
-		}
-	}
-}
-
-func TestSpanEndWithoutBeginPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("End without Begin did not panic")
-		}
-	}()
-	NewSpanLog(1, SpanOptions{}).End(0, 1)
-}
-
-// TestReadSpansRoundTrip: a multi-epoch stream with blame lines parses
-// back with every field intact.
+// TestReadSpansRoundTrip: a stream with a blame line parses back with
+// every field intact, its cut written rank-major whatever order the
+// window held the spans in.
 func TestReadSpansRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSpanLog(2, SpanOptions{
-		Sink:  &buf,
-		Label: map[string]string{"exp": "test", "p": "2"},
-	})
-	s.Begin(0, PhaseRepartition, 1)
-	s.End(0, 2)
-	s.Begin(1, PhaseMigrate, 1.5)
-	s.End(1, 3)
+	s := NewSpanLog(&buf, 2, map[string]string{"exp": "test", "p": "2"})
 	blame := &BlameReport{P: 2, Wait: 1.25}
 	blame.ByKind[BlameContention] = 1.25
 	blame.Lag = make([][]float64, 2)
 	for i := range blame.Lag {
 		blame.Lag[i] = make([]float64, NumPhases)
 	}
-	s.CutEpoch(blame)
-	if err := s.Close(); err != nil {
+	s.Cut([]Span{
+		{Rank: 1, Phase: PhaseMigrate, T0: 1.5, T1: 3},
+		{Rank: 0, Phase: PhaseRepartition, T0: 1, T1: 2},
+	}, blame)
+	if err := s.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,13 +72,9 @@ func TestReadSpansRoundTrip(t *testing.T) {
 // intact; corruption in the middle still fails.
 func TestReadSpansTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSpanLog(1, SpanOptions{Sink: &buf})
-	s.Begin(0, PhaseSolve, 0)
-	s.End(0, 1)
-	s.Begin(0, PhaseSolve, 2)
-	s.End(0, 3)
-	s.CutEpoch(nil)
-	if err := s.Close(); err != nil {
+	s := NewSpanLog(&buf, 1, nil)
+	s.Cut([]Span{{Phase: PhaseSolve, T0: 0, T1: 1}, {Phase: PhaseSolve, T0: 2, T1: 3}}, nil)
+	if err := s.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -162,11 +120,9 @@ func TestReadSpansTruncation(t *testing.T) {
 func TestSpanMultiStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 2; i++ {
-		s := NewSpanLog(1, SpanOptions{Sink: &buf})
-		s.Begin(0, PhaseCollective, 0)
-		s.End(0, 1)
-		s.CutEpoch(nil)
-		if err := s.Close(); err != nil {
+		s := NewSpanLog(&buf, 1, nil)
+		s.Cut([]Span{{Phase: PhaseCollective, T0: 0, T1: 1}}, nil)
+		if err := s.Close(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -70,6 +70,10 @@ type Record struct {
 type Trace struct {
 	P       int // world size
 	Records []Record
+	// Spans are the completed phase spans of every rank, appended as
+	// each phase closes (msg.Comm.PopPhase), in the same engine total
+	// order as Records.  A span still open when the run ends is absent.
+	Spans []Span
 }
 
 // Add appends a record.  Appends are serialized by the engine's

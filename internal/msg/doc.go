@@ -32,7 +32,10 @@
 // when Topo is nil; RunTraced additionally records every
 // clock-advancing operation into an event.Trace, which Comm.Trace
 // exposes to running ranks — the source of the measured-cost feedback
-// loop's profiles.  Every collective runs under event.PhaseCollective,
+// loop's profiles.  PushPhase/PopPhase keep each rank's one stack of
+// open phases: every trace record carries the innermost open phase, and
+// on a traced world each closed phase joins the trace as an event.Span
+// (Trace.Spans).  Every collective runs under event.PhaseCollective,
 // so its trace records carry the phase the profile aggregator buckets
 // their waits by.
 //

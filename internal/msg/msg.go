@@ -117,13 +117,12 @@ const numSizeClasses = 48
 type World struct {
 	size    int
 	boxes   []mailbox
-	topo    machine.Model  // the run's machine, never nil
-	twork   float64        // seconds per compute work unit (0: untimed)
-	eng     *event.Engine  // the execution substrate
-	trace   *event.Trace   // nil unless the run is traced
-	spans   *event.SpanLog // nil unless the run records phase spans
-	msgSeq  int64          // message ids for trace edges
-	waiting []waitState    // per-rank blocked-receive state
+	topo    machine.Model // the run's machine, never nil
+	twork   float64       // seconds per compute work unit (0: untimed)
+	eng     *event.Engine // the execution substrate
+	trace   *event.Trace  // nil unless the run is traced
+	msgSeq  int64         // message ids for trace edges
+	waiting []waitState   // per-rank blocked-receive state
 
 	// Runtime free lists.  All pool operations happen while the caller
 	// holds the execution token, so — like the mailboxes — they need no
@@ -244,11 +243,19 @@ type Comm struct {
 	clock   Clock
 	collSeq int // collective sequence number, advances in lockstep
 
-	// phases is the rank's open-phase stack; curPhase caches its top so
-	// the record-stamping hot paths read one field.  Maintained on every
-	// run (a few appends per cycle), consumed by traced ones.
-	phases   []event.Phase
+	// phases is the rank's open-phase stack: each entry is a span
+	// waiting for its end.  curPhase caches the top's phase so the
+	// record-stamping hot paths read one field.  Maintained on every run
+	// (a few appends per cycle), consumed by traced ones.
+	phases   []openPhase
 	curPhase event.Phase
+}
+
+// openPhase is one entry of a rank's phase stack: the phase and the
+// simulated time it opened at.
+type openPhase struct {
+	phase event.Phase
+	t0    float64
 }
 
 // Rank returns this processor's rank in [0, Size).
@@ -271,38 +278,33 @@ func (c *Comm) Elapsed() float64 { return c.clock.Now }
 // bitwise-reproducible profile windows out of a live trace.
 func (c *Comm) Trace() *event.Trace { return c.world.trace }
 
-// Spans returns the world's span log, or nil when the run does not
-// record phase spans (everything but RunTracedSpans).  Like Trace, it
-// is safe to use only from straight-line rank code.
-func (c *Comm) Spans() *event.SpanLog { return c.world.spans }
-
-// PushPhase opens a phase on this rank: subsequent trace records are
-// stamped with it, and when the run records spans a span opens at the
-// rank's current simulated time.  Phases nest; every PushPhase must be
-// matched by a PopPhase on the same rank.  Pure observation — the
-// simulated clock never moves.
+// PushPhase opens a phase on this rank at its current simulated time:
+// subsequent trace records are stamped with it.  Phases nest; every
+// PushPhase must be matched by a PopPhase on the same rank.  Pure
+// observation — the simulated clock never moves.
 func (c *Comm) PushPhase(ph event.Phase) {
-	c.phases = append(c.phases, ph)
+	c.phases = append(c.phases, openPhase{phase: ph, t0: c.clock.Now})
 	c.curPhase = ph
-	if sl := c.world.spans; sl != nil {
-		sl.Begin(c.rank, ph, c.clock.Now)
-	}
 }
 
-// PopPhase closes the innermost open phase on this rank.
+// PopPhase closes the innermost open phase on this rank; on a traced
+// run the completed span joins the trace (event.Trace.Spans).
 func (c *Comm) PopPhase() {
 	n := len(c.phases) - 1
 	if n < 0 {
 		panic("msg: PopPhase without matching PushPhase")
 	}
+	op := c.phases[n]
 	c.phases = c.phases[:n]
 	if n > 0 {
-		c.curPhase = c.phases[n-1]
+		c.curPhase = c.phases[n-1].phase
 	} else {
 		c.curPhase = event.PhaseNone
 	}
-	if sl := c.world.spans; sl != nil {
-		sl.End(c.rank, c.clock.Now)
+	if tr := c.world.trace; tr != nil {
+		tr.Spans = append(tr.Spans, event.Span{
+			Rank: c.rank, Phase: op.phase, Depth: n, T0: op.t0, T1: c.clock.Now,
+		})
 	}
 }
 
@@ -488,32 +490,20 @@ func Run(p int, fn func(*Comm)) {
 // the final simulated clock value of each rank.  A nil model is the zero
 // model: every charge is 0 and all clocks remain zero.
 func RunModel(p int, model *CostModel, fn func(*Comm)) []float64 {
-	times, _, _ := runWorld(p, model, false, nil, fn)
+	times, _ := runWorld(p, model, false, fn)
 	return times
 }
 
 // RunTraced is RunModel with event tracing enabled: every clock-advancing
 // operation of every rank is recorded, message sends are linked to the
-// receives that consumed them, and the returned trace supports
-// critical-path extraction (event.CriticalPath) and Chrome-tracing export
-// (Trace.WriteChrome).
+// receives that consumed them, every closed phase is kept as a span, and
+// the returned trace supports critical-path extraction
+// (event.CriticalPath) and Chrome-tracing export (Trace.WriteChrome).
 func RunTraced(p int, model *CostModel, fn func(*Comm)) ([]float64, *event.Trace) {
-	times, tr, _ := runWorld(p, model, true, nil, fn)
-	return times, tr
+	return runWorld(p, model, true, fn)
 }
 
-// RunTracedSpans is RunTraced with the causal span layer enabled: the
-// world carries an event.SpanLog configured by opts, Comm.PushPhase /
-// PopPhase record into it, and the log is closed (final flush + stream
-// trailer) when the run completes.  Span recording is observation-only
-// — simulated clocks, traces, and results are bitwise identical with
-// spans on or off — and the stream is deterministic because every span
-// mutation happens under the engine's execution token.
-func RunTracedSpans(p int, model *CostModel, opts event.SpanOptions, fn func(*Comm)) ([]float64, *event.Trace, *event.SpanLog) {
-	return runWorld(p, model, true, &opts, fn)
-}
-
-func runWorld(p int, model *CostModel, traced bool, spanOpts *event.SpanOptions, fn func(*Comm)) ([]float64, *event.Trace, *event.SpanLog) {
+func runWorld(p int, model *CostModel, traced bool, fn func(*Comm)) ([]float64, *event.Trace) {
 	if p <= 0 {
 		panic("msg: world size must be positive")
 	}
@@ -539,9 +529,6 @@ func runWorld(p int, model *CostModel, traced bool, spanOpts *event.SpanOptions,
 	if traced {
 		w.trace = &event.Trace{P: p}
 		w.trace.Grow(64 * p)
-	}
-	if spanOpts != nil {
-		w.spans = event.NewSpanLog(p, *spanOpts)
 	}
 	comms := make([]*Comm, p)
 	for i := range comms {
@@ -578,14 +565,9 @@ func runWorld(p int, model *CostModel, traced bool, spanOpts *event.SpanOptions,
 	if len(deadlocked) > 0 {
 		panic(&DeadlockError{Ranks: deadlocked})
 	}
-	if w.spans != nil {
-		if err := w.spans.Close(); err != nil {
-			panic(fmt.Sprintf("msg: span sink: %v", err))
-		}
-	}
 	times := make([]float64, p)
 	for i, cm := range comms {
 		times[i] = cm.clock.Now
 	}
-	return times, w.trace, w.spans
+	return times, w.trace
 }

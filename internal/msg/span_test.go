@@ -37,14 +37,122 @@ func fatTreeModel(p int) *CostModel {
 	return SP2Model().WithTopo(topo)
 }
 
+// TestSpanNesting: every closed phase joins the trace with its nesting
+// depth and its open and close times, in the engine's order;
+// event.RankMajor lists them rank by rank, each rank in its own order.
+func TestSpanNesting(t *testing.T) {
+	_, tr := RunTraced(2, &CostModel{TWork: 1}, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.PushPhase(event.PhaseSolve)
+			c.Compute(5)
+			c.PopPhase()
+			c.Send(0, 0, nil)
+			return
+		}
+		c.PushPhase(event.PhaseRefine)
+		c.Compute(1)
+		c.PushPhase(event.PhaseHalo)
+		c.Recv(1, 0) // rank 1's solve span closes while this one waits
+		c.Compute(1)
+		c.PopPhase()
+		c.Compute(1)
+		c.PopPhase()
+	})
+	if len(tr.Spans) != 3 || tr.Spans[0].Rank != 1 {
+		t.Fatalf("trace spans = %+v, want 3 with rank 1's first", tr.Spans)
+	}
+	want := []event.Span{
+		{Rank: 0, Phase: event.PhaseHalo, Depth: 1, T0: 1, T1: 6},
+		{Rank: 0, Phase: event.PhaseRefine, Depth: 0, T0: 0, T1: 7},
+		{Rank: 1, Phase: event.PhaseSolve, Depth: 0, T0: 0, T1: 5},
+	}
+	for i, sp := range event.RankMajor(2, tr.Spans) {
+		if sp != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+}
+
+// TestPopPhaseWithoutPushPanics: closing a phase no PushPhase opened
+// is a program error, raised as the rank's panic.
+func TestPopPhaseWithoutPushPanics(t *testing.T) {
+	defer func() {
+		rp, ok := recover().(*RankPanic)
+		if !ok || rp.Rank != 1 || rp.Value != "msg: PopPhase without matching PushPhase" {
+			t.Fatalf("recovered %#v, want rank 1's PopPhase panic", rp)
+		}
+	}()
+	Run(2, func(c *Comm) {
+		c.PushPhase(event.PhaseSolve)
+		c.PopPhase()
+		if c.Rank() == 1 {
+			c.PopPhase()
+		}
+	})
+}
+
+// TestSpanStraddlesCut: a span rank 1 opened before rank 0 cut the
+// epoch and closed after the cut is written in the next epoch, with its
+// original T0 and depth.
+func TestSpanStraddlesCut(t *testing.T) {
+	var buf bytes.Buffer
+	sl := event.NewSpanLog(&buf, 2, nil)
+	cut := 0
+	cutEpoch := func(tr *event.Trace) {
+		sl.Cut(tr.Spans[cut:], nil)
+		cut = len(tr.Spans)
+	}
+	_, tr := RunTraced(2, &CostModel{TWork: 1}, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.PushPhase(event.PhaseMigrate)
+			c.Compute(1)
+			c.PushPhase(event.PhaseHalo)
+			c.Send(0, 0, nil)
+			c.Recv(0, 1) // rank 0 cuts epoch 0 meanwhile
+			c.PopPhase()
+			c.PopPhase()
+			c.Send(0, 2, nil)
+			return
+		}
+		c.Recv(1, 0)
+		c.PushPhase(event.PhaseSolve)
+		c.Compute(2)
+		c.PopPhase()
+		cutEpoch(c.Trace())
+		c.Send(1, 1, nil)
+		c.Recv(1, 2)
+		cutEpoch(c.Trace())
+	})
+	if err := sl.Close(tr.Spans[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	worlds, err := event.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []event.Span{
+		{Rank: 0, Phase: event.PhaseSolve, Depth: 0, Epoch: 0, T0: 1, T1: 3},
+		{Rank: 1, Phase: event.PhaseHalo, Depth: 1, Epoch: 1, T0: 1, T1: 3},
+		{Rank: 1, Phase: event.PhaseMigrate, Depth: 0, Epoch: 1, T0: 0, T1: 3},
+	}
+	w := worlds[0]
+	if len(w.Spans) != len(want) || w.Epochs != 2 || w.Written != 3 || !w.Complete {
+		t.Fatalf("stream = %+v, want 3 spans over 2 epochs", w)
+	}
+	for i, sp := range w.Spans {
+		if sp != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+}
+
 // TestSpanPhaseNesting: the phase stack produces properly nested spans
 // and stamps every record with its innermost open phase.
 func TestSpanPhaseNesting(t *testing.T) {
 	const p = 8
-	_, tr, sl := RunTracedSpans(p, fatTreeModel(p), event.SpanOptions{}, spanWorkload)
-	spans := sl.All()
+	_, tr := RunTraced(p, fatTreeModel(p), spanWorkload)
 	byPhase := map[event.Phase]int{}
-	for _, sp := range spans {
+	for _, sp := range tr.Spans {
 		byPhase[sp.Phase]++
 		if sp.T1 < sp.T0 {
 			t.Errorf("span %+v runs backwards", sp)
@@ -79,18 +187,18 @@ func TestSpanStreamDeterministicRepeat(t *testing.T) {
 	const p = 8
 	stream := func() string {
 		var buf bytes.Buffer
-		_, _, sl := RunTracedSpans(p, fatTreeModel(p),
-			event.SpanOptions{Sink: &buf, Label: map[string]string{"exp": "t"}},
-			func(c *Comm) {
-				spanWorkload(c)
-				if c.Rank() == 0 {
-					tr := c.Trace()
-					sub := &event.Trace{P: c.Size(), Records: tr.Records}
-					cp := event.CriticalPath(sub)
-					c.Spans().CutEpoch(event.WaitBlame(sub, &cp))
-				}
-			})
-		if err := sl.Err(); err != nil {
+		sl := event.NewSpanLog(&buf, p, map[string]string{"exp": "t"})
+		cut := 0
+		_, tr := RunTraced(p, fatTreeModel(p), func(c *Comm) {
+			spanWorkload(c)
+			if c.Rank() == 0 {
+				tr := c.Trace()
+				cp := event.CriticalPath(tr)
+				cut = len(tr.Spans)
+				sl.Cut(tr.Spans, event.WaitBlame(tr, &cp))
+			}
+		})
+		if err := sl.Close(tr.Spans[cut:]); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -101,15 +209,16 @@ func TestSpanStreamDeterministicRepeat(t *testing.T) {
 	}
 }
 
-// TestSpansDoNotPerturb: recording spans must not move a single
-// simulated clock — rank times are bitwise identical across the plain,
-// traced, and traced+spans runs.
+// TestSpansDoNotPerturb: recording records and spans must not move a
+// single simulated clock — rank times are bitwise identical across the
+// plain and traced runs.
 func TestSpansDoNotPerturb(t *testing.T) {
 	const p = 8
 	plain := RunModel(p, fatTreeModel(p), spanWorkload)
-	var buf bytes.Buffer
-	spanned, _, _ := RunTracedSpans(p, fatTreeModel(p),
-		event.SpanOptions{Sink: &buf}, spanWorkload)
+	spanned, tr := RunTraced(p, fatTreeModel(p), spanWorkload)
+	if len(tr.Spans) == 0 {
+		t.Fatal("traced run recorded no spans")
+	}
 	for r := range plain {
 		if plain[r] != spanned[r] {
 			t.Errorf("rank %d: plain %v != spanned %v (must be bitwise identical)",

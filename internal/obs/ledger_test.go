@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -214,4 +215,36 @@ func TestReadLedgerLenient(t *testing.T) {
 	if _, _, err := ReadLedgerFile(p, true); err == nil {
 		t.Error("mid-file corruption parsed leniently without error")
 	}
+}
+
+// FuzzReadLedger: ReadLedger reads untrusted files (plumdiff, plumviz
+// -ledger).  No input may panic it, and leniency only ever adds: an
+// input the strict read accepts reads leniently to the same ledger,
+// not truncated.
+func FuzzReadLedger(f *testing.F) {
+	base, err := os.ReadFile("../../ci/LEDGER_baseline.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(base, []byte("\n"))
+	head := bytes.Join(lines[:3], nil) // manifest and two epochs, no end
+	f.Add(head)
+	f.Add(head[:len(head)-len(lines[2])/2]) // the second epoch torn
+	f.Add(append(bytes.Join(lines[:2], nil), `{"kind":"end","epochs":1}`+"\n"...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		strict, strictTrunc, strictErr := ReadLedger(bytes.NewReader(data), false)
+		lenient, trunc, err := ReadLedger(bytes.NewReader(data), true)
+		if strictErr != nil {
+			return
+		}
+		if strictTrunc {
+			t.Fatal("strict read reported truncation")
+		}
+		if err != nil || trunc {
+			t.Fatalf("strict read succeeded, lenient read: truncated=%v err=%v", trunc, err)
+		}
+		if !reflect.DeepEqual(strict, lenient) {
+			t.Fatalf("lenient ledger differs from strict:\n got %+v\nwant %+v", lenient, strict)
+		}
+	})
 }
