@@ -75,8 +75,9 @@ scenario-baseline:
 # exp-snapshot writes the stdout of `plumbench -exp all` under the
 # default, smp, fattree and hetero models, of `-exp implicit -measured`,
 # of `-exp implicit -model fattree` with its span and trace files, of
-# `-exp scenarios`, and of `plumviz -p 4 -trace` with its trace file
-# under OUT (~1 min on 2 cores).  Whether a change moved
+# `-exp scenarios`, of `-paper -exp fig6` (the partitioner at paper
+# scale), and of `plumviz -p 4 -trace` with its trace file under OUT
+# (~1.5 min on 2 cores).  Whether a change moved
 # any printed number is then one `diff -r` between the snapshot of its
 # parent and its own.  Table 2's three time columns (Opt, Heu and BMCM
 # time) are host wall-clock: they always differ, even between two runs

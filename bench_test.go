@@ -34,7 +34,7 @@ func benchExperiments(b *testing.B) *core.Experiments {
 func BenchmarkRepartitionSeeding(b *testing.B) {
 	e := benchExperiments(b)
 	g := e.Dual
-	prev := partition.Partition(g, 8, partition.Default())
+	prev := partition.Partition(g, 8, partition.Options{})
 	wc := make([]int64, g.NumVerts())
 	wr := make([]int64, g.NumVerts())
 	for v := range wc {
@@ -54,9 +54,9 @@ func BenchmarkRepartitionSeeding(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var part []int32
 				if seeded {
-					part = partition.Repartition(gw, 8, prev, partition.Default())
+					part = partition.Repartition(gw, 8, prev, partition.Options{})
 				} else {
-					part = partition.Partition(gw, 8, partition.Default())
+					part = partition.Partition(gw, 8, partition.Options{})
 				}
 				moved := 0
 				for v := range part {
@@ -78,7 +78,7 @@ func BenchmarkFGranularity(b *testing.B) {
 	e := benchExperiments(b)
 	g := e.Dual
 	p := 8
-	prev := partition.Partition(g, p, partition.Default())
+	prev := partition.Partition(g, p, partition.Options{})
 	wc := make([]int64, g.NumVerts())
 	wr := make([]int64, g.NumVerts())
 	for v := range wc {
@@ -89,7 +89,7 @@ func BenchmarkFGranularity(b *testing.B) {
 	for _, f := range []int{1, 2, 4} {
 		b.Run("F="+itoa(f), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				newPart := partition.Repartition(gw, p*f, prev, partition.Default())
+				newPart := partition.Repartition(gw, p*f, prev, partition.Options{})
 				// Owner per vertex under F partitions per processor.
 				owner := make([]int32, g.NumVerts())
 				for v := range owner {
@@ -113,7 +113,7 @@ func BenchmarkAgglomeration(b *testing.B) {
 		b.Run("size="+itoa(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cg, cmap := dual.Agglomerate(e.Dual, size)
-				cpart := partition.Partition(cg, 8, partition.Default())
+				cpart := partition.Partition(cg, 8, partition.Options{})
 				part := dual.ProjectPartition(cpart, cmap)
 				b.ReportMetric(float64(partition.EdgeCut(e.Dual, part)), "edge-cut")
 				b.ReportMetric(partition.Imbalance(e.Dual, part, 8), "imbalance")

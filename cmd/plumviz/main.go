@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	global := mesh.Box(16, 12, 8, 4.0, 3.0, 2.0)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, *p, partition.Default())
+	initPart := partition.Partition(g, *p, partition.Options{})
 	ind := adapt.ShockCylinderIndicator(mesh.Vec3{2.0, 1.5, 0}, mesh.Vec3{0, 0, 1}, 0.9, 0.4)
 	cfg := core.DefaultConfig()
 

@@ -31,7 +31,7 @@ func Example_quickstart() {
 	// 2. The dual graph drives all load balancing; its size never
 	// changes, no matter how far the mesh is refined.
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	fmt.Printf("dual graph: %d vertices, %d edges; initial edge cut %d, imbalance %.3f\n",
 		g.NumVerts(), g.NumEdges(), partition.EdgeCut(g, initPart), partition.Imbalance(g, initPart, p))
 

@@ -36,7 +36,7 @@ func Example_rotor() {
 	)
 	global := mesh.Box(16, 8, 6, lx, ly, 1.2)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := core.DefaultConfig()
 	cfg.ForceAccept = false // let the gain/cost model decide
 	cfg.NAdapt = iters

@@ -28,7 +28,7 @@ func Example_unsteady() {
 	)
 	global := mesh.Box(20, 8, 5, lx, ly, 1.25)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := core.DefaultConfig()
 	cfg.NAdapt = 8
 	cfg.ForceAccept = false

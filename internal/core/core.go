@@ -173,7 +173,7 @@ func DefaultConfig() Config {
 		RemapBefore:        true,
 		ImbalanceThreshold: 1.10,
 		ForceAccept:        true,
-		PartOpts:           partition.Default(),
+		PartOpts:           partition.Options{},
 		Workload:           WorkloadExplicit,
 		Implicit:           solver.DefaultImplicitOptions(),
 	}

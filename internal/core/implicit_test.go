@@ -20,7 +20,7 @@ func runImplicitCycles(t *testing.T, p, cycles int, kind linalg.PrecondKind) ([]
 	const lx, ly = 3.0, 2.0
 	global := mesh.Box(6, 4, 3, lx, ly, 1.0)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := DefaultConfig()
 	cfg.Workload = WorkloadImplicit
 	cfg.NAdapt = 1

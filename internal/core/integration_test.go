@@ -26,7 +26,7 @@ func TestFullFrameworkMultiCycle(t *testing.T) {
 	)
 	global := mesh.Box(9, 6, 4, lx, ly, 1.0)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := DefaultConfig()
 	cfg.ForceAccept = false
 

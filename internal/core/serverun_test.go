@@ -113,7 +113,7 @@ func TestUnsteadyStopMidEpoch(t *testing.T) {
 	const p = 4
 	global := mesh.Box(8, 6, 4, 2.4, 1.8, 1.2)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := DefaultConfig()
 	cfg.NAdapt = 20
 	cfg.ForceAccept = false

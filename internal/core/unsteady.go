@@ -50,9 +50,6 @@ type Unsteady struct {
 	// and experiment paths leave Stop nil, which skips the checkpoints
 	// entirely and keeps the golden-pinned schedules untouched.
 	Stop func() bool
-	// StopEvery is the solver-iteration cadence of the Stop checkpoints
-	// (<= 0: every 8 iterations).
-	StopEvery int
 
 	cycle int
 	// pricer is the next cycle's measured pricer, built from this
@@ -233,6 +230,9 @@ func (u *Unsteady) Cycle() CycleStats {
 // CycleNumber returns how many cycles have completed.
 func (u *Unsteady) CycleNumber() int { return u.cycle }
 
+// stopEvery is the solver-iteration cadence of the Stop checkpoints.
+const stopEvery = 8
+
 // stopCheckpoint is the mid-epoch cooperative cancellation point: after
 // solver iteration it (of n) it decides collectively whether to abandon
 // the remaining iterations.  With no Stop hook it is free — no message,
@@ -246,11 +246,7 @@ func (u *Unsteady) stopCheckpoint(c *msg.Comm, it, n int) bool {
 	if u.Stop == nil || it+1 >= n {
 		return false
 	}
-	every := u.StopEvery
-	if every <= 0 {
-		every = 8
-	}
-	if (it+1)%every != 0 {
+	if (it+1)%stopEvery != 0 {
 		return false
 	}
 	return CollectiveStop(c, u.Stop)

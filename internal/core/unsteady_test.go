@@ -19,7 +19,7 @@ func TestUnsteadyDriver(t *testing.T) {
 	const p = 4
 	global := mesh.Box(8, 6, 4, 2.4, 1.8, 1.2)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := DefaultConfig()
 	cfg.NAdapt = 4
 	cfg.ForceAccept = false
@@ -74,7 +74,7 @@ func TestCycleSpanWindows(t *testing.T) {
 	const p = 2
 	global := mesh.Box(6, 4, 2, 1.8, 1.2, 0.6)
 	g := dual.FromMesh(global)
-	initPart := partition.Partition(g, p, partition.Default())
+	initPart := partition.Partition(g, p, partition.Options{})
 	cfg := DefaultConfig()
 	cfg.Observe = true
 	var windows [][]event.Span
@@ -118,7 +118,7 @@ func TestCycleSpanWindows(t *testing.T) {
 
 func TestPartitionQualityMetrics(t *testing.T) {
 	g := dual.FromMesh(mesh.Box(4, 4, 4, 1, 1, 1))
-	part := partition.Partition(g, 4, partition.Default())
+	part := partition.Partition(g, 4, partition.Options{})
 	cut, vol := partition.EdgeCut(g, part), partition.CommVolume(g, part)
 	if cut <= 0 || vol <= 0 {
 		t.Fatalf("degenerate quality: edge cut %d, comm volume %d", cut, vol)

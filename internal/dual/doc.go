@@ -16,7 +16,11 @@
 // Entry points.  FromMesh derives the graph from an initial mesh;
 // WithWeights produces a per-rank weight view sharing the replicated
 // topology; SetWeights installs freshly gathered weights before a
-// repartition.
+// repartition.  Contract is the one graph contraction — the multilevel
+// partitioner's every coarsening level and Agglomerate's superelements
+// both build their coarse graph with it, hash-free and optionally into
+// a caller's reused buffer; ProjectPartition maps a coarse partition
+// back through the same fine-to-coarse map.
 //
 // Invariants.  The graph topology never changes after construction —
 // adaption only updates weights — and vertex order equals initial-mesh

@@ -13,6 +13,8 @@ type Graph struct {
 	AdjWgt []int64 // edge weights, parallel to Adjncy
 	WComp  []int64 // computational weight per vertex
 	WRemap []int64 // remapping weight per vertex
+
+	scratch []int32 // Contract's workspace while this graph is its target
 }
 
 // NumVerts returns the number of graph vertices.
@@ -179,73 +181,97 @@ func Agglomerate(g *Graph, size int) (*Graph, []int32) {
 		}
 		nc++
 	}
-	return contract(g, cmap, int(nc)), cmap
+	cg, _ := Contract(g, cmap, int(nc), nil)
+	return cg, cmap
 }
 
-// Contract builds the coarse graph induced by cmap (nc coarse vertices),
-// summing vertex weights and parallel edge weights and dropping
-// self-loops.  Used both by Agglomerate and by the multilevel
-// partitioner's coarsening phase.
-func Contract(g *Graph, cmap []int32, nc int) *Graph { return contract(g, cmap, nc) }
+// Contract builds the coarse graph induced by cmap, which maps each of
+// g's vertices to one of nc coarse vertices: vertex weights and parallel
+// edge weights are summed and self-loops dropped.  Coarse vertex cv's
+// row is built from its fine members in ascending id (a counting sort by
+// cmap), listing each coarse neighbour where it first occurs; parallel
+// edges merge there through a per-coarse-vertex slot array, so no hash
+// table is needed.  It returns the coarse graph and the number of fine
+// adjacency entries folded into it (those joining two different coarse
+// vertices).
+//
+// into, when non-nil, receives the coarse graph, its slices reused where
+// their capacity allows: a caller alternating two buffers coarsens level
+// after level without allocating.  into must not share storage with g.
+func Contract(g *Graph, cmap []int32, nc int, into *Graph) (*Graph, int) {
+	cg := into
+	if cg == nil {
+		cg = &Graph{}
+	}
+	n := len(cmap)
+	cg.scratch = resize(cg.scratch, n+2*nc)
+	end, members, slot := cg.scratch[:nc], cg.scratch[nc:nc+n], cg.scratch[nc+n:]
+	// Counting sort: end[cv] first holds where cv's members start, then,
+	// once they are placed, where they end.
+	clear(end)
+	for _, cv := range cmap {
+		end[cv]++
+	}
+	var at int32
+	for cv, cnt := range end {
+		end[cv], at = at, at+cnt
+	}
+	for v, cv := range cmap {
+		members[end[cv]] = int32(v)
+		end[cv]++
+	}
+	for i := range slot {
+		slot[i] = -1
+	}
 
-// contract implements Contract.
-func contract(g *Graph, cmap []int32, nc int) *Graph {
-	cg := &Graph{
-		Xadj:   make([]int32, nc+1),
-		WComp:  make([]int64, nc),
-		WRemap: make([]int64, nc),
+	cg.Xadj = resize(cg.Xadj, nc+1)
+	cg.WComp, cg.WRemap = resize(cg.WComp, nc), resize(cg.WRemap, nc)
+	if cap(cg.Adjncy) < len(g.Adjncy) {
+		cg.Adjncy, cg.AdjWgt = make([]int32, 0, len(g.Adjncy)), make([]int64, 0, len(g.Adjncy))
 	}
-	type edge struct {
-		u, v int32
-	}
-	wmap := make(map[edge]int64)
-	for v := int32(0); v < int32(len(cmap)); v++ {
-		cv := cmap[v]
-		cg.WComp[cv] += g.WComp[v]
-		cg.WRemap[cv] += g.WRemap[v]
-		nbs := g.Neighbors(v)
-		wts := g.EdgeWeights(v)
-		for i, u := range nbs {
-			cu := cmap[u]
-			if cu == cv {
-				continue
+	adj, wgt := cg.Adjncy[:0], cg.AdjWgt[:0]
+	folded := 0
+	first := int32(0)
+	cg.Xadj[0] = 0
+	for cv := int32(0); cv < int32(nc); cv++ {
+		// Slots written for earlier rows point below this row's start,
+		// so they need no clearing between rows.
+		rowStart := int32(len(adj))
+		var wc, wr int64
+		for _, f := range members[first:end[cv]] {
+			wc += g.WComp[f]
+			wr += g.WRemap[f]
+			wts := g.EdgeWeights(f)
+			for i, u := range g.Neighbors(f) {
+				cu := cmap[u]
+				if cu == cv {
+					continue
+				}
+				folded++
+				if s := slot[cu]; s >= rowStart {
+					wgt[s] += wts[i]
+				} else {
+					slot[cu] = int32(len(adj))
+					adj = append(adj, cu)
+					wgt = append(wgt, wts[i])
+				}
 			}
-			wmap[edge{cv, cu}] += wts[i]
 		}
+		first = end[cv]
+		cg.WComp[cv], cg.WRemap[cv] = wc, wr
+		cg.Xadj[cv+1] = int32(len(adj))
 	}
-	// Build CSR from the map deterministically.
-	deg := make([]int32, nc)
-	for e := range wmap {
-		deg[e.u]++
+	cg.Adjncy, cg.AdjWgt = adj, wgt
+	return cg, folded
+}
+
+// resize returns s with length n, reusing its storage when the capacity
+// allows (the contents are then stale).
+func resize[T int32 | int64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for c := 0; c < nc; c++ {
-		cg.Xadj[c+1] = cg.Xadj[c] + deg[c]
-	}
-	cg.Adjncy = make([]int32, cg.Xadj[nc])
-	cg.AdjWgt = make([]int64, cg.Xadj[nc])
-	pos := make([]int32, nc)
-	copy(pos, cg.Xadj[:nc])
-	// Deterministic: iterate fine vertices in order, insert first
-	// occurrence of each coarse edge.
-	seen := make(map[edge]bool, len(wmap))
-	for v := int32(0); v < int32(len(cmap)); v++ {
-		cv := cmap[v]
-		for _, u := range g.Neighbors(v) {
-			cu := cmap[u]
-			if cu == cv {
-				continue
-			}
-			e := edge{cv, cu}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			cg.Adjncy[pos[cv]] = cu
-			cg.AdjWgt[pos[cv]] = wmap[e]
-			pos[cv]++
-		}
-	}
-	return cg
+	return s[:n]
 }
 
 // ProjectPartition maps a coarse partition back to fine vertices through

@@ -26,7 +26,7 @@ func overlapSolve(t *testing.T, p int, overlap bool) (Result, *event.Trace) {
 	global := mesh.Box(3, 3, 2, 3, 3, 2)
 	ind := adapt.SphericalIndicator(mesh.Vec3{1.5, 1.5, 1}, 0.8, 0.5)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, p, partition.Default())
+	part := partition.Partition(g, p, partition.Options{})
 	var res Result
 	_, tr := msg.RunTraced(p, msg.SP2Model(), func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, 0)
@@ -101,7 +101,7 @@ func TestHaloRecordsCarryHaloPhase(t *testing.T) {
 func TestSplitRowsPartitionsAll(t *testing.T) {
 	global := mesh.Box(3, 3, 2, 3, 3, 2)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 4, partition.Default())
+	part := partition.Partition(g, 4, partition.Options{})
 	msg.Run(4, func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, 0)
 		sys := NewDistSystem(d, testShift, testScale)

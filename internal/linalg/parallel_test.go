@@ -64,7 +64,7 @@ func TestDistributedMatchesSerialBitwise(t *testing.T) {
 			t.Fatalf("%v: serial reference did not converge", kind)
 		}
 		for _, p := range []int{1, 2, 4, 8} {
-			part := partition.Partition(g, p, partition.Default())
+			part := partition.Partition(g, p, partition.Options{})
 			msg.Run(p, func(c *msg.Comm) {
 				d := pmesh.New(c, global, part, 0)
 				le := d.M.EdgeErrorGeometric(ind)
@@ -122,7 +122,7 @@ func TestDistributedOperatorMatchesSerial(t *testing.T) {
 
 	g := dual.FromMesh(global)
 	for _, p := range []int{2, 4, 8} {
-		part := partition.Partition(g, p, partition.Default())
+		part := partition.Partition(g, p, partition.Options{})
 		rowsSeen := make([]int64, p)
 		msg.Run(p, func(c *msg.Comm) {
 			d := pmesh.New(c, global, part, 0)
@@ -171,7 +171,7 @@ func TestDistributedOperatorMatchesSerial(t *testing.T) {
 func TestDistributedDeterministic(t *testing.T) {
 	global := mesh.Box(2, 2, 2, 2, 2, 2)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 3, partition.Default())
+	part := partition.Partition(g, 3, partition.Options{})
 	run := func() []float64 {
 		var hist []float64
 		msg.Run(3, func(c *msg.Comm) {
@@ -205,7 +205,7 @@ func TestDistributedDeterministic(t *testing.T) {
 func TestScatterFieldConsistent(t *testing.T) {
 	global := mesh.Box(2, 2, 2, 2, 2, 2)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 4, partition.Default())
+	part := partition.Partition(g, 4, partition.Options{})
 	msg.Run(4, func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, 1)
 		sys := NewDistSystem(d, 1, 1)

@@ -260,7 +260,7 @@ type LedgerFile struct {
 // never reports truncated.
 func ReadLedger(r io.Reader, lenient bool) (*LedgerFile, bool, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lf := &LedgerFile{}
 	line := 0
 	sawEnd := false

@@ -217,6 +217,49 @@ func TestReadLedgerLenient(t *testing.T) {
 	}
 }
 
+// TestReadLedgerLongLines: an epoch line longer than the reader's
+// initial 64 KiB buffer (p = 1024 rank shares) reads both strictly and
+// leniently, and a lenient read of the ledger cut inside that line keeps
+// the epochs before it.
+func TestReadLedgerLongLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	l, err := Create(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := testEpoch(1024, 1)
+	for r := range wide.Ranks {
+		wide.Ranks[r] = RankShare{Compute: 0.125 * float64(r), Overhead: 1e-3, WaitHalo: 2e-3,
+			WaitColl: 3e-3, WaitMig: 4e-3, WaitOther: 5e-3, PathShare: 1.0 / 1024}
+	}
+	l.Add(testEpoch(2, 0), wide)
+	if err := l.Close(nil, "sum"); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(full, []byte("\n"))
+	if len(lines[2]) <= 1<<16 {
+		t.Fatalf("the p=1024 epoch line is %d bytes, not longer than 64 KiB", len(lines[2]))
+	}
+	for _, lenient := range []bool{false, true} {
+		lf, trunc, err := ReadLedger(bytes.NewReader(full), lenient)
+		if err != nil || trunc {
+			t.Fatalf("lenient=%v: trunc=%v err=%v", lenient, trunc, err)
+		}
+		if len(lf.Epochs) != 2 || !reflect.DeepEqual(lf.Epochs[1].Ranks, wide.Ranks) {
+			t.Errorf("lenient=%v: the p=1024 epoch did not round-trip", lenient)
+		}
+	}
+	cut := len(lines[0]) + len(lines[1]) + 2 + len(lines[2])/2
+	lf, trunc, err := ReadLedger(bytes.NewReader(full[:cut]), true)
+	if err != nil || !trunc || len(lf.Epochs) != 1 {
+		t.Errorf("cut inside the long line: trunc=%v err=%v, want the first epoch kept", trunc, err)
+	}
+}
+
 // FuzzReadLedger: ReadLedger reads untrusted files (plumdiff, plumviz
 // -ledger).  No input may panic it, and leniency only ever adds: an
 // input the strict read accepts reads leniently to the same ledger,

@@ -40,7 +40,7 @@ func TestCommVolumeMatchesReference(t *testing.T) {
 	// A real partition and two adversarial ones: all-one-part (zero
 	// volume) and a scattered pseudo-random spread over many parts.
 	parts := [][]int32{
-		Partition(g, 7, Default()),
+		Partition(g, 7, Options{}),
 		make([]int32, g.NumVerts()),
 		make([]int32, g.NumVerts()),
 	}

@@ -14,16 +14,17 @@ import (
 // pattern:
 //
 //  1. Every rank owns a contiguous block of dual-graph vertices and
-//     coarsens it *recursively* with local heavy-edge matching (several
-//     levels, no communication) — work shrinks roughly as 1/P.  Each
-//     level is a CSR graph (xadj/adj/wgt); two such buffers, sized by the
-//     block's level-0 adjacency, alternate as the current and the next
-//     level, so the coarsening makes a fixed number of allocations
-//     whatever the block size or the number of levels.
+//     coarsens it *recursively* (several levels, no communication) —
+//     work shrinks roughly as 1/P.  The levels use the serial
+//     partitioner's coarsener, heavyEdgeMatching plus dual.Contract,
+//     contracting into two alternating dual.Graph buffers sized by the
+//     block's level-0 adjacency, so the coarsening makes a fixed number
+//     of allocations whatever the block size or the number of levels.
 //  2. The host gathers each rank's fine-to-coarse map and the coarse
-//     subgraph sizes, assembles the global coarse graph (resolving
-//     cross-block edges), and partitions it with the serial multilevel
-//     code, seeded by the previous assignment.
+//     subgraph sizes, assembles the global coarse graph with the same
+//     dual.Contract (resolving cross-block edges), and partitions it
+//     with the serial multilevel code, seeded by the previous
+//     assignment when there is one.
 //  3. Coarse assignments return to their ranks, are projected through
 //     the local coarsening hierarchy, and the fine assignment is
 //     replicated with one gather + broadcast.
@@ -56,7 +57,6 @@ func blockRange(n, p, r int) (lo, hi int) {
 // initial partition.  Per-rank compute costs are charged to the simulated
 // clock through c.Compute.
 func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Options) ParallelRepartitionResult {
-	opt = opt.withDefaults()
 	n := g.NumVerts()
 	p := c.Size()
 	lo, hi := blockRange(n, p, c.Rank())
@@ -104,25 +104,8 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 			offset += int32(vals[0])
 		}
 		nc := int(offset)
-		coarse := dual.Contract(g, gcmap, nc)
-		var cprev []int32
-		if prev != nil {
-			cprev = make([]int32, nc)
-			for i := range cprev {
-				cprev[i] = -1
-			}
-			for v, cv := range gcmap {
-				if cprev[cv] < 0 {
-					cprev[cv] = prev[v]
-				}
-			}
-		}
-		var cpart []int32
-		if cprev != nil {
-			cpart = Repartition(coarse, k, cprev, opt)
-		} else {
-			cpart = Partition(coarse, k, opt)
-		}
+		coarse, _ := dual.Contract(g, gcmap, nc, nil)
+		cpart := Repartition(coarse, k, coarsePrev(prev, gcmap, nc), opt)
 		part = dual.ProjectPartition(cpart, gcmap)
 		// Host compute charge: contraction over the fine adjacency plus
 		// multilevel partitioning of the coarse graph.
@@ -170,26 +153,16 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 	return ParallelRepartitionResult{Part: out, CoarseVerts: coarseVerts}
 }
 
-// csrLevel is one level of the local coarsening hierarchy: row v's
-// neighbours are adj[xadj[v]:xadj[v+1]], with edge weights at the same
-// positions of wgt.
-type csrLevel struct {
-	xadj, adj []int32
-	wgt       []int64
-}
-
 // localMultilevelCoarsen recursively applies heavy-edge matching to the
 // subgraph induced on [lo,hi) until at most target coarse vertices
 // remain or matching stalls.  Returns the block-relative fine-to-coarse
-// map and the abstract work performed (edges visited).
+// map and the abstract work performed: every adjacency entry the
+// matching visits counts 1, every one the contraction folds counts 0.5.
 //
-// Levels only shrink, so the two CSR buffers sized by the block's
-// level-0 adjacency serve every level.  Coarse vertex cv's row is built
-// from its (at most two) fine members in ascending order, merging
-// parallel edges at their first occurrence through a per-coarse-vertex
-// slot array.  Matching picks the heaviest edge, then the lowest id, so
-// cmap does not depend on the order within a row, and work counts
-// edges, so it is exact in any order.
+// Levels only shrink, so two dual.Graph buffers sized by the block's
+// level-0 adjacency alternate as the current level and dual.Contract's
+// target, and the coarsening makes a fixed number of allocations
+// whatever the block size or the number of levels.
 func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, work float64) {
 	nloc := hi - lo
 	cmap = make([]int32, nloc)
@@ -199,71 +172,31 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 	if nloc == 0 {
 		return cmap, 0
 	}
-	// Level-0 adjacency restricted to the block, in block-relative ids.
 	nnz := int(g.Xadj[hi] - g.Xadj[lo])
-	cur := csrLevel{make([]int32, 1, nloc+1), make([]int32, 0, nnz), make([]int64, 0, nnz)}
+	buffer := func() *dual.Graph {
+		return &dual.Graph{Xadj: make([]int32, 0, nloc+1), Adjncy: make([]int32, 0, nnz),
+			AdjWgt: make([]int64, 0, nnz), WComp: make([]int64, 0, nloc), WRemap: make([]int64, 0, nloc)}
+	}
+	cur, next := buffer(), buffer()
+	// Level 0: the subgraph induced on the block, in block-relative ids.
+	cur.Xadj = append(cur.Xadj, 0)
 	for v := lo; v < hi; v++ {
 		wts := g.EdgeWeights(int32(v))
 		for i, u := range g.Neighbors(int32(v)) {
 			if int(u) >= lo && int(u) < hi {
-				cur.adj = append(cur.adj, u-int32(lo))
-				cur.wgt = append(cur.wgt, wts[i])
+				cur.Adjncy = append(cur.Adjncy, u-int32(lo))
+				cur.AdjWgt = append(cur.AdjWgt, wts[i])
 			}
 		}
-		cur.xadj = append(cur.xadj, int32(len(cur.adj)))
+		cur.Xadj = append(cur.Xadj, int32(len(cur.Adjncy)))
 	}
-	next := csrLevel{make([]int32, 0, nloc+1), make([]int32, 0, nnz), make([]int64, 0, nnz)}
+	cur.WComp = append(cur.WComp, g.WComp[lo:hi]...)
+	cur.WRemap = append(cur.WRemap, g.WRemap[lo:hi]...)
 	match := make([]int32, nloc)
 	lmap := make([]int32, nloc)
-	first := make([]int32, nloc) // first[cv]: the lower fine member of coarse vertex cv
-	slot := make([]int32, nloc)  // slot[cu]: cu's position in next.adj, if in the row being built
-	ncur := nloc
-	for ncur > target {
-		// Heavy-edge matching on the current level.
-		match := match[:ncur]
-		for i := range match {
-			match[i] = -1
-		}
-		for v := 0; v < ncur; v++ {
-			row := cur.xadj[v]
-			nbs := cur.adj[row:cur.xadj[v+1]]
-			work += float64(len(nbs))
-			if match[v] >= 0 {
-				continue
-			}
-			best := int32(-1)
-			var bestW int64 = -1
-			for i, u := range nbs {
-				if match[u] >= 0 || u == int32(v) {
-					continue
-				}
-				if w := cur.wgt[int(row)+i]; w > bestW || (w == bestW && u < best) {
-					best, bestW = u, w
-				}
-			}
-			if best >= 0 {
-				match[v] = best
-				match[best] = int32(v)
-			} else {
-				match[v] = int32(v)
-			}
-		}
-		lmap := lmap[:ncur]
-		for i := range lmap {
-			lmap[i] = -1
-		}
-		var nc int32
-		for v := 0; v < ncur; v++ {
-			if lmap[v] >= 0 {
-				continue
-			}
-			lmap[v] = nc
-			first[nc] = int32(v)
-			if match[v] != int32(v) {
-				lmap[match[v]] = nc
-			}
-			nc++
-		}
+	for ncur := nloc; ncur > target; ncur = cur.NumVerts() {
+		nc := heavyEdgeMatching(cur, match[:ncur], lmap[:ncur])
+		work += float64(len(cur.Adjncy))
 		// Stop when the reduction rate stalls (contracted slab graphs can
 		// develop star structures where strict matching absorbs only one
 		// leaf per level); the host absorbs the larger coarse graph, as
@@ -271,46 +204,12 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 		if float64(nc) > 0.85*float64(ncur) {
 			break
 		}
-		// Contract the level.  Slots written for earlier rows point below
-		// the current row's start, so they need no clearing between rows.
-		slot := slot[:nc]
-		for i := range slot {
-			slot[i] = -1
-		}
-		next.xadj = append(next.xadj[:0], 0)
-		next.adj, next.wgt = next.adj[:0], next.wgt[:0]
-		for cv := int32(0); cv < nc; cv++ {
-			rowStart := int32(len(next.adj))
-			v := first[cv]
-			members := [2]int32{v, match[v]}
-			nm := 2
-			if match[v] == v {
-				nm = 1
-			}
-			for _, f := range members[:nm] {
-				for i := cur.xadj[f]; i < cur.xadj[f+1]; i++ {
-					cu := lmap[cur.adj[i]]
-					if cu == cv {
-						continue
-					}
-					if s := slot[cu]; s >= rowStart {
-						next.wgt[s] += cur.wgt[i]
-					} else {
-						slot[cu] = int32(len(next.adj))
-						next.adj = append(next.adj, cu)
-						next.wgt = append(next.wgt, cur.wgt[i])
-					}
-					work += 0.5
-				}
-			}
-			next.xadj = append(next.xadj, int32(len(next.adj)))
-		}
-		// Compose into cmap.
+		_, folded := dual.Contract(cur, lmap[:ncur], nc, next)
+		work += 0.5 * float64(folded)
 		for i := range cmap {
 			cmap[i] = lmap[cmap[i]]
 		}
 		cur, next = next, cur
-		ncur = int(nc)
 	}
 	return cmap, work
 }
@@ -321,7 +220,7 @@ func localMultilevelCoarsen(g *dual.Graph, lo, hi, target int) (cmap []int32, wo
 // newPart) moves made.
 func refineBlock(g *dual.Graph, part []int32, k, lo, hi int, opt Options) [][2]int32 {
 	w := PartWeights(g, part, k)
-	caps := partCaps(g.TotalWComp(), k, opt.ImbalanceTol, opt.TargetShares)
+	caps := partCaps(g.TotalWComp(), k, opt.TargetShares)
 	var moves [][2]int32
 	var parts []int32
 	var conn []int64

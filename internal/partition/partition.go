@@ -3,21 +3,27 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"plum/internal/dual"
 )
 
-// Options tunes the partitioner.  The zero value is usable; Default fills
-// in the standard tuning.
+// Partitioner tuning, fixed for every caller.
+const (
+	// imbalanceTol is the allowed ratio of the heaviest part to its
+	// target weight (MeTiS default 1.03; we use 1.05).
+	imbalanceTol = 1.05
+	// maxRefinePasses bounds boundary refinement sweeps per level.
+	maxRefinePasses = 8
+)
+
+// coarsenTarget is the vertex count at which coarsening stops for k
+// parts.
+func coarsenTarget(k int) int { return max(128, 16*k) }
+
+// Options carries per-call partitioner inputs; the zero value is the
+// paper's uniform machine.
 type Options struct {
-	// ImbalanceTol is the allowed ratio of the heaviest part to the
-	// average part weight (MeTiS default 1.03; we use 1.05).
-	ImbalanceTol float64
-	// CoarsenTo stops coarsening when the graph has at most this many
-	// vertices (scaled by k); 0 means max(128, 16*k).
-	CoarsenTo int
-	// MaxRefinePasses bounds boundary refinement sweeps per level.
-	MaxRefinePasses int
 	// TargetShares, when non-nil, holds one relative target weight per
 	// part (length k): part j's target load is total*TargetShares[j]/sum.
 	// Heterogeneous machines set shares proportional to processor speed
@@ -26,51 +32,10 @@ type Options struct {
 	TargetShares []float64
 }
 
-// Default returns the standard options.
-func Default() Options {
-	return Options{ImbalanceTol: 1.05, MaxRefinePasses: 8}
-}
-
-// withDefaults fills the zero-valued tuning fields from Default while
-// keeping every explicitly set field (TargetShares included) — the one
-// place the "zero value is usable" promise is implemented, so a future
-// Options field cannot be silently dropped by a caller's local copy of
-// this fallback.
-func (o Options) withDefaults() Options {
-	if o.ImbalanceTol == 0 {
-		o.ImbalanceTol = Default().ImbalanceTol
-	}
-	if o.MaxRefinePasses == 0 {
-		o.MaxRefinePasses = Default().MaxRefinePasses
-	}
-	return o
-}
-
-func (o Options) coarsenTarget(k int) int {
-	if o.CoarsenTo > 0 {
-		return o.CoarsenTo
-	}
-	t := 16 * k
-	if t < 128 {
-		t = 128
-	}
-	return t
-}
-
 // Partition divides g into k parts balanced by WComp, minimizing edge
 // cut.  The result maps each vertex to a part in [0,k).
 func Partition(g *dual.Graph, k int, opt Options) []int32 {
-	return multilevel(g, k, nil, opt)
-}
-
-// Repartition divides g into k parts using prev (the current assignment)
-// as the initial guess, so the new partition stays close to the old one
-// and the eventual remapping cost is small.
-func Repartition(g *dual.Graph, k int, prev []int32, opt Options) []int32 {
-	if len(prev) != g.NumVerts() {
-		panic(fmt.Sprintf("partition: prev length %d != vertices %d", len(prev), g.NumVerts()))
-	}
-	return multilevel(g, k, prev, opt)
+	return Repartition(g, k, nil, opt)
 }
 
 // level is one rung of the multilevel hierarchy.
@@ -79,9 +44,14 @@ type level struct {
 	cmap []int32 // fine vertex -> coarse vertex of the next level
 }
 
-// multilevel runs coarsen / initial-partition / uncoarsen+refine.
-func multilevel(g *dual.Graph, k int, prev []int32, opt Options) []int32 {
-	opt = opt.withDefaults()
+// Repartition divides g into k parts using prev (the current assignment)
+// as the initial guess, so the new partition stays close to the old one
+// and the eventual remapping cost is small; a nil prev partitions from
+// scratch.  It runs coarsen / initial-partition / uncoarsen+refine.
+func Repartition(g *dual.Graph, k int, prev []int32, opt Options) []int32 {
+	if prev != nil && len(prev) != g.NumVerts() {
+		panic(fmt.Sprintf("partition: prev length %d != vertices %d", len(prev), g.NumVerts()))
+	}
 	if k <= 0 {
 		panic("partition: k must be positive")
 	}
@@ -100,43 +70,29 @@ func multilevel(g *dual.Graph, k int, prev []int32, opt Options) []int32 {
 		return part
 	}
 
-	target := opt.coarsenTarget(k)
 	var levels []level
-	cur := g
-	curPrev := prev
-	prevByLevel := [][]int32{curPrev}
-	for cur.NumVerts() > target {
-		cmap, nc := heavyEdgeMatching(cur)
-		if nc >= cur.NumVerts() { // matching stalled
+	cur, curPrev := g, prev
+	match := make([]int32, g.NumVerts())
+	for cur.NumVerts() > coarsenTarget(k) {
+		n := cur.NumVerts()
+		cmap := make([]int32, n)
+		nc := heavyEdgeMatching(cur, match[:n], cmap)
+		if nc >= n { // matching stalled
 			break
 		}
-		coarse := dual.Contract(cur, cmap, nc)
 		levels = append(levels, level{g: cur, cmap: cmap})
-		if curPrev != nil {
-			cp := make([]int32, nc)
-			for i := range cp {
-				cp[i] = -1
-			}
-			for v, cv := range cmap {
-				if cp[cv] < 0 {
-					cp[cv] = curPrev[v]
-				}
-			}
-			curPrev = cp
-		}
-		prevByLevel = append(prevByLevel, curPrev)
-		cur = coarse
+		cur, _ = dual.Contract(cur, cmap, nc, nil)
+		curPrev = coarsePrev(curPrev, cmap, nc)
 	}
 
 	// Initial partition on the coarsest graph.
 	var part []int32
 	if curPrev != nil {
-		part = append([]int32(nil), curPrev...)
-		rebalance(cur, part, k, opt)
+		part = slices.Clone(curPrev)
 	} else {
 		part = greedyGrow(cur, k, opt.TargetShares)
-		rebalance(cur, part, k, opt)
 	}
+	rebalance(cur, part, k, opt)
 	refine(cur, part, k, opt)
 
 	// Uncoarsen: project and refine each finer level.
@@ -148,55 +104,60 @@ func multilevel(g *dual.Graph, k int, prev []int32, opt Options) []int32 {
 	return part
 }
 
-// heavyEdgeMatching computes a matching preferring heavy edges
-// (deterministic: vertices visited in index order, ties to the smaller
-// neighbour index) and returns the fine-to-coarse map and the coarse
-// vertex count.
-func heavyEdgeMatching(g *dual.Graph) (cmap []int32, nc int) {
-	n := g.NumVerts()
-	match := make([]int32, n)
+// heavyEdgeMatching matches each vertex, visited in index order, with
+// the unmatched neighbour it shares the heaviest edge with (ties to the
+// lower id; a vertex with none stays single) and writes the
+// fine-to-coarse map into cmap, numbering coarse vertices in the order
+// of their lower member.  match is scratch; both have g.NumVerts()
+// entries.  Returns the coarse vertex count.  Every coarsening path —
+// the serial levels and the per-rank block levels — matches here.
+func heavyEdgeMatching(g *dual.Graph, match, cmap []int32) int {
+	n := int32(g.NumVerts())
 	for i := range match {
 		match[i] = -1
 	}
-	for v := int32(0); v < int32(n); v++ {
+	for v := int32(0); v < n; v++ {
 		if match[v] >= 0 {
 			continue
 		}
-		best := int32(-1)
-		var bestW int64 = -1
-		nbs := g.Neighbors(v)
+		best, bestW := int32(-1), int64(-1)
 		wts := g.EdgeWeights(v)
-		for i, u := range nbs {
-			if match[u] >= 0 {
+		for i, u := range g.Neighbors(v) {
+			if match[u] >= 0 || u == v {
 				continue
 			}
 			if wts[i] > bestW || (wts[i] == bestW && u < best) {
 				best, bestW = u, wts[i]
 			}
 		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = v
+		if best < 0 {
+			best = v
+		}
+		match[v], match[best] = best, v
+	}
+	var nc int32
+	for v := int32(0); v < n; v++ {
+		if m := match[v]; m < v {
+			cmap[v] = cmap[m]
 		} else {
-			match[v] = v // matched with itself
+			cmap[v] = nc
+			nc++
 		}
 	}
-	cmap = make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
+	return int(nc)
+}
+
+// coarsePrev gives each of nc coarse vertices the previous part of its
+// lowest fine member; a nil prev (no previous assignment) stays nil.
+func coarsePrev(prev, cmap []int32, nc int) []int32 {
+	if prev == nil {
+		return nil
 	}
-	var c int32
-	for v := int32(0); v < int32(n); v++ {
-		if cmap[v] >= 0 {
-			continue
-		}
-		cmap[v] = c
-		if match[v] != v {
-			cmap[match[v]] = c
-		}
-		c++
+	cp := make([]int32, nc)
+	for v := len(cmap) - 1; v >= 0; v-- {
+		cp[cmap[v]] = prev[v]
 	}
-	return cmap, int(c)
+	return cp
 }
 
 // greedyGrow produces an initial k-way partition by greedy graph growing:

@@ -32,7 +32,7 @@ func checkPartition(t *testing.T, g *dual.Graph, part []int32, k int, tol float6
 func TestPartitionBalanced(t *testing.T) {
 	g := boxGraph(6, 6, 6) // 1296 vertices
 	for _, k := range []int{2, 4, 8, 16} {
-		part := Partition(g, k, Default())
+		part := Partition(g, k, Options{})
 		checkPartition(t, g, part, k, 1.10)
 	}
 }
@@ -40,7 +40,7 @@ func TestPartitionBalanced(t *testing.T) {
 func TestPartitionCutBeatsRandom(t *testing.T) {
 	g := boxGraph(6, 6, 6)
 	k := 8
-	part := Partition(g, k, Default())
+	part := Partition(g, k, Options{})
 	cut := EdgeCut(g, part)
 	// Striped assignment as a baseline.
 	striped := make([]int32, g.NumVerts())
@@ -55,7 +55,7 @@ func TestPartitionCutBeatsRandom(t *testing.T) {
 
 func TestPartitionK1(t *testing.T) {
 	g := boxGraph(2, 2, 2)
-	part := Partition(g, 1, Default())
+	part := Partition(g, 1, Options{})
 	for _, p := range part {
 		if p != 0 {
 			t.Fatal("k=1 must assign everything to part 0")
@@ -77,14 +77,14 @@ func TestPartitionWeighted(t *testing.T) {
 		wr[v] = wc[v]
 	}
 	g.SetWeights(wc, wr)
-	part := Partition(g, 4, Default())
+	part := Partition(g, 4, Options{})
 	checkPartition(t, g, part, 4, 1.15)
 }
 
 func TestRepartitionStaysClose(t *testing.T) {
 	g := boxGraph(5, 5, 5)
 	k := 8
-	part := Partition(g, k, Default())
+	part := Partition(g, k, Options{})
 	// Perturb the weights moderately (simulating adaption).
 	wc := make([]int64, g.NumVerts())
 	wr := make([]int64, g.NumVerts())
@@ -96,9 +96,9 @@ func TestRepartitionStaysClose(t *testing.T) {
 		wr[v] = wc[v]
 	}
 	g.SetWeights(wc, wr)
-	reseeded := Repartition(g, k, part, Default())
+	reseeded := Repartition(g, k, part, Options{})
 	checkPartition(t, g, reseeded, k, 1.12)
-	scratch := Partition(g, k, Default())
+	scratch := Partition(g, k, Options{})
 	checkPartition(t, g, scratch, k, 1.12)
 	// The repartition must keep more vertices in place than a scratch
 	// partition does (the parallel-MeTiS remapping-cost advantage).
@@ -123,7 +123,7 @@ func TestRepartitionStaysClose(t *testing.T) {
 func TestRepartitionFixesImbalance(t *testing.T) {
 	g := boxGraph(5, 5, 5)
 	k := 4
-	part := Partition(g, k, Default())
+	part := Partition(g, k, Options{})
 	// Make part 2's region extremely heavy.
 	wc := make([]int64, g.NumVerts())
 	wr := make([]int64, g.NumVerts())
@@ -138,7 +138,7 @@ func TestRepartitionFixesImbalance(t *testing.T) {
 	if Imbalance(g, part, k) < 1.5 {
 		t.Skip("perturbation did not create imbalance")
 	}
-	newPart := Repartition(g, k, part, Default())
+	newPart := Repartition(g, k, part, Options{})
 	checkPartition(t, g, newPart, k, 1.12)
 }
 
@@ -177,7 +177,8 @@ func TestImbalancePerfect(t *testing.T) {
 
 func TestHeavyEdgeMatchingValid(t *testing.T) {
 	g := boxGraph(3, 3, 3)
-	cmap, nc := heavyEdgeMatching(g)
+	cmap := make([]int32, g.NumVerts())
+	nc := heavyEdgeMatching(g, make([]int32, g.NumVerts()), cmap)
 	if nc >= g.NumVerts() {
 		t.Fatalf("matching made no progress: %d -> %d", g.NumVerts(), nc)
 	}
@@ -224,8 +225,8 @@ func TestGreedyGrowCoversAllParts(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	g := boxGraph(4, 4, 4)
-	a := Partition(g, 8, Default())
-	b := Partition(g, 8, Default())
+	a := Partition(g, 8, Options{})
+	b := Partition(g, 8, Options{})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("Partition is not deterministic")
@@ -249,7 +250,7 @@ func TestPartitionPropertyRandomWeights(t *testing.T) {
 			wc[i] = int64(s%16) + 1
 		}
 		g.SetWeights(wc, wr)
-		part := Partition(g, 6, Default())
+		part := Partition(g, 6, Options{})
 		for _, p := range part {
 			if p < 0 || p >= 6 {
 				return false
@@ -267,7 +268,7 @@ func TestParallelRepartitionMatchesConstraints(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		var result []int32
 		msg.Run(p, func(c *msg.Comm) {
-			res := ParallelRepartition(c, g, 8, nil, Default())
+			res := ParallelRepartition(c, g, 8, nil, Options{})
 			if c.Rank() == 0 {
 				result = res.Part
 			}
@@ -291,7 +292,7 @@ func TestParallelRepartitionMatchesConstraints(t *testing.T) {
 
 func TestParallelRepartitionSeeded(t *testing.T) {
 	g := boxGraph(4, 4, 4)
-	prev := Partition(g, 4, Default())
+	prev := Partition(g, 4, Options{})
 	wc := make([]int64, g.NumVerts())
 	wr := make([]int64, g.NumVerts())
 	for v := range wc {
@@ -304,7 +305,7 @@ func TestParallelRepartitionSeeded(t *testing.T) {
 	g.SetWeights(wc, wr)
 	var part []int32
 	msg.Run(4, func(c *msg.Comm) {
-		res := ParallelRepartition(c, g, 4, prev, Default())
+		res := ParallelRepartition(c, g, 4, prev, Options{})
 		if c.Rank() == 0 {
 			part = res.Part
 		}

@@ -65,10 +65,10 @@ func Imbalance(g *dual.Graph, part []int32, k int) float64 {
 // the refinement always used; with shares (hetero-aware balancing) the
 // bound scales with each part's target share, so a half-speed rank's
 // part fills to half the load.
-func partCaps(total int64, k int, tol float64, shares []float64) []int64 {
+func partCaps(total int64, k int, shares []float64) []int64 {
 	caps := make([]int64, k)
 	if shares == nil {
-		m := int64(tol * float64(total) / float64(k))
+		m := int64(imbalanceTol * float64(total) / float64(k))
 		if m < total/int64(k)+1 {
 			m = total/int64(k) + 1
 		}
@@ -83,7 +83,7 @@ func partCaps(total int64, k int, tol float64, shares []float64) []int64 {
 	}
 	for i := range caps {
 		ideal := float64(total) * shares[i] / sum
-		m := int64(tol * ideal)
+		m := int64(imbalanceTol * ideal)
 		if m < int64(ideal)+1 {
 			m = int64(ideal) + 1
 		}
@@ -124,14 +124,10 @@ func connectivity(g *dual.Graph, part []int32, v int32, parts []int32, conn []in
 func refine(g *dual.Graph, part []int32, k int, opt Options) {
 	n := g.NumVerts()
 	w := PartWeights(g, part, k)
-	caps := partCaps(g.TotalWComp(), k, opt.ImbalanceTol, opt.TargetShares)
-	passes := opt.MaxRefinePasses
-	if passes <= 0 {
-		passes = 8
-	}
+	caps := partCaps(g.TotalWComp(), k, opt.TargetShares)
 	var parts []int32
 	var conn []int64
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < maxRefinePasses; pass++ {
 		moved := 0
 		for v := int32(0); v < int32(n); v++ {
 			p := part[v]
@@ -185,7 +181,7 @@ func rebalance(g *dual.Graph, part []int32, k int, opt Options) {
 	n := g.NumVerts()
 	w := PartWeights(g, part, k)
 	total := g.TotalWComp()
-	caps := partCaps(total, k, opt.ImbalanceTol, opt.TargetShares)
+	caps := partCaps(total, k, opt.TargetShares)
 	var parts []int32
 	var conn []int64
 	for iter := 0; iter < 64; iter++ {

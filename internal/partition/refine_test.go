@@ -50,7 +50,7 @@ func TestRebalanceFixesGrossImbalance(t *testing.T) {
 	if Imbalance(g, part, 4) < 3.9 {
 		t.Fatal("setup not imbalanced")
 	}
-	rebalance(g, part, 4, Default())
+	rebalance(g, part, 4, Options{})
 	if imb := Imbalance(g, part, 4); imb > 1.3 {
 		t.Errorf("rebalance left imbalance %.2f", imb)
 	}
@@ -64,7 +64,7 @@ func TestRefineImprovesCutOnPath(t *testing.T) {
 		part[v] = int32(v % 2)
 	}
 	before := EdgeCut(g, part)
-	refine(g, part, 2, Default())
+	refine(g, part, 2, Options{})
 	after := EdgeCut(g, part)
 	if after >= before {
 		t.Errorf("refinement did not improve cut: %d -> %d", before, after)
@@ -79,7 +79,7 @@ func TestRefineRespectsBalanceBound(t *testing.T) {
 	// balance constraint must prevent it.
 	g := pathGraph(8, nil)
 	part := []int32{0, 0, 0, 0, 1, 1, 1, 1}
-	refine(g, part, 2, Default())
+	refine(g, part, 2, Options{})
 	if imb := Imbalance(g, part, 2); imb > 1.3 {
 		t.Errorf("refine produced imbalance %.2f", imb)
 	}

@@ -18,8 +18,7 @@ func shareLoads(g *dual.Graph, part []int32, k int) []int64 {
 func TestPartitionTargetShares(t *testing.T) {
 	g := boxGraph(6, 6, 6)
 	const k = 4
-	opt := Default()
-	opt.TargetShares = []float64{1, 1, 0.5, 0.5}
+	opt := Options{TargetShares: []float64{1, 1, 0.5, 0.5}}
 	part := Partition(g, k, opt)
 	w := shareLoads(g, part, k)
 	total := g.TotalWComp()
@@ -40,9 +39,8 @@ func TestPartitionTargetShares(t *testing.T) {
 func TestRepartitionTargetShares(t *testing.T) {
 	g := boxGraph(6, 6, 6)
 	const k = 4
-	prev := Partition(g, k, Default())
-	opt := Default()
-	opt.TargetShares = []float64{1, 1, 1, 0.25}
+	prev := Partition(g, k, Options{})
+	opt := Options{TargetShares: []float64{1, 1, 1, 0.25}}
 	part := Repartition(g, k, prev, opt)
 	w := shareLoads(g, part, k)
 	for p := 0; p < 3; p++ {
@@ -56,9 +54,8 @@ func TestRepartitionTargetShares(t *testing.T) {
 func TestParallelRepartitionTargetShares(t *testing.T) {
 	g := boxGraph(6, 6, 4)
 	const p = 4
-	prev := Partition(g, p, Default())
-	opt := Default()
-	opt.TargetShares = []float64{1, 1, 0.5, 0.5}
+	prev := Partition(g, p, Options{})
+	opt := Options{TargetShares: []float64{1, 1, 0.5, 0.5}}
 	msg.Run(p, func(c *msg.Comm) {
 		res := ParallelRepartition(c, g, p, prev, opt)
 		w := shareLoads(g, res.Part, p)
@@ -77,7 +74,6 @@ func TestTargetSharesLengthValidated(t *testing.T) {
 		}
 	}()
 	g := boxGraph(3, 3, 3)
-	opt := Default()
-	opt.TargetShares = []float64{1, 1}
+	opt := Options{TargetShares: []float64{1, 1}}
 	Partition(g, 4, opt)
 }

@@ -17,7 +17,7 @@ import (
 // testPartition builds a deterministic partition of the global mesh.
 func testPartition(global *mesh.Mesh, p int) []int32 {
 	g := dual.FromMesh(global)
-	return partition.Partition(g, p, partition.Default())
+	return partition.Partition(g, p, partition.Options{})
 }
 
 func TestNewDistMeshCountsMatchSerial(t *testing.T) {
@@ -243,7 +243,7 @@ func TestMigrateThenRefineConforming(t *testing.T) {
 		wc, wr := d.GatherPredictedWeights()
 		g := dual.FromMesh(global)
 		g.SetWeights(wc, wr)
-		newPart := partition.Repartition(g, p, d.RootOwner, partition.Default())
+		newPart := partition.Repartition(g, p, d.RootOwner, partition.Options{})
 		// Map partitions to processors minimizing movement.
 		s := remap.BuildSimilarity(wr, d.RootOwner, newPart, p, 1)
 		assign := remap.HeuristicMWBG(s)

@@ -52,11 +52,9 @@ type flight struct {
 	// Set before done closes.  Exactly one of body / werr / err is the
 	// outcome: a completed response, a world fault, or a leader-side
 	// cancellation (followers then retry rather than inherit the cancel).
-	body    []byte
-	simTime float64
-	rows    int
-	werr    *WorldError
-	err     error
+	body []byte
+	werr *WorldError
+	err  error
 }
 
 // Server is the sweep-serving daemon: an http.Handler accepting
@@ -430,7 +428,7 @@ func (s *Server) leadFlight(w http.ResponseWriter, r *http.Request, req *Request
 		// is exactly the bytes just streamed, by shared construction
 		// through RenderBody.
 		body := RenderBody(rows, res.run.SimTime, digest)
-		fl.body, fl.rows, fl.simTime = body, len(rows), res.run.SimTime
+		fl.body = body
 		// Chaos bodies never enter the cache: an injected stall changes
 		// no row, but serving a chaos result to future identical chaos
 		// requests would hide the re-injection the tests rely on.

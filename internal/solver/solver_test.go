@@ -90,7 +90,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	for _, p := range []int{2, 4} {
 		g := dual.FromMesh(global)
-		part := partition.Partition(g, p, partition.Default())
+		part := partition.Partition(g, p, partition.Options{})
 		msg.Run(p, func(c *msg.Comm) {
 			d := pmesh.New(c, global, part, NComp)
 			ps := NewParallel(d)
@@ -118,7 +118,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelDeterministic(t *testing.T) {
 	global := mesh.Box(2, 2, 2, 2, 2, 2)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 3, partition.Default())
+	part := partition.Partition(g, 3, partition.Options{})
 	run := func() float64 {
 		var mass float64
 		msg.Run(3, func(c *msg.Comm) {
@@ -144,7 +144,7 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelAfterRefinement(t *testing.T) {
 	global := mesh.Box(2, 2, 2, 2, 2, 2)
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 2, partition.Default())
+	part := partition.Partition(g, 2, partition.Options{})
 	ind := adapt.SphericalIndicator(mesh.Vec3{1, 1, 1}, 0.6, 0.4)
 	msg.Run(2, func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, NComp)
@@ -171,7 +171,7 @@ func TestWorkPartitioning(t *testing.T) {
 	global := mesh.Box(3, 2, 2, 3, 2, 2)
 	serialEdges := adapt.FromMesh(global, NComp).ActiveCounts().Edges
 	g := dual.FromMesh(global)
-	part := partition.Partition(g, 4, partition.Default())
+	part := partition.Partition(g, 4, partition.Options{})
 	msg.Run(4, func(c *msg.Comm) {
 		d := pmesh.New(c, global, part, NComp)
 		ps := NewParallel(d)
@@ -203,7 +203,7 @@ func TestGaussianPulseShape(t *testing.T) {
 // (a per-shared-vertex allocation alone would reach it).
 func TestParallelStepAllocsFlat(t *testing.T) {
 	global := mesh.Box(5, 5, 4, 5, 5, 4)
-	part := partition.Partition(dual.FromMesh(global), 4, partition.Default())
+	part := partition.Partition(dual.FromMesh(global), 4, partition.Options{})
 	var shared int64
 	mallocs := func(steps int) uint64 {
 		var before, after runtime.MemStats
