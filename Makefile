@@ -75,7 +75,8 @@ scenario-baseline:
 # exp-snapshot writes the stdout of `plumbench -exp all` under the
 # default, smp, fattree and hetero models, of `-exp implicit -measured`,
 # of `-exp implicit -model fattree` with its span and trace files, of
-# `-exp scenarios`, of `-paper -exp fig6` (the partitioner at paper
+# `-exp scenarios`, of `-exp feedback` with its span file (one window
+# per measured epoch), of `-paper -exp fig6` (the partitioner at paper
 # scale), and of `plumviz -p 4 -trace` with its trace file under OUT
 # (~1.5 min on 2 cores).  Whether a change moved
 # any printed number is then one `diff -r` between the snapshot of its

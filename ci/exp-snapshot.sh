@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # exp-snapshot.sh — write the stdout of every experiment and of the
 # paper-scale Fig. 6 sweep (the partitioner on the 60,912-element dual),
-# plus the implicit experiment's span and trace files and plumviz's
+# plus the implicit experiment's span and trace files, the feedback
+# experiment's span file (the measured, multi-epoch profile windows and
+# their wait blame) and plumviz's
 # -trace report (the per-rank cost profile and wait-blame tables) with
 # its trace file, under one directory, so a change's effect on the
 # printed tables is one `diff -r` between the snapshot of the parent and
@@ -33,6 +35,7 @@ done
 (cd "$out" && "$bench" -exp implicit -model fattree -spans implicit-fattree.spans.jsonl \
 	-trace implicit-fattree.trace.json >implicit-fattree.txt)
 "$bench" -exp scenarios >"$out/scenarios.txt"
+(cd "$out" && "$bench" -exp feedback -spans feedback.spans.jsonl >feedback.txt)
 "$bench" -paper -exp fig6 >"$out/fig6-paper.txt"
 # The VTK mesh stays in the temporary directory; the Chrome trace and
 # the profile report are kept.

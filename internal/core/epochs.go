@@ -138,10 +138,10 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 	if cfg.Measured {
 		mode = remap.Measured{}.Name()
 	}
-	// The span stream: rank 0 writes each cycle's window of the trace's
-	// spans, and the spans after the last cut close the stream.
+	// The span stream: rank 0 writes each cycle's window, which the cut
+	// takes out of the trace, and the spans the trace still holds after
+	// the last cut close the stream.
 	var sl *event.SpanLog
-	cut := 0
 	if spans != nil {
 		run.spans = new(bytes.Buffer)
 		sl = event.NewSpanLog(run.spans, pl.p, spanLabel(pl.exp, pl.model, mode, pl.p))
@@ -170,7 +170,6 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 			cs := u.Cycle()
 			if sl != nil && c.Rank() == 0 {
 				sl.Cut(cs.Spans, cs.Blame)
-				cut += len(cs.Spans)
 			}
 			if cs.Stopped {
 				stopped = true
@@ -208,7 +207,7 @@ func (e *Experiments) runEpochs(pl epochPlan, each func(FeedbackEpoch, CycleStat
 		times, tr = msg.RunTraced(pl.p, mod, body)
 		if sl != nil {
 			// A bytes.Buffer sink cannot fail.
-			_ = sl.Close(tr.Spans[cut:])
+			_ = sl.Close(tr.Spans)
 		}
 	} else {
 		times = msg.RunModel(pl.p, mod, body)

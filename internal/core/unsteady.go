@@ -58,9 +58,6 @@ type Unsteady struct {
 	// cycle hands it to AdaptionStep's gain/cost decision and replaces
 	// it after the solve phase — the measured-cost feedback loop.
 	pricer remap.Pricer
-	// spanCut is how many of the trace's spans earlier cycles' windows
-	// (CycleStats.Spans) covered (rank 0 of a traced run).
-	spanCut int
 }
 
 // CycleStats extends the adaption statistics with solver accounting.
@@ -89,10 +86,11 @@ type CycleStats struct {
 	// wire latency, or idleness (event.WaitBlame).
 	Blame *event.BlameReport
 	// Spans are the phase spans every rank completed since the previous
-	// cycle's cut, in the trace's order (rank 0 of a traced run; nil
-	// otherwise).  The cut falls after the solve loop, so a span another
-	// rank opened before it and closes after it lands in the next
-	// cycle's window.
+	// cycle's cut, in the trace's order (rank 0 of a traced run with
+	// Cfg.Measured or Cfg.Observe set; nil otherwise).  The cut hands
+	// them over and leaves the trace holding only later spans, so a span
+	// another rank opened before it and closes after it lands in the
+	// next cycle's window.
 	Spans []event.Span
 
 	// Profile is the cost profile measured over this cycle (rank 0 of a
@@ -123,19 +121,19 @@ func (u *Unsteady) Cycle() CycleStats {
 	ind := u.Indicator(u.cycle)
 	c := u.D.C
 
-	// Measured-cost feedback: on a traced run, remember where this
-	// cycle's records begin so the post-solve profile covers exactly one
-	// epoch (adaption + migration + solve).  Only rank 0 cuts the
-	// window — it is the rank that prices the decision — and the
-	// engine's deterministic total order makes the boundary, and with it
-	// the profile, bitwise reproducible.  Observe cuts the same window
-	// for the run ledger but never feeds the profile forward.
+	// Measured-cost feedback: on a traced run, rank 0 opens this
+	// cycle's window by emptying the trace's records, so the post-solve
+	// profile covers exactly one epoch (adaption + migration + solve)
+	// and the arena is reused epoch after epoch.  Only rank 0 opens and
+	// cuts the window — it is the rank that prices the decision — and
+	// the engine's deterministic total order makes the boundary, and
+	// with it the profile, bitwise reproducible.  Observe cuts the same
+	// window for the run ledger but never feeds the profile forward.
 	var tr *event.Trace
-	cycleStart := 0
 	if u.Cfg.Measured || u.Cfg.Observe {
 		tr = c.Trace()
 		if tr != nil && c.Rank() == 0 {
-			cycleStart = len(tr.Records)
+			tr.Records = tr.Records[:0]
 		}
 	}
 
@@ -195,8 +193,7 @@ func (u *Unsteady) Cycle() CycleStats {
 		// decision will price with: per-rank wait decomposition, critical
 		// path, solve-phase per-iteration time, and link rates calibrated
 		// from the observed sends, classed by the machine's hop counts.
-		win := &event.Trace{P: c.Size(), Records: tr.Records[cycleStart:]}
-		p := profile.FromTrace(win, 0, len(win.Records), u.Cfg.Topo)
+		p := profile.FromTrace(tr, 0, len(tr.Records), u.Cfg.Topo)
 		p.SolveSeconds = cs.SolverTime
 		p.SolveSteps = n
 		// Only the measured-cost loop feeds the profile into the next
@@ -207,11 +204,14 @@ func (u *Unsteady) Cycle() CycleStats {
 				PerIter: p.PerIteration(), Rates: p.Rates}
 		}
 		cs.Profile = p
-		// Blame the epoch's waits while the window is cut: the profile's
+		// Blame the epoch's waits while the window is open: the profile's
 		// critical path, attributed culprit by culprit.
-		cs.Blame = event.WaitBlame(win, &p.Path)
-		cs.Spans = tr.Spans[u.spanCut:]
-		u.spanCut = len(tr.Spans)
+		cs.Blame = event.WaitBlame(tr, &p.Path)
+		// Hand the window's spans over.  The trace keeps the tail of the
+		// same array rather than restarting it: the closing allreduces
+		// below let other ranks append spans before the caller has
+		// written these out.
+		cs.Spans, tr.Spans = tr.Spans, tr.Spans[len(tr.Spans):]
 	}
 	maxW := c.AllreduceInt64(int64(cs.SolverWork), msg.MaxInt64)
 	sumW := c.AllreduceInt64(int64(cs.SolverWork), msg.SumInt64)

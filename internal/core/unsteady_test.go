@@ -65,50 +65,63 @@ func TestUnsteadyDriver(t *testing.T) {
 	})
 }
 
-// TestCycleSpanWindows: on a traced, observed world rank 0's cycle
-// windows (CycleStats.Spans) tile the trace's spans from the start,
-// each picking up where the previous cut left off, and the spans the
-// closing collectives complete after the last cut are left over.
-// Other ranks, and every rank of an untraced world, get no window.
+// TestCycleSpanWindows: on a traced, observed world the trace holds
+// only the window being cut.  Rank 0's cycle windows (CycleStats.Spans)
+// followed by the spans the closing collectives complete after the
+// last cut are exactly the spans of the same world run without a cut,
+// and the records left at the end are the tail of that world's records
+// from the last cycle's start.  Other ranks, and every rank of an
+// untraced world, get no window.
 func TestCycleSpanWindows(t *testing.T) {
 	const p = 2
 	global := mesh.Box(6, 4, 2, 1.8, 1.2, 0.6)
 	g := dual.FromMesh(global)
 	initPart := partition.Partition(g, p, partition.Options{})
-	cfg := DefaultConfig()
-	cfg.Observe = true
 	var windows [][]event.Span
-	body := func(c *msg.Comm) {
-		d := pmesh.New(c, global, initPart, solver.NComp)
-		u := NewUnsteady(d, g, cfg)
-		u.Indicator = func(int) func(mesh.Vec3) float64 {
-			return adapt.ShockCylinderIndicator(
-				mesh.Vec3{0.9, 0.6, 0}, mesh.Vec3{0, 0, 1}, 0.3, 0.15)
-		}
-		u.PS.InitParallel(solver.GaussianPulse(mesh.Vec3{0.9, 0.6, 0.3}, 0.4))
-		for i := 0; i < 2; i++ {
-			cs := u.Cycle()
-			if c.Rank() == 0 {
-				windows = append(windows, cs.Spans)
-			} else if cs.Spans != nil {
-				t.Errorf("rank %d cycle %d: got a span window", c.Rank(), i)
+	bodyOf := func(cfg Config) func(c *msg.Comm) {
+		return func(c *msg.Comm) {
+			d := pmesh.New(c, global, initPart, solver.NComp)
+			u := NewUnsteady(d, g, cfg)
+			u.Indicator = func(int) func(mesh.Vec3) float64 {
+				return adapt.ShockCylinderIndicator(
+					mesh.Vec3{0.9, 0.6, 0}, mesh.Vec3{0, 0, 1}, 0.3, 0.15)
+			}
+			u.PS.InitParallel(solver.GaussianPulse(mesh.Vec3{0.9, 0.6, 0.3}, 0.4))
+			for i := 0; i < 2; i++ {
+				cs := u.Cycle()
+				if c.Rank() == 0 {
+					windows = append(windows, cs.Spans)
+				} else if cs.Spans != nil {
+					t.Errorf("rank %d cycle %d: got a span window", c.Rank(), i)
+				}
 			}
 		}
 	}
-	_, tr := msg.RunTraced(p, msg.SP2Model(), body)
+	observed := DefaultConfig()
+	observed.Observe = true
+	_, tr := msg.RunTraced(p, msg.SP2Model(), bodyOf(observed))
+	cutWindows := windows
+	windows = nil
+	_, whole := msg.RunTraced(p, msg.SP2Model(), bodyOf(DefaultConfig()))
+
 	var tiled []event.Span
-	for i, w := range windows {
+	for i, w := range cutWindows {
 		if len(w) == 0 {
 			t.Errorf("cycle %d: empty span window", i)
 		}
 		tiled = append(tiled, w...)
 	}
-	if n := len(tiled); n >= len(tr.Spans) || !reflect.DeepEqual(tiled, tr.Spans[:n]) {
-		t.Errorf("windows hold %d spans, not a proper prefix of the trace's %d", n, len(tr.Spans))
+	if !reflect.DeepEqual(append(tiled, tr.Spans...), whole.Spans) {
+		t.Errorf("windows (%d spans) + trace tail (%d) differ from the uncut trace's %d spans",
+			len(tiled), len(tr.Spans), len(whole.Spans))
+	}
+	kept, all := tr.Records, whole.Records
+	if len(kept) >= len(all) || !reflect.DeepEqual(kept, all[len(all)-len(kept):]) {
+		t.Errorf("trace keeps %d records, not a proper tail of the uncut trace's %d", len(kept), len(all))
 	}
 
 	windows = nil
-	msg.RunModel(p, msg.SP2Model(), body)
+	msg.RunModel(p, msg.SP2Model(), bodyOf(observed))
 	for i, w := range windows {
 		if w != nil {
 			t.Errorf("untraced cycle %d: got %d spans", i, len(w))

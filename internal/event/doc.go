@@ -46,6 +46,8 @@
 // deadlock, and termination.  Fast and slow paths pop identical entry
 // sequences (pinned by TestEngineFastPathSchedule).  Traces append into
 // a pre-grown contiguous arena (Trace.Grow); the global append order is
-// the engine's total order, which downstream profile windows slice by
-// plain indices.  See docs/ARCHITECTURE.md, "Performance".
+// the engine's total order, which makes each profile window
+// reproducible.  An epoch-driving world empties the arena when an
+// epoch opens, so it holds one epoch's records.  See
+// docs/ARCHITECTURE.md, "Performance".
 package event

@@ -81,11 +81,13 @@ type Trace struct {
 //
 // Records is deliberately one contiguous, globally ordered arena rather
 // than per-rank lists: the global append order is the engine's
-// deterministic total order, which is what lets the measured-cost
-// feedback loop cut bitwise-reproducible profile windows out of a live
-// trace by plain [start, end) indices (internal/core's Unsteady.Cycle,
-// profile.FromTrace).  Growth is amortized by Grow — the runtime
-// pre-grows each traced world — and by append's doubling thereafter.
+// deterministic total order, which is what makes a profile window
+// bitwise reproducible.  The measured-cost feedback loop
+// (internal/core's Unsteady.Cycle) empties the arena when an epoch
+// opens and profiles all of it at the cut, so an epoch-driving world
+// holds one epoch's records, not the run's.  Growth is amortized by
+// Grow — the runtime pre-grows each traced world — by append's
+// doubling, and by that reuse.
 func (t *Trace) Add(r Record) { t.Records = append(t.Records, r) }
 
 // Grow ensures capacity for at least n additional records without

@@ -269,13 +269,13 @@ func (c *Comm) Elapsed() float64 { return c.clock.Now }
 
 // Trace returns the world's event trace, or nil when the run is
 // untraced (RunModel/Run).  The trace is shared by all ranks and grows
-// as the run executes; reading it — including len(Records) as a phase
-// boundary — is safe only while the caller's rank holds the execution
-// token, i.e. from straight-line rank code.  Because the engine
-// executes every run in one deterministic total order, the record count
-// observed at any fixed point of a rank's program is itself
-// deterministic, which is what lets the measured-cost feedback loop cut
-// bitwise-reproducible profile windows out of a live trace.
+// as the run executes; reading or resetting it is safe only while the
+// caller's rank holds the execution token, i.e. from straight-line rank
+// code.  Because the engine executes every run in one deterministic
+// total order, the trace's contents at any fixed point of a rank's
+// program are themselves deterministic, which is what lets the
+// measured-cost feedback loop empty the trace when an epoch opens and
+// profile what it holds at the cut, bitwise reproducibly.
 func (c *Comm) Trace() *event.Trace { return c.world.trace }
 
 // PushPhase opens a phase on this rank at its current simulated time:

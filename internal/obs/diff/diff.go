@@ -28,6 +28,8 @@
 // one ledger is re-tried with the pricing mode wildcarded — so a
 // `-measured` run diffs cleanly against its analytic twin, which is the
 // paper's own comparison — and reported as added/removed otherwise.
+// Span streams align by the same key, read from their labels, through
+// the same two passes (align).
 package diff
 
 import (
@@ -57,9 +59,52 @@ func (k RunKey) String() string {
 	return fmt.Sprintf("%s/%s/%s/P=%d", k.Exp, model, k.Run, k.P)
 }
 
-// baseKey drops the pricing mode: the wildcard used by mode-flip
+// modeless drops the pricing mode: the wildcard used by mode-flip
 // alignment.
 func (k RunKey) modeless() RunKey { k.Run = ""; return k }
+
+// align pairs two sides' runs by key, for ledgers and span streams
+// alike.  Pass 1 pairs every exact key match, each base run with the
+// first unused current run of its key.  Pass 2 wildcards the pricing
+// mode: a base run still unpaired takes the one unused current run its
+// modeless key matches, and stays unpaired when none or several do.
+// Exact twins therefore always win over a mode flip, whatever the
+// order.  match[bi] is base run bi's current run, or -1; curOnly lists
+// the current runs left unpaired, in order.  A pair's keys differ
+// exactly when pass 2 made it.
+func align(base, cur []RunKey) (match, curOnly []int) {
+	match = make([]int, len(base))
+	used := make([]bool, len(cur))
+	for bi, k := range base {
+		match[bi] = -1
+		for ci, ck := range cur {
+			if !used[ci] && ck == k {
+				match[bi], used[ci] = ci, true
+				break
+			}
+		}
+	}
+	for bi, k := range base {
+		if match[bi] >= 0 {
+			continue
+		}
+		found, n := -1, 0
+		for ci, ck := range cur {
+			if !used[ci] && ck.modeless() == k.modeless() {
+				found, n = ci, n+1
+			}
+		}
+		if n == 1 {
+			match[bi], used[found] = found, true
+		}
+	}
+	for ci := range cur {
+		if !used[ci] {
+			curOnly = append(curOnly, ci)
+		}
+	}
+	return match, curOnly
+}
 
 // EpochDelta is the exact difference of one aligned epoch pair
 // (current minus base).  DMakespan == DCompute + DOverhead + DWait +
@@ -304,55 +349,24 @@ func Ledgers(baseFile, curFile string, base, cur *obs.LedgerFile, opt Options) *
 
 	bg := groupRuns(base)
 	cg := groupRuns(cur)
-	curUsed := make([]bool, len(cg))
-
-	// Pass 1: exact key matches, in base order.
-	curByKey := map[RunKey]int{}
-	for i, g := range cg {
-		curByKey[g.key] = i
-	}
-	type pairing struct {
-		bi, ci int
-		flip   bool
-	}
-	var pairs []pairing
-	var unmatched []int
-	for bi, g := range bg {
-		if ci, ok := curByKey[g.key]; ok && !curUsed[ci] {
-			curUsed[ci] = true
-			pairs = append(pairs, pairing{bi, ci, false})
-		} else {
-			unmatched = append(unmatched, bi)
+	keys := func(gs []runGroup) []RunKey {
+		ks := make([]RunKey, len(gs))
+		for i, g := range gs {
+			ks[i] = g.key
 		}
+		return ks
 	}
-	// Pass 2: mode-flip fallback — wildcard the pricing mode; pair when
-	// exactly one unused counterpart matches.
-	for _, bi := range unmatched {
-		want := bg[bi].key.modeless()
-		match, n := -1, 0
-		for ci, g := range cg {
-			if !curUsed[ci] && g.key.modeless() == want {
-				match = ci
-				n++
-			}
-		}
-		if n == 1 {
-			curUsed[match] = true
-			pairs = append(pairs, pairing{bi, match, true})
-		} else {
-			rep.BaseOnly = append(rep.BaseOnly, bg[bi].key)
-		}
-	}
-	for ci, g := range cg {
-		if !curUsed[ci] {
-			rep.CurOnly = append(rep.CurOnly, g.key)
-		}
+	match, curOnly := align(keys(bg), keys(cg))
+	for _, ci := range curOnly {
+		rep.CurOnly = append(rep.CurOnly, cg[ci].key)
 	}
 	// Deterministic run order: base-file appearance order.
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].bi < pairs[j].bi })
-
-	for _, p := range pairs {
-		rd := diffRun(bg[p.bi], cg[p.ci], p.flip)
+	for bi, ci := range match {
+		if ci < 0 {
+			rep.BaseOnly = append(rep.BaseOnly, bg[bi].key)
+			continue
+		}
+		rd := diffRun(bg[bi], cg[ci], bg[bi].key != cg[ci].key)
 		rep.Runs = append(rep.Runs, rd)
 		rep.Totals.BaseTime += rd.BaseTime
 		rep.Totals.CurTime += rd.CurTime

@@ -385,6 +385,54 @@ func TestSpanDiff(t *testing.T) {
 	}
 }
 
+// TestExactTwinBeatsModeFlip: ledgers and span streams align through
+// the same two passes, so with base [analytic, measured] against cur
+// [measured] both pair measured with measured and leave analytic
+// base-only, whichever order the base lists them in.
+func TestExactTwinBeatsModeFlip(t *testing.T) {
+	measuredRun := func(lf *obs.LedgerFile) *obs.LedgerFile {
+		for i := range lf.Epochs {
+			lf.Epochs[i].Run = "measured"
+			lf.Epochs[i].Pricing = "measured"
+		}
+		return lf
+	}
+	base := fixtureBase()
+	base.Epochs = append(base.Epochs, measuredRun(fixtureBase()).Epochs...)
+	rep := Ledgers("a.jsonl", "b.jsonl", base, measuredRun(fixtureBase()), Options{})
+	if len(rep.Runs) != 1 || rep.Runs[0].ModeFlip || !rep.Runs[0].Zero {
+		t.Errorf("ledger: want one zero measured/measured run, got %+v", rep.Runs)
+	}
+	if len(rep.BaseOnly) != 1 || rep.BaseOnly[0].Run != "analytic" || len(rep.CurOnly) != 0 {
+		t.Errorf("ledger: baseOnly=%v curOnly=%v, want the analytic run base-only", rep.BaseOnly, rep.CurOnly)
+	}
+
+	for _, order := range [][]string{{"analytic", "measured"}, {"measured", "analytic"}} {
+		var worlds []event.SpanWorld
+		for _, run := range order {
+			worlds = append(worlds, spanFixture(run, 0))
+		}
+		ds := Spans(worlds, []event.SpanWorld{spanFixture("measured", 0)}, Options{})
+		var pairs, baseOnly []SpanWorldDelta
+		for _, d := range ds {
+			if d.DSpans < 0 {
+				baseOnly = append(baseOnly, d)
+			} else {
+				pairs = append(pairs, d)
+			}
+		}
+		if len(pairs) != 1 || pairs[0].ModeFlip || !pairs[0].Zero {
+			t.Errorf("spans %v: want one zero measured/measured pair, got %+v", order, pairs)
+		}
+		if len(baseOnly) != 1 || !strings.Contains(baseOnly[0].Label, "/analytic/") {
+			t.Errorf("spans %v: want the analytic world base-only, got %+v", order, baseOnly)
+		}
+		if len(ds) != 2 {
+			t.Errorf("spans %v: %d deltas, want 2", order, len(ds))
+		}
+	}
+}
+
 // TestLedgerFiles: the disk path — write with the obs writer, read
 // back strictly, self-diff is zero.
 func TestLedgerFiles(t *testing.T) {

@@ -66,83 +66,51 @@ type SpanWorldDelta struct {
 	Edges     []EdgeDelta    `json:"edges,omitempty"`
 }
 
-// spanKey canonicalizes a stream's label for alignment: the standard
-// exp/model/run/p annotation when present, the raw sorted label
-// otherwise.
-type spanKey struct {
-	exp, model, run, p string
+// keyOfWorld is a span stream's run key: exp/model/run from the
+// stream's label, P from its header.
+func keyOfWorld(w *event.SpanWorld) RunKey {
+	return RunKey{Exp: w.Label["exp"], Model: w.Label["model"], Run: w.Label["run"], P: w.P}
 }
 
-func (k spanKey) modeless() spanKey { k.run = ""; return k }
-
-func (k spanKey) String() string {
-	model := k.model
-	if model == "" {
-		model = "flat"
-	}
-	return fmt.Sprintf("%s/%s/%s/P=%s", k.exp, model, k.run, k.p)
-}
-
-func keyOf(w *event.SpanWorld) spanKey {
-	return spanKey{
-		exp:   w.Label["exp"],
-		model: w.Label["model"],
-		run:   w.Label["run"],
-		p:     w.Label["p"],
-	}
-}
-
-// Spans aligns two parsed span files world by world (exact label match
-// first, pricing-mode wildcard second, stream order last) and diffs the
-// blame tables of each aligned pair.  Unmatched worlds surface as
-// findings appended by the caller via SpanFindings.
+// Spans aligns two parsed span files world by world, by run key with
+// the same two passes as Ledgers (every exact match first, then the
+// pricing-mode wildcard), and diffs the blame tables of each aligned
+// pair.  Unmatched worlds come out as one-sided deltas, base ones in
+// base order and current ones last; SpanFindings turns them into
+// findings.
 func Spans(base, cur []event.SpanWorld, opt Options) []SpanWorldDelta {
-	used := make([]bool, len(cur))
-	pair := func(b *event.SpanWorld) int {
-		bk := keyOf(b)
-		for ci := range cur {
-			if !used[ci] && keyOf(&cur[ci]) == bk {
-				return ci
-			}
+	keys := func(ws []event.SpanWorld) []RunKey {
+		ks := make([]RunKey, len(ws))
+		for i := range ws {
+			ks[i] = keyOfWorld(&ws[i])
 		}
-		match, n := -1, 0
-		for ci := range cur {
-			if !used[ci] && keyOf(&cur[ci]).modeless() == bk.modeless() {
-				match = ci
-				n++
-			}
-		}
-		if n == 1 {
-			return match
-		}
-		return -1
+		return ks
 	}
+	match, curOnly := align(keys(base), keys(cur))
 	var out []SpanWorldDelta
-	for bi := range base {
-		ci := pair(&base[bi])
+	for bi, ci := range match {
+		b := &base[bi]
 		if ci < 0 {
 			out = append(out, SpanWorldDelta{
-				Label: keyOf(&base[bi]).String(), P: base[bi].P,
-				DSpans: -len(base[bi].Spans), DEpochs: -len(base[bi].Blame),
+				Label: keyOfWorld(b).String(), P: b.P,
+				DSpans: -len(b.Spans), DEpochs: -len(b.Blame),
 			})
 			continue
 		}
-		used[ci] = true
-		out = append(out, diffSpanWorld(&base[bi], &cur[ci], opt.topK()))
+		out = append(out, diffSpanWorld(b, &cur[ci], opt.topK()))
 	}
-	for ci := range cur {
-		if !used[ci] {
-			out = append(out, SpanWorldDelta{
-				Label: keyOf(&cur[ci]).String(), P: cur[ci].P,
-				DSpans: len(cur[ci].Spans), DEpochs: len(cur[ci].Blame),
-			})
-		}
+	for _, ci := range curOnly {
+		c := &cur[ci]
+		out = append(out, SpanWorldDelta{
+			Label: keyOfWorld(c).String(), P: c.P,
+			DSpans: len(c.Spans), DEpochs: len(c.Blame),
+		})
 	}
 	return out
 }
 
 func diffSpanWorld(b, c *event.SpanWorld, topK int) SpanWorldDelta {
-	bk, ck := keyOf(b), keyOf(c)
+	bk, ck := keyOfWorld(b), keyOfWorld(c)
 	d := SpanWorldDelta{
 		Label:    bk.String(),
 		ModeFlip: bk != ck,

@@ -45,9 +45,10 @@ type Profile struct {
 	// The critical path of the window: what actually bounded the epoch.
 	// Path is the walk itself (kept so the epoch's blame pass reuses it
 	// and its record index instead of walking the window again); the
-	// scalars below are its decomposition.  Its index is relative to the
-	// window [start, end): event.WaitBlame must be given the window's
-	// records, tr.Records[start:end], not the whole trace.
+	// scalars below are its decomposition.  Its index counts from the
+	// window's first record, so event.WaitBlame must be given a trace
+	// whose Records are exactly the window.  The program's callers all
+	// profile a whole trace, (0, len(tr.Records)), and pass that trace.
 	Path         event.Path
 	Makespan     float64 // completion time of the window's last operation
 	PathCompute  float64 // compute seconds on the path

@@ -1,6 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -112,4 +117,57 @@ func TestRenderBodyShape(t *testing.T) {
 	if !strings.Contains(lines[1], `"kind":"end"`) || !strings.Contains(lines[1], `"rows":1`) {
 		t.Errorf("trailer %q", lines[1])
 	}
+}
+
+// FuzzParseRequest: ParseRequest and Spec decode untrusted request
+// bodies (POST /run, plumserve -oneshot).  No input may panic the
+// decoder, the resolver or the chaos parser, and no world starts.  A
+// request Spec accepts gets a 64-hex digest that a second Spec keeps,
+// and re-encoding it and decoding that again names the same world.
+func FuzzParseRequest(f *testing.F) {
+	seeds, err := filepath.Glob("../../cmd/plumserve/testdata/*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed requests: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"p":2,"cycles":1,"chaos":"stall@1:250"}`))
+	f.Add([]byte(`{"p":16,"frac":0.3,"coarsen_below":0.01,"chaos":"panic@0"}`))
+	hex64 := regexp.MustCompile(`^[0-9a-f]{64}$`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := ParseRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		parseChaos(req.Chaos)
+		if _, err := req.Spec(nil); err != nil {
+			if req.Digest() != "" {
+				t.Fatalf("rejected request (%v) has digest %q", err, req.Digest())
+			}
+			return
+		}
+		digest := req.Digest()
+		if !hex64.MatchString(digest) {
+			t.Fatalf("digest %q is not 64 hex digits", digest)
+		}
+		if _, err := req.Spec(nil); err != nil || req.Digest() != digest {
+			t.Fatalf("second Spec: err %v, digest %q, want %q", err, req.Digest(), digest)
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req2, err := ParseRequest(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded request %s: %v", again, err)
+		}
+		if _, err := req2.Spec(nil); err != nil || req2.Digest() != digest {
+			t.Fatalf("re-encoded request %s: err %v, digest %q, want %q", again, err, req2.Digest(), digest)
+		}
+	})
 }
