@@ -76,9 +76,10 @@ scenario-baseline:
 # default, smp, fattree and hetero models, of `-exp implicit -measured`,
 # of `-exp implicit -model fattree` with its span and trace files, of
 # `-exp scenarios`, of `-exp feedback` with its span file (one window
-# per measured epoch), of `-paper -exp fig6` (the partitioner at paper
-# scale), and of `plumviz -p 4 -trace` with its trace file under OUT
-# (~1.5 min on 2 cores).  Whether a change moved
+# per measured epoch), of `-paper -exp table1|fig4|fig5|fig6|fig8` (the
+# 60,912-element mesh: its refinement path, the partitioner on its dual
+# and the remap decisions), and of `plumviz -p 4 -trace` with its trace
+# file under OUT (~2.5 min on 2 cores).  Whether a change moved
 # any printed number is then one `diff -r` between the snapshot of its
 # parent and its own.  Table 2's three time columns (Opt, Heu and BMCM
 # time) are host wall-clock: they always differ, even between two runs

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # exp-snapshot.sh — write the stdout of every experiment and of the
-# paper-scale Fig. 6 sweep (the partitioner on the 60,912-element dual),
-# plus the implicit experiment's span and trace files, the feedback
-# experiment's span file (the measured, multi-epoch profile windows and
-# their wait blame) and plumviz's
-# -trace report (the per-rank cost profile and wait-blame tables) with
-# its trace file, under one directory, so a change's effect on the
-# printed tables is one `diff -r` between the snapshot of the parent and
-# the snapshot of the change.
+# paper-scale Table 1 and Figs. 4, 5, 6 and 8 (the 60,912-element mesh:
+# its refinement path, the partitioner on its dual and the remap
+# decisions), plus the implicit experiment's span and trace files, the
+# feedback experiment's span file (the measured, multi-epoch profile
+# windows and their wait blame) and plumviz's -trace report (the
+# per-rank cost profile and wait-blame tables) with its trace file,
+# under one directory, so a change's effect on the printed tables is one
+# `diff -r` between the snapshot of the parent and the snapshot of the
+# change.
 #
 #   bash ci/exp-snapshot.sh OUT     # from the repository root; or make exp-snapshot OUT=dir
 #
@@ -36,7 +37,9 @@ done
 	-trace implicit-fattree.trace.json >implicit-fattree.txt)
 "$bench" -exp scenarios >"$out/scenarios.txt"
 (cd "$out" && "$bench" -exp feedback -spans feedback.spans.jsonl >feedback.txt)
-"$bench" -paper -exp fig6 >"$out/fig6-paper.txt"
+for e in table1 fig4 fig5 fig6 fig8; do
+	"$bench" -paper -exp "$e" >"$out/$e-paper.txt"
+done
 # The VTK mesh stays in the temporary directory; the Chrome trace and
 # the profile report are kept.
 (cd "$tmp" && ./plumviz -p 4 -o plumviz.vtk -trace plumviz.trace.json >"$out/plumviz-trace.txt")

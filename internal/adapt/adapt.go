@@ -26,7 +26,14 @@ type Mesh struct {
 	EdgeMid    []int32    // bisection midpoint vertex, -1 if leaf
 	EdgeAlive  []bool
 	EdgeMark   []bool // refinement marks for the current pass
-	edgeByPair map[[2]int32]int32
+	// Vertex-local edge index: edgeHead[v] is the newest alive edge
+	// whose lower endpoint is v (-1 if none; vertices past its end have
+	// none yet) and edgeNext[id] the next one after edge id on that
+	// chain.  It holds alive edges only: an edge dies only in purge,
+	// which unlinks it in the same statement, so a lookup never reaches
+	// a dead edge and a purged pair is re-created under a new id.
+	edgeHead []int32
+	edgeNext []int32
 
 	// Elements.
 	ElemVerts  [][4]int32
@@ -88,7 +95,8 @@ func FromMesh(m *mesh.Mesh, ncomp int) *Mesh {
 	a := &Mesh{
 		NComp:      ncomp,
 		gidVert:    make(map[uint64]int32, len(m.Coords)*2),
-		edgeByPair: make(map[[2]int32]int32, len(m.Edges)*2),
+		edgeHead:   make([]int32, len(m.Coords)),
+		edgeNext:   make([]int32, 0, len(m.Edges)),
 		NRootElems: len(m.Elems),
 		NInitEdges: len(m.Edges),
 		NInitVerts: len(m.Coords),
@@ -102,6 +110,9 @@ func FromMesh(m *mesh.Mesh, ncomp int) *Mesh {
 		a.gidVert[uint64(v)] = int32(v)
 	}
 	a.Sol = make([]float64, ncomp*len(m.Coords))
+	for v := range a.edgeHead {
+		a.edgeHead[v] = -1
+	}
 
 	a.EdgeV = append(a.EdgeV, m.Edges...)
 	n := len(m.Edges)
@@ -115,7 +126,7 @@ func FromMesh(m *mesh.Mesh, ncomp int) *Mesh {
 		a.EdgeParent[e] = -1
 		a.EdgeMid[e] = -1
 		a.EdgeAlive[e] = true
-		a.edgeByPair[m.Edges[e]] = int32(e)
+		a.linkEdge(int32(e))
 	}
 
 	a.ElemVerts = append(a.ElemVerts, m.Elems...)
@@ -135,8 +146,8 @@ func FromMesh(m *mesh.Mesh, ncomp int) *Mesh {
 		var edges [3]int32
 		pairs := [3][2]int32{{bf[0], bf[1]}, {bf[0], bf[2]}, {bf[1], bf[2]}}
 		for j, p := range pairs {
-			id, ok := a.edgeByPair[canonPair(p[0], p[1])]
-			if !ok {
+			id := a.EdgeByPair(p[0], p[1])
+			if id < 0 {
 				panic("adapt: boundary face edge missing from edge table")
 			}
 			edges[j] = id
@@ -290,36 +301,52 @@ func (m *Mesh) rootSpan() int {
 // getOrCreateEdge returns the id of the edge (a,b), creating it (as an
 // element-interior or face edge, parent -1) if it does not exist.
 func (m *Mesh) getOrCreateEdge(a, b int32) int32 {
-	k := canonPair(a, b)
-	if id, ok := m.edgeByPair[k]; ok {
-		if !m.EdgeAlive[id] {
-			// Revive a purged slot rather than growing the tables.
-			m.EdgeAlive[id] = true
-			m.EdgeChild[id] = [2]int32{-1, -1}
-			m.EdgeMid[id] = -1
-			m.EdgeParent[id] = -1
-			m.EdgeMark[id] = false
-			m.EdgeElems = nil
-		}
+	if id := m.EdgeByPair(a, b); id >= 0 {
 		return id
 	}
 	m.EdgeElems = nil
 	id := int32(len(m.EdgeV))
-	m.EdgeV = append(m.EdgeV, k)
+	m.EdgeV = append(m.EdgeV, canonPair(a, b))
 	m.EdgeChild = append(m.EdgeChild, [2]int32{-1, -1})
 	m.EdgeParent = append(m.EdgeParent, -1)
 	m.EdgeMid = append(m.EdgeMid, -1)
 	m.EdgeAlive = append(m.EdgeAlive, true)
 	m.EdgeMark = append(m.EdgeMark, false)
-	m.edgeByPair[k] = id
+	m.linkEdge(id)
 	return id
+}
+
+// linkEdge pushes the newest edge id onto its lower endpoint's chain.
+func (m *Mesh) linkEdge(id int32) {
+	lo := m.EdgeV[id][0]
+	for int(lo) >= len(m.edgeHead) {
+		m.edgeHead = append(m.edgeHead, -1)
+	}
+	m.edgeNext = append(m.edgeNext, m.edgeHead[lo])
+	m.edgeHead[lo] = id
+}
+
+// unlinkEdge removes edge id from its lower endpoint's chain.
+func (m *Mesh) unlinkEdge(id int32) {
+	at := &m.edgeHead[m.EdgeV[id][0]]
+	for *at != id {
+		at = &m.edgeNext[*at]
+	}
+	*at = m.edgeNext[id]
+	m.edgeNext[id] = -1
 }
 
 // EdgeByPair returns the id of the alive edge with the given endpoint
 // vertices, or -1.
 func (m *Mesh) EdgeByPair(a, b int32) int32 {
-	if id, ok := m.edgeByPair[canonPair(a, b)]; ok && m.EdgeAlive[id] {
-		return id
+	k := canonPair(a, b)
+	if uint(k[0]) >= uint(len(m.edgeHead)) {
+		return -1
+	}
+	for id := m.edgeHead[k[0]]; id >= 0; id = m.edgeNext[id] {
+		if m.EdgeV[id][1] == k[1] {
+			return id
+		}
 	}
 	return -1
 }

@@ -543,3 +543,54 @@ func TestBuildEdgeElemsFlat(t *testing.T) {
 	check("initial", FromMesh(mesh.Box(3, 3, 3, 3, 3, 3), 1))
 	check("adapted", adaptedBox())
 }
+
+// TestCheckInvariantsRejectsCorruptEdgeIndex: CheckInvariants rejects an
+// edge index that misses an alive edge, reaches a dead one, or loops.
+func TestCheckInvariantsRejectsCorruptEdgeIndex(t *testing.T) {
+	if err := adaptedBox().CheckInvariants(); err != nil {
+		t.Fatalf("uncorrupted mesh: %v", err)
+	}
+	// firstChain returns the lowest vertex with a non-empty chain.
+	firstChain := func(m *Mesh) int32 {
+		for v, id := range m.edgeHead {
+			if id >= 0 {
+				return int32(v)
+			}
+		}
+		t.Fatal("edge index is empty")
+		return -1
+	}
+	corruptions := map[string]func(m *Mesh){
+		"drop alive edge": func(m *Mesh) {
+			v := firstChain(m)
+			m.edgeHead[v] = m.edgeNext[m.edgeHead[v]]
+		},
+		"link dead edge": func(m *Mesh) {
+			for id, alive := range m.EdgeAlive {
+				if !alive {
+					lo := m.EdgeV[id][0]
+					m.edgeNext[id], m.edgeHead[lo] = m.edgeHead[lo], int32(id)
+					return
+				}
+			}
+			t.Fatal("mesh has no dead edge")
+		},
+		"close cycle": func(m *Mesh) {
+			head := m.edgeHead[firstChain(m)]
+			tail := head
+			for m.edgeNext[tail] >= 0 {
+				tail = m.edgeNext[tail]
+			}
+			m.edgeNext[tail] = head
+		},
+	}
+	for name, corrupt := range corruptions {
+		m := adaptedBox()
+		corrupt(m)
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants accepted the corrupt index", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}

@@ -15,11 +15,7 @@ import (
 
 // NewEmpty returns a mesh with no objects and ncomp solution components.
 func NewEmpty(ncomp int) *Mesh {
-	return &Mesh{
-		NComp:      ncomp,
-		gidVert:    make(map[uint64]int32),
-		edgeByPair: make(map[[2]int32]int32),
-	}
+	return &Mesh{NComp: ncomp, gidVert: make(map[uint64]int32)}
 }
 
 // FromMeshGIDs is FromMesh with explicit global ids for the initial

@@ -195,8 +195,8 @@ func adaptedBox() *Mesh {
 }
 
 // requireSameMesh fails unless a and b hold identical state: every
-// exported field, the pair and gid lookup tables, and every root's
-// boundary-face family.
+// exported field, the gid lookup table, what the edge index resolves,
+// and every root's boundary-face family.
 func requireSameMesh(t *testing.T, stage string, a, b *Mesh) {
 	t.Helper()
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
@@ -206,12 +206,21 @@ func requireSameMesh(t *testing.T, stage string, a, b *Mesh) {
 			t.Errorf("%s: field %s differs", stage, f.Name)
 		}
 	}
-	if !reflect.DeepEqual(a.edgeByPair, b.edgeByPair) || !reflect.DeepEqual(a.gidVert, b.gidVert) {
-		t.Errorf("%s: edge-pair or gid lookup tables differ", stage)
+	if !reflect.DeepEqual(a.gidVert, b.gidVert) {
+		t.Errorf("%s: gid lookup tables differ", stage)
 	}
-	for _, p := range a.EdgeV {
-		if x, y := a.EdgeByPair(p[0], p[1]), b.EdgeByPair(p[0], p[1]); x != y {
+	// The edge index is compared by what it resolves: the same id for
+	// every pair, each alive edge by its own pair, no dead edge at all.
+	for id, p := range a.EdgeV {
+		x, y := a.EdgeByPair(p[0], p[1]), b.EdgeByPair(p[0], p[1])
+		if x != y {
 			t.Errorf("%s: EdgeByPair(%d,%d) = %d vs %d", stage, p[0], p[1], x, y)
+		}
+		if x >= 0 && !a.EdgeAlive[x] {
+			t.Errorf("%s: EdgeByPair(%d,%d) reaches dead edge %d", stage, p[0], p[1], x)
+		}
+		if a.EdgeAlive[id] && x != int32(id) {
+			t.Errorf("%s: alive edge %d resolves to %d", stage, id, x)
 		}
 	}
 	for _, g := range a.VertGID {

@@ -14,7 +14,8 @@ import (
 // Invariants checked:
 //  1. Every active element references alive vertices and alive *leaf*
 //     edges consistent with its vertex pairs.
-//  2. The edge pair map is a bijection onto alive edges.
+//  2. The vertex-local edge index reaches every alive edge exactly once,
+//     from its lower endpoint, and no dead edge.
 //  3. Vertex gid map consistency, and midpoint vertices sit at the
 //     geometric midpoint of their parent edge.
 //  4. Conformity: every face of the active mesh is shared by at most two
@@ -48,19 +49,30 @@ func (m *Mesh) CheckInvariants() error {
 		}
 	}
 
-	// 2. Pair map.
-	for id := range m.EdgeV {
-		if !m.EdgeAlive[id] {
-			continue
-		}
-		got, ok := m.edgeByPair[m.EdgeV[id]]
-		if !ok || got != int32(id) {
-			return fmt.Errorf("adapt: alive edge %d missing or duplicated in pair map (got %d, ok=%v)", id, got, ok)
+	// 2. Edge index: chains reach only alive edges, each from its lower
+	// endpoint and at most once, so no walk is longer than len(EdgeV)
+	// (a cycle revisits an edge); then every alive edge was reached.
+	if len(m.edgeNext) != len(m.EdgeV) {
+		return fmt.Errorf("adapt: edge index has %d links for %d edges", len(m.edgeNext), len(m.EdgeV))
+	}
+	reached := make([]bool, len(m.EdgeV))
+	for v, id := range m.edgeHead {
+		for ; id >= 0; id = m.edgeNext[id] {
+			if int(id) >= len(m.EdgeV) || !m.EdgeAlive[id] {
+				return fmt.Errorf("adapt: edge index chain of vertex %d reaches dead edge %d", v, id)
+			}
+			if m.EdgeV[id][0] != int32(v) {
+				return fmt.Errorf("adapt: edge %d on the index chain of vertex %d, not of its lower endpoint", id, v)
+			}
+			if reached[id] {
+				return fmt.Errorf("adapt: edge index chain of vertex %d has a cycle through edge %d", v, id)
+			}
+			reached[id] = true
 		}
 	}
-	for k, id := range m.edgeByPair {
-		if !m.EdgeAlive[id] {
-			return fmt.Errorf("adapt: pair map entry %v points at dead edge %d", k, id)
+	for id := range m.EdgeV {
+		if m.EdgeAlive[id] && !reached[id] {
+			return fmt.Errorf("adapt: alive edge %d missing from the edge index", id)
 		}
 	}
 

@@ -149,7 +149,7 @@ func (m *Mesh) purge() (unbisected, vertsRemoved int) {
 				continue
 			}
 			m.EdgeAlive[id] = false
-			delete(m.edgeByPair, m.EdgeV[id])
+			m.unlinkEdge(int32(id))
 			changed = true
 		}
 		// Un-bisect parents whose children are both dead.

@@ -26,6 +26,11 @@
 // by their endpoint id pair.  This naming is what lets the distributed
 // implementation (package pmesh) agree on the identity of objects created
 // independently on different processors, including new edges on shared
-// partition faces.  Marking propagation is a monotone fixpoint, so the
-// final subdivision pattern is independent of traversal order.
+// partition faces.  Locally, an edge is found from its endpoints through
+// a vertex-local index: one intrusive chain per lower endpoint, threaded
+// through an edge-indexed link array, with no hash table.  The index
+// holds alive edges only; purge unlinks an edge as it kills it, so a
+// purged pair is re-created under a fresh id appended in creation order.
+// Marking propagation is a monotone fixpoint, so the final subdivision
+// pattern is independent of traversal order.
 package adapt

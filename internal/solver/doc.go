@@ -26,6 +26,12 @@
 // Invariants.  Shared-vertex partials are combined in ascending rank
 // order and edge ownership is exact (pmesh.ResolveOwnership), so every
 // update is bitwise independent of the partition and of GOMAXPROCS.
+// PSolver.Rebuild precomputes the kernel tables that stay fixed until
+// the next Rebuild: the owned edges in ascending id with their
+// orientation and length, and per peer the local vertex of each
+// received partial.  Partials still carry their vertex gids on the
+// wire; a step re-resolves a table slot whose gid no longer matches, so
+// the tables change no simulated byte and cannot mis-route a partial.
 // The implicit solver inherits linalg's exact-reduction discipline:
 // iteration counts and residual histories are identical for every
 // processor count.

@@ -28,6 +28,13 @@ type PSolver struct {
 	// ascending.
 	shared []int32
 
+	// Kernel tables, fixed between Rebuilds and refilled in their own
+	// storage by each: edges holds every owned edge in ascending id,
+	// and slots[r][i] the local vertex of the i-th partial rank r
+	// sends, resolved from its gid on first use.
+	edges []ownedEdge
+	slots [][]gidSlot
+
 	// Step scratch, kept across steps and regrown with the mesh: the
 	// local accumulators (acc, deg), the combined shared-vertex sums
 	// (cacc, cdeg; seen marks a vertex combined this step, touched lists
@@ -38,6 +45,19 @@ type PSolver struct {
 	wire                 [][]byte
 }
 
+// ownedEdge is one owned edge as Step evaluates it: endpoints oriented
+// by OrientEdge and the edge length.
+type ownedEdge struct {
+	a, b   int32
+	length float64
+}
+
+// gidSlot caches the local vertex (-1 if not held) of a wire gid.
+type gidSlot struct {
+	gid uint64
+	v   int32
+}
+
 // NewParallel builds the solver for the current mesh topology.  Call
 // Rebuild after any adaption or migration.  Collective.
 func NewParallel(d *pmesh.DistMesh) *PSolver {
@@ -46,10 +66,21 @@ func NewParallel(d *pmesh.DistMesh) *PSolver {
 	return s
 }
 
-// Rebuild refreshes ownership and exchange lists.  Collective.
+// Rebuild refreshes ownership, exchange lists and the kernel tables.
+// Collective.
 func (s *PSolver) Rebuild() {
+	m := s.D.M
+	p := s.D.C.Size()
 	s.own = s.D.ResolveOwnership()
-	s.sendTo = make([][]int32, s.D.C.Size())
+	if len(s.sendTo) != p {
+		s.sendTo = make([][]int32, p)
+	}
+	for r := range s.sendTo {
+		s.sendTo[r] = s.sendTo[r][:0]
+	}
+	for r := range s.slots {
+		s.slots[r] = s.slots[r][:0]
+	}
 	s.shared = s.shared[:0]
 	for v, sharers := range s.own.VertSharers {
 		if sharers == nil {
@@ -61,9 +92,19 @@ func (s *PSolver) Rebuild() {
 		}
 	}
 	// Deterministic order: ascending gid per destination.
-	gid := s.D.M.VertGID
+	gid := m.VertGID
 	for _, vs := range s.sendTo {
 		slices.SortFunc(vs, func(a, b int32) int { return cmp.Compare(gid[a], gid[b]) })
+	}
+	// Sized for every edge: one allocation, not one per doubling (the
+	// implicit workload builds this solver once and never steps it).
+	s.edges = slices.Grow(s.edges[:0], len(s.own.Owned))
+	for id, owned := range s.own.Owned {
+		if !owned {
+			continue
+		}
+		a, b := OrientEdge(m, int32(id))
+		s.edges = append(s.edges, ownedEdge{a, b, m.Coords[a].Sub(m.Coords[b]).Norm()})
 	}
 }
 
@@ -76,40 +117,32 @@ func (s *PSolver) Step(dt float64) int {
 	s.acc = zeroed(s.acc, nv*NComp)
 	s.deg = zeroed(s.deg, nv)
 	acc, deg := s.acc, s.deg
-	work := 0
 	var ua, ub, flux [NComp]float64
-	for id := range m.EdgeV {
-		if !s.own.Owned[id] {
-			continue
-		}
-		a, b := OrientEdge(m, int32(id))
-		length := m.Coords[a].Sub(m.Coords[b]).Norm()
+	for _, e := range s.edges {
+		a, b := e.a, e.b
 		copy(ua[:], m.Sol[int(a)*NComp:])
 		copy(ub[:], m.Sol[int(b)*NComp:])
-		edgeFlux(&ua, &ub, length, &flux)
+		edgeFlux(&ua, &ub, e.length, &flux)
 		for k := 0; k < NComp; k++ {
 			acc[int(a)*NComp+k] -= flux[k]
 			acc[int(b)*NComp+k] += flux[k]
 		}
-		deg[a] += length
-		deg[b] += length
-		work++
+		deg[a] += e.length
+		deg[b] += e.length
 	}
+	work := len(s.edges)
 	d.C.Compute(float64(work))
 
 	// Ghost accumulation: exchange partial (acc, deg) of shared
-	// vertices with their actual sharers; combine in rank order.
+	// vertices with their actual sharers; combine in rank order.  The
+	// payloads double as Alltoall's parts, which it copies.
 	p := d.C.Size()
 	me := int32(d.C.Rank())
 	if len(s.wire) != p {
 		s.wire = make([][]byte, p)
+		s.slots = make([][]gidSlot, p)
 	}
-	parts := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		vs := s.sendTo[r]
-		if len(vs) == 0 {
-			continue
-		}
+	for r, vs := range s.sendTo {
 		buf := s.wire[r][:0]
 		for _, v := range vs {
 			buf = appendFloat(buf, float64(int64(m.VertGID[v]>>32)))
@@ -119,9 +152,9 @@ func (s *PSolver) Step(dt float64) int {
 			}
 			buf = appendFloat(buf, deg[v])
 		}
-		s.wire[r], parts[r] = buf, buf
+		s.wire[r] = buf
 	}
-	recv := d.C.Alltoall(parts)
+	recv := d.C.Alltoall(s.wire)
 
 	// Deterministic combination: process contributions rank by rank in
 	// ascending order, inserting our own partial at rank "me".  Shared
@@ -142,9 +175,17 @@ func (s *PSolver) Step(dt float64) int {
 			continue
 		}
 		data := recv[r]
-		for i := 0; i+stride <= len(data); i += stride {
+		slots := s.slots[r]
+		for i, n := 0, 0; i+stride <= len(data); i, n = i+stride, n+1 {
 			gid := uint64(int64(floatAt(data, i)))<<32 | uint64(uint32(int64(floatAt(data, i+8))))
-			v := m.VertByGID(gid)
+			// The gid check re-resolves a slot the sender's order does
+			// not match, so a stale table never mis-routes a partial.
+			if n == len(slots) {
+				slots = append(slots, gidSlot{gid, m.VertByGID(gid)})
+			} else if slots[n].gid != gid {
+				slots[n] = gidSlot{gid, m.VertByGID(gid)}
+			}
+			v := slots[n].v
 			if v < 0 {
 				continue // conservative SPL over-approximation
 			}
@@ -153,6 +194,7 @@ func (s *PSolver) Step(dt float64) int {
 			}
 			s.combine(v, a[:], floatAt(data, i+16+8*NComp))
 		}
+		s.slots[r] = slots
 	}
 	for _, v := range s.touched {
 		copy(acc[int(v)*NComp:int(v)*NComp+NComp], s.cacc[int(v)*NComp:])

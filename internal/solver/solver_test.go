@@ -232,3 +232,159 @@ func TestParallelStepAllocsFlat(t *testing.T) {
 		t.Errorf("%.1f mallocs per step, want fewer than the %d shared-vertex copies", perStep, shared)
 	}
 }
+
+// referenceStep is PSolver.Step without the kernel tables: every step
+// re-derives each owned edge's orientation and length and decodes every
+// received partial's gid through VertByGID.  It returns the combined
+// accumulators it applied.
+func referenceStep(s *PSolver, dt float64) (acc, deg []float64) {
+	d, m := s.D, s.D.M
+	nv := len(m.Coords)
+	acc = make([]float64, nv*NComp)
+	deg = make([]float64, nv)
+	work := 0
+	var ua, ub, flux [NComp]float64
+	for id := range m.EdgeV {
+		if !s.own.Owned[id] {
+			continue
+		}
+		a, b := OrientEdge(m, int32(id))
+		length := m.Coords[a].Sub(m.Coords[b]).Norm()
+		copy(ua[:], m.Sol[int(a)*NComp:])
+		copy(ub[:], m.Sol[int(b)*NComp:])
+		edgeFlux(&ua, &ub, length, &flux)
+		for k := 0; k < NComp; k++ {
+			acc[int(a)*NComp+k] -= flux[k]
+			acc[int(b)*NComp+k] += flux[k]
+		}
+		deg[a] += length
+		deg[b] += length
+		work++
+	}
+	d.C.Compute(float64(work))
+
+	p := d.C.Size()
+	parts := make([][]byte, p)
+	for r, vs := range s.sendTo {
+		for _, v := range vs {
+			parts[r] = appendFloat(parts[r], float64(int64(m.VertGID[v]>>32)))
+			parts[r] = appendFloat(parts[r], float64(uint32(m.VertGID[v])))
+			for _, x := range acc[int(v)*NComp : int(v)*NComp+NComp] {
+				parts[r] = appendFloat(parts[r], x)
+			}
+			parts[r] = appendFloat(parts[r], deg[v])
+		}
+	}
+	recv := d.C.Alltoall(parts)
+
+	// Shared sums start at zero and add every partial in rank order.
+	sum := make([]float64, nv*NComp)
+	sumDeg := make([]float64, nv)
+	combined := make([]bool, nv)
+	add := func(v int32, a []float64, dg float64) {
+		combined[v] = true
+		for k := range a {
+			sum[int(v)*NComp+k] += a[k]
+		}
+		sumDeg[v] += dg
+	}
+	const stride = 8 * (NComp + 3)
+	for r := 0; r < p; r++ {
+		if r == d.C.Rank() {
+			for _, v := range s.shared {
+				add(v, acc[int(v)*NComp:int(v)*NComp+NComp], deg[v])
+			}
+			continue
+		}
+		data := recv[r]
+		for i := 0; i+stride <= len(data); i += stride {
+			gid := uint64(int64(floatAt(data, i)))<<32 | uint64(uint32(int64(floatAt(data, i+8))))
+			v := m.VertByGID(gid)
+			if v < 0 {
+				continue
+			}
+			var a [NComp]float64
+			for k := range a {
+				a[k] = floatAt(data, i+16+8*k)
+			}
+			add(v, a[:], floatAt(data, i+16+8*NComp))
+		}
+	}
+	for v, ok := range combined {
+		if ok {
+			copy(acc[v*NComp:v*NComp+NComp], sum[v*NComp:])
+			deg[v] = sumDeg[v]
+		}
+	}
+	applyUpdate(m, acc, deg, dt)
+	return acc, deg
+}
+
+// TestParallelStepMatchesReference: Step over the kernel tables leaves
+// the solution bitwise equal to referenceStep's on a P=4 world, through
+// 10 steps, a refinement, a migration and a Rebuild, and 10 more steps.
+// The combined accumulators are compared too: an update of order 1e-3
+// absorbs the last-bit differences a reordered edge sum leaves in them.
+// Two solvers run side by side in one world, each on its own copy of
+// the distributed mesh.
+func TestParallelStepMatchesReference(t *testing.T) {
+	const p = 4
+	global := mesh.Box(4, 4, 3, 4, 4, 3)
+	part := partition.Partition(dual.FromMesh(global), p, partition.Options{})
+	rotated := make([]int32, len(part))
+	for g, r := range part {
+		rotated[g] = (r + 1) % p
+	}
+	init := GaussianPulse(mesh.Vec3{2, 2, 1.5}, 0.8)
+	ind := adapt.SphericalIndicator(mesh.Vec3{1, 1, 1}, 1.2, 0.5)
+	msg.Run(p, func(c *msg.Comm) {
+		var solvers [2]*PSolver
+		for i := range solvers {
+			solvers[i] = NewParallel(pmesh.New(c, global, part, NComp))
+			solvers[i].InitParallel(init)
+		}
+		fast, ref := solvers[0], solvers[1]
+		// same reports the first difference without stopping the rank:
+		// the other ranks still wait for it in the next collective.
+		same := func(stage string, a, b []float64) {
+			if t.Failed() {
+				return
+			}
+			if len(a) != len(b) {
+				t.Errorf("%s: rank %d holds %d values vs reference %d", stage, c.Rank(), len(a), len(b))
+				return
+			}
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Errorf("%s: rank %d [%d] = %v, reference %v", stage, c.Rank(), i, a[i], b[i])
+					return
+				}
+			}
+		}
+		steps := func() {
+			for it := 0; it < 10; it++ {
+				fast.Step(0.002)
+				acc, deg := referenceStep(ref, 0.002)
+				same("acc", fast.acc, acc)
+				same("deg", fast.deg, deg)
+			}
+		}
+		steps()
+		same("Sol after 10 steps", fast.D.M.Sol, ref.D.M.Sol)
+		edges := len(fast.D.M.EdgeV)
+		for _, s := range solvers {
+			d := s.D
+			d.M.TargetEdges(d.M.EdgeErrorGeometric(ind), 0.3)
+			d.PropagateParallel()
+			d.Refine()
+			d.Migrate(rotated)
+			s.Rebuild()
+		}
+		if c.AllreduceInt64(int64(len(fast.D.M.EdgeV)-edges), msg.SumInt64) <= 0 {
+			t.Error("the adaption added no edge")
+		}
+		same("Sol after adapt and migrate", fast.D.M.Sol, ref.D.M.Sol)
+		steps()
+		same("Sol after 10 more steps", fast.D.M.Sol, ref.D.M.Sol)
+	})
+}
