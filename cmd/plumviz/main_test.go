@@ -142,3 +142,56 @@ func TestRunExitCodes(t *testing.T) {
 // chromeP4SHA256 is the SHA-256 of the Chrome file `plumviz -p 4
 // -trace` writes.
 const chromeP4SHA256 = "d5cffd1449382565e2fe29a29d603d79fdc2ac08412245ad3fdd80f14df618d4"
+
+// leagueSpans is a three-rank span stream with two blamed epochs: lag
+// cells on ranks 1 and 2 whose order swaps between the epochs, and two
+// edges blamed in both, so the cross-epoch league sums two terms per
+// cell and per edge and reorders both tables.
+const leagueSpans = `{"k":"hdr","schema":2,"p":3,"label":{"exp":"viz_league","p":"3"}}
+{"k":"span","e":0,"r":0,"ph":"solve","d":0,"t0":0,"t1":1.5}
+{"k":"span","e":0,"r":1,"ph":"solve","d":0,"t0":0,"t1":1.9}
+{"k":"span","e":0,"r":2,"ph":"halo","d":1,"t0":0.2,"t1":0.9}
+{"k":"blame","e":0,"wait":0.731,"sender_compute":0.31,"sender_overhead":0.07,"contention":0.113,"wire":0.171,"idle":0.067,"lag":[{"r":1,"ph":"solve","s":0.23},{"r":2,"ph":"halo","s":0.11}],"lag_other":0.04,"edges":[{"src":1,"dst":0,"queue":0.083,"wire":0.101,"n":3},{"src":2,"dst":0,"queue":0.03,"wire":0.07,"n":2}]}
+{"k":"span","e":1,"r":0,"ph":"migrate","d":0,"t0":1.9,"t1":2.6}
+{"k":"span","e":1,"r":2,"ph":"halo","d":0,"t0":1.9,"t1":2.4}
+{"k":"blame","e":1,"wait":0.517,"sender_compute":0.251,"sender_overhead":0.002,"contention":0.074,"wire":0.076,"idle":0.114,"lag":[{"r":2,"ph":"halo","s":0.19},{"r":1,"ph":"solve","s":0.05}],"lag_other":0.013,"edges":[{"src":2,"dst":0,"queue":0.061,"wire":0.047,"n":2},{"src":1,"dst":0,"queue":0.013,"wire":0.029,"n":1}]}
+{"k":"end","epochs":2,"spans":5}
+`
+
+// TestBlameRendersPinned pins the bytes of the blame renders: the
+// baseline ledger (per-epoch league and blame tables), the scenario
+// corpus ledgers (the scenario summary and its top-blame column) and
+// leagueSpans (per-epoch blame, sender-lag league, edges and census).
+func TestBlameRendersPinned(t *testing.T) {
+	leagueFile := filepath.Join(t.TempDir(), "league.jsonl")
+	if err := os.WriteFile(leagueFile, []byte(leagueSpans), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scenarios, err := filepath.Glob("../../ci/scenarios/*.golden.jsonl")
+	if err != nil || len(scenarios) == 0 {
+		t.Fatalf("no scenario goldens (%v)", err)
+	}
+	var scenarioArgs [][]string
+	for _, f := range scenarios {
+		scenarioArgs = append(scenarioArgs, []string{"-ledger", f})
+	}
+	for _, c := range []struct {
+		name string
+		runs [][]string // invocations whose stdouts are hashed together
+		want string
+	}{
+		{"baseline ledger", [][]string{{"-ledger", baselineLedger}}, "c68538f47dc634745da9d6ac91fcf370ff367d4fb572d4c2cb92181802dc7e2d"},
+		{"scenario ledgers", scenarioArgs, "30ccff7b0e683051c22d9b8af707bdc8bbaa1ee1216604f7820fb40eca3fde04"},
+		{"league spans", [][]string{{"-blame", leagueFile}}, "a9894c0a184d86cedfa4a69976318f84d7ac84072e4e4536a4ff38ad4cfec621"},
+	} {
+		var out, errb bytes.Buffer
+		for _, args := range c.runs {
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("run(%q) = %d; stderr: %s", args, code, errb.String())
+			}
+		}
+		if sum := sha256.Sum256(out.Bytes()); hex.EncodeToString(sum[:]) != c.want {
+			t.Errorf("%s SHA-256 = %x, want %s:\n%s", c.name, sum, c.want, out.String())
+		}
+	}
+}

@@ -2,6 +2,8 @@ package diff
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"math"
@@ -467,5 +469,77 @@ func TestLedgerFiles(t *testing.T) {
 	}
 	if rep.Zero() || rep.Totals.Flips != 1 {
 		t.Errorf("on-disk flip diff wrong: zero=%v flips=%d", rep.Zero(), rep.Totals.Flips)
+	}
+}
+
+// leagueFixture extends spanFixture with a second blamed epoch: a lag
+// cell of epoch 0 grows, a third rank lags, and epoch 0's edge is
+// blamed again beside a new one, so every cross-epoch sum — cells,
+// lag_other and edge delay — takes two terms.
+func leagueFixture(run string, lagShift float64) event.SpanWorld {
+	w := spanFixture(run, lagShift)
+	e1 := w.Blame[0]
+	e1.Epoch = 1
+	e1.Wait += 0.117
+	e1.SenderOverhead = 0.031 + lagShift
+	e1.Contention = 0.029
+	e1.Idle = 0.013
+	e1.Lag = []event.LagEntry{
+		{Rank: 2, Phase: "halo", Seconds: 0.061 + 2*lagShift},
+		{Rank: 3, Phase: "solve", Seconds: 0.043},
+	}
+	e1.LagOther = 0.017 + lagShift
+	e1.Edges = []event.EdgeBlame{
+		{Src: 1, Dst: 0, Queue: 0.023, Wire: 0.019 + lagShift, Count: 2},
+		{Src: 3, Dst: 2, Queue: 0.011, Wire: 0.007, Count: 1},
+	}
+	w.Blame = append(w.Blame, e1)
+	return w
+}
+
+// TestBlameOutputsPinned pins the bytes plumdiff writes from blame: the
+// markdown and JSON reports of the flip fixture (per-epoch blame
+// deltas) and the span-diff text and JSON of the spanFixture and
+// leagueFixture pairs (per-epoch deltas, summed cells, lag_other and
+// edges).
+func TestBlameOutputsPinned(t *testing.T) {
+	sum := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])
+	}
+	js := func(v any) []byte {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	rep := Ledgers("base.jsonl", "cur.jsonl", fixtureBase(), fixtureFlip(), Options{Metrics: true})
+	var md bytes.Buffer
+	rep.WriteMarkdown(&md)
+	spans := func(fixture func(string, float64) event.SpanWorld) (text, data []byte) {
+		ds := Spans([]event.SpanWorld{fixture("analytic", 0)},
+			[]event.SpanWorld{fixture("measured", 0.07)}, Options{})
+		var buf bytes.Buffer
+		(&Report{Spans: ds}).writeSpanText(&buf)
+		return buf.Bytes(), js(ds)
+	}
+	spanText, spanJSON := spans(spanFixture)
+	leagueText, leagueJSON := spans(leagueFixture)
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"flip markdown", md.Bytes(), "b52659fa5018e7f7a61740f649276ec533d57d04f744eeddbd0c9e47ddc3408e"},
+		{"flip JSON", js(rep), "d140a07e2a706bcdd80a4b05b720865317d5f6701ee0f011832f8bc8e12dd6c0"},
+		{"span text", spanText, "5ab4c01d1302dfd3960a9409f34d432918317cccb39da037f1f177417a08ebd3"},
+		{"span JSON", spanJSON, "801a5f036a6b8a24be482a82787782ab7a4708c9547a2a568c108b0d0c8f6105"},
+		{"league text", leagueText, "a60e5d27a09a1b11e25832d86488ac3728e5d6ad22d4a1ad5b39b36b8bd08918"},
+		{"league JSON", leagueJSON, "6efcd495cf3fd019039e7a4020677119284bcf0ab2ec30d09866b1be5413a1be"},
+	} {
+		if got := sum(c.got); got != c.want {
+			t.Errorf("%s SHA-256 = %s, want %s:\n%s", c.name, got, c.want, c.got)
+		}
 	}
 }
