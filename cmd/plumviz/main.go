@@ -198,12 +198,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // renderBlameReport prints one BlameReport as the standard culprit
 // decomposition plus its top lag cells and edges.
 func renderBlameReport(w io.Writer, b *event.BlameReport) {
+	c := b.Culprits()
 	fmt.Fprintf(w, "Wait-blame: %.4fs attributed — %.4fs sender compute, %.4fs sender overhead,"+
 		" %.4fs contention, %.4fs wire, %.4fs idle\n",
-		b.Wait,
-		b.ByKind[event.BlameSenderCompute], b.ByKind[event.BlameSenderOverhead],
-		b.ByKind[event.BlameContention], b.ByKind[event.BlameWire],
-		b.ByKind[event.BlameIdle])
+		c.Wait, c.SenderCompute, c.SenderOverhead, c.Contention, c.Wire, c.Idle)
 	if lags := b.TopLag(5); len(lags) > 0 {
 		t := report.NewTable("Top lagging senders (rank x phase, simulated seconds)",
 			"Rank", "Phase", "lag(s)")
@@ -269,13 +267,6 @@ func renderLedger(w io.Writer, path string) error {
 		"Exp", "Model", "Run", "P", "epoch", "pricing", "decision",
 		"imbal", "gain", "cost", "TotalV", "MaxV", "EdgeCut", "Elems", "Solve(s)", "CP wait")
 	for _, e := range lf.Epochs {
-		decision := "reject"
-		switch {
-		case e.Balanced:
-			decision = "balanced"
-		case e.Accepted:
-			decision = "accept"
-		}
 		model := e.Model
 		if model == "" {
 			model = "flat"
@@ -284,7 +275,7 @@ func renderLedger(w io.Writer, path string) error {
 		if span := e.CPCompute + e.CPOverhead + e.CPWait; span > 0 {
 			waitShare = fmt.Sprintf("%.1f%%", 100*e.CPWait/span)
 		}
-		t.AddRow(e.Exp, model, e.Run, e.P, e.Cycle, e.Pricing, decision,
+		t.AddRow(e.Exp, model, e.Run, e.P, e.Cycle, e.Pricing, obs.Verdict(e.Balanced, e.Accepted),
 			fmt.Sprintf("%.3f", e.Imbalance),
 			fmt.Sprintf("%.4f", e.Gain), fmt.Sprintf("%.4f", e.Cost),
 			e.TotalV, e.MaxV, e.EdgeCut, e.Elems,
@@ -322,8 +313,7 @@ func renderScenarioSummary(w io.Writer, epochs []obs.EpochRecord) {
 	type agg struct {
 		decisions string
 		solve     float64
-		wait      float64
-		blame     map[string]float64
+		blame     event.Culprits
 	}
 	rows := map[key]*agg{}
 	var names []string
@@ -335,28 +325,16 @@ func renderScenarioSummary(w io.Writer, epochs []obs.EpochRecord) {
 		k := key{scen, e.Run}
 		a := rows[k]
 		if a == nil {
-			a = &agg{blame: map[string]float64{}}
+			a = &agg{}
 			rows[k] = a
 			if e.Run == "analytic" {
 				names = append(names, scen)
 			}
 		}
-		switch {
-		case e.Balanced:
-			a.decisions += "B"
-		case e.Accepted:
-			a.decisions += "A"
-		default:
-			a.decisions += "R"
-		}
+		a.decisions += strings.ToUpper(obs.Verdict(e.Balanced, e.Accepted)[:1])
 		a.solve += e.SolveSeconds
 		if b := e.Blame; b != nil {
-			a.wait += b.Wait
-			a.blame["sender comp"] += b.SenderCompute
-			a.blame["sender ovhd"] += b.SenderOverhead
-			a.blame["contention"] += b.Contention
-			a.blame["wire"] += b.Wire
-			a.blame["idle"] += b.Idle
+			a.blame.Add(b.Culprits)
 		}
 	}
 	if len(rows) == 0 {
@@ -372,11 +350,19 @@ func renderScenarioSummary(w io.Writer, epochs []obs.EpochRecord) {
 		}
 		return n
 	}
-	topBlame := func(a *agg) string {
+	// topBlame names the largest culprit; the culprits are listed in
+	// label order, so a tie goes to the first label.
+	topBlame := func(c event.Culprits) string {
 		top, sec := "-", 0.0
-		for k, s := range a.blame {
-			if s > sec || (s == sec && k < top) {
-				top, sec = k, s
+		for _, k := range []struct {
+			label string
+			sec   float64
+		}{
+			{"contention", c.Contention}, {"idle", c.Idle}, {"sender comp", c.SenderCompute},
+			{"sender ovhd", c.SenderOverhead}, {"wire", c.Wire},
+		} {
+			if k.sec > sec {
+				top, sec = k.label, k.sec
 			}
 		}
 		if sec <= 0 {
@@ -398,7 +384,7 @@ func renderScenarioSummary(w io.Writer, epochs []obs.EpochRecord) {
 				continue
 			}
 			t.AddRow(scen, run, a.decisions, d,
-				fmt.Sprintf("%.4f", a.solve), fmt.Sprintf("%.4f", a.wait), topBlame(a))
+				fmt.Sprintf("%.4f", a.solve), fmt.Sprintf("%.4f", a.blame.Wait), topBlame(a.blame))
 		}
 	}
 	t.Render(w)
@@ -486,83 +472,26 @@ func renderBlame(w io.Writer, path string) error {
 	return nil
 }
 
-// renderLagLeague aggregates the per-epoch top-lag cells and edges of
-// one world stream across its epochs.  Because the stream serializes
-// only each epoch's top-k cells (the rest folds into lag_other), the
-// league is a lower bound per cell; the "other" row restores the total.
+// renderLagLeague renders one world stream's blame league (event.League)
+// across its epochs: the ten largest sender-lag cells, the "other" row
+// that restores the lag total, and the ten most-delaying edges.
 func renderLagLeague(w io.Writer, sw event.SpanWorld) {
-	type cell struct {
-		rank int
-		ph   string
-	}
-	lag := map[cell]float64{}
-	var other float64
-	edges := map[[2]int]*event.EdgeBlame{}
-	for _, eb := range sw.Blame {
-		for _, l := range eb.Lag {
-			lag[cell{l.Rank, l.Phase}] += l.Seconds
-		}
-		other += eb.LagOther
-		for _, e := range eb.Edges {
-			key := [2]int{e.Src, e.Dst}
-			agg := edges[key]
-			if agg == nil {
-				agg = &event.EdgeBlame{Src: e.Src, Dst: e.Dst}
-				edges[key] = agg
-			}
-			agg.Queue += e.Queue
-			agg.Wire += e.Wire
-			agg.Count += e.Count
-		}
-	}
-	if len(lag) > 0 || other > 0 {
-		var cells []event.LagEntry
-		for c, s := range lag {
-			cells = append(cells, event.LagEntry{Rank: c.rank, Phase: c.ph, Seconds: s})
-		}
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Seconds != cells[j].Seconds {
-				return cells[i].Seconds > cells[j].Seconds
-			}
-			if cells[i].Rank != cells[j].Rank {
-				return cells[i].Rank < cells[j].Rank
-			}
-			return cells[i].Phase < cells[j].Phase
-		})
-		if len(cells) > 10 {
-			cells = cells[:10]
-		}
+	l := event.League(sw.Blame)
+	if len(l.Lag) > 0 || l.LagOther > 0 {
 		t := report.NewTable("Sender-lag league, all epochs (simulated seconds)",
 			"Rank", "Phase", "lag(s)")
-		for _, c := range cells {
+		for _, c := range l.TopLag(10) {
 			t.AddRow(c.Rank, c.Phase, fmt.Sprintf("%.4f", c.Seconds))
 		}
-		if other > 0 {
-			t.AddRow("-", "other", fmt.Sprintf("%.4f", other))
+		if l.LagOther > 0 {
+			t.AddRow("-", "other", fmt.Sprintf("%.4f", l.LagOther))
 		}
 		t.Render(w)
 	}
-	if len(edges) > 0 {
-		var all []event.EdgeBlame
-		for _, e := range edges {
-			all = append(all, *e)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			ti, tj := all[i].Queue+all[i].Wire, all[j].Queue+all[j].Wire
-			if ti != tj {
-				return ti > tj
-			}
-			if all[i].Src != all[j].Src {
-				return all[i].Src < all[j].Src
-			}
-			return all[i].Dst < all[j].Dst
-		})
-		if len(all) > 10 {
-			all = all[:10]
-		}
+	if len(l.Edges) > 0 {
 		t := report.NewTable("Top delaying edges, all epochs (queue + wire, simulated seconds)",
 			"Edge", "queue(s)", "wire(s)", "msgs")
-		for _, e := range all {
+		for _, e := range l.TopEdges(10) {
 			t.AddRow(fmt.Sprintf("%d->%d", e.Src, e.Dst),
 				fmt.Sprintf("%.4f", e.Queue), fmt.Sprintf("%.4f", e.Wire), e.Count)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"plum/internal/event"
 	"plum/internal/obs"
 	"plum/internal/remap"
 )
@@ -67,15 +66,7 @@ func epochRecord(exp, model, run string, p, cycle int, cs CycleStats, edgeCut in
 		}
 	}
 	if b := cs.Blame; b != nil {
-		br := &obs.BlameRecord{
-			Wait:           b.Wait,
-			SenderCompute:  b.ByKind[event.BlameSenderCompute],
-			SenderOverhead: b.ByKind[event.BlameSenderOverhead],
-			Contention:     b.ByKind[event.BlameContention],
-			Wire:           b.ByKind[event.BlameWire],
-			Idle:           b.ByKind[event.BlameIdle],
-			TopRank:        -1,
-		}
+		br := &obs.BlameRecord{Culprits: b.Culprits(), TopRank: -1}
 		if top := b.TopLag(1); len(top) > 0 {
 			br.TopRank = top[0].Rank
 			br.TopPhase = top[0].Phase

@@ -45,6 +45,29 @@ const (
 	NumBlameKinds
 )
 
+// Culprits is the by-culprit decomposition of critical-path wait time,
+// in simulated seconds: Wait is the total attributed, and the five
+// culprits — one per BlameKind — sum to it.  Span streams (EpochBlame),
+// ledgers (obs.BlameRecord) and their diffs all carry this one type.
+type Culprits struct {
+	Wait           float64 `json:"wait"`
+	SenderCompute  float64 `json:"sender_compute"`
+	SenderOverhead float64 `json:"sender_overhead"`
+	Contention     float64 `json:"contention"`
+	Wire           float64 `json:"wire"`
+	Idle           float64 `json:"idle"`
+}
+
+// Add accumulates o into c field by field.
+func (c *Culprits) Add(o Culprits) {
+	c.Wait += o.Wait
+	c.SenderCompute += o.SenderCompute
+	c.SenderOverhead += o.SenderOverhead
+	c.Contention += o.Contention
+	c.Wire += o.Wire
+	c.Idle += o.Idle
+}
+
 // EdgeBlame aggregates the post-send delay charged to one directed
 // rank pair: queueing on shared links plus wire latency.
 type EdgeBlame struct {
@@ -130,8 +153,15 @@ func WaitBlame(t *Trace, cp *Path) *BlameReport {
 	for _, e := range bl.edges {
 		rep.Edges = append(rep.Edges, *e)
 	}
-	sort.Slice(rep.Edges, func(i, j int) bool {
-		a, b := &rep.Edges[i], &rep.Edges[j]
+	sortEdges(rep.Edges)
+	return rep
+}
+
+// sortEdges orders edges by total delay (queue + wire), descending,
+// ties broken by source then destination rank.
+func sortEdges(edges []EdgeBlame) {
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := &edges[i], &edges[j]
 		if ta, tb := a.Queue+a.Wire, b.Queue+b.Wire; ta != tb {
 			return ta > tb
 		}
@@ -140,7 +170,6 @@ func WaitBlame(t *Trace, cp *Path) *BlameReport {
 		}
 		return a.Dst < b.Dst
 	})
-	return rep
 }
 
 type blamer struct {
@@ -274,6 +303,12 @@ func (b *BlameReport) TopLag(k int) []LagEntry {
 			}
 		}
 	}
+	return topLag(all, k)
+}
+
+// topLag sorts cells descending by seconds, ties broken by rank then
+// phase, and keeps the first k.
+func topLag(all []LagEntry, k int) []LagEntry {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Seconds != all[j].Seconds {
 			return all[i].Seconds > all[j].Seconds
@@ -297,20 +332,27 @@ func (b *BlameReport) TopEdges(k int) []EdgeBlame {
 	return b.Edges[:k]
 }
 
-// Summary trims the report to the bounded per-epoch form serialized
-// into span streams and ledgers.
-func (b *BlameReport) Summary(epoch, topK int) EpochBlame {
-	eb := EpochBlame{
-		K:              "blame",
-		Epoch:          epoch,
+// Culprits returns the report's wait decomposition.
+func (b *BlameReport) Culprits() Culprits {
+	return Culprits{
 		Wait:           b.Wait,
 		SenderCompute:  b.ByKind[BlameSenderCompute],
 		SenderOverhead: b.ByKind[BlameSenderOverhead],
 		Contention:     b.ByKind[BlameContention],
 		Wire:           b.ByKind[BlameWire],
 		Idle:           b.ByKind[BlameIdle],
-		Lag:            b.TopLag(topK),
-		Edges:          b.TopEdges(topK),
+	}
+}
+
+// Summary trims the report to the bounded per-epoch form serialized
+// into span streams and ledgers.
+func (b *BlameReport) Summary(epoch, topK int) EpochBlame {
+	eb := EpochBlame{
+		K:        "blame",
+		Epoch:    epoch,
+		Culprits: b.Culprits(),
+		Lag:      b.TopLag(topK),
+		Edges:    b.TopEdges(topK),
 	}
 	var inTop float64
 	for _, l := range eb.Lag {
@@ -321,4 +363,77 @@ func (b *BlameReport) Summary(epoch, topK int) EpochBlame {
 		eb.LagOther = 0
 	}
 	return eb
+}
+
+// LagCell names one cell of the sender-lag league: a rank in a phase.
+type LagCell struct {
+	Rank  int
+	Phase string
+}
+
+// LeagueEdge is one directed rank pair's blame summed across epochs:
+// Queue, Wire and Count sum field by field, Delay sums each epoch's
+// Queue+Wire.  The two sums of the same seconds may differ in the last
+// bit, so each reader keeps the one it prints.
+type LeagueEdge struct {
+	EdgeBlame
+	Delay float64
+}
+
+// BlameLeague is a span stream's blame summed across its epochs.  Each
+// epoch serializes only its top-k cells and edges, the rest of its lag
+// folded into LagOther, so every cell and edge is a lower bound and
+// LagOther restores the lag total.
+type BlameLeague struct {
+	Lag      map[LagCell]float64
+	LagOther float64
+	Edges    map[[2]int]LeagueEdge
+}
+
+// League sums the epochs' lag cells, LagOther and edges, in epoch
+// order: the one cross-epoch aggregation of a span stream's blame.
+func League(epochs []EpochBlame) BlameLeague {
+	l := BlameLeague{Lag: map[LagCell]float64{}, Edges: map[[2]int]LeagueEdge{}}
+	for i := range epochs {
+		eb := &epochs[i]
+		for _, c := range eb.Lag {
+			l.Lag[LagCell{c.Rank, c.Phase}] += c.Seconds
+		}
+		l.LagOther += eb.LagOther
+		for _, e := range eb.Edges {
+			key := [2]int{e.Src, e.Dst}
+			le := l.Edges[key]
+			le.Src, le.Dst = e.Src, e.Dst
+			le.Queue += e.Queue
+			le.Wire += e.Wire
+			le.Count += e.Count
+			le.Delay += e.Queue + e.Wire
+			l.Edges[key] = le
+		}
+	}
+	return l
+}
+
+// TopLag returns the league's k largest cells, ordered as
+// BlameReport.TopLag orders an epoch's.
+func (l *BlameLeague) TopLag(k int) []LagEntry {
+	all := make([]LagEntry, 0, len(l.Lag))
+	for c, sec := range l.Lag {
+		all = append(all, LagEntry{Rank: c.Rank, Phase: c.Phase, Seconds: sec})
+	}
+	return topLag(all, k)
+}
+
+// TopEdges returns the league's k most-delaying edges, ordered by their
+// summed queue plus summed wire as WaitBlame orders an epoch's.
+func (l *BlameLeague) TopEdges(k int) []EdgeBlame {
+	all := make([]EdgeBlame, 0, len(l.Edges))
+	for _, e := range l.Edges {
+		all = append(all, e.EdgeBlame)
+	}
+	sortEdges(all)
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
 }

@@ -202,17 +202,12 @@ type spanEnd struct {
 // stream (and, trimmed further, in the obs ledger): the by-culprit
 // decomposition of the epoch's critical-path wait time.
 type EpochBlame struct {
-	K              string      `json:"k"` // "blame"
-	Epoch          int         `json:"e"`
-	Wait           float64     `json:"wait"`
-	SenderCompute  float64     `json:"sender_compute"`
-	SenderOverhead float64     `json:"sender_overhead"`
-	Contention     float64     `json:"contention"`
-	Wire           float64     `json:"wire"`
-	Idle           float64     `json:"idle"`
-	Lag            []LagEntry  `json:"lag,omitempty"`
-	LagOther       float64     `json:"lag_other,omitempty"`
-	Edges          []EdgeBlame `json:"edges,omitempty"`
+	K     string `json:"k"` // "blame"
+	Epoch int    `json:"e"`
+	Culprits
+	Lag      []LagEntry  `json:"lag,omitempty"`
+	LagOther float64     `json:"lag_other,omitempty"`
+	Edges    []EdgeBlame `json:"edges,omitempty"`
 }
 
 // SpanWorld is one parsed world stream of a span file.

@@ -37,6 +37,7 @@ import (
 	"math"
 	"sort"
 
+	"plum/internal/event"
 	"plum/internal/obs"
 )
 
@@ -146,15 +147,33 @@ type EpochDelta struct {
 	Zero bool `json:"zero"`
 }
 
-// BlameDelta is the wait-blame movement of one aligned epoch pair, from
-// the ledger's embedded blame summaries.
-type BlameDelta struct {
+// CulpritsDelta is the movement of one event.Culprits decomposition
+// (current minus base): the ledger's and the span stream's blame deltas
+// both carry it.
+type CulpritsDelta struct {
 	DWait           float64 `json:"d_wait"`
 	DSenderCompute  float64 `json:"d_sender_compute"`
 	DSenderOverhead float64 `json:"d_sender_overhead"`
 	DContention     float64 `json:"d_contention"`
 	DWire           float64 `json:"d_wire"`
 	DIdle           float64 `json:"d_idle"`
+}
+
+func culpritsDelta(b, c event.Culprits) CulpritsDelta {
+	return CulpritsDelta{
+		DWait:           c.Wait - b.Wait,
+		DSenderCompute:  c.SenderCompute - b.SenderCompute,
+		DSenderOverhead: c.SenderOverhead - b.SenderOverhead,
+		DContention:     c.Contention - b.Contention,
+		DWire:           c.Wire - b.Wire,
+		DIdle:           c.Idle - b.Idle,
+	}
+}
+
+// BlameDelta is the wait-blame movement of one aligned epoch pair, from
+// the ledger's embedded blame summaries.
+type BlameDelta struct {
+	CulpritsDelta
 
 	// The heaviest sender-lag cell on each side ("r3/solve 0.0123" or
 	// "-" when none was attributed), and whether it moved.
@@ -164,8 +183,7 @@ type BlameDelta struct {
 }
 
 func (b *BlameDelta) zero() bool {
-	return b == nil || (b.DWait == 0 && b.DSenderCompute == 0 && b.DSenderOverhead == 0 &&
-		b.DContention == 0 && b.DWire == 0 && b.DIdle == 0 && !b.TopMoved)
+	return b == nil || (b.CulpritsDelta == CulpritsDelta{} && !b.TopMoved)
 }
 
 // RunDelta is the aligned comparison of one run across the two ledgers.
@@ -506,14 +524,9 @@ func diffBlame(b, c *obs.BlameRecord) *BlameDelta {
 		c = &zc
 	}
 	bd := &BlameDelta{
-		DWait:           c.Wait - b.Wait,
-		DSenderCompute:  c.SenderCompute - b.SenderCompute,
-		DSenderOverhead: c.SenderOverhead - b.SenderOverhead,
-		DContention:     c.Contention - b.Contention,
-		DWire:           c.Wire - b.Wire,
-		DIdle:           c.Idle - b.Idle,
-		TopBase:         topCell(b),
-		TopCur:          topCell(c),
+		CulpritsDelta: culpritsDelta(b.Culprits, c.Culprits),
+		TopBase:       topCell(b),
+		TopCur:        topCell(c),
 	}
 	bd.TopMoved = b.TopRank != c.TopRank || b.TopPhase != c.TopPhase || b.TopLag != c.TopLag
 	if bd.zero() {

@@ -43,8 +43,8 @@ func fixtureBase() *obs.LedgerFile {
 				SolveSeconds: 1.207, PCGIters: 41,
 				CPMakespan: 1.409, CPCompute: 0.91, CPOverhead: 0.13, CPWait: 0.35,
 				Blame: &obs.BlameRecord{
-					Wait: 0.35, SenderCompute: 0.21, SenderOverhead: 0.04,
-					Contention: 0.06, Wire: 0.03, Idle: 0.01,
+					Culprits: event.Culprits{Wait: 0.35, SenderCompute: 0.21, SenderOverhead: 0.04,
+						Contention: 0.06, Wire: 0.03, Idle: 0.01},
 					TopRank: 2, TopPhase: "solve", TopLag: 0.13,
 					TopEdges: []obs.BlameEdge{{Src: 2, Dst: 0, Seconds: 0.09}},
 				},
@@ -75,8 +75,8 @@ func fixtureFlip() *obs.LedgerFile {
 	e1.TotalV, e1.MaxV = 0, 0
 	e1.CPMakespan, e1.CPWait = 1.521, 0.462
 	e1.Blame = &obs.BlameRecord{
-		Wait: 0.462, SenderCompute: 0.2, SenderOverhead: 0.04,
-		Contention: 0.15, Wire: 0.06, Idle: 0.012,
+		Culprits: event.Culprits{Wait: 0.462, SenderCompute: 0.2, SenderOverhead: 0.04,
+			Contention: 0.15, Wire: 0.06, Idle: 0.012},
 		TopRank: 3, TopPhase: "halo", TopLag: 0.21,
 		TopEdges: []obs.BlameEdge{{Src: 3, Dst: 1, Seconds: 0.17}},
 	}
@@ -347,7 +347,7 @@ func spanFixture(run string, lagShift float64) event.SpanWorld {
 		Spans: make([]event.Span, 8),
 		Blame: []event.EpochBlame{{
 			K: "blame", Epoch: 0,
-			Wait: 0.3 + lagShift, SenderCompute: 0.2 + lagShift,
+			Culprits: event.Culprits{Wait: 0.3 + lagShift, SenderCompute: 0.2 + lagShift},
 			Lag: []event.LagEntry{
 				{Rank: 1, Phase: "solve", Seconds: 0.1},
 				{Rank: 2, Phase: "halo", Seconds: 0.05 + lagShift},

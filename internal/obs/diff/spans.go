@@ -40,13 +40,8 @@ type EdgeDelta struct {
 
 // EpochBlameDelta is one aligned epoch's blame movement.
 type EpochBlameDelta struct {
-	Epoch           int     `json:"epoch"`
-	DWait           float64 `json:"d_wait"`
-	DSenderCompute  float64 `json:"d_sender_compute"`
-	DSenderOverhead float64 `json:"d_sender_overhead"`
-	DContention     float64 `json:"d_contention"`
-	DWire           float64 `json:"d_wire"`
-	DIdle           float64 `json:"d_idle"`
+	Epoch int `json:"epoch"`
+	CulpritsDelta
 }
 
 // SpanWorldDelta is the comparison of one aligned world stream pair.
@@ -122,73 +117,28 @@ func diffSpanWorld(b, c *event.SpanWorld, topK int) SpanWorldDelta {
 		d.Label = fmt.Sprintf("%s vs %s", bk, ck)
 	}
 
-	blameByEpoch := func(ws []event.EpochBlame) map[int]*event.EpochBlame {
-		m := make(map[int]*event.EpochBlame, len(ws))
-		for i := range ws {
-			m[ws[i].Epoch] = &ws[i]
-		}
-		return m
+	cur := make(map[int]event.Culprits, len(c.Blame))
+	for i := range c.Blame {
+		cur[c.Blame[i].Epoch] = c.Blame[i].Culprits
 	}
-	cm := blameByEpoch(c.Blame)
-	type cellKey struct {
-		rank  int
-		phase string
-	}
-	cellBase, cellCur := map[cellKey]float64{}, map[cellKey]float64{}
-	edgeBase, edgeCur := map[[2]int]float64{}, map[[2]int]float64{}
-	var lagOtherBase, lagOtherCur float64
 	for i := range b.Blame {
 		eb := &b.Blame[i]
-		lagOtherBase += eb.LagOther
-		for _, l := range eb.Lag {
-			cellBase[cellKey{l.Rank, l.Phase}] += l.Seconds
-		}
-		for _, e := range eb.Edges {
-			edgeBase[[2]int{e.Src, e.Dst}] += e.Queue + e.Wire
-		}
-		cb, ok := cm[eb.Epoch]
-		if !ok {
-			continue
-		}
-		ed := EpochBlameDelta{
-			Epoch:           eb.Epoch,
-			DWait:           cb.Wait - eb.Wait,
-			DSenderCompute:  cb.SenderCompute - eb.SenderCompute,
-			DSenderOverhead: cb.SenderOverhead - eb.SenderOverhead,
-			DContention:     cb.Contention - eb.Contention,
-			DWire:           cb.Wire - eb.Wire,
-			DIdle:           cb.Idle - eb.Idle,
-		}
-		if ed != (EpochBlameDelta{Epoch: eb.Epoch}) {
-			d.Epochs = append(d.Epochs, ed)
+		if cc, ok := cur[eb.Epoch]; ok {
+			if dc := culpritsDelta(eb.Culprits, cc); dc != (CulpritsDelta{}) {
+				d.Epochs = append(d.Epochs, EpochBlameDelta{Epoch: eb.Epoch, CulpritsDelta: dc})
+			}
 		}
 	}
-	for i := range c.Blame {
-		cb := &c.Blame[i]
-		lagOtherCur += cb.LagOther
-		for _, l := range cb.Lag {
-			cellCur[cellKey{l.Rank, l.Phase}] += l.Seconds
-		}
-		for _, e := range cb.Edges {
-			edgeCur[[2]int{e.Src, e.Dst}] += e.Queue + e.Wire
-		}
-	}
-	d.DLagOther = lagOtherCur - lagOtherBase
 
-	cells := map[cellKey]bool{}
-	for k := range cellBase {
-		cells[k] = true
-	}
-	for k := range cellCur {
-		cells[k] = true
-	}
-	for k := range cells {
-		bv, cv := cellBase[k], cellCur[k]
+	bl, cl := event.League(b.Blame), event.League(c.Blame)
+	d.DLagOther = cl.LagOther - bl.LagOther
+	for k := range union(bl.Lag, cl.Lag) {
+		bv, cv := bl.Lag[k], cl.Lag[k]
 		if bv == cv {
 			continue
 		}
 		d.Cells = append(d.Cells, LagCellDelta{
-			Rank: k.rank, Phase: k.phase, Base: bv, Cur: cv, Delta: cv - bv,
+			Rank: k.Rank, Phase: k.Phase, Base: bv, Cur: cv, Delta: cv - bv,
 		})
 	}
 	sort.Slice(d.Cells, func(i, j int) bool {
@@ -205,15 +155,8 @@ func diffSpanWorld(b, c *event.SpanWorld, topK int) SpanWorldDelta {
 		d.Cells = d.Cells[:topK]
 	}
 
-	edges := map[[2]int]bool{}
-	for k := range edgeBase {
-		edges[k] = true
-	}
-	for k := range edgeCur {
-		edges[k] = true
-	}
-	for k := range edges {
-		bv, cv := edgeBase[k], edgeCur[k]
+	for k := range union(bl.Edges, cl.Edges) {
+		bv, cv := bl.Edges[k].Delay, cl.Edges[k].Delay
 		if bv == cv {
 			continue
 		}
@@ -236,6 +179,18 @@ func diffSpanWorld(b, c *event.SpanWorld, topK int) SpanWorldDelta {
 	d.Zero = !d.ModeFlip && d.DSpans == 0 && d.DEpochs == 0 &&
 		len(d.Epochs) == 0 && len(d.Cells) == 0 && len(d.Edges) == 0 && d.DLagOther == 0
 	return d
+}
+
+// union returns the set of keys present in a or b.
+func union[K comparable, V any](a, b map[K]V) map[K]bool {
+	keys := make(map[K]bool, len(a)+len(b))
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
 }
 
 // SpanFiles reads and diffs two span files.

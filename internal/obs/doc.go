@@ -33,6 +33,8 @@
 // clock: instrumentation must never perturb a simulated time, and the
 // byte-compare tests in internal/core pin that a run with the ledger
 // enabled produces bitwise-identical simulated output to one without.
-// The package depends only on the standard library, so every layer of
-// the runtime (event, msg, core) may feed it without import cycles.
+// The package depends only on the standard library and internal/event,
+// whose blame decomposition (event.Culprits) BlameRecord embeds; event
+// imports no package of this module, so every layer of the runtime
+// (event, msg, core) may feed obs without import cycles.
 package obs

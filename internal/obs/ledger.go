@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"plum/internal/event"
 )
 
 // The simulated-plane run ledger: a deterministic, ordered JSONL stream
@@ -100,7 +102,7 @@ type EpochRecord struct {
 	Ranks []RankShare `json:"ranks,omitempty"`
 
 	// Blame is the wait-blame summary of the epoch's critical path
-	// (event.WaitBlame, flattened); nil on untraced runs.  Additive and
+	// (event.WaitBlame, trimmed); nil on untraced runs.  Additive and
 	// optional, so schema 1 readers are unaffected.
 	Blame *BlameRecord `json:"blame,omitempty"`
 }
@@ -123,12 +125,9 @@ func Verdict(balanced, accepted bool) string {
 // on contended links vs irreducible wire latency, and the heaviest
 // culprit and edges.  Seconds are simulated.
 type BlameRecord struct {
-	Wait           float64 `json:"wait"` // total attributed wait (receiver perspective)
-	SenderCompute  float64 `json:"sender_compute"`
-	SenderOverhead float64 `json:"sender_overhead"`
-	Contention     float64 `json:"contention"`
-	Wire           float64 `json:"wire"`
-	Idle           float64 `json:"idle"`
+	// Culprits decomposes the total attributed wait (receiver
+	// perspective) by culprit.
+	event.Culprits
 
 	// TopRank/TopPhase name the largest sender-lag cell of the epoch's
 	// league table; TopRank is -1 when no sender lag was attributed.

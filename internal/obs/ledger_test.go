@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"plum/internal/event"
 )
 
 func testManifest() Manifest {
@@ -116,8 +118,9 @@ func TestLedgerBlameRoundTrip(t *testing.T) {
 	}
 	e := testEpoch(2, 0)
 	e.Blame = &BlameRecord{
-		Wait: 0.5, SenderCompute: 0.3, SenderOverhead: 0.1,
-		Contention: 0.05, Wire: 0.05, TopRank: 1, TopPhase: "solve", TopLag: 0.3,
+		Culprits: event.Culprits{Wait: 0.5, SenderCompute: 0.3, SenderOverhead: 0.1,
+			Contention: 0.05, Wire: 0.05},
+		TopRank: 1, TopPhase: "solve", TopLag: 0.3,
 		TopEdges: []BlameEdge{{Src: 1, Dst: 0, Seconds: 0.1}},
 	}
 	plain := testEpoch(2, 1) // no blame: field must be omitted, not zeroed
