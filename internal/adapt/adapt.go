@@ -12,7 +12,11 @@ type Mesh struct {
 	Coords    []mesh.Vec3
 	VertGID   []uint64
 	VertAlive []bool
-	gidVert   map[uint64]int32
+	// gidVert maps a global id to its local vertex.  It holds alive
+	// vertices only: a vertex dies only in purge, which deletes its
+	// entry in the same statement, so a lookup never reaches a dead
+	// vertex and a purged gid is re-created as a new vertex.
+	gidVert map[uint64]int32
 
 	// Solution field: NComp float64 values per vertex, linearly
 	// interpolated onto bisection midpoints.  May be empty (NComp == 0).
@@ -176,6 +180,13 @@ func (m *Mesh) ElemActive(e int32) bool {
 
 // EdgeLeaf reports whether edge id is unbisected.
 func (m *Mesh) EdgeLeaf(id int32) bool { return m.EdgeChild[id][0] < 0 }
+
+// ActiveEdge reports whether edge id belongs to the computational mesh:
+// it is alive, a leaf, and some active element uses it.  Valid only
+// after EnsureEdgeElems.
+func (m *Mesh) ActiveEdge(id int32) bool {
+	return m.EdgeAlive[id] && m.EdgeLeaf(id) && len(m.EdgeElems[id]) > 0
+}
 
 // BFaceActive reports whether boundary face f is a leaf.
 func (m *Mesh) BFaceActive(f int32) bool {
@@ -353,7 +364,7 @@ func (m *Mesh) EdgeByPair(a, b int32) int32 {
 
 // VertByGID returns the local vertex with global id gid, or -1.
 func (m *Mesh) VertByGID(gid uint64) int32 {
-	if v, ok := m.gidVert[gid]; ok && m.VertAlive[v] {
+	if v, ok := m.gidVert[gid]; ok {
 		return v
 	}
 	return -1

@@ -594,3 +594,25 @@ func TestCheckInvariantsRejectsCorruptEdgeIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsRejectsDeadVertexGID: the gid map holds alive
+// vertices only, so CheckInvariants rejects a map that still names a
+// vertex coarsening purged.
+func TestCheckInvariantsRejectsDeadVertexGID(t *testing.T) {
+	m := adaptedBox()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("uncorrupted mesh: %v", err)
+	}
+	for v, alive := range m.VertAlive {
+		if !alive {
+			m.gidVert[m.VertGID[v]] = int32(v)
+			if err := m.CheckInvariants(); err == nil {
+				t.Errorf("CheckInvariants accepted dead vertex %d in the gid map", v)
+			} else {
+				t.Logf("dead vertex %d planted: %v", v, err)
+			}
+			return
+		}
+	}
+	t.Fatal("mesh has no dead vertex")
+}

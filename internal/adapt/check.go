@@ -76,14 +76,20 @@ func (m *Mesh) CheckInvariants() error {
 		}
 	}
 
-	// 3. Vertices.
+	// 3. Vertices.  Every alive vertex is in the gid map under its own
+	// gid, and the map holds nothing else.
+	alive := 0
 	for v := range m.Coords {
 		if !m.VertAlive[v] {
 			continue
 		}
+		alive++
 		if got, ok := m.gidVert[m.VertGID[v]]; !ok || got != int32(v) {
 			return fmt.Errorf("adapt: vertex %d gid map inconsistent", v)
 		}
+	}
+	if len(m.gidVert) != alive {
+		return fmt.Errorf("adapt: gid map holds %d vertices, %d are alive", len(m.gidVert), alive)
 	}
 	for id := range m.EdgeV {
 		if !m.EdgeAlive[id] || m.EdgeLeaf(int32(id)) {

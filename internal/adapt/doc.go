@@ -31,6 +31,10 @@
 // through an edge-indexed link array, with no hash table.  The index
 // holds alive edges only; purge unlinks an edge as it kills it, so a
 // purged pair is re-created under a fresh id appended in creation order.
+// The gid -> vertex map likewise holds alive vertices only: a vertex dies
+// only in purge, which deletes its entry as it kills it, so a purged
+// midpoint is re-created as a new vertex and CheckInvariants requires
+// the map to hold exactly the alive vertices.
 // Marking propagation is a monotone fixpoint, so the final subdivision
 // pattern is independent of traversal order.
 package adapt

@@ -134,15 +134,11 @@ func (m *Mesh) bisect(id int32) {
 	m.EdgeMid[id] = mid
 }
 
-// newVertex appends a vertex (or returns an existing alive vertex with
-// the same global id, which the distributed implementation relies on when
-// unpacking migrated elements).
+// newVertex appends a vertex (or returns the existing vertex with the
+// same global id, which the distributed implementation relies on when
+// unpacking migrated elements; gidVert holds alive vertices only).
 func (m *Mesh) newVertex(c mesh.Vec3, gid uint64) int32 {
 	if v, ok := m.gidVert[gid]; ok {
-		if !m.VertAlive[v] {
-			m.VertAlive[v] = true
-			m.Coords[v] = c
-		}
 		return v
 	}
 	v := int32(len(m.Coords))
