@@ -130,7 +130,7 @@ func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
 	}
 	rows := make([][]entry, len(gids))
 	for id := range m.EdgeV {
-		if !m.EdgeAlive[id] || !m.EdgeLeaf(int32(id)) || len(m.EdgeElems[id]) == 0 {
+		if !m.ActiveEdge(int32(id)) {
 			continue
 		}
 		a, b := m.EdgeV[id][0], m.EdgeV[id][1]

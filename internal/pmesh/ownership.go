@@ -36,7 +36,7 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 	send := make([][]int64, d.C.Size())
 	var spl []int32
 	for id := range d.M.EdgeV {
-		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
+		if !d.M.ActiveEdge(int32(id)) {
 			continue
 		}
 		spl = d.appendEdgeSPL(spl[:0], int32(id))
@@ -91,7 +91,7 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 		VertSharers: groupRanks(vertIDs, vertRanks, len(d.M.Coords)),
 	}
 	for id := range d.M.EdgeV {
-		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
+		if !d.M.ActiveEdge(int32(id)) {
 			continue
 		}
 		sh := own.Sharers[id]

@@ -423,7 +423,7 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 	d.M.EnsureEdgeElems()
 	var spl []int32
 	for id := range d.M.EdgeV {
-		if !d.M.EdgeAlive[id] || !d.M.EdgeLeaf(int32(id)) || len(d.M.EdgeElems[id]) == 0 {
+		if !d.M.ActiveEdge(int32(id)) {
 			continue
 		}
 		if spl = d.appendEdgeSPL(spl[:0], int32(id)); len(spl) == 0 {

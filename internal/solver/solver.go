@@ -74,7 +74,7 @@ func Step(m *adapt.Mesh, dt float64) int {
 	work := 0
 	var ua, ub, flux [NComp]float64
 	for id := range m.EdgeV {
-		if !m.EdgeAlive[id] || !m.EdgeLeaf(int32(id)) || len(m.EdgeElems[id]) == 0 {
+		if !m.ActiveEdge(int32(id)) {
 			continue
 		}
 		a, b := OrientEdge(m, int32(id))
