@@ -4,9 +4,10 @@ package machine
 // multipliers, modeling a machine assembled from several processor
 // generations.  The balancer's gain model assumes homogeneous
 // processors; running the framework on a Hetero machine exposes how far
-// that assumption degrades the decision quality.
+// that assumption degrades the decision quality.  Every method but Name
+// and Speed is the base model's.
 type Hetero struct {
-	base  Model
+	Model
 	speed []float64
 }
 
@@ -21,7 +22,7 @@ func NewHetero(base Model, speed []float64) *Hetero {
 			panic("machine: hetero speeds must be positive")
 		}
 	}
-	return &Hetero{base: base, speed: speed}
+	return &Hetero{Model: base, speed: speed}
 }
 
 // TwoGenerationSpeeds returns a speed vector whose first half runs at
@@ -42,25 +43,5 @@ func TwoGenerationSpeeds(p int, second float64) []float64 {
 // Name implements Model.
 func (h *Hetero) Name() string { return "hetero" }
 
-// Ranks implements Model.
-func (h *Hetero) Ranks() int { return h.base.Ranks() }
-
-// Pair implements Model by delegation.
-func (h *Hetero) Pair(src, dst int) LinkParams { return h.base.Pair(src, dst) }
-
 // Speed implements Model: rank r's configured multiplier.
 func (h *Hetero) Speed(r int) float64 { return h.speed[r] }
-
-// Hops implements Model by delegation.
-func (h *Hetero) Hops(src, dst int) int { return h.base.Hops(src, dst) }
-
-// Acquire implements Model by delegation.
-func (h *Hetero) Acquire(src, dst, nbytes int, depart float64) float64 {
-	return h.base.Acquire(src, dst, nbytes, depart)
-}
-
-// Contended implements Model by delegation.
-func (h *Hetero) Contended(src, dst int) bool { return h.base.Contended(src, dst) }
-
-// Reset implements Model by delegation.
-func (h *Hetero) Reset() { h.base.Reset() }

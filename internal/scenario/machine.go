@@ -15,9 +15,10 @@ import "plum/internal/machine"
 // any call the wrapper behaves as cycle -1 — no slowdown — which is
 // what the partitioner's pre-run target derivation sees, keeping the
 // balancer blind to the transient exactly as a real system's static
-// machine description would be.
+// machine description would be.  Every method but Speed and Reset is the
+// base model's.
 type CycleSpeed struct {
-	base  machine.Model
+	machine.Model
 	spec  *Spec
 	cycle int
 }
@@ -27,19 +28,10 @@ type CycleSpeed struct {
 // at the epoch boundary (single-token execution serializes the writes).
 func (c *CycleSpeed) SetCycle(i int) { c.cycle = i }
 
-// Name implements machine.Model.
-func (c *CycleSpeed) Name() string { return c.base.Name() }
-
-// Ranks implements machine.Model.
-func (c *CycleSpeed) Ranks() int { return c.base.Ranks() }
-
-// Pair implements machine.Model by delegation.
-func (c *CycleSpeed) Pair(src, dst int) machine.LinkParams { return c.base.Pair(src, dst) }
-
 // Speed implements machine.Model: the base speed scaled by the current
 // cycle's straggler factor (1 outside the declared window).
 func (c *CycleSpeed) Speed(r int) float64 {
-	s := c.base.Speed(r)
+	s := c.Model.Speed(r)
 	st := c.spec.Straggler
 	if st == nil || c.cycle < 0 {
 		return s
@@ -59,21 +51,10 @@ func (c *CycleSpeed) Speed(r int) float64 {
 	return s
 }
 
-// Hops implements machine.Model by delegation.
-func (c *CycleSpeed) Hops(src, dst int) int { return c.base.Hops(src, dst) }
-
-// Acquire implements machine.Model by delegation.
-func (c *CycleSpeed) Acquire(src, dst, nbytes int, depart float64) float64 {
-	return c.base.Acquire(src, dst, nbytes, depart)
-}
-
-// Contended implements machine.Model by delegation.
-func (c *CycleSpeed) Contended(src, dst int) bool { return c.base.Contended(src, dst) }
-
 // Reset implements machine.Model: clears base contention state and
 // returns to the pre-run cycle.
 func (c *CycleSpeed) Reset() {
-	c.base.Reset()
+	c.Model.Reset()
 	c.cycle = -1
 }
 
@@ -85,8 +66,14 @@ func (c *CycleSpeed) Reset() {
 // function of the base machine's injection time, so the engine's
 // deterministic reservation pass makes multi-job contention bitwise
 // reproducible, exactly like the fat tree's own queueing.
+//
+// Every method but Name and Acquire is the base model's: the peer's
+// load is transient, so Pair's per-pair constants (what the analytic
+// pricing sees) stay the unloaded machine's, and the peer only loads
+// links the base machine already serializes, so Contended is the
+// base's too.
 type Background struct {
-	base   machine.Model
+	machine.Model
 	period float64 // peer cycle length, simulated seconds
 	busy   float64 // busy seconds per period (duty * period)
 	phase  float64 // window offset, simulated seconds
@@ -94,21 +81,7 @@ type Background struct {
 }
 
 // Name implements machine.Model.
-func (b *Background) Name() string { return b.base.Name() + "+job" }
-
-// Ranks implements machine.Model.
-func (b *Background) Ranks() int { return b.base.Ranks() }
-
-// Pair implements machine.Model by delegation: the peer's load is
-// transient, so the per-pair constants (what the analytic pricing sees)
-// stay the unloaded machine's.
-func (b *Background) Pair(src, dst int) machine.LinkParams { return b.base.Pair(src, dst) }
-
-// Speed implements machine.Model by delegation.
-func (b *Background) Speed(r int) float64 { return b.base.Speed(r) }
-
-// Hops implements machine.Model by delegation.
-func (b *Background) Hops(src, dst int) int { return b.base.Hops(src, dst) }
+func (b *Background) Name() string { return b.Model.Name() + "+job" }
 
 // busyAt reports whether simulated time t falls in a peer busy window.
 func (b *Background) busyAt(t float64) bool {
@@ -127,16 +100,9 @@ func (b *Background) busyAt(t float64) bool {
 // job's own up-link queueing), then the peer's residual-bandwidth toll
 // when the resulting injection time lands in a busy window.
 func (b *Background) Acquire(src, dst, nbytes int, depart float64) float64 {
-	t := b.base.Acquire(src, dst, nbytes, depart)
-	if b.base.Contended(src, dst) && b.busyAt(t) {
+	t := b.Model.Acquire(src, dst, nbytes, depart)
+	if b.Model.Contended(src, dst) && b.busyAt(t) {
 		t += float64(nbytes) * b.extra
 	}
 	return t
 }
-
-// Contended implements machine.Model by delegation: the peer only
-// loads links the base machine already serializes.
-func (b *Background) Contended(src, dst int) bool { return b.base.Contended(src, dst) }
-
-// Reset implements machine.Model by delegation.
-func (b *Background) Reset() { b.base.Reset() }

@@ -231,7 +231,7 @@ func (s *Spec) BuildMachine() (machine.Model, *CycleSpeed, error) {
 	}
 	if mj := s.MultiJob; mj != nil {
 		m = &Background{
-			base:   m,
+			Model:  m,
 			period: mj.Period,
 			busy:   mj.Duty * mj.Period,
 			phase:  mj.Phase * mj.Period,
@@ -241,7 +241,7 @@ func (s *Spec) BuildMachine() (machine.Model, *CycleSpeed, error) {
 	if s.Straggler == nil {
 		return m, nil, nil
 	}
-	cs := &CycleSpeed{base: m, spec: s, cycle: -1}
+	cs := &CycleSpeed{Model: m, spec: s, cycle: -1}
 	return cs, cs, nil
 }
 
