@@ -16,8 +16,9 @@ import (
 //     edges consistent with its vertex pairs.
 //  2. The vertex-local edge index reaches every alive edge exactly once,
 //     from its lower endpoint, and no dead edge.
-//  3. Vertex gid map consistency, and midpoint vertices sit at the
-//     geometric midpoint of their parent edge.
+//  3. The vertex gid map holds exactly the alive vertices, each under
+//     its own gid, and midpoint vertices sit at the geometric midpoint
+//     of their parent edge.
 //  4. Conformity: every face of the active mesh is shared by at most two
 //     active elements, and children fill their parent's volume.
 //  5. Every active boundary face is a face of exactly one active element.
