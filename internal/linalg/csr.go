@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"plum/internal/adapt"
@@ -82,7 +84,7 @@ func finalizeRows(gids []uint64, rows [][]entry, colIdx func(uint64) int32, ncol
 	A.Val = make([]float64, 0, nnz)
 	for i := 0; i < n; i++ {
 		r := rows[i]
-		sort.Slice(r, func(a, b int) bool { return r[a].gid < r[b].gid })
+		slices.SortFunc(r, func(a, b entry) int { return cmp.Compare(a.gid, b.gid) })
 		diag := shift
 		for _, e := range r {
 			diag += scale * e.w
@@ -123,7 +125,7 @@ func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
 		gids = append(gids, m.VertGID[v])
 		vertOf[m.VertGID[v]] = int32(v)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	slices.Sort(gids)
 	rowOf := make(map[uint64]int32, len(gids))
 	for i, g := range gids {
 		rowOf[g] = int32(i)

@@ -443,8 +443,12 @@ func (a *Acc) Bytes() []byte {
 }
 
 // AccFromBytes reconstructs an accumulator serialized with Bytes.
-func AccFromBytes(data []byte) *Acc {
-	a := NewAcc()
+func AccFromBytes(data []byte) *Acc { return new(Acc).setBytes(data) }
+
+// setBytes sets a to the accumulator serialized in data (see Bytes),
+// discarding what a held, and returns a.
+func (a *Acc) setBytes(data []byte) *Acc {
+	*a = Acc{}
 	if len(data) < 6 || data[0] != gobVersion {
 		panic("linalg: exact accumulator decode: bad header")
 	}

@@ -3,7 +3,7 @@ package linalg
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"plum/internal/event"
 	"plum/internal/msg"
@@ -85,7 +85,11 @@ type DistSystem struct {
 	// Per-exchange scratch reused across halo exchanges (one per operator
 	// application): the outgoing value gather and the receive requests.
 	sendScratch []float64
-	reqScratch  []*msg.Request
+	reqScratch  []msg.Request
+
+	// Dot's exact accumulators, reset on every call: the local partial
+	// sum, and on rank 0 the total and the decoded part being merged.
+	dotLocal, dotTotal, dotPart Acc
 }
 
 // vertOwner returns the owning rank of local vertex v under the exact
@@ -117,7 +121,7 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		gids = append(gids, m.VertGID[v])
 		vertOf[m.VertGID[v]] = int32(v)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	slices.Sort(gids)
 	rowOf := make(map[uint64]int32, len(gids))
 	s.rowVert = make([]int32, len(gids))
 	for i, g := range gids {
@@ -185,7 +189,7 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 	for g := range ghostOwnerOf {
 		s.GhostGID = append(s.GhostGID, g)
 	}
-	sort.Slice(s.GhostGID, func(i, j int) bool { return s.GhostGID[i] < s.GhostGID[j] })
+	slices.Sort(s.GhostGID)
 	s.ghostOwner = make([]int32, len(s.GhostGID))
 	ghostIdx := make(map[uint64]int32, len(s.GhostGID))
 	for i, g := range s.GhostGID {
@@ -281,7 +285,7 @@ func (s *DistSystem) buildHalo() {
 // must already hold the owned values.  The gather scratch and request
 // slice are reused across calls — one halo exchange runs per operator
 // application per PCG iteration, so this path must not allocate.
-func (s *DistSystem) postHalo() []*msg.Request {
+func (s *DistSystem) postHalo() []msg.Request {
 	s.C.PushPhase(event.PhaseHalo)
 	defer s.C.PopPhase()
 	for _, r := range s.haloRanks {
@@ -296,7 +300,7 @@ func (s *DistSystem) postHalo() []*msg.Request {
 		s.C.SendFloats(int(r), tagHalo, vals)
 	}
 	if s.reqScratch == nil {
-		s.reqScratch = make([]*msg.Request, len(s.haloRanks))
+		s.reqScratch = make([]msg.Request, len(s.haloRanks))
 	}
 	reqs := s.reqScratch
 	for i, r := range s.haloRanks {
@@ -309,7 +313,7 @@ func (s *DistSystem) postHalo() []*msg.Request {
 // values, in halo-rank order (the order the blocking exchange uses).
 // Ghost values decode straight out of the message payload, which then
 // returns to the world's pool.
-func (s *DistSystem) finishHalo(reqs []*msg.Request) {
+func (s *DistSystem) finishHalo(reqs []msg.Request) {
 	s.C.PushPhase(event.PhaseHalo)
 	defer s.C.PopPhase()
 	n := s.A.NRows
@@ -320,7 +324,7 @@ func (s *DistSystem) finishHalo(reqs []*msg.Request) {
 				binary.LittleEndian.Uint64(m.Data[8*j:]))
 		}
 		s.C.Release(m)
-		reqs[i] = nil
+		reqs[i] = msg.Request{}
 	}
 }
 
@@ -369,17 +373,18 @@ func (s *DistSystem) MulVec(dst, x []float64) {
 // depend on rank count or order — then the rounded float64 is broadcast.
 // Collective.
 func (s *DistSystem) Dot(x, y []float64) float64 {
-	acc := NewAcc()
-	acc.AddProducts(x, y)
+	s.dotLocal = Acc{}
+	s.dotLocal.AddProducts(x, y)
 	s.C.Compute(workPerDot * float64(len(x)))
-	parts := s.C.Gather(0, acc.Bytes())
+	parts := s.C.Gather(0, s.dotLocal.Bytes())
 	var v float64
 	if s.C.Rank() == 0 {
-		total := NewAcc()
+		s.dotTotal = Acc{}
 		for _, p := range parts {
-			total.Merge(AccFromBytes(p))
+			s.dotPart.setBytes(p)
+			s.dotTotal.Merge(&s.dotPart)
 		}
-		v = total.Float64()
+		v = s.dotTotal.Float64()
 	}
 	return s.C.BcastFloats(0, []float64{v})[0]
 }
@@ -398,88 +403,102 @@ func (s *DistSystem) NewPrecond(kind PrecondKind) Preconditioner {
 	}
 }
 
-// colGIDs returns the gid of every local column: owned rows then ghosts.
-func (s *DistSystem) colGIDs() []uint64 {
-	out := make([]uint64, 0, s.A.NCols)
-	out = append(out, s.A.GID...)
-	return append(out, s.GhostGID...)
+// colGID returns the gid of local column c: an owned row, then a ghost.
+func (s *DistSystem) colGID(c int32) uint64 {
+	if n := int32(s.A.NRows); c >= n {
+		return s.GhostGID[c-n]
+	}
+	return s.A.GID[c]
+}
+
+// localCol returns the local column index of gid, or -1 when the gid is
+// neither an owned row nor a ghost.
+func (s *DistSystem) localCol(gid uint64) int32 {
+	if i, ok := slices.BinarySearch(s.A.GID, gid); ok {
+		return int32(i)
+	}
+	if g, ok := slices.BinarySearch(s.GhostGID, gid); ok {
+		return int32(s.A.NRows + g)
+	}
+	return -1
 }
 
 func (s *DistSystem) newSPAI() Preconditioner {
 	s.C.PushPhase(event.PhaseSPAI)
 	defer s.C.PopPhase()
-	colGID := s.colGIDs()
+	return &distMatPrecond{sys: s, M: spaiMatrix(s.A, s.exchangeRows)}
+}
 
-	type row struct {
-		gids []uint64
-		vals []float64
-	}
-	// Ship rows of A for the vertices each halo neighbour ghosts, and
-	// receive the rows of this rank's ghosts.  Payload per row:
-	// gid, ncols, col gids..., value bits...
-	packRows := func(source []float64) map[uint64]row {
-		for _, r := range s.haloRanks {
-			var buf []int64
-			for _, ri := range s.sendRows[r] {
-				lo, hi := s.A.RowPtr[ri], s.A.RowPtr[ri+1]
-				buf = append(buf, int64(s.A.GID[ri]), int64(hi-lo))
-				for k := lo; k < hi; k++ {
-					buf = append(buf, int64(colGID[s.A.Col[k]]))
-				}
-				for k := lo; k < hi; k++ {
-					buf = append(buf, int64(math.Float64bits(source[k])))
-				}
+// exchangeRows ships each halo neighbour the owned rows of rows.owned
+// that it ghosts, and receives the rows of this rank's ghosts into
+// rows.ghost, one flat CSR in receive order: rank by rank, in the order
+// of recvGhost[r].  rows.ghostRow maps each ghost index to its row
+// there.  Payload per row: gid, ncols, col gids..., value bits...  Each
+// message returns to the world's pool as soon as it is decoded.
+//
+// Received column gids become local column indices; the gids two hops
+// out, which no owned row reaches, are numbered in ascending gid order
+// from A.NCols up, and rows.ncols grows to cover them.
+func (s *DistSystem) exchangeRows(rows *localRows) {
+	var buf []int64
+	for _, r := range s.haloRanks {
+		buf = buf[:0]
+		for _, ri := range s.sendRows[r] {
+			cc, cv := rows.owned.row(int(ri))
+			buf = append(buf, int64(s.A.GID[ri]), int64(len(cc)))
+			for _, c := range cc {
+				buf = append(buf, int64(s.colGID(c)))
 			}
-			s.C.SendInts(int(r), tagRows, buf)
-		}
-		ghost := make(map[uint64]row)
-		for _, r := range s.haloRanks {
-			vals := s.C.RecvInts(int(r), tagRows)
-			for i := 0; i < len(vals); {
-				g := uint64(vals[i])
-				nc := int(vals[i+1])
-				i += 2
-				rw := row{gids: make([]uint64, nc), vals: make([]float64, nc)}
-				for k := 0; k < nc; k++ {
-					rw.gids[k] = uint64(vals[i+k])
-				}
-				i += nc
-				for k := 0; k < nc; k++ {
-					rw.vals[k] = math.Float64frombits(uint64(vals[i+k]))
-				}
-				i += nc
-				ghost[g] = rw
+			for _, v := range cv {
+				buf = append(buf, int64(math.Float64bits(v)))
 			}
 		}
-		return ghost
+		s.C.SendInts(int(r), tagRows, buf)
 	}
 
-	ghostA := packRows(s.A.Val)
-	arow := func(gid uint64) ([]uint64, []float64) {
-		if i := s.A.RowOf(gid); i >= 0 {
-			return rowGids2(s.A, colGID, i), s.A.Val[s.A.RowPtr[i]:s.A.RowPtr[i+1]]
-		}
-		if rw, ok := ghostA[gid]; ok {
-			return rw.gids, rw.vals
-		}
-		return nil, nil
+	word := func(data []byte, i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	g := &rows.ghost
+	g.ptr, g.val = append(g.ptr[:0], 0), g.val[:0]
+	if rows.ghostRow == nil {
+		rows.ghostRow = make([]int32, len(s.GhostGID))
 	}
-	raw := spaiRawRows(s.A, colGID, arow)
-
-	ghostM := packRows(raw)
-	mrow := func(gid uint64) ([]uint64, []float64) {
-		if i := s.A.RowOf(gid); i >= 0 {
-			return rowGids2(s.A, colGID, i), raw[s.A.RowPtr[i]:s.A.RowPtr[i+1]]
+	var gids []uint64
+	for _, r := range s.haloRanks {
+		m := s.C.Recv(int(r), tagRows)
+		i := 0
+		for _, gi := range s.recvGhost[r] {
+			if word(m.Data, i) != s.GhostGID[gi] {
+				panic("linalg: ghost row out of halo order")
+			}
+			nc := int(word(m.Data, i+1))
+			i += 2
+			for k := 0; k < nc; k++ {
+				gids = append(gids, word(m.Data, i+k))
+				g.val = append(g.val, math.Float64frombits(word(m.Data, i+nc+k)))
+			}
+			i += 2 * nc
+			rows.ghostRow[gi] = int32(len(g.ptr) - 1)
+			g.ptr = append(g.ptr, int32(len(gids)))
 		}
-		if rw, ok := ghostM[gid]; ok {
-			return rw.gids, rw.vals
-		}
-		return nil, nil
+		s.C.Release(m)
 	}
-	sym := symmetrizeRows(s.A, colGID, raw, mrow)
 
-	M := &CSR{NRows: s.A.NRows, NCols: s.A.NCols, RowPtr: s.A.RowPtr, Col: s.A.Col, Val: sym, GID: s.A.GID}
-	return &distMatPrecond{sys: s, M: M}
+	g.col = slices.Grow(g.col[:0], len(gids))[:len(gids)]
+	var far []uint64
+	for k, gid := range gids {
+		if g.col[k] = s.localCol(gid); g.col[k] < 0 {
+			far = append(far, gid)
+		}
+	}
+	slices.Sort(far)
+	far = slices.Compact(far)
+	for k, c := range g.col {
+		if c < 0 {
+			f, _ := slices.BinarySearch(far, gids[k])
+			g.col[k] = int32(s.A.NCols + f)
+		}
+	}
+	rows.ncols = s.A.NCols + len(far)
 }
 
 // distMatPrecond applies a halo-refreshing sparse preconditioner: the
@@ -493,17 +512,6 @@ func (p *distMatPrecond) Apply(dst, r []float64) {
 	s := p.sys
 	copy(s.full[:s.A.NRows], r)
 	s.applyOp(p.M, dst)
-}
-
-// rowGids2 is rowGids with an explicit column-gid table (the distributed
-// column space includes ghosts).
-func rowGids2(A *CSR, colGID []uint64, i int) []uint64 {
-	cols, _ := A.Row(i)
-	g := make([]uint64, len(cols))
-	for k, c := range cols {
-		g[k] = colGID[c]
-	}
-	return g
 }
 
 // GatherField extracts b[row] = sol[vert*ncomp+comp] from the local mesh

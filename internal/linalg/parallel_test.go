@@ -131,7 +131,6 @@ func TestDistributedOperatorMatchesSerial(t *testing.T) {
 			d.PropagateParallel()
 			d.Refine()
 			sys := NewDistSystem(d, testShift, testScale)
-			colGID := sys.colGIDs()
 			for i, gid := range sys.A.GID {
 				ri := ref.RowOf(gid)
 				if ri < 0 {
@@ -146,9 +145,9 @@ func TestDistributedOperatorMatchesSerial(t *testing.T) {
 					return
 				}
 				for k := range cols {
-					if colGID[cols[k]] != ref.GID[rcols[k]] || vals[k] != rvals[k] {
+					if sys.colGID(cols[k]) != ref.GID[rcols[k]] || vals[k] != rvals[k] {
 						t.Errorf("P=%d rank %d gid %d entry %d: (%d,%x) != serial (%d,%x)",
-							p, c.Rank(), gid, k, colGID[cols[k]], vals[k],
+							p, c.Rank(), gid, k, sys.colGID(cols[k]), vals[k],
 							ref.GID[rcols[k]], rvals[k])
 						return
 					}

@@ -2,7 +2,7 @@ package linalg
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Jacobi is diagonal scaling: z_i = r_i / A_ii.  Embarrassingly parallel
@@ -49,98 +49,139 @@ func (j *Jacobi) Apply(dst, r []float64) {
 // rows by symmetry), so the same ghost-row exchange that serves SpMV
 // serves SPAI setup.
 
-// RowFunc returns a matrix row by global id: column gids (ascending) and
-// values.  Implementations must return identical floats for a given gid
-// on every rank that can resolve it; nil slices mean the row is unknown.
-type RowFunc func(gid uint64) ([]uint64, []float64)
+// csrRows is a set of matrix rows in flat CSR form: row r has the local
+// column indices col[ptr[r]:ptr[r+1]], in ascending gid order, and the
+// values val[ptr[r]:ptr[r+1]].
+type csrRows struct {
+	ptr []int32
+	col []int32
+	val []float64
+}
 
-// spaiRawRows computes the unsymmetrized SPAI rows for every row of A.
-// colGID[c] is the global id of column index c (length A.NCols).  The
-// returned slice is aligned with A.Val: entry k is M(row(k), col(k)).
-func spaiRawRows(A *CSR, colGID []uint64, arow RowFunc) []float64 {
+func (r *csrRows) row(i int) ([]int32, []float64) {
+	lo, hi := r.ptr[i], r.ptr[i+1]
+	return r.col[lo:hi], r.val[lo:hi]
+}
+
+// localRows addresses the matrix rows a SPAI build reads by local column
+// index: a column c < n is owned row c (the row index of an owned vertex
+// is its column index), a column c >= n is ghost c-n, whose row is
+// ghost row ghostRow[c-n].  Ghost rows may reach columns two hops out,
+// which no owned row has; they are numbered from the local column count
+// up, and ncols counts them in.
+type localRows struct {
+	n, ncols     int
+	owned, ghost csrRows
+	ghostRow     []int32
+}
+
+func (l *localRows) row(c int32) ([]int32, []float64) {
+	if int(c) < l.n {
+		return l.owned.row(int(c))
+	}
+	return l.ghost.row(int(l.ghostRow[int(c)-l.n]))
+}
+
+// spaiMatrix builds the symmetrized static-pattern SPAI on A's pattern.
+// exchange, nil for a matrix without ghost columns, ships rows.owned to
+// the halo and fills the ghost rows (and ncols): it runs on A's rows,
+// then on the raw SPAI rows.
+func spaiMatrix(A *CSR, exchange func(rows *localRows)) *CSR {
+	rows := localRows{n: A.NRows, ncols: A.NCols, owned: csrRows{ptr: A.RowPtr, col: A.Col, val: A.Val}}
+	if exchange != nil {
+		exchange(&rows)
+	}
+	raw := spaiRawRows(A, &rows)
+	rows.owned.val = raw
+	if exchange != nil {
+		exchange(&rows)
+	}
+	sym := symmetrizeRows(A, &rows)
+	return &CSR{NRows: A.NRows, NCols: A.NCols, RowPtr: A.RowPtr, Col: A.Col, Val: sym, GID: A.GID}
+}
+
+// spaiRawRows computes the unsymmetrized SPAI rows for every row of A
+// from the rows of A that rows addresses.  The returned slice is aligned
+// with A.Val: entry k is M(row(k), col(k)).
+//
+// Row i's least-squares problem is min ||Â m - e_i|| over the dense
+// Â = A(I, J), J the pattern of row i and I the union of the patterns
+// of the rows in J; it is solved through the normal equations
+// G m = Âᵀe_i with G = ÂᵀÂ.  Neither I nor Â is formed: since A is
+// symmetric, column p of Â is row j_p of A, so
+// G(p,q) = Σ_r Â(r,p)·Â(r,q) is computed by scattering row j_p into a
+// work vector indexed by local column and summing work·A(j_q, ·) along
+// row j_q, whose entries are in ascending gid order — the order of the
+// dense sum over r.  The sparse sum leaves out the dense sum's terms
+// where row j_q has no entry and keeps some where row j_p has none (the
+// work vector's zeros); that changes no bit: with finite factors each
+// such term is ±0, the sum starts at +0, and adding ±0 neither changes
+// a sum nor turns +0 into -0 (x + (-x) rounds to +0).  The rhs Âᵀe_i is
+// entry p = A(j_p, i), read from the scattered row.  Every scratch array
+// is sized once, for the longest row and the local column space; no
+// row allocates.
+func spaiRawRows(A *CSR, rows *localRows) []float64 {
 	out := make([]float64, len(A.Val))
+	maxJ := 0
+	for i := 0; i < A.NRows; i++ {
+		maxJ = max(maxJ, int(A.RowPtr[i+1]-A.RowPtr[i]))
+	}
 	var (
-		iGids []uint64
-		ahat  []float64 // dense |I| x |J|, row-major
+		jc   = make([][]int32, maxJ)   // the rows of J: column indices
+		jv   = make([][]float64, maxJ) // and values
+		g    = make([]float64, maxJ*maxJ)
+		l    = make([]float64, maxJ*maxJ)
+		rhs  = make([]float64, maxJ)
+		y    = make([]float64, maxJ)
+		work = make([]float64, rows.ncols) // all zero between rows
 	)
 	for i := 0; i < A.NRows; i++ {
 		cols, _ := A.Row(i)
 		nj := len(cols)
-		jGids := make([]uint64, nj)
-		for k, c := range cols {
-			jGids[k] = colGID[c]
+		for p, c := range cols {
+			jc[p], jv[p] = rows.row(c)
 		}
-
-		// I = union of the patterns of the rows in J, ascending gids.
-		iGids = iGids[:0]
-		for _, j := range jGids {
-			cg, _ := arow(j)
-			iGids = append(iGids, cg...)
-		}
-		sort.Slice(iGids, func(a, b int) bool { return iGids[a] < iGids[b] })
-		iGids = dedupSorted(iGids)
-		ni := len(iGids)
-
-		// Dense A(I, J): column j of the submatrix is row j of A
-		// scattered into I positions (A is symmetric).
-		if cap(ahat) < ni*nj {
-			ahat = make([]float64, ni*nj)
-		}
-		ahat = ahat[:ni*nj]
-		for k := range ahat {
-			ahat[k] = 0
-		}
-		for jj, j := range jGids {
-			cg, cv := arow(j)
-			for t, k := range cg {
-				ri := searchGID(iGids, k)
-				ahat[ri*nj+jj] = cv[t]
-			}
-		}
-
-		// Normal equations G m = A(I,J)^T e_i; G = A(I,J)^T A(I,J).
-		g := make([]float64, nj*nj)
 		for p := 0; p < nj; p++ {
+			for t, c := range jc[p] {
+				work[c] = jv[p][t]
+			}
+			rhs[p] = work[i]
 			for q := p; q < nj; q++ {
+				cq, vq := jc[q], jv[q]
+				vq = vq[:len(cq)]
 				var s float64
-				for r := 0; r < ni; r++ {
-					s += ahat[r*nj+p] * ahat[r*nj+q]
+				for t, c := range cq {
+					s += work[c] * vq[t]
 				}
 				g[p*nj+q] = s
 				g[q*nj+p] = s
 			}
+			for _, c := range jc[p] {
+				work[c] = 0
+			}
 		}
-		rowI := searchGID(iGids, A.GID[i])
-		rhs := make([]float64, nj)
-		for p := 0; p < nj; p++ {
-			rhs[p] = ahat[rowI*nj+p]
-		}
-		m, ok := cholSolve(g, rhs, nj)
-		if !ok {
+		m := out[A.RowPtr[i]:A.RowPtr[i+1]]
+		if !cholSolve(g[:nj*nj], rhs[:nj], l[:nj*nj], y[:nj], m) {
 			// Deterministic fallback: the Jacobi row.
-			m = make([]float64, nj)
-			m[searchGID(jGids, A.GID[i])] = 1 / A.Diag[i]
+			m[slices.Index(cols, int32(i))] = 1 / A.Diag[i]
 		}
-		copy(out[A.RowPtr[i]:A.RowPtr[i+1]], m)
 	}
 	return out
 }
 
-// symmetrizeRows returns sym(k) = (raw(k) + M(colGid, rowGid))/2, where
-// the transposed entries come from mrow (local raw rows plus, in the
-// distributed case, exchanged ghost raw rows).
-func symmetrizeRows(A *CSR, colGID []uint64, raw []float64, mrow RowFunc) []float64 {
+// symmetrizeRows returns sym(k) = (raw(k) + M(j, i))/2 for entry k in
+// row i and column j, where rows addresses the raw SPAI rows (owned and,
+// in the distributed case, ghost) and the transposed entry M(j, i) is
+// the entry of row j in column i (0 when row j has none).
+func symmetrizeRows(A *CSR, rows *localRows) []float64 {
+	raw := rows.owned.val
 	out := make([]float64, len(raw))
 	for i := 0; i < A.NRows; i++ {
-		gi := A.GID[i]
-		lo, hi := int(A.RowPtr[i]), int(A.RowPtr[i+1])
-		for k := lo; k < hi; k++ {
-			gj := colGID[A.Col[k]]
+		for k := A.RowPtr[i]; k < A.RowPtr[i+1]; k++ {
+			cc, cv := rows.row(A.Col[k])
 			var t float64
-			if cg, cv := mrow(gj); cg != nil {
-				if p := searchGID(cg, gi); p >= 0 && p < len(cg) && cg[p] == gi {
-					t = cv[p]
-				}
+			if p := slices.Index(cc, int32(i)); p >= 0 {
+				t = cv[p]
 			}
 			out[k] = 0.5*raw[k] + 0.5*t
 		}
@@ -151,24 +192,7 @@ func symmetrizeRows(A *CSR, colGID []uint64, raw []float64, mrow RowFunc) []floa
 // NewSerialSPAI builds the symmetrized static-pattern SPAI for a
 // serially assembled matrix.
 func NewSerialSPAI(A *CSR) Preconditioner {
-	arow := func(gid uint64) ([]uint64, []float64) {
-		i := A.RowOf(gid)
-		if i < 0 {
-			return nil, nil
-		}
-		return rowGids(A, i), A.Val[A.RowPtr[i]:A.RowPtr[i+1]]
-	}
-	raw := spaiRawRows(A, A.GID, arow)
-	mrow := func(gid uint64) ([]uint64, []float64) {
-		i := A.RowOf(gid)
-		if i < 0 {
-			return nil, nil
-		}
-		return rowGids(A, i), raw[A.RowPtr[i]:A.RowPtr[i+1]]
-	}
-	sym := symmetrizeRows(A, A.GID, raw, mrow)
-	M := &CSR{NRows: A.NRows, NCols: A.NCols, RowPtr: A.RowPtr, Col: A.Col, Val: sym, GID: A.GID}
-	return &matPrecond{M: M}
+	return &matPrecond{M: spaiMatrix(A, nil)}
 }
 
 // matPrecond applies a sparse matrix as a preconditioner.
@@ -178,38 +202,12 @@ type matPrecond struct {
 
 func (p *matPrecond) Apply(dst, r []float64) { p.M.MulVec(dst, r) }
 
-// rowGids materializes the column gids of row i (rows are short; the
-// closures above call it transiently).
-func rowGids(A *CSR, i int) []uint64 {
-	cols, _ := A.Row(i)
-	g := make([]uint64, len(cols))
-	for k, c := range cols {
-		g[k] = A.GID[c]
-	}
-	return g
-}
-
-func dedupSorted(g []uint64) []uint64 {
-	out := g[:0]
-	for i, v := range g {
-		if i == 0 || v != g[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// searchGID returns the index of gid in the ascending slice g (or the
-// insertion point when absent; callers that may miss must re-check).
-func searchGID(g []uint64, gid uint64) int {
-	return sort.Search(len(g), func(i int) bool { return g[i] >= gid })
-}
-
-// cholSolve solves the SPD system G m = rhs (n x n, row-major) by
-// Cholesky factorization.  Returns ok=false when a pivot is not strictly
+// cholSolve solves the SPD system G m = rhs (n = len(m), G row-major
+// n x n) by Cholesky factorization, with l (n x n) and y (n) as scratch.
+// Returns false, leaving m untouched, when a pivot is not strictly
 // positive (G numerically rank-deficient).
-func cholSolve(g, rhs []float64, n int) ([]float64, bool) {
-	l := make([]float64, n*n)
+func cholSolve(g, rhs, l, y, m []float64) bool {
+	n := len(m)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			s := g[i*n+j]
@@ -218,7 +216,7 @@ func cholSolve(g, rhs []float64, n int) ([]float64, bool) {
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, false
+					return false
 				}
 				l[i*n+i] = math.Sqrt(s)
 			} else {
@@ -227,7 +225,6 @@ func cholSolve(g, rhs []float64, n int) ([]float64, bool) {
 		}
 	}
 	// Forward then backward substitution.
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := rhs[i]
 		for k := 0; k < i; k++ {
@@ -235,7 +232,6 @@ func cholSolve(g, rhs []float64, n int) ([]float64, bool) {
 		}
 		y[i] = s / l[i*n+i]
 	}
-	m := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -243,5 +239,5 @@ func cholSolve(g, rhs []float64, n int) ([]float64, bool) {
 		}
 		m[i] = s / l[i*n+i]
 	}
-	return m, true
+	return true
 }

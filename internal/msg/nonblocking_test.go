@@ -36,13 +36,13 @@ func TestIrecvCompletesInPostOrder(t *testing.T) {
 				c.Send(1, 5, []byte{byte(i)})
 			}
 		} else {
-			reqs := []*Request{c.Irecv(0, 5), c.Irecv(0, 5), c.Irecv(0, 5)}
-			for _, r := range reqs {
-				r.Wait()
+			reqs := []Request{c.Irecv(0, 5), c.Irecv(0, 5), c.Irecv(0, 5)}
+			for i := range reqs {
+				reqs[i].Wait()
 			}
-			for i, r := range reqs {
-				if r.Wait().Data[0] != byte(i) {
-					t.Errorf("request %d completed with message %d", i, r.Wait().Data[0])
+			for i := range reqs {
+				if got := reqs[i].Wait().Data[0]; got != byte(i) {
+					t.Errorf("request %d completed with message %d", i, got)
 				}
 			}
 		}

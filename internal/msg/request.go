@@ -6,8 +6,13 @@ package msg
 // the messages' wire time, and only then pay the completion wait — the
 // split-SpMV halo overlap of internal/linalg is built on exactly this.
 
-// Request is the handle to a posted receive.  A Request is owned by the
-// rank that created it and must be completed with Wait on that rank.
+// Request is the handle to a posted receive, a plain value: Irecv
+// allocates nothing, so a caller that posts receives on every exchange
+// can keep its requests in a reused slice.  A Request is owned by the
+// rank that created it and must be completed with Wait on that rank,
+// through one addressable copy (a slice element or a variable): Wait
+// records completion in the value it is called on, and a copy taken
+// before completion would receive again.
 type Request struct {
 	c        *Comm
 	src, tag int
@@ -20,8 +25,8 @@ type Request struct {
 // (src, tag) pair, messages match in completion order, so programs that
 // complete requests in post order keep MPI's posted-receive FIFO
 // semantics.  src may be AnySource and tag may be AnyTag.
-func (c *Comm) Irecv(src, tag int) *Request {
-	return &Request{c: c, src: src, tag: tag}
+func (c *Comm) Irecv(src, tag int) Request {
+	return Request{c: c, src: src, tag: tag}
 }
 
 // Wait blocks until the request completes and returns the received
