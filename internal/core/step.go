@@ -212,7 +212,7 @@ func AdaptionStep(c *msg.Comm, d *pmesh.DistMesh, g *dual.Graph,
 			acceptFlag = 1
 		}
 	}
-	st.Accepted = c.BcastInts(0, []int64{acceptFlag})[0] == 1
+	st.Accepted = c.BcastInt64(0, acceptFlag) == 1
 
 	// --- Remapping: physically move the element families.  In the
 	// remap-before ordering the edge marks travel with the families, so

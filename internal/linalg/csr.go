@@ -51,6 +51,26 @@ type entry struct {
 	w   float64 // edge weight
 }
 
+// groupBy lays vals out by their keys in [0, n) in one flat array, a
+// counting sort that keeps list order within a key: the values of key k
+// are out[ptr[k]:ptr[k+1]].
+func groupBy[T any](n int, keys []int32, vals []T) (ptr []int32, out []T) {
+	ptr = make([]int32, n+1)
+	for _, k := range keys {
+		ptr[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		ptr[k+1] += ptr[k]
+	}
+	next := slices.Clone(ptr[:n])
+	out = make([]T, len(vals))
+	for i, k := range keys {
+		out[next[k]] = vals[i]
+		next[k]++
+	}
+	return ptr, out
+}
+
 // EdgeWeight returns the Laplacian weight of a mesh edge of the given
 // length (inverse length, the standard graph-Laplacian weighting for
 // geometric meshes).  Both the serial and the distributed assemblers
@@ -62,12 +82,13 @@ func EdgeWeight(length float64) float64 { return 1 / length }
 // A = shift*I + scale*L where L is the weighted graph Laplacian
 // (diagonal = sum of incident weights, off-diagonal = -weight).
 //
-// rows[i] lists the neighbour contributions of the row with global id
-// gids[i] (gids ascending).  colIdx maps a neighbour gid to its column
-// index.  The diagonal is accumulated in ascending neighbour-gid order
-// starting from shift — the fixed summation order that makes serial and
-// distributed assembly produce identical floats.
-func finalizeRows(gids []uint64, rows [][]entry, colIdx func(uint64) int32, ncols int, shift, scale float64) *CSR {
+// ents[ptr[i]:ptr[i+1]] lists the neighbour contributions of the row
+// with global id gids[i] (gids ascending); each row is sorted in place.
+// colIdx maps a neighbour gid to its column index.  The diagonal is
+// accumulated in ascending neighbour-gid order starting from shift — the
+// fixed summation order that makes serial and distributed assembly
+// produce identical floats.
+func finalizeRows(gids []uint64, ptr []int32, ents []entry, colIdx func(uint64) int32, ncols int, shift, scale float64) *CSR {
 	n := len(gids)
 	A := &CSR{
 		NRows:  n,
@@ -76,14 +97,11 @@ func finalizeRows(gids []uint64, rows [][]entry, colIdx func(uint64) int32, ncol
 		GID:    gids,
 		Diag:   make([]float64, n),
 	}
-	nnz := 0
-	for _, r := range rows {
-		nnz += len(r) + 1
-	}
+	nnz := len(ents) + n
 	A.Col = make([]int32, 0, nnz)
 	A.Val = make([]float64, 0, nnz)
 	for i := 0; i < n; i++ {
-		r := rows[i]
+		r := ents[ptr[i]:ptr[i+1]]
 		slices.SortFunc(r, func(a, b entry) int { return cmp.Compare(a.gid, b.gid) })
 		diag := shift
 		for _, e := range r {
@@ -130,7 +148,8 @@ func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
 	for i, g := range gids {
 		rowOf[g] = int32(i)
 	}
-	rows := make([][]entry, len(gids))
+	rows := make([]int32, 0, 2*len(m.EdgeV))
+	ents := make([]entry, 0, 2*len(m.EdgeV))
 	for id := range m.EdgeV {
 		if !m.ActiveEdge(int32(id)) {
 			continue
@@ -138,10 +157,10 @@ func Assemble(m *adapt.Mesh, shift, scale float64) *CSR {
 		a, b := m.EdgeV[id][0], m.EdgeV[id][1]
 		w := EdgeWeight(m.Coords[a].Sub(m.Coords[b]).Norm())
 		ga, gb := m.VertGID[a], m.VertGID[b]
-		ra, rb := rowOf[ga], rowOf[gb]
-		rows[ra] = append(rows[ra], entry{gb, w})
-		rows[rb] = append(rows[rb], entry{ga, w})
+		rows = append(rows, rowOf[ga], rowOf[gb])
+		ents = append(ents, entry{gb, w}, entry{ga, w})
 	}
+	ptr, byRow := groupBy(len(gids), rows, ents)
 	colIdx := func(g uint64) int32 { return rowOf[g] }
-	return finalizeRows(gids, rows, colIdx, len(gids), shift, scale)
+	return finalizeRows(gids, ptr, byRow, colIdx, len(gids), shift, scale)
 }

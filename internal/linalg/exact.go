@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Exact (order-independent) summation for the global reductions of the
@@ -402,17 +403,20 @@ const (
 )
 
 // Bytes serializes the accumulator for transport between ranks.
-func (a *Acc) Bytes() []byte {
+func (a *Acc) Bytes() []byte { return a.appendBytes(nil) }
+
+// appendBytes appends the Bytes serialization of a to dst.
+func (a *Acc) appendBytes(dst []byte) []byte {
 	if a.pos || a.neg {
-		b := []byte{gobVersion, gobAccExact | gobInf, 0, 0, accPrec >> 8, accPrec & 0xff}
+		flags := byte(gobAccExact | gobInf)
 		if a.neg {
-			b[1] |= gobNegBit
+			flags |= gobNegBit
 		}
-		return b
+		return append(dst, gobVersion, flags, 0, 0, accPrec>>8, accPrec&0xff)
 	}
 	m, nz := a.msb()
 	if !nz {
-		return []byte{gobVersion, gobAccExact, 0, 0, accPrec >> 8, accPrec & 0xff}
+		return append(dst, gobVersion, gobAccExact, 0, 0, accPrec>>8, accPrec&0xff)
 	}
 	negative, mag := a.magnitude()
 	exp := m + 1
@@ -423,13 +427,16 @@ func (a *Acc) Bytes() []byte {
 		panic("linalg: exact accumulator: misaligned stored form")
 	}
 	words := (exp - a.mLsb) / 64
-	buf := make([]byte, gobHeaderLen+8*words)
+	dst = slices.Grow(dst, gobHeaderLen+8*words)
+	start := len(dst)
+	dst = dst[:start+gobHeaderLen+8*words]
+	buf := dst[start:]
 	buf[0] = gobVersion
 	buf[1] = gobAccExact | gobFinite
 	if negative {
 		buf[1] |= gobNegBit
 	}
-	buf[4], buf[5] = accPrec>>8, accPrec&0xff // prec, big-endian uint32
+	buf[2], buf[3], buf[4], buf[5] = 0, 0, accPrec>>8, accPrec&0xff // prec, big-endian uint32
 	be32 := uint32(int32(exp))
 	buf[6], buf[7], buf[8], buf[9] = byte(be32>>24), byte(be32>>16), byte(be32>>8), byte(be32)
 	for w := 0; w < words; w++ {
@@ -439,7 +446,7 @@ func (a *Acc) Bytes() []byte {
 			buf[off+k] = byte(chunk >> uint(56-8*k))
 		}
 	}
-	return buf
+	return dst
 }
 
 // AccFromBytes reconstructs an accumulator serialized with Bytes.

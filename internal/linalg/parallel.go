@@ -89,8 +89,25 @@ type DistSystem struct {
 
 	// Dot's exact accumulators, reset on every call: the local partial
 	// sum, and on rank 0 the total and the decoded part being merged.
+	// dotWire holds the local sum's encoding and dotParts the gathered
+	// encodings, which rank 0 hands back once merged.
 	dotLocal, dotTotal, dotPart Acc
+	dotWire                     []byte
+	dotParts                    [][]byte
+
+	// PCG's workspace, and the right-hand side and iterate GatherField
+	// fills: an implicit step solves on this system once per solution
+	// component, all in the same storage.
+	pcgWork
+	rhs, iterate []float64
+
+	// ScatterField's outgoing (gid, value bits) words, per rank.
+	scatterSend [][]int64
 }
+
+// word decodes the i-th little-endian 64-bit word of a msg payload, the
+// encoding of SendInts and SendFloats.
+func word(data []byte, i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
 
 // vertOwner returns the owning rank of local vertex v under the exact
 // sharing state (lowest actual holder).
@@ -133,15 +150,18 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 	// contributes to rows a and b; contributions to rows owned
 	// elsewhere are forwarded to the owning rank together with the
 	// column's owner, which the receiver needs to build its halo.  A
-	// column owned elsewhere is a ghost.
-	entRows := make([][]entry, len(gids))
+	// column owned elsewhere is a ghost.  Contributions to owned rows are
+	// listed in arrival order and grouped by row once all have arrived.
+	rows := make([]int32, 0, 2*len(m.EdgeV))
+	ents := make([]entry, 0, 2*len(m.EdgeV))
 	ghostOwnerOf := make(map[uint64]int32)
 	addOwned := func(rowGID, colGID uint64, colOwner int32, w float64) {
 		i, ok := rowOf[rowGID]
 		if !ok {
 			panic("linalg: contribution to a row not owned here")
 		}
-		entRows[i] = append(entRows[i], entry{colGID, w})
+		rows = append(rows, i)
+		ents = append(ents, entry{colGID, w})
 		if colOwner != me {
 			ghostOwnerOf[colGID] = colOwner
 		}
@@ -177,11 +197,12 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		d.C.SendInts(int(r), tagAssemble, sendBuf[r])
 	}
 	for _, r := range neighbors {
-		vals := d.C.RecvInts(int(r), tagAssemble)
-		for i := 0; i+3 < len(vals); i += 4 {
-			addOwned(uint64(vals[i]), uint64(vals[i+1]), int32(vals[i+2]),
-				math.Float64frombits(uint64(vals[i+3])))
+		in := d.C.Recv(int(r), tagAssemble)
+		for i := 0; i+3 < len(in.Data)/8; i += 4 {
+			addOwned(word(in.Data, i), word(in.Data, i+1), int32(word(in.Data, i+2)),
+				math.Float64frombits(word(in.Data, i+3)))
 		}
+		d.C.Release(in)
 	}
 
 	// The ghost block, gid-ascending.
@@ -205,7 +226,8 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		}
 		return int32(n) + ghostIdx[g]
 	}
-	s.A = finalizeRows(gids, entRows, colIdx, n+len(s.GhostGID), shift, scale)
+	ptr, byRow := groupBy(n, rows, ents)
+	s.A = finalizeRows(gids, ptr, byRow, colIdx, n+len(s.GhostGID), shift, scale)
 	s.full = make([]float64, s.A.NCols)
 	s.splitRows()
 
@@ -244,38 +266,46 @@ func (s *DistSystem) splitRows() {
 // it, so pairwise eager sends followed by receives are deadlock-free.
 func (s *DistSystem) buildHalo() {
 	me := int32(s.C.Rank())
-	s.recvGhost = make([][]int32, s.C.Size())
+	p := s.C.Size()
+	// Ghost indices grouped by owner; each owner's list stays
+	// gid-ascending.
+	idx := make([]int32, len(s.ghostOwner))
 	for i, r := range s.ghostOwner {
 		if r == me {
 			panic("linalg: ghost owned by self")
 		}
-		s.recvGhost[r] = append(s.recvGhost[r], int32(i)) // gid-ascending
+		idx[i] = int32(i)
 	}
+	start, ghosts := groupBy(p, s.ghostOwner, idx)
+	s.recvGhost = make([][]int32, p)
 	s.haloRanks = s.haloRanks[:0]
-	for r, ghosts := range s.recvGhost {
-		if len(ghosts) > 0 {
+	for r := 0; r < p; r++ {
+		s.recvGhost[r] = ghosts[start[r]:start[r+1]:start[r+1]]
+		if start[r+1] > start[r] {
 			s.haloRanks = append(s.haloRanks, int32(r))
 		}
 	}
 
+	var need []int64
 	for _, r := range s.haloRanks {
-		need := make([]int64, 0, len(s.recvGhost[r]))
+		need = need[:0]
 		for _, gi := range s.recvGhost[r] {
 			need = append(need, int64(s.GhostGID[gi]))
 		}
 		s.C.SendInts(int(r), tagNeeds, need)
 	}
-	s.sendRows = make([][]int32, s.C.Size())
+	s.sendRows = make([][]int32, p)
 	for _, r := range s.haloRanks {
-		req := s.C.RecvInts(int(r), tagNeeds)
-		list := make([]int32, len(req))
-		for i, g := range req {
-			row := s.A.RowOf(uint64(g))
+		req := s.C.Recv(int(r), tagNeeds)
+		list := make([]int32, len(req.Data)/8)
+		for i := range list {
+			row := s.A.RowOf(word(req.Data, i))
 			if row < 0 {
 				panic("linalg: halo request for a row not owned here")
 			}
 			list[i] = int32(row)
 		}
+		s.C.Release(req)
 		s.sendRows[r] = list
 	}
 }
@@ -320,8 +350,7 @@ func (s *DistSystem) finishHalo(reqs []msg.Request) {
 	for i, r := range s.haloRanks {
 		m := reqs[i].Wait()
 		for j, gi := range s.recvGhost[r] {
-			s.full[n+int(gi)] = math.Float64frombits(
-				binary.LittleEndian.Uint64(m.Data[8*j:]))
+			s.full[n+int(gi)] = math.Float64frombits(word(m.Data, j))
 		}
 		s.C.Release(m)
 		reqs[i] = msg.Request{}
@@ -376,7 +405,11 @@ func (s *DistSystem) Dot(x, y []float64) float64 {
 	s.dotLocal = Acc{}
 	s.dotLocal.AddProducts(x, y)
 	s.C.Compute(workPerDot * float64(len(x)))
-	parts := s.C.Gather(0, s.dotLocal.Bytes())
+	s.dotWire = s.dotLocal.appendBytes(s.dotWire[:0])
+	if s.dotParts == nil {
+		s.dotParts = make([][]byte, s.C.Size())
+	}
+	parts := s.C.Gather(0, s.dotWire, s.dotParts)
 	var v float64
 	if s.C.Rank() == 0 {
 		s.dotTotal = Acc{}
@@ -384,9 +417,10 @@ func (s *DistSystem) Dot(x, y []float64) float64 {
 			s.dotPart.setBytes(p)
 			s.dotTotal.Merge(&s.dotPart)
 		}
+		s.C.ReleaseParts(parts)
 		v = s.dotTotal.Float64()
 	}
-	return s.C.BcastFloats(0, []float64{v})[0]
+	return s.C.BcastFloat64(0, v)
 }
 
 // NewPrecond builds the requested preconditioner for the distributed
@@ -456,7 +490,6 @@ func (s *DistSystem) exchangeRows(rows *localRows) {
 		s.C.SendInts(int(r), tagRows, buf)
 	}
 
-	word := func(data []byte, i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
 	g := &rows.ghost
 	g.ptr, g.val = append(g.ptr[:0], 0), g.val[:0]
 	if rows.ghostRow == nil {
@@ -515,22 +548,44 @@ func (p *distMatPrecond) Apply(dst, r []float64) {
 }
 
 // GatherField extracts b[row] = sol[vert*ncomp+comp] from the local mesh
-// for every owned row.
-func (s *DistSystem) GatherField(ncomp, comp int) []float64 {
-	b := make([]float64, s.A.NRows)
+// for every owned row, and returns it with a copy x for PCG to iterate
+// on (u^n is the implicit step's natural initial guess).  Both live in
+// the system's storage, valid until the next GatherField.
+func (s *DistSystem) GatherField(ncomp, comp int) (b, x []float64) {
+	n := s.A.NRows
+	s.rhs = slices.Grow(s.rhs[:0], n)[:n]
 	for i, v := range s.rowVert {
-		b[i] = s.D.M.Sol[int(v)*ncomp+comp]
+		s.rhs[i] = s.D.M.Sol[int(v)*ncomp+comp]
 	}
-	return b
+	s.iterate = append(s.iterate[:0], s.rhs...)
+	return s.rhs, s.iterate
 }
 
 // ScatterField writes owned solution values into the local mesh and
 // forwards boundary values to the other actual holders of each shared
 // vertex, so every copy of the solution field stays bitwise consistent.
-// Collective.
+// The outgoing words reuse the system's per-rank tables, and received
+// values decode straight out of each message, which then returns to the
+// world's pool.  Collective.
 func (s *DistSystem) ScatterField(ncomp, comp int, x []float64) {
 	m := s.D.M
-	send := make([][]int64, s.C.Size())
+	if s.scatterSend == nil {
+		// Sized once per system: two words per owned row per sharer.
+		n := make([]int, s.C.Size())
+		for _, v := range s.rowVert {
+			for _, r := range s.own.VertSharers[v] {
+				n[r] += 2
+			}
+		}
+		s.scatterSend = make([][]int64, len(n))
+		for r := range n {
+			s.scatterSend[r] = make([]int64, 0, n[r])
+		}
+	}
+	send := s.scatterSend
+	for r := range send {
+		send[r] = send[r][:0]
+	}
 	for i, v := range s.rowVert {
 		m.Sol[int(v)*ncomp+comp] = x[i]
 		for _, r := range s.own.VertSharers[v] {
@@ -542,13 +597,14 @@ func (s *DistSystem) ScatterField(ncomp, comp int, x []float64) {
 		s.C.SendInts(int(r), tagScatter, send[r])
 	}
 	for _, r := range neighbors {
-		vals := s.C.RecvInts(int(r), tagScatter)
-		for i := 0; i+1 < len(vals); i += 2 {
-			v := m.VertByGID(uint64(vals[i]))
+		in := s.C.Recv(int(r), tagScatter)
+		for i := 0; i+1 < len(in.Data)/8; i += 2 {
+			v := m.VertByGID(word(in.Data, i))
 			if v < 0 {
 				continue
 			}
-			m.Sol[int(v)*ncomp+comp] = math.Float64frombits(uint64(vals[i+1]))
+			m.Sol[int(v)*ncomp+comp] = math.Float64frombits(word(in.Data, i+1))
 		}
+		s.C.Release(in)
 	}
 }

@@ -105,6 +105,71 @@ func TestDistributedMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
+// TestDistPCGAllocsFlat: on a P=4 world a warm Dot and a warm PCG
+// iteration make no malloc, with and without the halo overlap, and a
+// warm solve makes one per rank (its residual history).  Dot's
+// encoding, its gathered parts and its broadcast ride system-owned
+// storage and pooled messages, PCG's vectors live on the system, and
+// halo payloads go back to the pool.  Every call is collective, so rank
+// 0 counts with testing.AllocsPerRun, which sees every rank's mallocs,
+// while the other ranks make the same calls.  The per-iteration figure
+// differences two solve lengths, which cancels what a solve allocates
+// once.
+func TestDistPCGAllocsFlat(t *testing.T) {
+	global := mesh.Box(3, 3, 2, 3, 3, 2)
+	part := partition.Partition(dual.FromMesh(global), 4, partition.Options{})
+	msg.Run(4, func(c *msg.Comm) {
+		d := pmesh.New(c, global, part, 0)
+		sys := NewDistSystem(d, testShift, testScale)
+		pre := sys.NewPrecond(PrecondSPAI)
+		b := make([]float64, sys.Rows())
+		for i, v := range sys.rowVert {
+			b[i] = rhsField(d.M.Coords[v])
+		}
+		x := make([]float64, sys.Rows())
+		const runs = 10
+		allocs := func(f func()) float64 {
+			// A first call on every rank, then a barrier, keeps the
+			// other ranks' warm-up out of rank 0's count.
+			f()
+			c.Barrier()
+			if c.Rank() == 0 {
+				return testing.AllocsPerRun(runs, f)
+			}
+			for i := 0; i <= runs; i++ { // AllocsPerRun's own warm-up call, then runs
+				f()
+			}
+			return 0
+		}
+		// A tolerance no solve reaches: every solve runs MaxIter iterations.
+		solve := func(iters int) func() {
+			return func() {
+				clear(x)
+				if r := PCG(sys, pre, b, x, Options{Tol: 1e-300, MaxIter: iters}); r.Iterations != iters {
+					t.Errorf("solve stopped after %d of %d iterations", r.Iterations, iters)
+				}
+			}
+		}
+		for _, overlap := range []bool{false, true} {
+			sys.Overlap = overlap
+			dot := allocs(func() { sys.Dot(b, x) })
+			short, long := allocs(solve(2)), allocs(solve(6))
+			if c.Rank() != 0 {
+				continue
+			}
+			if dot != 0 {
+				t.Errorf("overlap %v: %v mallocs per warm Dot, want 0", overlap, dot)
+			}
+			if perIter := (long - short) / 4; perIter != 0 {
+				t.Errorf("overlap %v: %v mallocs per warm PCG iteration, want 0", overlap, perIter)
+			}
+			if short > float64(c.Size()) {
+				t.Errorf("overlap %v: %v mallocs per warm solve, want at most one per rank", overlap, short)
+			}
+		}
+	})
+}
+
 // TestDistributedOperatorMatchesSerial checks the assembled operator
 // itself: every owned row of every rank is entry-for-entry identical to
 // the serial assembly.

@@ -1,12 +1,17 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // System abstracts the operator and reductions PCG needs, so one solver
 // implementation runs unchanged over the serial backend (*CSR via
 // Serial) and the distributed backend (*DistSystem).  Vectors passed to
 // and returned from System methods are "owned length": the serial
 // backend owns every row, a distributed rank owns its partition's rows.
+// Both backends embed pcgWork, the workspace PCG solves in, so a system
+// solved again and again allocates its vectors once.
 type System interface {
 	// Rows returns the local (owned) vector length.
 	Rows() int
@@ -18,6 +23,28 @@ type System interface {
 	// exactly rounded (see exact.go) so the value is independent of
 	// the partition.
 	Dot(x, y []float64) float64
+
+	work() *pcgWork
+}
+
+// pcgWork is PCG's workspace, kept by its system across solves: the
+// residual r, the preconditioned residual z, the search direction p,
+// the operator image q, and the residual history, which each solve
+// copies into its Result once.
+type pcgWork struct {
+	r, z, p, q []float64
+	residuals  []float64
+}
+
+func (w *pcgWork) work() *pcgWork { return w }
+
+// vectors returns r, z, p and q sized to n, reusing their storage.
+// Their contents are undefined: PCG writes each before reading it.
+func (w *pcgWork) vectors(n int) (r, z, p, q []float64) {
+	if cap(w.r) < n {
+		w.r, w.z, w.p, w.q = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	return w.r[:n], w.z[:n], w.p[:n], w.q[:n]
 }
 
 // Preconditioner applies z = M*r on owned vectors.
@@ -87,7 +114,7 @@ func Identity() Preconditioner { return identity{} }
 // (alpha, beta, residual norms) are identical on every rank because the
 // reductions are exact, so the iterate sequence is globally consistent
 // and bitwise-reproducible for any processor count.
-func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) Result {
+func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) (res Result) {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-8
 	}
@@ -97,11 +124,9 @@ func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) Result {
 	if pre == nil {
 		pre = Identity()
 	}
-	n := sys.Rows()
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
+	w := sys.work()
+	r, z, p, q := w.vectors(sys.Rows())
+	defer func() { res.Residuals = slices.Clone(w.residuals) }()
 
 	// r = b - A*x.
 	sys.MulVec(q, x)
@@ -109,7 +134,7 @@ func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) Result {
 		r[i] = b[i] - q[i]
 	}
 	r0 := math.Sqrt(sys.Dot(r, r))
-	res := Result{Residuals: []float64{r0}}
+	w.residuals = append(w.residuals[:0], r0)
 	if r0 == 0 {
 		res.Converged = true
 		return res
@@ -133,7 +158,7 @@ func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) Result {
 		}
 		rn := math.Sqrt(sys.Dot(r, r))
 		res.Iterations = it
-		res.Residuals = append(res.Residuals, rn)
+		w.residuals = append(w.residuals, rn)
 		if rn <= target {
 			res.Converged = true
 			break
@@ -152,6 +177,7 @@ func PCG(sys System, pre Preconditioner, b, x []float64, opt Options) Result {
 // Serial wraps a serially assembled CSR matrix as a System.
 type Serial struct {
 	A *CSR
+	pcgWork
 }
 
 // NewSerial returns the serial backend for A (NCols must equal NRows).

@@ -72,27 +72,70 @@ func (c *Comm) bcastTree(root, tag int, recv func(parent int), send func(child i
 	}
 }
 
-// Bcast broadcasts data from root to all ranks using a binomial tree and
-// returns the received (or original, on root) payload.
+// Bcast broadcasts data from root to all ranks using a binomial tree.
+// On root it returns data itself; on every other rank it returns a
+// pooled payload lent to the caller, who hands it back with ReleaseBcast
+// once read.  A forwarding rank has already sent its children their
+// copies (Send copies) when Bcast returns, so releasing never races the
+// tree.
 func (c *Comm) Bcast(root int, data []byte) []byte {
+	if c.rank == root {
+		c.bcastParts(root, [][]byte{data})
+		return data
+	}
+	return c.bcastParts(root, nil)
+}
+
+// bcastParts is Bcast of the concatenation of parts.  The root encodes
+// the parts straight into each child's pooled message, so no flat copy
+// is built on the host; the message pattern is exactly Bcast's of the
+// concatenated payload.  Non-root ranks return the received payload,
+// lent to the caller; the root returns nil.
+func (c *Comm) bcastParts(root int, parts [][]byte) []byte {
 	c.PushPhase(event.PhaseCollective)
 	defer c.PopPhase()
 	tag := c.nextCollTag()
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	var data []byte
 	c.bcastTree(root, tag,
 		func(parent int) {
-			// The payload escapes to the caller, so only the message
-			// shell goes back to the pool.
+			// Only the shell goes back to the pool: the payload is lent.
 			m := c.Recv(parent, tag)
 			data = m.Data
 			c.world.release(m, false)
 		},
-		func(child int) { c.Send(child, tag, data) })
+		func(child int) {
+			if c.rank != root {
+				c.Send(child, tag, data)
+				return
+			}
+			m := c.world.getMessage(n)
+			off := 0
+			for _, p := range parts {
+				off += copy(m.Data[off:], p)
+			}
+			c.deliver(child, tag, m)
+		})
 	return data
 }
 
-// Gather collects each rank's payload at root.  On root the returned slice
-// has Size() entries indexed by rank; on other ranks it is nil.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
+// ReleaseBcast hands back the payload a Bcast from root returned on this
+// rank.  On root, whose result is its own data, it does nothing.
+func (c *Comm) ReleaseBcast(root int, data []byte) {
+	if c.rank != root {
+		c.world.releaseBuf(data)
+	}
+}
+
+// Gather collects each rank's payload at root into the caller-owned
+// into, which on root must hold Size() slots; other ranks may pass nil.
+// On root into[root] aliases data and every other slot is a pooled
+// payload lent to the caller, who hands them back with ReleaseParts.
+// Gather returns into on root and nil elsewhere.
+func (c *Comm) Gather(root int, data []byte, into [][]byte) [][]byte {
 	c.PushPhase(event.PhaseCollective)
 	defer c.PopPhase()
 	tag := c.nextCollTag()
@@ -100,75 +143,100 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 		c.Send(root, tag, data)
 		return nil
 	}
-	out := make([][]byte, c.Size())
-	out[root] = append([]byte(nil), data...)
+	if len(into) != c.Size() {
+		panic("msg: Gather requires one result slot per rank on root")
+	}
+	into[root] = data
 	for src := 0; src < c.Size(); src++ {
 		if src == root {
 			continue
 		}
 		m := c.Recv(src, tag)
-		out[src] = m.Data
-		c.world.release(m, false) // payload escapes in out
+		into[src] = m.Data
+		c.world.release(m, false) // the payload is lent in into
 	}
-	return out
+	return into
 }
 
-// Allgather collects every rank's payload on every rank.
-func (c *Comm) Allgather(data []byte) [][]byte {
-	parts := c.Gather(0, data)
+// ReleaseParts hands back the payloads a Gather (on its root) or an
+// Alltoall lent this rank: every slot but the rank's own, which aliases
+// the caller's data.  It clears every slot, so a stale part cannot be
+// read or released again.  A nil parts releases nothing.
+func (c *Comm) ReleaseParts(parts [][]byte) {
+	for src, p := range parts {
+		if src != c.rank {
+			c.world.releaseBuf(p)
+		}
+	}
+	clear(parts)
+}
+
+// Allgather collects every rank's payload on every rank into the
+// caller-owned into (Size() slots) and returns it; into[Rank()] aliases
+// data.  The messages are a Gather at rank 0, a Bcast of the
+// concatenated parts and a BcastInts of their lengths.  The other slots
+// are lent to the caller, who hands them back with ReleaseAllgather: on
+// rank 0 they are the gathered payloads, elsewhere views into the one
+// broadcast payload.
+func (c *Comm) Allgather(data []byte, into [][]byte) [][]byte {
+	if len(into) != c.Size() {
+		panic("msg: Allgather requires one result slot per rank")
+	}
 	if c.rank == 0 {
-		flat, lens := flatten(parts)
-		// Root already has parts; the broadcasts reconstruct them on the
-		// other ranks.
-		c.Bcast(0, flat)
-		c.BcastInts(0, lens)
-		return parts
+		c.Gather(0, data, into)
+		c.bcastParts(0, into)
+		c.lens = c.lens[:0]
+		for _, p := range into {
+			c.lens = append(c.lens, int64(len(p)))
+		}
+		c.BcastInts(0, c.lens)
+		return into
 	}
+	c.Gather(0, data, nil)
 	flat := c.Bcast(0, nil)
-	lens := c.BcastInts(0, nil)
-	return unflatten(flat, lens)
-}
-
-// BcastInts broadcasts an int64 slice from root.
-func (c *Comm) BcastInts(root int, vals []int64) []int64 {
-	if c.rank == root {
-		c.Bcast(root, PutInts(vals))
-		return vals
-	}
-	return GetInts(c.Bcast(root, nil))
-}
-
-// BcastFloats broadcasts a float64 slice from root.
-func (c *Comm) BcastFloats(root int, vals []float64) []float64 {
-	if c.rank == root {
-		c.Bcast(root, PutFloats(vals))
-		return vals
-	}
-	return GetFloats(c.Bcast(root, nil))
-}
-
-func flatten(parts [][]byte) (flat []byte, lens []int64) {
-	lens = make([]int64, len(parts))
-	total := 0
-	for i, p := range parts {
-		lens[i] = int64(len(p))
-		total += len(p)
-	}
-	flat = make([]byte, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	return flat, lens
-}
-
-func unflatten(flat []byte, lens []int64) [][]byte {
-	parts := make([][]byte, len(lens))
+	c.lens = c.BcastInts(0, c.lens)
 	off := 0
-	for i, n := range lens {
-		parts[i] = flat[off : off+int(n)]
+	for i, n := range c.lens {
+		// Slot 0 keeps the payload's full capacity: ReleaseAllgather
+		// hands the buffer back through it.
+		if i == 0 {
+			into[i] = flat[:n]
+		} else {
+			into[i] = flat[off : off+int(n) : off+int(n)]
+		}
 		off += int(n)
 	}
-	return parts
+	into[c.rank] = data
+	return into
+}
+
+// ReleaseAllgather hands back the payloads an Allgather lent this rank
+// and clears every slot.
+func (c *Comm) ReleaseAllgather(parts [][]byte) {
+	if c.rank == 0 {
+		c.ReleaseParts(parts)
+		return
+	}
+	c.ReleaseBcast(0, parts[0]) // slot 0 starts the one broadcast payload
+	clear(parts)
+}
+
+// BcastInts broadcasts an int64 slice from root, encoding straight into
+// pooled messages (Bcast's message pattern).  On root it returns vals;
+// every other rank decodes the payload into vals' storage, grown when
+// too short, and returns that.
+func (c *Comm) BcastInts(root int, vals []int64) []int64 {
+	c.PushPhase(event.PhaseCollective)
+	defer c.PopPhase()
+	tag := c.nextCollTag()
+	c.bcastTree(root, tag,
+		func(parent int) {
+			m := c.Recv(parent, tag)
+			vals = appendInts(vals[:0], m.Data)
+			c.Release(m)
+		},
+		func(child int) { c.SendInts(child, tag, vals) })
+	return vals
 }
 
 // allreduceWord is the shared scalar allreduce: a rooted gather of one
@@ -231,6 +299,17 @@ func (c *Comm) bcastWord(root int, w uint64) uint64 {
 	return w
 }
 
+// BcastInt64 broadcasts one int64 from root: Bcast's message pattern on
+// an 8-byte payload, through pooled messages.
+func (c *Comm) BcastInt64(root int, v int64) int64 {
+	return int64(c.bcastWord(root, uint64(v)))
+}
+
+// BcastFloat64 broadcasts one float64 from root, like BcastInt64.
+func (c *Comm) BcastFloat64(root int, v float64) float64 {
+	return math.Float64frombits(c.bcastWord(root, math.Float64bits(v)))
+}
+
 // MaxInt64 and SumInt64 are common reduce operators.
 func MaxInt64(a, b int64) int64 {
 	if a > b {
@@ -271,40 +350,42 @@ func (c *Comm) ReduceIntsSum(vals []int64) []int64 {
 			break
 		}
 		if c.rank+bit < size {
-			in := c.RecvInts(c.rank+bit, tag)
+			m := c.Recv(c.rank+bit, tag)
 			for i := range acc {
-				acc[i] += in[i]
+				acc[i] += int64(binary.LittleEndian.Uint64(m.Data[8*i:]))
 			}
+			c.Release(m)
 		}
 	}
 	return c.BcastInts(0, acc)
 }
 
-// Alltoall exchanges parts[i] from this rank to rank i; the result holds
-// the payload received from each rank (result[i] came from rank i).
-func (c *Comm) Alltoall(parts [][]byte) [][]byte {
+// Alltoall exchanges parts[i] from this rank to rank i into the
+// caller-owned into (Size() slots) and returns it: into[i] came from
+// rank i.  into[Rank()] aliases parts[Rank()]; every other slot is a
+// pooled payload lent to the caller, who hands them back with
+// ReleaseParts.
+func (c *Comm) Alltoall(parts, into [][]byte) [][]byte {
 	c.PushPhase(event.PhaseCollective)
 	defer c.PopPhase()
 	tag := c.nextCollTag()
 	size := c.Size()
-	if len(parts) != size {
-		panic("msg: Alltoall requires exactly one part per rank")
+	if len(parts) != size || len(into) != size {
+		panic("msg: Alltoall requires exactly one part and one result slot per rank")
 	}
-	out := make([][]byte, size)
 	for dst := 0; dst < size; dst++ {
-		if dst == c.rank {
-			out[dst] = append([]byte(nil), parts[dst]...)
-			continue
+		if dst != c.rank {
+			c.Send(dst, tag, parts[dst])
 		}
-		c.Send(dst, tag, parts[dst])
 	}
+	into[c.rank] = parts[c.rank]
 	for src := 0; src < size; src++ {
 		if src == c.rank {
 			continue
 		}
 		m := c.Recv(src, tag)
-		out[src] = m.Data
-		c.world.release(m, false) // payload escapes in out
+		into[src] = m.Data
+		c.world.release(m, false) // the payload is lent in into
 	}
-	return out
+	return into
 }

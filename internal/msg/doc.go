@@ -44,15 +44,36 @@
 // world's machine.Model.  Tracing observes and never perturbs — a traced
 // run's clocks equal the untraced run's.
 //
+// Payload ownership.  Send copies its payload, so the sender keeps its
+// slice.  A received payload is lent, never given: it comes from the
+// world's pool, and whoever holds it hands it back once it has read it.
+//
+//   - Recv and Request.Wait return a Message; Comm.Release hands back
+//     its shell and payload together.
+//   - Bcast returns a pooled payload on every rank but the root (whose
+//     result is its own data); ReleaseBcast hands it back.
+//   - Gather (on its root) and Alltoall fill caller-owned result slots,
+//     into.  The caller's own slot aliases its data; every other slot is
+//     pooled, and ReleaseParts hands them back.
+//   - Allgather fills caller-owned slots the same way; ReleaseAllgather
+//     hands them back.
+//   - RecvInts, BcastInts, the reductions and the scalar broadcasts
+//     decode and release internally; their results are the caller's.
+//
+// Handing back is optional: an unreleased payload is ordinary garbage,
+// and the pool reuses only what it was handed, so a payload a caller
+// still holds is never overwritten by a later send.  A payload must be
+// handed back once, and not read afterwards.
+//
 // Performance.  The runtime recycles aggressively, which is invisible
 // in simulated terms: mailboxes are intrusive doubly-linked delivery
 // lists (O(1) unlink, no per-key queue slices retaining popped
 // messages), and message structs plus size-classed payload buffers
-// return to per-world free lists via Comm.Release — automatic on the
-// decode-and-discard paths (RecvInts, collective internals), opt-in
-// for callers that receive raw Messages.  All pool
-// traffic happens under the execution token: no locks, deterministic
-// recycling order.  SendInts/SendFloats encode directly into pooled
-// buffers, keeping steady-state exchange loops allocation-free
-// (TestSendRecvAllocFree).  See docs/ARCHITECTURE.md, "Performance".
+// return to per-world free lists under the ownership rules above.  All
+// pool traffic happens under the execution token: no locks,
+// deterministic recycling order.  SendInts/SendFloats encode directly
+// into pooled buffers, and no collective copies a payload on the host
+// that the wire does not need, so steady-state exchange loops and warm
+// collective rounds allocate nothing (TestSendRecvAllocFree,
+// TestCollectiveOwnership).  See docs/ARCHITECTURE.md, "Performance".
 package msg

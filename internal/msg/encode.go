@@ -8,10 +8,10 @@ import (
 // The PLUM framework exchanges three kinds of payloads: integer id lists
 // (shared-edge marking rounds, similarity-matrix rows), float vectors
 // (solver ghost exchange), and opaque byte buffers (packed element
-// migration).  These helpers provide allocation-explicit conversions on
-// top of the raw byte transport; the Send/Recv pairs below additionally
-// encode straight into (and release back to) the world's message pool,
-// so the per-iteration exchange loops of the solvers allocate nothing.
+// migration).  PutInts and GetInts are allocation-explicit conversions
+// on top of the raw byte transport; the Send/Recv pairs below encode
+// straight into (and release back to) the world's message pool, so the
+// per-iteration exchange loops of the solvers allocate nothing.
 
 // PutInts encodes a slice of int64 values as little-endian bytes.
 func PutInts(vals []int64) []byte {
@@ -24,31 +24,15 @@ func PutInts(vals []int64) []byte {
 
 // GetInts decodes a byte slice produced by PutInts.
 func GetInts(data []byte) []int64 {
-	n := len(data) / 8
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return vals
+	return appendInts(make([]int64, 0, len(data)/8), data)
 }
 
-// PutFloats encodes a slice of float64 values as little-endian IEEE-754.
-func PutFloats(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+// appendInts appends the int64 values PutInts encoded in data to dst.
+func appendInts(dst []int64, data []byte) []int64 {
+	for i := 0; i+8 <= len(data); i += 8 {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(data[i:])))
 	}
-	return buf
-}
-
-// GetFloats decodes a byte slice produced by PutFloats.
-func GetFloats(data []byte) []float64 {
-	n := len(data) / 8
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return vals
+	return dst
 }
 
 // SendInts sends an int64 slice to dst, encoding directly into a pooled

@@ -36,7 +36,7 @@ func TestGatherLinearAtRoot(t *testing.T) {
 	model := &CostModel{TSetup: 1, TByte: 0, TLatency: 0, TWork: 0}
 	cost := func(p int) float64 {
 		times := RunModel(p, model, func(c *Comm) {
-			c.Gather(0, []byte{1})
+			c.Gather(0, []byte{1}, make([][]byte, c.Size()))
 		})
 		return times[0]
 	}
@@ -56,7 +56,7 @@ func TestAlltoallCost(t *testing.T) {
 		for i := range parts {
 			parts[i] = []byte{byte(i)}
 		}
-		c.Alltoall(parts)
+		c.Alltoall(parts, make([][]byte, p))
 	})
 	for r, tm := range times {
 		if math.Abs(tm-float64(2*(p-1))) > 1e-9 {

@@ -30,7 +30,7 @@ func isCollectiveTag(tag int) bool { return tag >= collectiveTagBase }
 type Message struct {
 	Src  int    // sending rank
 	Tag  int    // user tag
-	Data []byte // payload (owned by the receiver after Recv)
+	Data []byte // payload: the receiver's after Recv, until Release hands it back
 
 	// arrival is the simulated time at which the message is available at
 	// the receiver.
@@ -221,18 +221,26 @@ func (w *World) getMessage(n int) *Message {
 
 // release returns a message struct — and, when withData is set, its
 // payload buffer — to the world's free lists.  withData=false is for
-// messages whose Data escaped to user code (Bcast, Gather, ... return
-// payloads by reference); the shell is recycled, the buffer stays with
-// its new owner.
+// messages whose payload a collective lends to its caller (Bcast,
+// Gather, Allgather, Alltoall): the shell is recycled at once, and the
+// buffer comes back later through releaseBuf, when the caller hands the
+// payload back (Comm.ReleaseBcast, ReleaseParts, ReleaseAllgather).
 func (w *World) release(m *Message, withData bool) {
 	if withData {
-		if c := cap(m.Data); c > 0 && c&(c-1) == 0 {
-			cl := bits.Len(uint(c)) - 1
-			w.freeBufs[cl] = append(w.freeBufs[cl], m.Data[:0])
-		}
+		w.releaseBuf(m.Data)
 	}
 	*m = Message{next: w.freeShells}
 	w.freeShells = m
+}
+
+// releaseBuf returns a pooled payload buffer to its size class.  Buffers
+// getMessage did not hand out (a capacity that is no power of two, or
+// none) are left to the garbage collector.
+func (w *World) releaseBuf(b []byte) {
+	if c := cap(b); c > 0 && c&(c-1) == 0 {
+		cl := bits.Len(uint(c)) - 1
+		w.freeBufs[cl] = append(w.freeBufs[cl], b[:0])
+	}
 }
 
 // Comm is one rank's handle to the world.  It is not safe for concurrent
@@ -249,6 +257,9 @@ type Comm struct {
 	// (a few appends per cycle), consumed by traced ones.
 	phases   []openPhase
 	curPhase event.Phase
+
+	// lens is Allgather's scratch for the part lengths it broadcasts.
+	lens []int64
 }
 
 // openPhase is one entry of a rank's phase stack: the phase and the
@@ -311,9 +322,11 @@ func (c *Comm) PopPhase() {
 // Release returns a received message — struct and payload buffer — to
 // the world's free pool, where the next Send will recycle them.  The
 // caller must not touch m or m.Data afterwards.  Releasing is optional
-// (an unreleased message is ordinary garbage) but keeps hot exchange
-// loops allocation-free; the runtime's own decode-and-discard paths
-// (RecvInts, the collectives' internal receives) release automatically.
+// (an unreleased message is ordinary garbage, and the pool never reuses
+// what it was not handed back) but keeps hot exchange loops
+// allocation-free; the runtime's own decode-and-discard paths
+// (RecvInts, BcastInts, the collectives' internal receives) release
+// automatically.
 func (c *Comm) Release(m *Message) { c.world.release(m, true) }
 
 // Compute advances this rank's simulated clock by the cost of `units`

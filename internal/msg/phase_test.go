@@ -20,9 +20,10 @@ func TestCollectivesStampPhase(t *testing.T) {
 		{"Barrier", func(c *Comm) { c.Barrier() }},
 		{"Bcast", func(c *Comm) { c.Bcast(1, []byte{1, 2, 3}) }},
 		{"BcastInts", func(c *Comm) { c.BcastInts(0, []int64{7, 8}) }},
-		{"BcastFloats", func(c *Comm) { c.BcastFloats(2, []float64{0.5}) }},
-		{"Gather", func(c *Comm) { c.Gather(3, []byte{byte(c.Rank())}) }},
-		{"Allgather", func(c *Comm) { c.Allgather([]byte{byte(c.Rank())}) }},
+		{"BcastInt64", func(c *Comm) { c.BcastInt64(1, 7) }},
+		{"BcastFloat64", func(c *Comm) { c.BcastFloat64(2, 0.5) }},
+		{"Gather", func(c *Comm) { c.Gather(3, []byte{byte(c.Rank())}, make([][]byte, p)) }},
+		{"Allgather", func(c *Comm) { c.Allgather([]byte{byte(c.Rank())}, make([][]byte, p)) }},
 		{"AllreduceInt64", func(c *Comm) { c.AllreduceInt64(int64(c.Rank()), SumInt64) }},
 		{"AllreduceFloat64", func(c *Comm) { c.AllreduceFloat64(float64(c.Rank()), MaxFloat64) }},
 		{"ReduceIntsSum", func(c *Comm) { c.ReduceIntsSum([]int64{1, int64(c.Rank())}) }},
@@ -31,7 +32,7 @@ func TestCollectivesStampPhase(t *testing.T) {
 			for i := range parts {
 				parts[i] = []byte{byte(c.Rank()), byte(i)}
 			}
-			c.Alltoall(parts)
+			c.Alltoall(parts, make([][]byte, p))
 		}},
 	}
 	for _, tc := range cases {

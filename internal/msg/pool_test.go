@@ -72,10 +72,10 @@ func TestPoolSizeClasses(t *testing.T) {
 	})
 }
 
-// TestCollectivePayloadsSurviveRecycling: payloads returned by the
-// collectives escape to the caller; the pool must never hand their
-// buffers to later sends.  A broadcast result is compared against its
-// value after many further collectives reused the pool.
+// TestCollectivePayloadsSurviveRecycling: a payload a collective lent
+// and the caller never handed back stays the caller's; the pool must
+// never hand its buffer to later sends.  A broadcast result is compared
+// against its value after many further collectives reused the pool.
 func TestCollectivePayloadsSurviveRecycling(t *testing.T) {
 	Run(4, func(c *Comm) {
 		data := c.Bcast(0, []byte{9, 8, 7, 6})
@@ -86,6 +86,140 @@ func TestCollectivePayloadsSurviveRecycling(t *testing.T) {
 		}
 		if string(data) != snapshot {
 			t.Errorf("escaped broadcast payload was overwritten: %q -> %q", snapshot, string(data))
+		}
+	})
+}
+
+// TestCollectiveOwnership pins the payload-ownership contract of the
+// collectives.  Once one round of Gather, Bcast, Allgather and Alltoall
+// (every root, so the broadcast trees have forwarding ranks) has warmed
+// the pool, later rounds that hand their lent payloads back miss the
+// pool for neither shells nor buffers.  And payloads a caller still
+// holds are never overwritten by a later send: the lent payloads of a
+// round it never released, and its own data that a result slot
+// aliases, which the release calls must not pool (the own data here has
+// a power-of-two capacity, which the pool would accept).
+func TestCollectiveOwnership(t *testing.T) {
+	const p = 5
+	Run(p, func(c *Comm) {
+		me := c.Rank()
+		// data returns rank src's payload for dst in round r: its size
+		// depends on the pair only (rounds repeat the same size classes),
+		// its bytes on the round too.
+		data := func(r, src, dst int) []byte {
+			b := make([]byte, 8+5*src+3*dst, 64)
+			for i := range b {
+				b[i] = byte(r*131 + src*17 + dst*5 + i)
+			}
+			return b
+		}
+		type held struct {
+			b    []byte
+			want string
+		}
+		var hold []held
+		keep := func(b []byte) { hold = append(hold, held{b, string(b)}) }
+		expect := func(what string, got, want []byte) {
+			if string(got) != string(want) {
+				t.Errorf("rank %d %s: got %v, want %v", me, what, got, want)
+			}
+		}
+		gather, all, recv := make([][]byte, p), make([][]byte, p), make([][]byte, p)
+		parts := make([][]byte, p)
+		round := func(r int, release bool) {
+			for root := 0; root < p; root++ {
+				own := data(r, me, root)
+				if got := c.Gather(root, own, gather); got != nil {
+					for src, b := range got {
+						expect("gather", b, data(r, src, root))
+					}
+					keep(own)
+					if release {
+						c.ReleaseParts(got)
+					} else {
+						for src, b := range got {
+							if src != me {
+								keep(b)
+							}
+						}
+					}
+				}
+				var in []byte
+				if me == root {
+					in = data(r, root, p)
+				}
+				b := c.Bcast(root, in)
+				expect("bcast", b, data(r, root, p))
+				if release {
+					c.ReleaseBcast(root, b)
+				} else if me != root {
+					keep(b)
+				}
+			}
+			own := data(r, me, p+1)
+			got := c.Allgather(own, all)
+			for src, b := range got {
+				expect("allgather", b, data(r, src, p+1))
+			}
+			keep(own)
+			if release {
+				c.ReleaseAllgather(got)
+			} else if me != 0 {
+				keep(got[0][:cap(got[0])])
+			} else {
+				for src, b := range got {
+					if src != me {
+						keep(b)
+					}
+				}
+			}
+			for dst := range parts {
+				parts[dst] = data(r, me, dst)
+			}
+			got = c.Alltoall(parts, recv)
+			for src, b := range got {
+				expect("alltoall", b, data(r, src, me))
+			}
+			keep(parts[me])
+			if release {
+				c.ReleaseParts(got)
+			} else {
+				for src, b := range got {
+					if src != me {
+						keep(b)
+					}
+				}
+			}
+			// 8-byte messages, the size class of the smallest parts.
+			if sum := c.AllreduceInt64(int64(r), SumInt64); sum != int64(r*p) {
+				t.Errorf("rank %d: allreduce %d, want %d", me, sum, r*p)
+			}
+		}
+		misses := func() int64 {
+			st := &c.world.stats
+			n := st.shellMisses
+			for _, m := range st.bufMisses {
+				n += m
+			}
+			return n
+		}
+		round(0, false) // held to the end, never released
+		round(1, true)  // warms the pool
+		c.Barrier()
+		warm := misses()
+		for r := 2; r < 6; r++ {
+			round(r, true)
+		}
+		c.Barrier()
+		if me == 0 {
+			if n := misses() - warm; n != 0 {
+				t.Errorf("%d pool misses after the warm-up round, want 0", n)
+			}
+		}
+		for _, h := range hold {
+			if string(h.b) != h.want {
+				t.Errorf("rank %d: a held payload was overwritten: %v, want %v", me, h.b, []byte(h.want))
+			}
 		}
 	})
 }

@@ -79,7 +79,7 @@ func TestFlatTopoBitwiseNoOp(t *testing.T) {
 				for i := range parts {
 					parts[i] = make([]byte, 64+8*i)
 				}
-				c.Alltoall(parts)
+				c.Alltoall(parts, make([][]byte, p))
 				c.AllreduceInt64(int64(c.Rank()), SumInt64)
 				c.Bcast(0, make([]byte, 1000))
 				c.Barrier()

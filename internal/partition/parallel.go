@@ -88,7 +88,7 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 	for _, cv := range cmap {
 		payload = append(payload, int64(cv))
 	}
-	blocks := c.Gather(0, msg.PutInts(payload))
+	blocks := c.Gather(0, msg.PutInts(payload), make([][]byte, p))
 
 	var part []int32
 	if c.Rank() == 0 {
@@ -103,6 +103,7 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 			}
 			offset += int32(vals[0])
 		}
+		c.ReleaseParts(blocks)
 		nc := int(offset)
 		coarse, _ := dual.Contract(g, gcmap, nc, nil)
 		cpart := Repartition(coarse, k, coarsePrev(prev, gcmap, nc), opt)
@@ -143,13 +144,14 @@ func ParallelRepartition(c *msg.Comm, g *dual.Graph, k int, prev []int32, opt Op
 	for _, mv := range moves {
 		moveWords = append(moveWords, int64(mv[0]), int64(mv[1]))
 	}
-	allMoves := c.Allgather(msg.PutInts(moveWords))
+	allMoves := c.Allgather(msg.PutInts(moveWords), make([][]byte, p))
 	for r := 0; r < p; r++ {
 		words := msg.GetInts(allMoves[r])
 		for i := 0; i+1 < len(words); i += 2 {
 			out[words[i]] = int32(words[i+1])
 		}
 	}
+	c.ReleaseAllgather(allMoves)
 	return ParallelRepartitionResult{Part: out, CoarseVerts: coarseVerts}
 }
 

@@ -31,7 +31,7 @@ func (d *DistMesh) Finalize() *adapt.Mesh {
 		elems += d.packFamily(&buf, g, faceRoots[faceStart[r]:faceStart[r+1]])
 	}
 	d.C.Compute(workPackPerElem * float64(elems))
-	parts := d.C.Gather(0, msg.PutInts(buf))
+	parts := d.C.Gather(0, msg.PutInts(buf), make([][]byte, d.C.Size()))
 	if d.C.Rank() != 0 {
 		return nil
 	}
@@ -55,6 +55,7 @@ func (d *DistMesh) Finalize() *adapt.Mesh {
 			all = append(all, entry{g: g, words: words, pos: start})
 		}
 	}
+	d.C.ReleaseParts(parts) // every part is decoded into words
 	// Deterministic global order by root id.
 	sort.Slice(all, func(i, j int) bool { return all[i].g < all[j].g })
 	var sc unpackScratch

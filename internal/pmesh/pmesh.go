@@ -55,12 +55,14 @@ type DistMesh struct {
 	vertElemStart, vertElems []int32
 
 	// Scratch kept across calls so the balance step allocates per call,
-	// not per object: family packing and unpacking, and the sorted
-	// (kind or root, id, id) triples GlobalCounts and gatherRootValues
-	// send.
+	// not per object: family packing and unpacking, the sorted (kind or
+	// root, id, id) triples GlobalCounts and gatherRootValues send, their
+	// encoding, and the Allgather result slots.
 	pack    familyPacker
 	unpack  unpackScratch
 	triples [][3]int64
+	wire    []byte
+	parts   [][]byte
 }
 
 // New distributes the global initial mesh according to part (global root
@@ -331,7 +333,7 @@ func (d *DistMesh) gatherRootValues(a, b []int64) ([]int64, []int64) {
 		}
 	}
 	d.triples = words
-	parts := d.C.Allgather(putTriples(words))
+	parts := d.allgatherTriples(words)
 	wa := make([]int64, d.Global.NumElems())
 	wb := make([]int64, d.Global.NumElems())
 	for _, p := range parts {
@@ -341,7 +343,19 @@ func (d *DistMesh) gatherRootValues(a, b []int64) ([]int64, []int64) {
 			wb[t[0]] = t[2]
 		}
 	}
+	d.C.ReleaseAllgather(parts)
 	return wa, wb
+}
+
+// allgatherTriples encodes ts into the mesh's wire scratch and
+// allgathers it into the mesh's result slots; the caller hands the
+// parts back with ReleaseAllgather.  Collective.
+func (d *DistMesh) allgatherTriples(ts [][3]int64) [][]byte {
+	d.wire = appendTriples(d.wire[:0], ts)
+	if len(d.parts) != d.C.Size() {
+		d.parts = make([][]byte, d.C.Size())
+	}
+	return d.C.Allgather(d.wire, d.parts)
 }
 
 // cmpTriple orders triples lexicographically.
@@ -354,19 +368,18 @@ func cmpTriple(a, b [3]int64) int {
 	return 0
 }
 
-// putTriples encodes triples exactly as msg.PutInts encodes their words
-// laid end to end.
-func putTriples(ts [][3]int64) []byte {
-	buf := make([]byte, 24*len(ts))
-	for i, t := range ts {
-		for k, w := range t {
-			binary.LittleEndian.PutUint64(buf[24*i+8*k:], uint64(w))
+// appendTriples appends triples to dst exactly as msg.PutInts encodes
+// their words laid end to end.
+func appendTriples(dst []byte, ts [][3]int64) []byte {
+	for _, t := range ts {
+		for _, w := range t {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(w))
 		}
 	}
-	return buf
+	return dst
 }
 
-// tripleAt decodes the i-th triple of a putTriples payload, leaving the
+// tripleAt decodes the i-th triple of an appendTriples payload, leaving the
 // rest undecoded.
 func tripleAt(p []byte, i int) [3]int64 {
 	p = p[24*i : 24*i+24]
@@ -378,7 +391,7 @@ func tripleAt(p []byte, i int) [3]int64 {
 }
 
 // dropHeld removes from the sorted list mine, in place, every triple the
-// sorted putTriples payload theirs also holds.
+// sorted appendTriples payload theirs also holds.
 func dropHeld(mine [][3]int64, theirs []byte) [][3]int64 {
 	n := len(theirs) / 24
 	keep := mine[:0]
@@ -439,7 +452,7 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 	}
 	d.triples = shared
 	slices.SortFunc(shared, cmpTriple)
-	parts := d.C.Allgather(putTriples(shared))
+	parts := d.allgatherTriples(shared)
 	// A rank that holds one of these objects is in its SPL, so only
 	// lower neighbour ranks can hold them too.
 	for _, r := range d.neighbors {
@@ -448,6 +461,7 @@ func (d *DistMesh) GlobalCounts() adapt.Counts {
 		}
 		shared = dropHeld(shared, parts[r])
 	}
+	d.C.ReleaseAllgather(parts)
 	for _, t := range shared {
 		if t[0] == 1 {
 			c.Verts++

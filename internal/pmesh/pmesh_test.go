@@ -57,7 +57,7 @@ func TestSPLSymmetry(t *testing.T) {
 		for r := range parts {
 			parts[r] = msg.PutInts(send[r])
 		}
-		recv := c.Alltoall(parts)
+		recv := c.Alltoall(parts, make([][]byte, 3))
 		for src := 0; src < 3; src++ {
 			if src == c.Rank() {
 				continue
@@ -402,16 +402,16 @@ func TestTripleWire(t *testing.T) {
 	for _, x := range ts {
 		words = append(words, x[:]...)
 	}
-	p := putTriples(ts)
+	p := appendTriples(nil, ts)
 	if !slices.Equal(p, msg.PutInts(words)) {
-		t.Fatalf("putTriples bytes differ from msg.PutInts of the flattened words")
+		t.Fatalf("appendTriples bytes differ from msg.PutInts of the flattened words")
 	}
 	for i, x := range ts {
 		if got := tripleAt(p, i); got != x {
 			t.Errorf("tripleAt(%d) = %v, want %v", i, got, x)
 		}
 	}
-	theirs := putTriples([][3]int64{{1, 7, 0}, {2, 5, 2}, {2, 5, 9}})
+	theirs := appendTriples(nil, [][3]int64{{1, 7, 0}, {2, 5, 2}, {2, 5, 9}})
 	got := dropHeld(slices.Clone(ts), theirs)
 	want := [][3]int64{{1, -3, 0}, {2, 5, 1}}
 	if !slices.Equal(got, want) {
@@ -480,7 +480,7 @@ func TestGlobalCountsAfterMigrateP7(t *testing.T) {
 			parts[r] = msg.PutInts(send[r])
 		}
 		phantom := 0
-		for _, words := range c.Alltoall(parts) {
+		for _, words := range c.Alltoall(parts, make([][]byte, p)) {
 			w := msg.GetInts(words)
 			for i := 0; i+1 < len(w); i += 2 {
 				a, b := d.M.VertByGID(uint64(w[i])), d.M.VertByGID(uint64(w[i+1]))

@@ -125,7 +125,7 @@ func BuildSimilarityDistributed(c *msg.Comm, localRoots []int32, wremap []int64,
 		row[newPart[r]] += wremap[r]
 	}
 	c.Compute(float64(len(localRoots)))
-	rows := c.Gather(0, msg.PutInts(row))
+	rows := c.Gather(0, msg.PutInts(row), make([][]byte, p))
 	if c.Rank() != 0 {
 		return nil
 	}
@@ -133,6 +133,7 @@ func BuildSimilarityDistributed(c *msg.Comm, localRoots []int32, wremap []int64,
 	for i := 0; i < p; i++ {
 		copy(s.S[i], msg.GetInts(rows[i]))
 	}
+	c.ReleaseParts(rows)
 	return s
 }
 

@@ -79,8 +79,7 @@ func (im *Implicit) Step() ImplicitResult {
 	res := ImplicitResult{Converged: true}
 	opt := linalg.Options{Tol: im.Opt.Tol, MaxIter: im.Opt.MaxIter}
 	for comp := 0; comp < ncomp; comp++ {
-		b := im.Sys.GatherField(ncomp, comp)
-		x := append([]float64(nil), b...) // u^n is the natural initial guess
+		b, x := im.Sys.GatherField(ncomp, comp)
 		r := linalg.PCG(im.Sys, im.Pre, b, x, opt)
 		im.Sys.ScatterField(ncomp, comp, x)
 		res.Iterations += r.Iterations
@@ -105,7 +104,7 @@ func (im *Implicit) GlobalMass() float64 {
 	if im.D.M.NComp == 0 {
 		return 0
 	}
-	b := im.Sys.GatherField(im.D.M.NComp, 0)
+	b, _ := im.Sys.GatherField(im.D.M.NComp, 0)
 	ones := make([]float64, len(b))
 	for i := range ones {
 		ones[i] = 1

@@ -38,11 +38,11 @@ type PSolver struct {
 	// Step scratch, kept across steps and regrown with the mesh: the
 	// local accumulators (acc, deg), the combined shared-vertex sums
 	// (cacc, cdeg; seen marks a vertex combined this step, touched lists
-	// them), and one outgoing payload per rank.
+	// them), one outgoing payload per rank, and Alltoall's result slots.
 	acc, deg, cacc, cdeg []float64
 	seen                 []bool
 	touched              []int32
-	wire                 [][]byte
+	wire, recv           [][]byte
 }
 
 // ownedEdge is one owned edge as Step evaluates it: endpoints oriented
@@ -135,11 +135,13 @@ func (s *PSolver) Step(dt float64) int {
 
 	// Ghost accumulation: exchange partial (acc, deg) of shared
 	// vertices with their actual sharers; combine in rank order.  The
-	// payloads double as Alltoall's parts, which it copies.
+	// payloads double as Alltoall's parts, which it sends as copies; the
+	// received payloads go back to the pool once combined.
 	p := d.C.Size()
 	me := int32(d.C.Rank())
 	if len(s.wire) != p {
 		s.wire = make([][]byte, p)
+		s.recv = make([][]byte, p)
 		s.slots = make([][]gidSlot, p)
 	}
 	for r, vs := range s.sendTo {
@@ -154,7 +156,7 @@ func (s *PSolver) Step(dt float64) int {
 		}
 		s.wire[r] = buf
 	}
-	recv := d.C.Alltoall(s.wire)
+	recv := d.C.Alltoall(s.wire, s.recv)
 
 	// Deterministic combination: process contributions rank by rank in
 	// ascending order, inserting our own partial at rank "me".  Shared
@@ -196,6 +198,7 @@ func (s *PSolver) Step(dt float64) int {
 		}
 		s.slots[r] = slots
 	}
+	d.C.ReleaseParts(recv)
 	for _, v := range s.touched {
 		copy(acc[int(v)*NComp:int(v)*NComp+NComp], s.cacc[int(v)*NComp:])
 		deg[v] = s.cdeg[v]
@@ -232,12 +235,13 @@ func zeroed(buf []float64, n int) []float64 {
 	return buf
 }
 
-// appendFloat appends x in the msg.PutFloats wire encoding.
+// appendFloat appends x in the wire encoding of msg.SendFloats
+// (little-endian IEEE-754).
 func appendFloat(b []byte, x float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 }
 
-// floatAt decodes the msg.PutFloats-encoded value at byte offset i.
+// floatAt decodes the appendFloat-encoded value at byte offset i.
 func floatAt(b []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
 }
