@@ -47,6 +47,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plumdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := diff.DefaultThresholds()
 	var (
 		spansBase = fs.String("spans-base", "", "baseline span/blame stream (plumbench -spans)")
 		spansCur  = fs.String("spans-cur", "", "current span/blame stream")
@@ -55,9 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonPath = fs.String("json", "", "also write the report as JSON to this file"+
 			" (\"-\" for stdout instead of text)")
 		gate = fs.Bool("gate", false, "evaluate regression thresholds and exit 1 on violations")
-		simT = fs.Float64("sim-threshold", 1.001, "gate: fail when simulated time exceeds"+
+		simT = fs.Float64("sim-threshold", def.SimRatio, "gate: fail when simulated time exceeds"+
 			" baseline by this factor (exact plane — keep tight)")
-		simAbs = fs.Float64("sim-abs", 1e-9, "gate: ignore simulated regressions below this"+
+		simAbs = fs.Float64("sim-abs", def.SimAbs, "gate: ignore simulated regressions below this"+
 			" many absolute seconds")
 		failFlip = fs.Bool("fail-on-flip", false, "gate: fail on any verdict flip")
 		noComp   = fs.Bool("allow-incomparable", false, "gate: do not fail when config digests"+

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -10,14 +11,17 @@ import (
 	"plum/internal/pmesh"
 )
 
-// Distributed backend: each rank owns the matrix rows of the vertices it
-// owns (lowest actual holder, exactly as the explicit solver resolves
-// flux ownership), assembled from the edges it owns so every global edge
-// contributes exactly once.  Off-rank columns become ghost entries
-// refreshed by a halo exchange before every SpMV — the per-iteration
-// communication the implicit workload exists to generate — and dot
-// products reduce exact per-rank accumulators at the host, so every
-// scalar the solver computes is bitwise independent of the partition.
+// Distributed backend: each rank owns the matrix rows of the vertices
+// pmesh.Ownership says it owns (lowest actual holder, the table the
+// explicit solver reads too), assembled from the edges it owns so every
+// global edge contributes exactly once.  Rows and ghost columns are
+// gid-ascending slices, looked up by binary search, and the solution
+// scatter pairs values with Ownership.Shared by position.  Off-rank
+// columns become ghost entries refreshed by a halo exchange before every
+// SpMV — the per-iteration communication the implicit workload exists
+// to generate — and dot products reduce exact per-rank accumulators at
+// the host, so every scalar the solver computes is bitwise independent
+// of the partition.
 
 // Point-to-point tags for the linalg protocols (pmesh uses 1001-1005;
 // the collectives synthesize tags above 1<<24).
@@ -63,7 +67,7 @@ type DistSystem struct {
 	rowVert []int32
 
 	// own is the exact sharing state used for assembly and scatter.
-	own *pmesh.EdgeOwnership
+	own *pmesh.Ownership
 
 	// Halo exchange lists, indexed by rank.  sendRows[r] lists owned row
 	// indices whose values rank r needs; recvGhost[r] lists ghost indices
@@ -109,15 +113,6 @@ type DistSystem struct {
 // encoding of SendInts and SendFloats.
 func word(data []byte, i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
 
-// vertOwner returns the owning rank of local vertex v under the exact
-// sharing state (lowest actual holder).
-func vertOwner(own *pmesh.EdgeOwnership, me, v int32) int32 {
-	if sh := own.VertSharers[v]; len(sh) > 0 && sh[0] < me {
-		return sh[0]
-	}
-	return me
-}
-
 // NewDistSystem assembles A = shift*I + scale*L over the distributed
 // mesh's active vertices and edges.  Collective.  The resulting global
 // operator is entry-for-entry bitwise identical to Assemble on the
@@ -127,43 +122,40 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 	s.own = d.ResolveOwnership()
 	m := d.M
 	me := int32(d.C.Rank())
+	owner := s.own.Owner
 
 	// Owned rows, ascending gid.
-	var gids []uint64
-	vertOf := make(map[uint64]int32)
-	for v := range m.Coords {
-		if !m.VertAlive[v] || vertOwner(s.own, me, int32(v)) != me {
-			continue
+	for v, o := range owner {
+		if o == me {
+			s.rowVert = append(s.rowVert, int32(v))
 		}
-		gids = append(gids, m.VertGID[v])
-		vertOf[m.VertGID[v]] = int32(v)
 	}
-	slices.Sort(gids)
-	rowOf := make(map[uint64]int32, len(gids))
-	s.rowVert = make([]int32, len(gids))
-	for i, g := range gids {
-		rowOf[g] = int32(i)
-		s.rowVert[i] = vertOf[g]
+	slices.SortFunc(s.rowVert, func(a, b int32) int { return cmp.Compare(m.VertGID[a], m.VertGID[b]) })
+	gids := make([]uint64, len(s.rowVert))
+	for i, v := range s.rowVert {
+		gids[i] = m.VertGID[v]
 	}
 
 	// Contributions of the edges this rank owns.  Each edge (a,b)
 	// contributes to rows a and b; contributions to rows owned
 	// elsewhere are forwarded to the owning rank together with the
-	// column's owner, which the receiver needs to build its halo.  A
-	// column owned elsewhere is a ghost.  Contributions to owned rows are
-	// listed in arrival order and grouped by row once all have arrived.
+	// column's owner, which the receiver needs to build its halo: a row
+	// owned here can gain a column through an edge only another rank
+	// holds.  A column owned elsewhere is a ghost.  Contributions to
+	// owned rows are listed in arrival order and grouped by row once all
+	// have arrived.
 	rows := make([]int32, 0, 2*len(m.EdgeV))
 	ents := make([]entry, 0, 2*len(m.EdgeV))
-	ghostOwnerOf := make(map[uint64]int32)
+	var ghosts []ghost
 	addOwned := func(rowGID, colGID uint64, colOwner int32, w float64) {
-		i, ok := rowOf[rowGID]
+		i, ok := slices.BinarySearch(gids, rowGID)
 		if !ok {
 			panic("linalg: contribution to a row not owned here")
 		}
-		rows = append(rows, i)
+		rows = append(rows, int32(i))
 		ents = append(ents, entry{colGID, w})
 		if colOwner != me {
-			ghostOwnerOf[colGID] = colOwner
+			ghosts = append(ghosts, ghost{colGID, colOwner})
 		}
 	}
 	sendBuf := make([][]int64, d.C.Size())
@@ -181,10 +173,9 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		}
 		a, b := m.EdgeV[id][0], m.EdgeV[id][1]
 		w := EdgeWeight(m.Coords[a].Sub(m.Coords[b]).Norm())
-		oa, ob := vertOwner(s.own, me, a), vertOwner(s.own, me, b)
 		ga, gb := m.VertGID[a], m.VertGID[b]
-		add(ga, gb, oa, ob, w)
-		add(gb, ga, ob, oa, w)
+		add(ga, gb, owner[a], owner[b], w)
+		add(gb, ga, owner[b], owner[a], w)
 	}
 
 	// Forward remote contributions.  Destinations are ranks that share
@@ -205,34 +196,31 @@ func NewDistSystem(d *pmesh.DistMesh, shift, scale float64) *DistSystem {
 		d.C.Release(in)
 	}
 
-	// The ghost block, gid-ascending.
-	s.GhostGID = make([]uint64, 0, len(ghostOwnerOf))
-	for g := range ghostOwnerOf {
-		s.GhostGID = append(s.GhostGID, g)
-	}
-	slices.Sort(s.GhostGID)
-	s.ghostOwner = make([]int32, len(s.GhostGID))
-	ghostIdx := make(map[uint64]int32, len(s.GhostGID))
-	for i, g := range s.GhostGID {
-		s.ghostOwner[i] = ghostOwnerOf[g]
-		ghostIdx[g] = int32(i)
+	// The ghost block, gid-ascending; every contribution names a
+	// column's one owner, so equal gids are equal pairs.
+	slices.SortFunc(ghosts, func(a, b ghost) int { return cmp.Compare(a.gid, b.gid) })
+	ghosts = slices.Compact(ghosts)
+	s.GhostGID = make([]uint64, len(ghosts))
+	s.ghostOwner = make([]int32, len(ghosts))
+	for i, g := range ghosts {
+		s.GhostGID[i], s.ghostOwner[i] = g.gid, g.owner
 	}
 
 	// Build the CSR over [owned | ghost] columns.
-	n := len(gids)
-	colIdx := func(g uint64) int32 {
-		if r, ok := rowOf[g]; ok {
-			return r
-		}
-		return int32(n) + ghostIdx[g]
-	}
-	ptr, byRow := groupBy(n, rows, ents)
-	s.A = finalizeRows(gids, ptr, byRow, colIdx, n+len(s.GhostGID), shift, scale)
+	colIdx := func(g uint64) int32 { return localCol(gids, s.GhostGID, g) }
+	ptr, byRow := groupBy(len(gids), rows, ents)
+	s.A = finalizeRows(gids, ptr, byRow, colIdx, len(gids)+len(s.GhostGID), shift, scale)
 	s.full = make([]float64, s.A.NCols)
 	s.splitRows()
 
 	s.buildHalo()
 	return s
+}
+
+// ghost is one ghost column: its gid and the rank that owns its row.
+type ghost struct {
+	gid   uint64
+	owner int32
 }
 
 // splitRows classifies each owned row as interior (no ghost column) or
@@ -445,14 +433,15 @@ func (s *DistSystem) colGID(c int32) uint64 {
 	return s.A.GID[c]
 }
 
-// localCol returns the local column index of gid, or -1 when the gid is
-// neither an owned row nor a ghost.
-func (s *DistSystem) localCol(gid uint64) int32 {
-	if i, ok := slices.BinarySearch(s.A.GID, gid); ok {
+// localCol returns the local column index of gid over the owned row
+// gids and the ghost gids, both ascending, or -1 when the gid is
+// neither.
+func localCol(rows, ghosts []uint64, gid uint64) int32 {
+	if i, ok := slices.BinarySearch(rows, gid); ok {
 		return int32(i)
 	}
-	if g, ok := slices.BinarySearch(s.GhostGID, gid); ok {
-		return int32(s.A.NRows + g)
+	if g, ok := slices.BinarySearch(ghosts, gid); ok {
+		return int32(len(rows) + g)
 	}
 	return -1
 }
@@ -519,7 +508,7 @@ func (s *DistSystem) exchangeRows(rows *localRows) {
 	g.col = slices.Grow(g.col[:0], len(gids))[:len(gids)]
 	var far []uint64
 	for k, gid := range gids {
-		if g.col[k] = s.localCol(gid); g.col[k] < 0 {
+		if g.col[k] = localCol(s.A.GID, s.GhostGID, gid); g.col[k] < 0 {
 			far = append(far, gid)
 		}
 	}
@@ -562,48 +551,48 @@ func (s *DistSystem) GatherField(ncomp, comp int) (b, x []float64) {
 }
 
 // ScatterField writes owned solution values into the local mesh and
-// forwards boundary values to the other actual holders of each shared
-// vertex, so every copy of the solution field stays bitwise consistent.
-// The outgoing words reuse the system's per-rank tables, and received
-// values decode straight out of each message, which then returns to the
-// world's pool.  Collective.
+// forwards them to the other actual holders of each shared vertex, so
+// every copy of the solution field stays bitwise consistent.  Each rank
+// r is sent the entries of Shared[r] owned here, and sends back those it
+// owns, in the same order, so received values pair with their vertices
+// by position.  The outgoing words reuse the system's per-rank tables,
+// and received values decode straight out of each message, which then
+// returns to the world's pool.  Collective.
 func (s *DistSystem) ScatterField(ncomp, comp int, x []float64) {
 	m := s.D.M
-	if s.scatterSend == nil {
-		// Sized once per system: two words per owned row per sharer.
-		n := make([]int, s.C.Size())
-		for _, v := range s.rowVert {
-			for _, r := range s.own.VertSharers[v] {
-				n[r] += 2
-			}
-		}
-		s.scatterSend = make([][]int64, len(n))
-		for r := range n {
-			s.scatterSend[r] = make([]int64, 0, n[r])
-		}
-	}
-	send := s.scatterSend
-	for r := range send {
-		send[r] = send[r][:0]
-	}
+	me := int32(s.C.Rank())
 	for i, v := range s.rowVert {
 		m.Sol[int(v)*ncomp+comp] = x[i]
-		for _, r := range s.own.VertSharers[v] {
-			send[r] = append(send[r], int64(m.VertGID[v]), int64(math.Float64bits(x[i])))
-		}
+	}
+	if s.scatterSend == nil {
+		s.scatterSend = make([][]int64, s.C.Size())
 	}
 	neighbors := s.D.NeighborRanks()
 	for _, r := range neighbors {
-		s.C.SendInts(int(r), tagScatter, send[r])
+		send := slices.Grow(s.scatterSend[r][:0], 2*len(s.own.Shared[r]))
+		for _, v := range s.own.Shared[r] {
+			if s.own.Owner[v] == me {
+				send = append(send, int64(m.VertGID[v]), int64(math.Float64bits(m.Sol[int(v)*ncomp+comp])))
+			}
+		}
+		s.scatterSend[r] = send
+		s.C.SendInts(int(r), tagScatter, send)
 	}
 	for _, r := range neighbors {
 		in := s.C.Recv(int(r), tagScatter)
-		for i := 0; i+1 < len(in.Data)/8; i += 2 {
-			v := m.VertByGID(word(in.Data, i))
-			if v < 0 {
+		i := 0
+		for _, v := range s.own.Shared[r] {
+			if s.own.Owner[v] != r {
 				continue
 			}
-			m.Sol[int(v)*ncomp+comp] = math.Float64frombits(word(in.Data, i+1))
+			if 2*i+1 >= len(in.Data)/8 || word(in.Data, 2*i) != m.VertGID[v] {
+				panic("linalg: scattered value out of exchange order")
+			}
+			m.Sol[int(v)*ncomp+comp] = math.Float64frombits(word(in.Data, 2*i+1))
+			i++
+		}
+		if 2*i != len(in.Data)/8 {
+			panic("linalg: scattered values out of step with the ownership table")
 		}
 		s.C.Release(in)
 	}

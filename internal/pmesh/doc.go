@@ -12,10 +12,12 @@
 // Refine is the parallel adaption cycle; GatherPredictedWeights /
 // GatherWeights supply the balancer's inputs; Migrate executes an
 // adopted reassignment; Finalize reassembles the global mesh for
-// output; ResolveOwnership computes exact edge/vertex ownership for the
-// solvers.  Migrate stamps no trace phase itself: every caller must run
-// it under event.PhaseMigrate (the adaption step does), which is how the
-// profile aggregator tells migration waits apart.
+// output; ResolveOwnership computes the solvers' one ownership table:
+// the edges this rank computes, each vertex's owner (its lowest actual
+// holder), and per rank the vertices both hold, listed in the same
+// order on both sides.  Migrate stamps no trace phase itself: every
+// caller must run it under event.PhaseMigrate (the adaption step does),
+// which is how the profile aggregator tells migration waits apart.
 //
 // Invariants.  Identity across processors follows the global-id
 // discipline of package adapt: initial vertices keep their global

@@ -1,34 +1,40 @@
 package pmesh
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Exact shared-object resolution.  SPLs are conservative (complete but
 // possibly over-approximate), which is fine for marking propagation —
 // receivers ignore unknown objects — but the flow solver needs exact
 // ownership so each edge's flux is computed exactly once and shared
 // vertex accumulators are combined exactly.  One collective resolves
-// them: every rank announces the potentially shared edges it actually
-// holds; a rank owns an edge when it is the lowest-numbered actual
-// holder.
+// them: every rank announces the potentially shared edges and vertices
+// it actually holds; the lowest-numbered actual holder owns each.
 
-// EdgeOwnership describes the exact sharing state of the local edges.
-type EdgeOwnership struct {
+// Ownership is the exact sharing state of the local mesh: the one
+// statement of which ranks hold, and which rank owns, each shared edge
+// and vertex.
+type Ownership struct {
 	// Owned[id] is true when this rank computes edge id (interior edges
 	// and shared edges where this rank is the lowest actual holder).
 	Owned []bool
-	// Sharers[id] lists the other ranks that actually hold edge id (nil
-	// for interior edges).
-	Sharers [][]int32
-	// VertSharers[v] lists the other ranks that actually hold vertex v
-	// (nil for interior vertices).
-	VertSharers [][]int32
+	// Owner[v] is the lowest actual holder of local vertex v (this rank
+	// for interior vertices), -1 when v is not alive.
+	Owner []int32
+	// Shared[r] lists the alive local vertices that rank r also holds,
+	// in ascending gid.  SPLs are complete, so holding is symmetric:
+	// rank r's Shared[me] names the same vertices in the same order, and
+	// the two ranks' exchanges over a shared vertex pair up by position.
+	Shared [][]int32
 }
 
 // ResolveOwnership exchanges shared-object ids with the neighbour ranks
 // and returns the exact ownership tables for the current topology.
 // Collective.
-func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
-	me := d.C.Rank()
+func (d *DistMesh) ResolveOwnership() *Ownership {
+	me := int32(d.C.Rank())
 	d.M.EnsureEdgeElems()
 
 	// Announce potentially shared edges (by endpoint gids) and vertices
@@ -59,60 +65,48 @@ func (d *DistMesh) ResolveOwnership() *EdgeOwnership {
 	}
 	recv := d.exchangeWithNeighbors(tagOwnership, send)
 
-	// (object, sharer rank) pairs, grouped per object below.
-	var edgeIDs, edgeRanks, vertIDs, vertRanks []int32
+	own := &Ownership{
+		Owned:  make([]bool, len(d.M.EdgeV)),
+		Owner:  make([]int32, len(d.M.Coords)),
+		Shared: make([][]int32, d.C.Size()),
+	}
+	for id := range own.Owned {
+		own.Owned[id] = d.M.ActiveEdge(int32(id))
+	}
+	for v, alive := range d.M.VertAlive {
+		own.Owner[v] = -1
+		if alive {
+			own.Owner[v] = me
+		}
+	}
+	// An edge a lower rank holds is that rank's to compute; a vertex is
+	// the lowest announcer's or this rank's.
 	for _, r := range d.neighbors {
 		vals := recv[r]
 		for i := 0; i+2 < len(vals); i += 3 {
 			switch vals[i] {
 			case 2:
+				if r > me {
+					continue
+				}
 				va := d.M.VertByGID(uint64(vals[i+1]))
 				vb := d.M.VertByGID(uint64(vals[i+2]))
 				if va < 0 || vb < 0 {
 					continue
 				}
-				id := d.M.EdgeByPair(va, vb)
-				if id < 0 || !d.M.EdgeLeaf(id) {
-					continue
+				if id := d.M.EdgeByPair(va, vb); id >= 0 {
+					own.Owned[id] = false
 				}
-				edgeIDs, edgeRanks = append(edgeIDs, id), append(edgeRanks, r)
 			case 1:
 				v := d.M.VertByGID(uint64(vals[i+1]))
 				if v < 0 {
 					continue
 				}
-				vertIDs, vertRanks = append(vertIDs, v), append(vertRanks, r)
+				own.Shared[r] = append(own.Shared[r], v)
+				own.Owner[v] = min(own.Owner[v], r)
 			}
 		}
-	}
-	own := &EdgeOwnership{
-		Owned:       make([]bool, len(d.M.EdgeV)),
-		Sharers:     groupRanks(edgeIDs, edgeRanks, len(d.M.EdgeV)),
-		VertSharers: groupRanks(vertIDs, vertRanks, len(d.M.Coords)),
-	}
-	for id := range d.M.EdgeV {
-		if !d.M.ActiveEdge(int32(id)) {
-			continue
-		}
-		sh := own.Sharers[id]
-		own.Owned[id] = len(sh) == 0 || int32(me) < sh[0]
+		slices.SortFunc(own.Shared[r], func(a, b int32) int { return cmp.Compare(d.M.VertGID[a], d.M.VertGID[b]) })
 	}
 	return own
-}
-
-// groupRanks returns, per object id in [0, n), the sorted distinct ranks
-// paired with it in (ids[i], ranks[i]), nil for an object paired with
-// none; every list is a capacity-capped window of one arena.
-func groupRanks(ids, ranks []int32, n int) [][]int32 {
-	start, arena := bucket(ids, ranks, n)
-	out := make([][]int32, n)
-	for id := range out {
-		if lo, hi := start[id], start[id+1]; hi > lo {
-			l := arena[lo:hi]
-			slices.Sort(l)
-			l = slices.Compact(l)
-			out[id] = l[:len(l):len(l)]
-		}
-	}
-	return out
 }

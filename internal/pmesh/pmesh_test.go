@@ -1,7 +1,6 @@
 package pmesh
 
 import (
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -375,19 +374,6 @@ func TestIntersectRanks(t *testing.T) {
 	}
 	if got := appendIntersect(nil, nil, []int32{1}); got != nil {
 		t.Errorf("empty intersection appended %v", got)
-	}
-}
-
-func TestGroupRanks(t *testing.T) {
-	got := groupRanks([]int32{3, 1, 3, 3, 0}, []int32{5, 2, 2, 5, 9}, 4)
-	want := [][]int32{{9}, {2}, nil, {2, 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("groupRanks = %v, want %v", got, want)
-	}
-	for id, l := range got {
-		if cap(l) != len(l) {
-			t.Errorf("object %d: list cap %d > len %d", id, cap(l), len(l))
-		}
 	}
 }
 

@@ -26,12 +26,12 @@
 // Invariants.  Shared-vertex partials are combined in ascending rank
 // order and edge ownership is exact (pmesh.ResolveOwnership), so every
 // update is bitwise independent of the partition and of GOMAXPROCS.
-// PSolver.Rebuild precomputes the kernel tables that stay fixed until
-// the next Rebuild: the owned edges in ascending id with their
-// orientation and length, and per peer the local vertex of each
-// received partial.  Partials still carry their vertex gids on the
-// wire; a step re-resolves a table slot whose gid no longer matches, so
-// the tables change no simulated byte and cannot mis-route a partial.
+// PSolver.Rebuild precomputes the owned edges in ascending id with
+// their orientation and length, fixed until the next Rebuild.  The
+// partials exchanged with rank r are those of pmesh.Ownership.Shared[r],
+// which both ranks list in the same order, so they pair by position;
+// the vertex gids stay on the wire, and a step panics on one that
+// disagrees rather than mis-route a partial.
 // The implicit solver inherits linalg's exact-reduction discipline:
 // iteration counts and residual histories are identical for every
 // processor count.

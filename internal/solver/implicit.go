@@ -33,9 +33,10 @@ type ImplicitOptions struct {
 
 // DefaultImplicitOptions returns the settings the experiments use: a
 // step large enough that preconditioning visibly pays, SPAI, and the
-// acceptance tolerance of the subsystem (1e-8).
+// PCG tolerance and iteration cap of linalg.DefaultOptions.
 func DefaultImplicitOptions() ImplicitOptions {
-	return ImplicitOptions{DT: 0.5, Precond: linalg.PrecondSPAI, Tol: 1e-8, MaxIter: 500}
+	pcg := linalg.DefaultOptions()
+	return ImplicitOptions{DT: 0.5, Precond: linalg.PrecondSPAI, Tol: pcg.Tol, MaxIter: pcg.MaxIter}
 }
 
 // ImplicitResult reports one implicit step (all NComp component solves).

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -20,28 +19,20 @@ import (
 // PSolver is the distributed solver state bound to a DistMesh.
 type PSolver struct {
 	D   *pmesh.DistMesh
-	own *pmesh.EdgeOwnership
-	// sendTo[r] lists, gid-ascending, the local shared vertices whose
-	// partials go to rank r.
-	sendTo [][]int32
+	own *pmesh.Ownership
 	// shared lists the local vertices that have actual sharers,
 	// ascending.
 	shared []int32
 
-	// Kernel tables, fixed between Rebuilds and refilled in their own
-	// storage by each: edges holds every owned edge in ascending id,
-	// and slots[r][i] the local vertex of the i-th partial rank r
-	// sends, resolved from its gid on first use.
+	// edges holds every owned edge in ascending id, fixed between
+	// Rebuilds and refilled in its own storage by each.
 	edges []ownedEdge
-	slots [][]gidSlot
 
 	// Step scratch, kept across steps and regrown with the mesh: the
 	// local accumulators (acc, deg), the combined shared-vertex sums
-	// (cacc, cdeg; seen marks a vertex combined this step, touched lists
-	// them), one outgoing payload per rank, and Alltoall's result slots.
+	// (cacc, cdeg), one outgoing payload per rank, and Alltoall's result
+	// slots.
 	acc, deg, cacc, cdeg []float64
-	seen                 []bool
-	touched              []int32
 	wire, recv           [][]byte
 }
 
@@ -52,12 +43,6 @@ type ownedEdge struct {
 	length float64
 }
 
-// gidSlot caches the local vertex (-1 if not held) of a wire gid.
-type gidSlot struct {
-	gid uint64
-	v   int32
-}
-
 // NewParallel builds the solver for the current mesh topology.  Call
 // Rebuild after any adaption or migration.  Collective.
 func NewParallel(d *pmesh.DistMesh) *PSolver {
@@ -66,36 +51,16 @@ func NewParallel(d *pmesh.DistMesh) *PSolver {
 	return s
 }
 
-// Rebuild refreshes ownership, exchange lists and the kernel tables.
-// Collective.
+// Rebuild refreshes ownership and the kernel tables.  Collective.
 func (s *PSolver) Rebuild() {
 	m := s.D.M
-	p := s.D.C.Size()
 	s.own = s.D.ResolveOwnership()
-	if len(s.sendTo) != p {
-		s.sendTo = make([][]int32, p)
-	}
-	for r := range s.sendTo {
-		s.sendTo[r] = s.sendTo[r][:0]
-	}
-	for r := range s.slots {
-		s.slots[r] = s.slots[r][:0]
-	}
 	s.shared = s.shared[:0]
-	for v, sharers := range s.own.VertSharers {
-		if sharers == nil {
-			continue
-		}
-		s.shared = append(s.shared, int32(v))
-		for _, r := range sharers {
-			s.sendTo[r] = append(s.sendTo[r], int32(v))
-		}
+	for _, vs := range s.own.Shared {
+		s.shared = append(s.shared, vs...)
 	}
-	// Deterministic order: ascending gid per destination.
-	gid := m.VertGID
-	for _, vs := range s.sendTo {
-		slices.SortFunc(vs, func(a, b int32) int { return cmp.Compare(gid[a], gid[b]) })
-	}
+	slices.Sort(s.shared)
+	s.shared = slices.Compact(s.shared)
 	// Sized for every edge: one allocation, not one per doubling (the
 	// implicit workload builds this solver once and never steps it).
 	s.edges = slices.Grow(s.edges[:0], len(s.own.Owned))
@@ -134,17 +99,18 @@ func (s *PSolver) Step(dt float64) int {
 	d.C.Compute(float64(work))
 
 	// Ghost accumulation: exchange partial (acc, deg) of shared
-	// vertices with their actual sharers; combine in rank order.  The
-	// payloads double as Alltoall's parts, which it sends as copies; the
-	// received payloads go back to the pool once combined.
+	// vertices with their actual sharers; combine in rank order.  Rank
+	// r's payload lists its partials of Shared[r], in that order, so each
+	// pairs with its vertex by position.  The payloads double as
+	// Alltoall's parts, which it sends as copies; the received payloads
+	// go back to the pool once combined.
 	p := d.C.Size()
-	me := int32(d.C.Rank())
+	me := d.C.Rank()
 	if len(s.wire) != p {
 		s.wire = make([][]byte, p)
 		s.recv = make([][]byte, p)
-		s.slots = make([][]gidSlot, p)
 	}
-	for r, vs := range s.sendTo {
+	for r, vs := range s.own.Shared {
 		buf := s.wire[r][:0]
 		for _, v := range vs {
 			buf = appendFloat(buf, float64(int64(m.VertGID[v]>>32)))
@@ -158,18 +124,20 @@ func (s *PSolver) Step(dt float64) int {
 	}
 	recv := d.C.Alltoall(s.wire, s.recv)
 
-	// Deterministic combination: process contributions rank by rank in
-	// ascending order, inserting our own partial at rank "me".  Shared
-	// accumulators start at zero and sum all partials.
-	if len(s.seen) < nv {
-		s.seen = make([]bool, nv)
+	// Deterministic combination: shared accumulators start at zero and
+	// sum every partial rank by rank in ascending order, our own at rank
+	// "me".
+	if len(s.cdeg) < nv {
 		s.cacc = make([]float64, nv*NComp)
 		s.cdeg = make([]float64, nv)
 	}
-	s.touched = s.touched[:0]
+	for _, v := range s.shared {
+		clear(s.cacc[int(v)*NComp : int(v)*NComp+NComp])
+		s.cdeg[v] = 0
+	}
 	const stride = 8 * (NComp + 3) // bytes per vertex: gid hi, gid lo, acc, deg
 	var a [NComp]float64
-	for r := int32(0); r < int32(p); r++ {
+	for r, vs := range s.own.Shared {
 		if r == me {
 			for _, v := range s.shared {
 				s.combine(v, acc[int(v)*NComp:int(v)*NComp+NComp], deg[v])
@@ -177,47 +145,34 @@ func (s *PSolver) Step(dt float64) int {
 			continue
 		}
 		data := recv[r]
-		slots := s.slots[r]
-		for i, n := 0, 0; i+stride <= len(data); i, n = i+stride, n+1 {
+		if len(data) != stride*len(vs) {
+			panic("solver: shared-vertex partials out of step with the ownership table")
+		}
+		for n, v := range vs {
+			i := n * stride
 			gid := uint64(int64(floatAt(data, i)))<<32 | uint64(uint32(int64(floatAt(data, i+8))))
-			// The gid check re-resolves a slot the sender's order does
-			// not match, so a stale table never mis-routes a partial.
-			if n == len(slots) {
-				slots = append(slots, gidSlot{gid, m.VertByGID(gid)})
-			} else if slots[n].gid != gid {
-				slots[n] = gidSlot{gid, m.VertByGID(gid)}
-			}
-			v := slots[n].v
-			if v < 0 {
-				continue // conservative SPL over-approximation
+			if gid != m.VertGID[v] {
+				panic("solver: shared-vertex partial out of exchange order")
 			}
 			for k := range a {
 				a[k] = floatAt(data, i+16+8*k)
 			}
 			s.combine(v, a[:], floatAt(data, i+16+8*NComp))
 		}
-		s.slots[r] = slots
 	}
 	d.C.ReleaseParts(recv)
-	for _, v := range s.touched {
+	for _, v := range s.shared {
 		copy(acc[int(v)*NComp:int(v)*NComp+NComp], s.cacc[int(v)*NComp:])
 		deg[v] = s.cdeg[v]
-		s.seen[v] = false
 	}
 	applyUpdate(m, acc, deg, dt)
 	return work
 }
 
 // combine adds one rank's partial (a, dg) for shared vertex v to the
-// step's combined sums, starting them from zero on the first partial.
+// step's combined sums.
 func (s *PSolver) combine(v int32, a []float64, dg float64) {
 	c := s.cacc[int(v)*NComp : int(v)*NComp+NComp]
-	if !s.seen[v] {
-		s.seen[v] = true
-		s.touched = append(s.touched, v)
-		clear(c)
-		s.cdeg[v] = 0
-	}
 	for k := range c {
 		c[k] += a[k]
 	}
@@ -251,20 +206,16 @@ func (s *PSolver) InitParallel(f func(mesh.Vec3) [NComp]float64) {
 	InitField(s.D.M, f)
 }
 
-// GlobalMass sums the density diagnostic across ranks, counting shared
-// vertices once (lowest actual holder).  Collective.
+// GlobalMass sums the density diagnostic across ranks, counting each
+// vertex once, at its owner.  Collective.
 func (s *PSolver) GlobalMass() float64 {
 	m := s.D.M
 	me := int32(s.D.C.Rank())
 	var local float64
-	for v := range m.Coords {
-		if !m.VertAlive[v] {
-			continue
+	for v, o := range s.own.Owner {
+		if o == me {
+			local += m.Sol[v*NComp]
 		}
-		if sh := s.own.VertSharers[v]; len(sh) > 0 && sh[0] < me {
-			continue
-		}
-		local += m.Sol[v*NComp]
 	}
 	return s.D.C.AllreduceFloat64(local, msg.SumFloat64)
 }

@@ -270,7 +270,7 @@ func referenceStep(s *PSolver, dt float64) (acc, deg []float64) {
 
 	p := d.C.Size()
 	parts := make([][]byte, p)
-	for r, vs := range s.sendTo {
+	for r, vs := range s.own.Shared {
 		for _, v := range vs {
 			parts[r] = appendFloat(parts[r], float64(int64(m.VertGID[v]>>32)))
 			parts[r] = appendFloat(parts[r], float64(uint32(m.VertGID[v])))
